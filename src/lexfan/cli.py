@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from lexfan import degeneration, gkzfan, io, quasival
-from lexfan.config import PointConfig, is_triangulation
+from lexfan.config import PointConfig, is_triangulation, refines
 from lexfan.errors import (
     BudgetExceeded,
     DegreeOverflow,
@@ -24,29 +23,19 @@ from lexfan.errors import (
 from lexfan.exactlex import INFINITY, rat_str
 
 
-@dataclass
-class SessionConfig:
-    degree_bound: int = 12
-    window: int = 8
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    budget: int = 200_000
-
-
-def _emit(session: SessionConfig, payload, text_fn=None, svg_fn=None) -> None:
-    if session.fmt == "json":
+def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
+    if args.format == "json":
         rendered = json.dumps(payload, indent=2)
-    elif session.fmt == "text":
+    elif args.format == "text":
         rendered = text_fn(payload) if text_fn else json.dumps(payload, indent=2)
-    elif session.fmt == "svg":
+    elif args.format == "svg":
         if svg_fn is None:
             raise SchemaError("svg output is not available for this command")
         rendered = svg_fn(payload)
     else:
-        raise SchemaError(f"unknown format {session.fmt!r}")
-    if session.out:
-        with open(session.out, "w") as fh:
+        raise SchemaError(f"unknown format {args.format!r}")
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(rendered + "\n")
     else:
         print(rendered)
@@ -109,15 +98,12 @@ def render_svg(payload: dict) -> str:
 
 
 def _angle_key(dx: Fraction, dy: Fraction):
-    """Exact angular order around the origin (no trigonometry)."""
-    if dx == 0 and dy == 0:
-        return (0, Fraction(0))
-    if dy > 0 or (dy == 0 and dx > 0):
-        half = 0
-    else:
-        half = 1
-    # within a half-turn, sort by the cotangent-like ratio dx/dy projection
-    return (half, Fraction(-dx, dy) if dy != 0 else Fraction(-(10**9) if dx > 0 else 10**9))
+    """Exact counter-clockwise order of nonzero directions, starting at the
+    positive x-axis (no trigonometry): the half-turn [0, pi) or [pi, 2*pi),
+    then the direction on the x-axis that opens it, then -cot, which
+    increases with the angle inside a half-turn."""
+    upper = dy > 0 or (dy == 0 and dx > 0)
+    return (not upper, dy != 0, -dx / dy if dy else 0)
 
 
 def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
@@ -145,12 +131,12 @@ def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_subdivide(session: SessionConfig, args) -> int:
+def cmd_subdivide(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     psi = io.matrix_from_json(io.load_json(args.matrix))
     s = gkzfan.subdivide(cfg, psi)
     payload = _subdivision_payload(cfg, psi, s)
-    _emit(session, payload, text_fn=_subdivision_text, svg_fn=render_svg)
+    _emit(args, payload, text_fn=_subdivision_text, svg_fn=render_svg)
     return 0
 
 
@@ -162,11 +148,9 @@ def _subdivision_text(payload) -> str:
     return "\n".join(lines)
 
 
-def cmd_fan(session: SessionConfig, args) -> int:
+def cmd_fan(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
-    subs = gkzfan.enumerate_regular_subdivisions(cfg, budget=session.budget)
-    from lexfan.config import refines
-
+    subs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
     entries = []
     for s in subs:
         cc = gkzfan.condition_cone(cfg, s)
@@ -185,18 +169,18 @@ def cmd_fan(session: SessionConfig, args) -> int:
         if i != j and refines(cfg, si, sj)
     ]
     payload = {"regular_subdivisions": entries, "refinement_poset": poset}
-    _emit(session, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_valuate(session: SessionConfig, args) -> int:
+def cmd_valuate(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     psi = io.matrix_from_json(io.load_json(args.matrix))
     f = io.expr_from_json(io.load_json(args.expr))
     s = gkzfan.subdivide(cfg, psi)
     plm = gkzfan.linear_extension(cfg, s, psi)
     v_rep = quasival.v_quasi(plm, f)
-    nu_rep = quasival.nu_quasi(cfg, psi, f, degree_bound=session.degree_bound)
+    nu_rep = quasival.nu_quasi(cfg, psi, f, degree_bound=args.degree_bound)
     payload = {
         "V": _lexvec_json(v_rep.value),
         "V_witness_point": None
@@ -213,18 +197,18 @@ def cmd_valuate(session: SessionConfig, args) -> int:
     }
     if not f.is_zero():
         payload["delta"] = _lexvec_json(
-            quasival.delta(cfg, psi, plm, f, degree_bound=session.degree_bound)
+            quasival.delta(cfg, psi, plm, f, degree_bound=args.degree_bound)
         )
-    _emit(session, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_liminf(session: SessionConfig, args) -> int:
+def cmd_liminf(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     psi = io.matrix_from_json(io.load_json(args.matrix))
     f = io.expr_from_json(io.load_json(args.expr))
     seq = quasival.power_seq(
-        cfg, psi, f, window=session.window, degree_bound=session.degree_bound
+        cfg, psi, f, window=args.window, degree_bound=args.degree_bound
     )
     acc = quasival.windowed_accumulation(seq)
     payload = {
@@ -235,15 +219,15 @@ def cmd_liminf(session: SessionConfig, args) -> int:
         "liminf": None if acc.liminf is None else _lexvec_json(acc.liminf),
         "windowed": acc.windowed,
     }
-    _emit(session, payload)
+    _emit(args, payload)
     return 0
 
 
-def cmd_degenerate(session: SessionConfig, args) -> int:
+def cmd_degenerate(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     psi = io.matrix_from_json(io.load_json(args.matrix))
     s = gkzfan.subdivide(cfg, psi)
-    bound = session.degree_bound
+    bound = args.degree_bound
     gr_v = degeneration.gr_v_present(cfg, s, bound)
     gr_nu = degeneration.gr_nu_reduced(cfg, s, bound)
     payload = {
@@ -256,7 +240,7 @@ def cmd_degenerate(session: SessionConfig, args) -> int:
         payload["stanley_reisner"] = io.sr_to_json(
             degeneration.stanley_reisner(cfg, s)
         )
-    _emit(session, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -295,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--degree-bound", type=int, default=12)
     parser.add_argument("--window", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "text", "svg"], default="json")
     parser.add_argument("--out", default=None)
     parser.add_argument("--budget", type=int, default=200_000)
@@ -332,19 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    session = SessionConfig(
-        degree_bound=args.degree_bound,
-        window=args.window,
-        seed=args.seed,
-        fmt=args.format,
-        out=args.out,
-        budget=args.budget,
-    )
-    if session.degree_bound <= 0 or session.window <= 0:
+    if args.degree_bound <= 0 or args.window <= 0:
         print("error: bounds must be positive", file=sys.stderr)
         return 2
     try:
-        return args.fn(session, args)
+        return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

@@ -17,22 +17,20 @@ stored canonically through the generating vectors v of its co-polar cone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from lexfan.errors import DimensionError
-from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec
+from lexfan.exactlex import WeightMatrix, lex_sign, mat_vec
 from lexfan.linalg import (
     canonical_subspace_basis,
     dot,
     frac_vec,
     is_zero,
-    nullspace,
     primitive,
     project_off,
     rank,
-    rref,
     vec_scale,
     vec_sub,
 )
@@ -106,12 +104,7 @@ def _cut(a, rays, processed, equality):
 
     zsets = {r: zset(r) for r in rays}
     new = []
-    pairs = (
-        itertools.product(pos, neg)
-        if not equality
-        else itertools.product(pos, neg)
-    )
-    for rp, rn in pairs:
+    for rp, rn in itertools.product(pos, neg):
         common = zsets[rp] & zsets[rn]
         if any(
             common <= zsets[o] for o in rays if o is not rp and o is not rn
@@ -147,6 +140,8 @@ class PolyCone:
     ineq_normals: tuple  # facet normals mod eq span, canonical
 
     # -- construction -------------------------------------------------------
+    # Each constructor computes the missing side with one DD pass and makes
+    # the given side irredundant with a second one.
 
     @staticmethod
     def from_generators(
@@ -157,10 +152,9 @@ class PolyCone:
         for g in gens + lin:
             if len(g) != dim:
                 raise DimensionError("generator length != ambient dimension")
-        # polar cone of the generators gives the H-description
-        constraints = gens + lin + [tuple(-x for x in l) for l in lin]
-        pol_lines, pol_rays = _dd(dim, [], constraints)
-        return PolyCone._from_double(dim, eqs=pol_lines, ineqs=pol_rays)
+        eqs, ineqs = _polar(dim, gens, lin)
+        v_lines, v_rays = _dd(dim, eqs, ineqs)
+        return _canonical(dim, v_lines, v_rays, eqs, ineqs)
 
     @staticmethod
     def from_normals(
@@ -169,21 +163,9 @@ class PolyCone:
         for n in list(ineqs) + list(eqs):
             if len(n) != dim:
                 raise DimensionError("normal length != ambient dimension")
-        return PolyCone._from_double(dim, eqs=eqs, ineqs=ineqs)
-
-    @staticmethod
-    def _from_double(dim, eqs, ineqs) -> "PolyCone":
         lines, rays = _dd(dim, eqs, ineqs)
-        pol_lines, pol_rays = _dd(
-            dim, [], rays + lines + [tuple(-x for x in l) for l in lines]
-        )
-        return PolyCone(
-            dim=dim,
-            lines=_canon_lines(lines),
-            rays=_canon_rays(rays, lines),
-            eq_normals=_canon_lines(pol_lines),
-            ineq_normals=_canon_rays(pol_rays, pol_lines),
-        )
+        h_eqs, h_ineqs = _polar(dim, rays, lines)
+        return _canonical(dim, lines, rays, h_eqs, h_ineqs)
 
     @staticmethod
     def zero(dim: int) -> "PolyCone":
@@ -289,12 +271,27 @@ class PolyCone:
         return hash((self.dim, self._vkey()))
 
 
-def _canon_lines(lines) -> tuple:
-    return tuple(canonical_subspace_basis(lines))
+def _polar(dim: int, rays: Sequence[Sequence], lines: Sequence[Sequence]):
+    """Lineality basis and extreme rays of the polar of the cone generated
+    by rays and lines: the H-description of that cone."""
+    return _dd(dim, [], list(rays) + list(lines) + [tuple(-x for x in l) for l in lines])
 
 
-def _canon_rays(rays, lines) -> tuple:
-    basis = list(canonical_subspace_basis(lines))
+def _canonical(dim: int, lines, rays, eqs, ineqs) -> PolyCone:
+    """Canonical form of a double description: rref subspace bases and,
+    on each side, primitive rays projected off the subspace, sorted."""
+    lines = canonical_subspace_basis(lines)
+    eqs = canonical_subspace_basis(eqs)
+    return PolyCone(
+        dim=dim,
+        lines=lines,
+        rays=_canon_rays(rays, lines),
+        eq_normals=eqs,
+        ineq_normals=_canon_rays(ineqs, eqs),
+    )
+
+
+def _canon_rays(rays, basis) -> tuple:
     out = []
     for r in rays:
         p = project_off(r, basis)
@@ -306,24 +303,6 @@ def _canon_rays(rays, lines) -> tuple:
 # ---------------------------------------------------------------------------
 # cone operations
 # ---------------------------------------------------------------------------
-
-def dd_convert(
-    dim: int,
-    generators: Optional[Sequence[Sequence]] = None,
-    normals: Optional[Sequence[Sequence]] = None,
-) -> PolyCone:
-    """Build the dual description from a one-sided description."""
-    if (generators is None) == (normals is None):
-        raise ValueError("give exactly one of generators / normals")
-    if generators is not None:
-        return PolyCone.from_generators(dim, rays=generators)
-    return PolyCone.from_normals(dim, ineqs=normals)
-
-
-def lineality(cone: PolyCone) -> tuple:
-    """Basis of C intersect -C (the largest subspace inside the cone)."""
-    return cone.lines
-
 
 def normal_span(cone: PolyCone) -> tuple:
     """Basis of the span of all normals; its orthogonal complement is the
@@ -367,10 +346,6 @@ class FaceLattice:
     def faces(self) -> list[PolyCone]:
         return [e[0] for e in self.entries]
 
-    @property
-    def cofaces_list(self) -> list[PolyCone]:
-        return [e[2] for e in self.entries]
-
     def __len__(self):
         return len(self.entries)
 
@@ -410,15 +385,6 @@ class MuCone:
     @property
     def copolar_generators(self) -> tuple:
         return self.copolar_cone.generators
-
-
-def polar_N(cone: PolyCone, n_rank: int) -> MuCone:
-    """The rank-N polar of a polyhedral cone in Q^r."""
-    return MuCone(n_rank=n_rank, copolar_cone=cone)
-
-
-def copolar(mu: MuCone) -> PolyCone:
-    return mu.copolar_cone
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
-from lexfan.linalg import det, dot, frac_vec, rank
+from lexfan.linalg import det, dot, rank
 
 Point = tuple
 
@@ -139,12 +139,6 @@ def hull_of(points: tuple) -> Hull:
         affine_eqs=cone.eq_normals,
         vertices=tuple(sorted(vertices)),
     )
-
-
-def hull_faces(points: Sequence[Sequence]) -> Hull:
-    """Exact H-description of the hull (facets + affine-hull equations);
-    faces enumerable on demand via Hull.faces()."""
-    return hull_of(tuple(tuple(int(c) for c in p) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +263,20 @@ def _cell_points(cfg: PointConfig, cell: MarkedCell) -> tuple:
     return tuple(cfg.points[i] for i in cell.vertices)
 
 
+def cell_pair_violations(cfg: PointConfig, ca: MarkedCell, cb: MarkedCell) -> list:
+    """Violations of a pair of cells: they must meet in a common face, and a
+    point lying on both must be marked on both or on neither."""
+    pa, pb = _cell_points(cfg, ca), _cell_points(cfg, cb)
+    if not _face_to_face(pa, pb):
+        return [("overlap-not-face", f"cells {ca.vertices} and {cb.vertices}")]
+    ha, hb = hull_of(pa), hull_of(pb)
+    return [
+        ("marking-mismatch", f"point {i} on cells {ca.vertices} / {cb.vertices}")
+        for i, p in enumerate(cfg.points)
+        if ha.contains(p) and hb.contains(p) and (i in ca.marking) != (i in cb.marking)
+    ]
+
+
 def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationReport:
     """Check covering, face-to-face intersections, and marking conditions."""
     v: list[tuple] = []
@@ -281,10 +289,8 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
     if len(set(s.cells)) != len(s.cells):
         v.append(("duplicate-cell", "a cell is listed twice"))
 
-    hulls = {}
     for c in s.cells:
         h = hull_of(_cell_points(cfg, c))
-        hulls[c] = h
         if h.intrinsic_dim != cfg.dim:
             v.append(("cell-not-full-dim", f"cell {c.vertices} is degenerate"))
             continue
@@ -302,20 +308,7 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
         return ValidationReport(False, tuple(v))
 
     for ca, cb in itertools.combinations(s.cells, 2):
-        pa, pb = _cell_points(cfg, ca), _cell_points(cfg, cb)
-        if not _face_to_face(pa, pb):
-            v.append(("overlap-not-face", f"cells {ca.vertices} and {cb.vertices}"))
-            continue
-        for i in range(cfg.r):
-            p = cfg.points[i]
-            if hulls[ca].contains(p) and hulls[cb].contains(p):
-                if (i in ca.marking) != (i in cb.marking):
-                    v.append(
-                        (
-                            "marking-mismatch",
-                            f"point {i} on cells {ca.vertices} / {cb.vertices}",
-                        )
-                    )
+        v.extend(cell_pair_violations(cfg, ca, cb))
 
     total = sum((volume(_cell_points(cfg, c)) for c in s.cells), Fraction(0))
     if total != volume(cfg.points):

@@ -16,8 +16,6 @@ from lexfan.errors import DimensionError, SchemaError
 # positive denominator.  Fraction already guarantees both invariants.
 Rat = Fraction
 
-LT, EQ, GT = -1, 0, 1
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational."""
@@ -134,18 +132,6 @@ INFINITY = Infinity()
 LexValue = Union[LexVec, Infinity]
 
 
-def lex_cmp(a: LexVec, b: LexVec) -> int:
-    """Three-way lexicographic comparison: LT (-1), EQ (0) or GT (1)."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    for x, y in zip(a, b):
-        if x < y:
-            return LT
-        if x > y:
-            return GT
-    return EQ
-
-
 def lex_sign(a: Sequence[Fraction]) -> int:
     """Sign of a vector under the lexicographic order: -1, 0 or +1."""
     for x in a:
@@ -154,28 +140,6 @@ def lex_sign(a: Sequence[Fraction]) -> int:
         if x > 0:
             return 1
     return 0
-
-
-def lex_max_vertex(vertices: Sequence[LexVec]) -> LexVec:
-    """The lex-greatest of a nonempty list.  For the vertex set of a polytope
-    this equals the lex-max over the whole polytope (attained at a vertex)."""
-    if not vertices:
-        raise ValueError("empty vertex list")
-    best = vertices[0]
-    for v in vertices[1:]:
-        if lex_cmp(v, best) == GT:
-            best = v
-    return best
-
-
-def lex_min_vertex(vertices: Sequence[LexVec]) -> LexVec:
-    if not vertices:
-        raise ValueError("empty vertex list")
-    best = vertices[0]
-    for v in vertices[1:]:
-        if lex_cmp(v, best) == LT:
-            best = v
-    return best
 
 
 @dataclass(frozen=True)

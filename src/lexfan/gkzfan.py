@@ -21,13 +21,13 @@ from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
     PointConfig,
+    cell_pair_violations,
     hull_of,
-    is_triangulation,
     validate_subdivision,
     volume,
 )
 from lexfan.errors import BudgetExceeded, DimensionError
-from lexfan.exactlex import LexVec, WeightMatrix, lex_cmp, mat_vec, rat, zero_vec, LT
+from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
 from lexfan.linalg import dot, frac_vec, primitive, rank, solve
 from lexfan import lp
 
@@ -154,8 +154,6 @@ def closed_member(
     ok = True
     ledger = []
     for g in condition_generators(cfg, s):
-        from lexfan.exactlex import lex_sign
-
         sign = lex_sign(mat_vec(psi, g.vector))
         ledger.append((g, sign))
         if g.two_sided:
@@ -270,12 +268,7 @@ def g_eval(plm: PiecewiseLinearMap, w: Sequence) -> LexVec:
         return zero_vec(plm.n_rank)
     if w[0] <= 0 or not plm.cfg.hull().contains(tuple(x / w[0] for x in w[1:])):
         raise ValueError("point outside the cone over the configuration")
-    best = None
-    for ci in range(len(plm.subdivision.cells)):
-        v = cell_value(plm, ci, w)
-        if best is None or lex_cmp(v, best) == LT:
-            best = v
-    return best
+    return min(cell_value(plm, ci, w) for ci in range(len(plm.subdivision.cells)))
 
 
 def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[LexVec]:
@@ -299,7 +292,7 @@ def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[Le
         for j, c in zip(support, coeff):
             lam[j] += c
         val = mat_vec(psi, lam)
-        if best is None or lex_cmp(val, best) == 1:
+        if best is None or val > best:
             best = val
     return best
 
@@ -313,38 +306,21 @@ def open_member(cfg: PointConfig, psi: WeightMatrix, s: MarkedSubdivision) -> bo
     return subdivide(cfg, psi) == s
 
 
-def _strict_and_equality_vectors(cfg: PointConfig, s: MarkedSubdivision):
-    eqs, strict = [], []
-    for g in condition_generators(cfg, s):
-        (eqs if g.two_sided else strict).append(g.vector)
-    return eqs, strict
-
-
 def is_regular(cfg: PointConfig, s: MarkedSubdivision) -> bool:
-    """Nonemptiness of the rank-1 open cone, by exact LP: maximize a slack t
-    with h.u = 0 on marked relations, h.u + t <= 0 on unmarked ones, t <= 1;
-    regular iff the optimum is positive."""
-    eqs, strict = _strict_and_equality_vectors(cfg, s)
-    if not strict:
-        return True
-    r = cfg.r
-    a_ub = [list(u) + [Fraction(1)] for u in strict]
-    b_ub = [Fraction(0)] * len(strict)
-    a_ub.append([Fraction(0)] * r + [Fraction(1)])
-    b_ub.append(Fraction(1))
-    a_eq = [list(u) + [Fraction(0)] for u in eqs]
-    b_eq = [Fraction(0)] * len(eqs)
-    c = [Fraction(0)] * r + [Fraction(1)]
-    res = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    assert res.status == lp.OPTIMAL
-    return res.value > 0
+    """Nonemptiness of the rank-1 open cone."""
+    return regular_witness_height(cfg, s) is not None
 
 
 def regular_witness_height(
     cfg: PointConfig, s: MarkedSubdivision
 ) -> Optional[tuple]:
-    """A rank-1 height vector in the open cone of s, if one exists."""
-    eqs, strict = _strict_and_equality_vectors(cfg, s)
+    """A rank-1 height vector in the open cone of s, or None if s is not
+    regular.  Exact LP: maximize a slack t with h.u = 0 on marked relations,
+    h.u + t <= 0 on unmarked ones, t <= 1; the open cone is nonempty iff the
+    optimum is positive, and the optimal h then lies in it."""
+    eqs, strict = [], []
+    for g in condition_generators(cfg, s):
+        (eqs if g.two_sided else strict).append(g.vector)
     r = cfg.r
     a_ub = [list(u) + [Fraction(1)] for u in strict]
     b_ub = [Fraction(0)] * len(strict)
@@ -383,10 +359,10 @@ def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
 
 
 def enumerate_subdivisions(
-    cfg: PointConfig, budget: int = 200_000, regular_only: bool = False
+    cfg: PointConfig, budget: int = 200_000
 ) -> list[MarkedSubdivision]:
     """All valid marked subdivisions by depth-first cover search over
-    candidate cells (optionally filtered to the regular ones)."""
+    candidate cells (desk scale)."""
     candidates = _candidate_cells(cfg)
     vols = [volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
     target = volume(cfg.points)
@@ -396,10 +372,7 @@ def enumerate_subdivisions(
         key = (min(i, j), max(i, j))
         if key not in compatible:
             ca, cb = candidates[key[0]], candidates[key[1]]
-            pa = tuple(cfg.points[k] for k in ca.vertices)
-            pb = tuple(cfg.points[k] for k in cb.vertices)
-            ok = _pair_ok(cfg, ca, cb, pa, pb)
-            compatible[key] = ok
+            compatible[key] = not cell_pair_violations(cfg, ca, cb)
         return compatible[key]
 
     results = []
@@ -424,30 +397,14 @@ def enumerate_subdivisions(
                 chosen.pop()
 
     search(0, [], Fraction(0))
-    if regular_only:
-        results = [s for s in results if is_regular(cfg, s)]
     return results
-
-
-def _pair_ok(cfg, ca, cb, pa, pb) -> bool:
-    from lexfan.config import _face_to_face, hull_of as _h
-
-    if not _face_to_face(pa, pb):
-        return False
-    ha, hb = _h(pa), _h(pb)
-    for i in range(cfg.r):
-        p = cfg.points[i]
-        if ha.contains(p) and hb.contains(p):
-            if (i in ca.marking) != (i in cb.marking):
-                return False
-    return True
 
 
 def enumerate_regular_subdivisions(
     cfg: PointConfig, budget: int = 200_000
 ) -> list[MarkedSubdivision]:
     """All regular subdivisions of the configuration (desk scale)."""
-    return enumerate_subdivisions(cfg, budget=budget, regular_only=True)
+    return [s for s in enumerate_subdivisions(cfg, budget) if is_regular(cfg, s)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-Vec = tuple
-Frac = Fraction
-
-
 def frac_vec(v: Sequence) -> tuple:
     return tuple(Fraction(x) for x in v)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vec_sub(a, b):
@@ -114,18 +106,6 @@ def primitive(v: Sequence) -> tuple:
     if g == 0:
         g = 1
     return tuple(Fraction(i, g) for i in ints)
-
-
-def sign_normalized(v: Sequence) -> tuple:
-    """Primitive scaling with the first nonzero entry made positive (for
-    vectors only defined up to sign, e.g. subspace basis rows)."""
-    p = primitive(v)
-    for x in p:
-        if x < 0:
-            return tuple(-y for y in p)
-        if x > 0:
-            break
-    return p
 
 
 def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:

@@ -21,22 +21,16 @@ from lexfan.config import (
     PointConfig,
     hull_of,
 )
-from lexfan.errors import DegreeOverflow, DimensionError
+from lexfan.errors import DegreeOverflow
 from lexfan.exactlex import (
     INFINITY,
     LexVec,
     WeightMatrix,
-    lex_cmp,
-    lex_max_vertex,
-    lex_min_vertex,
     mat_vec,
     rat,
-    zero_vec,
-    LT,
-    GT,
 )
-from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, linear_extension, subdivide
-from lexfan.linalg import dot, frac_vec, rank, solve
+from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
+from lexfan.linalg import rank, solve
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +165,6 @@ def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
     return out
 
 
-def in_semigroup(cfg: PointConfig, u: GradedPoint) -> bool:
-    return bool(rep_set(cfg, u))
-
-
 # ---------------------------------------------------------------------------
 # valuations
 # ---------------------------------------------------------------------------
@@ -196,7 +186,7 @@ def v_quasi(plm: PiecewiseLinearMap, f: Expr, use_vertices: bool = False) -> Val
     best, best_u = None, None
     for u in points:
         val = g_eval(plm, u.vector)
-        if best is None or lex_cmp(val, best) == LT:
+        if best is None or val < best:
             best, best_u = val, u
     cell = next(
         ci
@@ -218,7 +208,7 @@ def nu_point(
     best, best_alpha = None, None
     for alpha in reps:
         val = mat_vec(psi, alpha)
-        if best is None or lex_cmp(val, best) == GT:
+        if best is None or val > best:
             best, best_alpha = val, alpha
     return best, best_alpha
 
@@ -233,7 +223,7 @@ def nu_quasi(
     best_u = best_alpha = None
     for u in f.support:
         val, alpha = nu_point(cfg, psi, u, degree_bound)
-        if best is None or lex_cmp(val, best) == LT:
+        if best is None or val < best:
             best, best_u, best_alpha = val, u, alpha
     return ValuationReport(best, best_u, best_alpha, None)
 
@@ -259,9 +249,7 @@ def delta(
     """min over the support of nu(f_u) - V(f_u); always <= 0."""
     if f.is_zero():
         raise ValueError("delta of the zero expression")
-    return lex_min_vertex(
-        [delta_point(cfg, psi, plm, u, degree_bound) for u in f.support]
-    )
+    return min(delta_point(cfg, psi, plm, u, degree_bound) for u in f.support)
 
 
 @dataclass(frozen=True)
@@ -458,7 +446,7 @@ def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationRepo
             tail = sub[-3:]
             if all(by_index[l] == c + b * Fraction(1, l) for l in tail):
                 candidates.add(c)
-    liminf = lex_min_vertex(list(candidates)) if candidates else None
+    liminf = min(candidates) if candidates else None
     return AccumulationReport(
         candidates=frozenset(candidates), liminf=liminf, windowed=True
     )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lexfan import cones
 from lexfan.cones import (
     MuCone,
     PolyCone,
@@ -13,21 +14,17 @@ from lexfan.cones import (
     cofaces,
     cone_intersection,
     cone_sum,
-    copolar,
-    dd_convert,
     euclidean_closure,
-    lineality,
     mu_dim,
     mu_face,
     mu_member,
     normal_span,
-    polar_N,
 )
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import condition_cone
 
-from helpers import polar, random_cone
+from helpers import criterion3_cones, polar, random_cone
 
 
 class TestPolyCone:
@@ -57,19 +54,35 @@ class TestPolyCone:
         b = PolyCone.from_generators(2, rays=[(2, 0), (3, 3), (2, 1)])
         assert a == b and hash(a) == hash(b)
 
-    def test_dd_convert_both_ways(self):
-        c = dd_convert(2, generators=[(1, 0), (1, 2)])
-        h = dd_convert(2, normals=c.ineq_normals)
-        assert c == h
-        with pytest.raises(ValueError):
-            dd_convert(2)
-        with pytest.raises(ValueError):
-            dd_convert(2, generators=[(1, 0)], normals=[(0, 1)])
+    def test_dual_descriptions_agree(self):
+        # __eq__ compares only the V-side, so compare every field
+        def fields(c):
+            return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
+
+        for a, b, _n in criterion3_cones(200):
+            for c in (a, b):
+                g = PolyCone.from_generators(c.dim, rays=c.rays, lines=c.lines)
+                h = PolyCone.from_normals(c.dim, ineqs=c.ineq_normals, eqs=c.eq_normals)
+                assert fields(g) == fields(h) == fields(c)
+
+    def test_two_dd_passes_per_constructor(self, monkeypatch):
+        calls = []
+        dd = cones._dd
+
+        def counted(*args):
+            calls.append(args)
+            return dd(*args)
+
+        monkeypatch.setattr(cones, "_dd", counted)
+        PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (1, 1, 0)], lines=[(0, 0, 1)])
+        assert len(calls) == 2
+        calls.clear()
+        PolyCone.from_normals(3, ineqs=[(-1, 0, 0), (0, -1, 0), (-1, -1, 0)], eqs=[(0, 0, 1)])
+        assert len(calls) == 2
 
     def test_line_handling(self):
         c = PolyCone.from_generators(3, rays=[(0, 0, 1)], lines=[(1, 1, 0)])
         assert c.lineality_dim() == 1
-        assert lineality(c) == c.lines
         assert c.contains((5, 5, 2)) and c.contains((-4, -4, 0))
         assert not c.contains((1, 0, 0))
         # normal span is the orthogonal complement of the lineality space
@@ -169,8 +182,7 @@ class TestPolarDuality:
 class TestMuCone:
     def test_membership_signs_on_condition_cone(self, seg_cfg, seg_psi, seg_sub):
         cc = condition_cone(seg_cfg, seg_sub)
-        mu = polar_N(cc.cone, 2)
-        assert copolar(mu) is cc.cone
+        mu = MuCone(n_rank=2, copolar_cone=cc.cone)
         rep = mu_member(mu, seg_psi)
         assert rep.member
         # lines pair to zero, pointed generators strictly negative here
@@ -181,7 +193,7 @@ class TestMuCone:
 
     def test_non_membership(self, seg_cfg, seg_sub):
         cc = condition_cone(seg_cfg, seg_sub)
-        mu = polar_N(cc.cone, 2)
+        mu = MuCone(n_rank=2, copolar_cone=cc.cone)
         # a matrix violating convexity on the unmarked point -1
         bad = WeightMatrix(rows=((0, 5, 0, 0, 0), (0, 0, 0, 0, 0)))
         rep = mu_member(mu, bad)
@@ -189,13 +201,13 @@ class TestMuCone:
         assert any(s > 0 for s in rep.signs)
 
     def test_membership_dimension_error(self):
-        mu = polar_N(PolyCone.from_generators(2, rays=[(1, 0)]), 1)
+        mu = MuCone(n_rank=1, copolar_cone=PolyCone.from_generators(2, rays=[(1, 0)]))
         with pytest.raises(DimensionError):
             mu_member(mu, WeightMatrix(rows=((1, 2, 3),)))
 
     def test_mu_face_is_coface_of_copolar(self):
         c = PolyCone.from_generators(2, rays=[(1, 0), (0, 1)])
-        mu = polar_N(c, 2)
+        mu = MuCone(n_rank=2, copolar_cone=c)
         f = mu_face(mu, (1, 0))
         assert f.copolar_cone == coface(c, (1, 0))
 
@@ -205,10 +217,10 @@ class TestMuCone:
             dim = rng.randint(2, 4)
             c = random_cone(rng, dim)
             for n in (1, 2, 3):
-                mu = polar_N(c, n)
+                mu = MuCone(n_rank=n, copolar_cone=c)
                 assert mu_dim(mu) == euclidean_closure(mu).cone_dim()
 
     def test_mu_dim_halfplane(self):
         # co-polar with lineality dim 1 in Q^2: mu_dim = N * (2 - 1)
         c = PolyCone.from_normals(2, ineqs=[(0, 1)])
-        assert mu_dim(polar_N(c, 3)) == 3
+        assert mu_dim(MuCone(n_rank=3, copolar_cone=c)) == 3

@@ -8,7 +8,6 @@ from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
     PointConfig,
-    hull_faces,
     hull_of,
     is_triangulation,
     refines,
@@ -52,7 +51,7 @@ class TestHull:
         assert h.contains((1, 1))
 
     def test_lower_dimensional_hull(self):
-        h = hull_faces(((0, 0), (2, 2)))
+        h = hull_of(((0, 0), (2, 2)))
         assert h.intrinsic_dim == 1
         assert len(h.affine_eqs) == 1
 

@@ -2,12 +2,15 @@
 surface with its exit-code contract."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from lexfan import io
 from lexfan.cli import main, render_svg
-from lexfan.cones import PolyCone, polar_N
+from lexfan.cones import MuCone, PolyCone
 from lexfan.config import PointConfig
 from lexfan.errors import SchemaError
 from lexfan.exactlex import WeightMatrix
@@ -41,7 +44,7 @@ class TestJson:
 
     def test_mucone_json(self):
         cone = PolyCone.from_generators(2, rays=[(1, 0), (1, 2)])
-        obj = io.mucone_to_json(polar_N(cone, 3))
+        obj = io.mucone_to_json(MuCone(n_rank=3, copolar_cone=cone))
         assert obj["N"] == 3
         assert len(obj["copolar_generators"]) == 2
 
@@ -205,6 +208,24 @@ class TestCli:
         )
 
 
+class TestReadme:
+    def test_command_line_examples_run(self, capsys, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        text = (root / "README.md").read_text()
+        section = text.split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("lexfan ")
+        ]
+        assert commands
+        monkeypatch.chdir(root)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+            assert capsys.readouterr().out
+
+
 class TestSvg:
     def test_dimension_guard(self):
         cfg = PointConfig(
@@ -226,3 +247,22 @@ class TestSvg:
         svg = render_svg(payload)
         assert svg.count("<polygon") == 3
         assert svg.count("<circle") == 4
+
+    def test_polygon_vertices_in_convex_order(self):
+        # the first vertex lies exactly left of the centroid (2, 0)
+        payload = {
+            "dim": 2,
+            "points": [[0, 0], [2, -1], [4, 0], [2, 1]],
+            "cells": [{"vertices": [0, 1, 2, 3], "marking": [0, 1, 2, 3]}],
+        }
+        svg = render_svg(payload)
+        points = re.search(r'<polygon points="([^"]*)"', svg).group(1)
+        xy = [tuple(map(float, p.split(","))) for p in points.split()]
+        assert len(xy) == 4
+        turns = set()
+        for i in range(4):
+            (ax, ay), (bx, by), (cx, cy) = xy[i], xy[(i + 1) % 4], xy[(i + 2) % 4]
+            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+            turns.add(cross > 0)
+            assert cross != 0
+        assert len(turns) == 1  # every turn in the same direction: no bowtie
