@@ -9,6 +9,7 @@ from lexfan.errors import (
     BudgetExceeded,
     DegreeOverflow,
     DimensionError,
+    InvariantError,
     SchemaError,
 )
 
@@ -16,6 +17,7 @@ __all__ = [
     "BudgetExceeded",
     "DegreeOverflow",
     "DimensionError",
+    "InvariantError",
     "SchemaError",
 ]
 

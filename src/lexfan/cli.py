@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from lexfan import degeneration, gkzfan, io, quasival
-from lexfan.config import PointConfig, is_triangulation, refines
+from lexfan.config import PointConfig, is_triangulation
 from lexfan.errors import (
     BudgetExceeded,
     DegreeOverflow,
@@ -112,7 +112,7 @@ def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
         "dim": cfg.dim,
         "points": [list(p) for p in cfg.points],
         "cells": io.subdivision_to_json(s)["cells"],
-        "open_member": gkzfan.open_member(cfg, psi, s),
+        "open_member": ledger.open_member,
         "closed_member": ledger.member,
         "condition_signs": [
             {
@@ -151,22 +151,22 @@ def _subdivision_text(payload) -> str:
 def cmd_fan(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     subs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
-    entries = []
-    for s in subs:
-        cc = gkzfan.condition_cone(cfg, s)
-        entries.append(
-            {
-                "cells": io.subdivision_to_json(s)["cells"],
-                "condition_cone": io.cone_to_json(cc.cone),
-                "dim_closed_cone_rank1": gkzfan.cone_dim(cfg, s, 1),
-                "is_triangulation": is_triangulation(cfg, s),
-            }
-        )
+    cones = [gkzfan.condition_cone(cfg, s).cone for s in subs]
+    entries = [
+        {
+            "cells": io.subdivision_to_json(s)["cells"],
+            "condition_cone": io.cone_to_json(cone),
+            "dim_closed_cone_rank1": cfg.r - cone.lineality_dim(),
+            "is_triangulation": is_triangulation(cfg, s),
+        }
+        for s, cone in zip(subs, cones)
+    ]
+    # s_i refines s_j iff the condition cone of s_i lies in that of s_j
     poset = [
         [i, j]
-        for i, si in enumerate(subs)
-        for j, sj in enumerate(subs)
-        if i != j and refines(cfg, si, sj)
+        for i, ci in enumerate(cones)
+        for j, cj in enumerate(cones)
+        if i != j and ci <= cj
     ]
     payload = {"regular_subdivisions": entries, "refinement_poset": poset}
     _emit(args, payload)

@@ -1,13 +1,14 @@
 """Exact polyhedral cones in Q^r and their lexicographic counterparts in
 matrix space.
 
-A PolyCone carries both descriptions:
+A PolyCone has two descriptions:
   V-description: lineality basis (lines) + extreme rays (rays),
   H-description: equality normals + inequality normals, cone = all x with
                  n.x = 0 on equalities and n.x <= 0 on inequalities.
-Conversion is by the double description method over Fraction.  Canonical
-forms (rref lineality bases, rays projected off the lineality span, primitive
-integer vectors, sorted) make structural equality meaningful.
+It keeps the side it was built from and computes the other side by one pass
+of the double description method over Fraction when that side is first read.
+Canonical forms (rref subspace bases, rays projected off the subspace,
+primitive integer vectors, sorted) make structural equality meaningful.
 
 A MuCone is a finite intersection of generalized half-spaces
 {Psi : Psi.v <= 0 lexicographically} in the space of N x r matrices; it is
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from lexfan.errors import DimensionError
@@ -129,32 +131,43 @@ def _dedupe(vectors: Iterable[tuple]) -> list[tuple]:
 # PolyCone
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PolyCone:
-    """Canonical dual-description polyhedral cone in Q^dim."""
+    """Canonical polyhedral cone in Q^dim.  It holds the side its constructor
+    computed; the other side costs one DD pass on first read."""
 
-    dim: int
-    lines: tuple  # canonical lineality basis
-    rays: tuple  # extreme rays mod lineality, canonical
-    eq_normals: tuple  # canonical basis of the span-orthogonal constraints
-    ineq_normals: tuple  # facet normals mod eq span, canonical
+    def __init__(self, dim: int, v: Optional[tuple] = None, h: Optional[tuple] = None):
+        self.dim = dim
+        if v is not None:
+            self._v = v
+        if h is not None:
+            self._h = h
+
+    @cached_property
+    def _v(self) -> tuple:
+        return _canonical(*_dd(self.dim, *self._h))
+
+    @cached_property
+    def _h(self) -> tuple:
+        return _canonical(*_polar(self.dim, *self._v))
+
+    lines = property(lambda self: self._v[0])  # canonical lineality basis
+    rays = property(lambda self: self._v[1])  # extreme rays mod lineality, canonical
+    eq_normals = property(lambda self: self._h[0])  # basis of the span-orthogonal constraints
+    ineq_normals = property(lambda self: self._h[1])  # facet normals mod eq span, canonical
 
     # -- construction -------------------------------------------------------
-    # Each constructor computes the missing side with one DD pass and makes
-    # the given side irredundant with a second one.
+    # Each constructor runs one DD pass, from the given side to the other,
+    # and keeps only the result; the given side is recomputed when read.
 
     @staticmethod
     def from_generators(
         dim: int, rays: Sequence[Sequence] = (), lines: Sequence[Sequence] = ()
     ) -> "PolyCone":
-        gens = [frac_vec(r) for r in rays]
-        lin = [frac_vec(l) for l in lines]
-        for g in gens + lin:
+        rays, lines = list(rays), list(lines)
+        for g in rays + lines:
             if len(g) != dim:
                 raise DimensionError("generator length != ambient dimension")
-        eqs, ineqs = _polar(dim, gens, lin)
-        v_lines, v_rays = _dd(dim, eqs, ineqs)
-        return _canonical(dim, v_lines, v_rays, eqs, ineqs)
+        return PolyCone(dim, h=_canonical(*_polar(dim, lines, rays)))
 
     @staticmethod
     def from_normals(
@@ -163,9 +176,7 @@ class PolyCone:
         for n in list(ineqs) + list(eqs):
             if len(n) != dim:
                 raise DimensionError("normal length != ambient dimension")
-        lines, rays = _dd(dim, eqs, ineqs)
-        h_eqs, h_ineqs = _polar(dim, rays, lines)
-        return _canonical(dim, lines, rays, h_eqs, h_ineqs)
+        return PolyCone(dim, v=_canonical(*_dd(dim, eqs, ineqs)))
 
     @staticmethod
     def zero(dim: int) -> "PolyCone":
@@ -232,7 +243,7 @@ class PolyCone:
 
     def __le__(self, other: "PolyCone") -> bool:
         """Set inclusion."""
-        return all(other.contains(g) for g in self.generators) or not self.generators
+        return all(other.contains(g) for g in self.generators)
 
     # -- faces and co-faces -------------------------------------------------
 
@@ -271,33 +282,22 @@ class PolyCone:
         return hash((self.dim, self._vkey()))
 
 
-def _polar(dim: int, rays: Sequence[Sequence], lines: Sequence[Sequence]):
+def _polar(dim: int, lines: Sequence[Sequence], rays: Sequence[Sequence]):
     """Lineality basis and extreme rays of the polar of the cone generated
-    by rays and lines: the H-description of that cone."""
+    by lines and rays: the H-description of that cone."""
     return _dd(dim, [], list(rays) + list(lines) + [tuple(-x for x in l) for l in lines])
 
 
-def _canonical(dim: int, lines, rays, eqs, ineqs) -> PolyCone:
-    """Canonical form of a double description: rref subspace bases and,
-    on each side, primitive rays projected off the subspace, sorted."""
-    lines = canonical_subspace_basis(lines)
-    eqs = canonical_subspace_basis(eqs)
-    return PolyCone(
-        dim=dim,
-        lines=lines,
-        rays=_canon_rays(rays, lines),
-        eq_normals=eqs,
-        ineq_normals=_canon_rays(ineqs, eqs),
-    )
-
-
-def _canon_rays(rays, basis) -> tuple:
+def _canonical(basis, rays) -> tuple:
+    """Canonical form of one side: the rref subspace basis and the primitive
+    rays projected off it, deduplicated and sorted."""
+    basis = canonical_subspace_basis(basis)
     out = []
     for r in rays:
         p = project_off(r, basis)
         if not is_zero(p):
             out.append(primitive(p))
-    return tuple(sorted(_dedupe(out)))
+    return basis, tuple(sorted(_dedupe(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from lexfan.config import (
-    MarkedCell,
     MarkedSubdivision,
     PointConfig,
     hull_of,
     is_triangulation,
 )
-from lexfan.exactlex import WeightMatrix
 from lexfan.quasival import (
     GradedPoint,
     _bounded_combination,
@@ -64,13 +62,29 @@ class FanAlgebraPresentation:
         return self.table[key]
 
 
-def _build_table(basis, bound, shares_component):
+def _inside(cfg: PointConfig, cell) -> tuple:
+    """Indices of the configuration points lying in the cell."""
+    h = hull_of(tuple(cfg.points[i] for i in cell.vertices))
+    return tuple(i for i in range(cfg.r) if h.contains(cfg.points[i]))
+
+
+def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:
+    return all(
+        hull_of(tuple(cfg.points[i] for i in c.vertices)).intrinsic_dim == cfg.dim
+        for c in s.cells
+    )
+
+
+def _build_table(basis, bound, members):
+    """Products of positive-degree basis classes up to the bound: u + w when
+    some component's vector set in members holds both, else None (zero)."""
     table = {}
     for i, u in enumerate(basis):
         for w in basis[i:]:
             if u.d == 0 or w.d == 0 or u.d + w.d > bound:
                 continue
-            table[(u, w)] = u + w if shares_component(u, w) else None
+            shares = any(u.vector in m and w.vector in m for m in members)
+            table[(u, w)] = u + w if shares else None
     return table
 
 
@@ -83,16 +97,10 @@ def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgeb
         tuple(cell_semigroup(cfg, s, cell, bound)) for cell in s.cells
     )
     members = [set(u.vector for u in comp) for comp in comps]
-
-    def shares(u, w):
-        return any(u.vector in m and w.vector in m for m in members)
-
-    table = _build_table(basis, bound, shares)
+    table = _build_table(basis, bound, members)
     certs = []
     for ci, cell in enumerate(s.cells):
-        inside = [i for i in range(cfg.r) if hull_of(
-            tuple(cfg.points[j] for j in cell.vertices)
-        ).contains(cfg.points[i])]
+        inside = _inside(cfg, cell)
         witness = GradedPoint(len(inside), tuple(
             sum(cfg.points[i][k] for i in inside) for k in range(cfg.dim)
         ))
@@ -103,10 +111,6 @@ def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgeb
             if cj != ci
         )
         certs.append(ComponentCertificate(ci, witness, in_own, outside))
-    equidim = all(
-        hull_of(tuple(cfg.points[i] for i in c.vertices)).intrinsic_dim == cfg.dim
-        for c in s.cells
-    )
     return FanAlgebraPresentation(
         subdivision=s,
         bound=bound,
@@ -115,7 +119,7 @@ def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgeb
         table=table,
         nilpotents=(),
         certificates=tuple(certs),
-        equidimensional=equidim,
+        equidimensional=_equidimensional(cfg, s),
     )
 
 
@@ -128,16 +132,12 @@ def gr_nu_reduced(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlge
         tuple(u for u in basis if in_SQ1(cfg, u, cell)) for cell in s.cells
     )
     members = [set(u.vector for u in comp) for comp in comps]
-
-    def shares(u, w):
-        return any(u.vector in m and w.vector in m for m in members)
-
-    table = _build_table(basis, bound, shares)
+    table = _build_table(basis, bound, members)
     stretch = stretch_factor(cfg, s, degree_bound=bound)
     nils = []
     for u in basis:
-        if u.d == 0 or in_any_SQ1(cfg, s, u):
-            continue
+        if u.d == 0 or any(u.vector in m for m in members):
+            continue  # members holds in_any_SQ1 for every basis element
         witness = next(
             (
                 k
@@ -155,10 +155,7 @@ def gr_nu_reduced(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlge
         table=table,
         nilpotents=tuple(nils),
         certificates=(),
-        equidimensional=all(
-            hull_of(tuple(cfg.points[i] for i in c.vertices)).intrinsic_dim == cfg.dim
-            for c in s.cells
-        ),
+        equidimensional=_equidimensional(cfg, s),
     )
 
 
@@ -208,12 +205,7 @@ class KhovanskiiReport:
 def khovanskii_report(
     cfg: PointConfig, s: MarkedSubdivision, bound: int
 ) -> KhovanskiiReport:
-    inside_sets = []
-    for cell in s.cells:
-        h = hull_of(tuple(cfg.points[i] for i in cell.vertices))
-        inside_sets.append(
-            tuple(i for i in range(cfg.r) if h.contains(cfg.points[i]))
-        )
+    inside_sets = [_inside(cfg, cell) for cell in s.cells]
     generated, extra = [], []
     for u in semigroup_up_to(cfg, bound):
         if u.d == 0:

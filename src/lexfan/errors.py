@@ -1,4 +1,5 @@
-"""Shared exception types; the CLI maps each to a fixed exit code."""
+"""Shared exception types; the CLI maps each input or limit error to a fixed
+exit code."""
 
 
 class SchemaError(ValueError):
@@ -15,3 +16,8 @@ class BudgetExceeded(RuntimeError):
 
 class DegreeOverflow(RuntimeError):
     """A computation exceeded the configured degree bound (exit code 5)."""
+
+
+class InvariantError(RuntimeError):
+    """An invariant of an exact computation failed: a bug, not bad input,
+    so it has no exit code."""

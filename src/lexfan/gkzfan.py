@@ -23,10 +23,9 @@ from lexfan.config import (
     PointConfig,
     cell_pair_violations,
     hull_of,
-    validate_subdivision,
     volume,
 )
-from lexfan.errors import BudgetExceeded, DimensionError
+from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
 from lexfan.linalg import dot, frac_vec, primitive, rank, solve
 from lexfan import lp
@@ -70,7 +69,8 @@ def _relation_vector(cfg: PointConfig, v: int, basis: Sequence[int]) -> tuple:
     """Primitive integer form of e_v - sum a_i e_{w_i} with v = sum a_i w_i."""
     mat = [[cfg.homogenized(w)[k] for w in basis] for k in range(cfg.n)]
     coeffs = solve(mat, cfg.homogenized(v))
-    assert coeffs is not None
+    if coeffs is None:
+        raise InvariantError(f"point {v} is not an affine combination of basis {basis}")
     u = [Fraction(0)] * cfg.r
     u[v] = Fraction(1)
     for a, w in zip(coeffs, basis):
@@ -100,8 +100,10 @@ def condition_generators(
                     f"cell {cell.vertices}: marking contains no affine basis"
                 )
             bases = [basis]
+        # marked points first (two-sided), then unmarked ones (one-sided)
+        unmarked = [v for v in range(cfg.r) if v not in cell.marking]
         for basis in bases:
-            for v in cell.marking:
+            for v in list(cell.marking) + unmarked:
                 if v in basis:
                     continue
                 out.append(
@@ -110,19 +112,7 @@ def condition_generators(
                         cell=ci,
                         basis=basis,
                         point=v,
-                        two_sided=True,
-                    )
-                )
-            for v in range(cfg.r):
-                if v in cell.marking:
-                    continue
-                out.append(
-                    ConditionGenerator(
-                        vector=_relation_vector(cfg, v, basis),
-                        cell=ci,
-                        basis=basis,
-                        point=v,
-                        two_sided=False,
+                        two_sided=v in cell.marking,
                     )
                 )
     return out
@@ -142,6 +132,12 @@ def condition_cone(cfg: PointConfig, s: MarkedSubdivision) -> ConditionCone:
 class SignLedger:
     member: bool
     signs: tuple  # of (ConditionGenerator, lex sign of Psi.u)
+
+    @property
+    def open_member(self) -> bool:
+        """Open-cone membership when s is a subdivision: every two-sided
+        sign is 0 and every one-sided sign is negative."""
+        return all(sign == 0 if g.two_sided else sign < 0 for g, sign in self.signs)
 
 
 def closed_member(
@@ -177,7 +173,6 @@ def _rank1_cells(cfg: PointConfig, idxs: Sequence[int], heights: Sequence) -> li
     cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
     if cone.eq_normals:
         # heights affine on the points: the subdivision is trivial
-        assert all(a[-1] != 0 for a in cone.eq_normals) or len(cone.eq_normals) > 1
         return [tuple(idxs)]
     cells = []
     for a in cone.ineq_normals:
@@ -225,10 +220,10 @@ class PiecewiseLinearMap:
 
 
 def linear_extension(
-    cfg: PointConfig, s: MarkedSubdivision, psi: WeightMatrix, check: bool = True
+    cfg: PointConfig, s: MarkedSubdivision, psi: WeightMatrix
 ) -> PiecewiseLinearMap:
-    """Interpolate Psi on each cell's marking; with check=True verifies that
-    the marked heights are actually affine per cell (Psi in the closed cone)."""
+    """Interpolate Psi on each cell's marking, verifying that the marked
+    heights are actually affine per cell (Psi in the closed cone)."""
     maps = []
     for cell in s.cells:
         basis = _affine_basis(cfg, cell.marking)
@@ -238,16 +233,16 @@ def linear_extension(
         rows = []
         for k in range(psi.n_rows):
             coeff = solve(mat, [psi.rows[k][i] for i in basis])
-            assert coeff is not None
+            if coeff is None:
+                raise InvariantError(f"affine basis {basis} is singular")
             rows.append(tuple(coeff))
-        if check:
-            for i in cell.marking:
-                h = cfg.homogenized(i)
-                val = LexVec(dot(row, h) for row in rows)
-                if val != psi.column(i):
-                    raise ValueError(
-                        f"heights not affine on cell {cell.vertices} (point {i})"
-                    )
+        for i in cell.marking:
+            h = cfg.homogenized(i)
+            val = LexVec(dot(row, h) for row in rows)
+            if val != psi.column(i):
+                raise ValueError(
+                    f"heights not affine on cell {cell.vertices} (point {i})"
+                )
         maps.append(tuple(rows))
     return PiecewiseLinearMap(
         cfg=cfg, subdivision=s, n_rank=psi.n_rows, cell_maps=tuple(maps)
@@ -361,8 +356,10 @@ def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
 def enumerate_subdivisions(
     cfg: PointConfig, budget: int = 200_000
 ) -> list[MarkedSubdivision]:
-    """All valid marked subdivisions by depth-first cover search over
-    candidate cells (desk scale)."""
+    """All marked subdivisions by depth-first cover search over candidate
+    cells (desk scale).  Full-dimensional cells that pairwise meet in common
+    faces with agreeing markings, and whose volumes sum to the whole, form a
+    subdivision, so a cover needs no further validation."""
     candidates = _candidate_cells(cfg)
     vols = [volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
     target = volume(cfg.points)
@@ -384,9 +381,7 @@ def enumerate_subdivisions(
         if nodes > budget:
             raise BudgetExceeded(f"enumeration exceeded {budget} search nodes")
         if vol_acc == target:
-            s = MarkedSubdivision(cells=tuple(candidates[i] for i in chosen))
-            if validate_subdivision(cfg, s).ok:
-                results.append(s)
+            results.append(MarkedSubdivision(cells=tuple(candidates[i] for i in chosen)))
             return
         for i in range(start, len(candidates)):
             if vol_acc + vols[i] > target:

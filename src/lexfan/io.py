@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from lexfan.cones import MuCone, PolyCone

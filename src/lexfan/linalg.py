@@ -7,6 +7,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from lexfan.errors import InvariantError
+
+
 def frac_vec(v: Sequence) -> tuple:
     return tuple(Fraction(x) for x in v)
 
@@ -122,7 +125,8 @@ def project_off(v: Sequence, basis: Sequence[Sequence]) -> tuple:
     gram = [[dot(a, b) for b in basis] for a in basis]
     rhs = [dot(a, v) for a in basis]
     coeffs = solve(gram, rhs)
-    assert coeffs is not None
+    if coeffs is None:
+        raise InvariantError("project_off: basis rows are linearly dependent")
     for c, b in zip(coeffs, basis):
         v = vec_sub(v, vec_scale(b, c))
     return v

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from lexfan.errors import InvariantError
 from lexfan.linalg import frac_vec
 
 OPTIMAL = "OPTIMAL"
@@ -122,8 +123,8 @@ def solve_lp(
         for i in range(len(tab) - 1):
             if basis[i] in art_cols:
                 tab[-1] = [x - y for x, y in zip(tab[-1], tab[i])]
-        status = _simplex(tab, basis, total)
-        assert status == OPTIMAL  # phase-1 objective is bounded below by 0
+        if _simplex(tab, basis, total) != OPTIMAL:
+            raise InvariantError("phase 1 unbounded, though its objective is bounded below by 0")
         if tab[-1][-1] != 0:
             return LpResult(INFEASIBLE, None, None)
         # Drive any artificial variable still in the basis out of it.

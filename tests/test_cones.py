@@ -65,7 +65,7 @@ class TestPolyCone:
                 h = PolyCone.from_normals(c.dim, ineqs=c.ineq_normals, eqs=c.eq_normals)
                 assert fields(g) == fields(h) == fields(c)
 
-    def test_two_dd_passes_per_constructor(self, monkeypatch):
+    def test_one_dd_pass_per_side(self, monkeypatch):
         calls = []
         dd = cones._dd
 
@@ -74,11 +74,19 @@ class TestPolyCone:
             return dd(*args)
 
         monkeypatch.setattr(cones, "_dd", counted)
-        PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (1, 1, 0)], lines=[(0, 0, 1)])
-        assert len(calls) == 2
+        g = PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (1, 1, 0)], lines=[(0, 0, 1)])
+        h = PolyCone.from_normals(3, ineqs=[(-1, 0, 0), (0, -1, 0), (-1, -1, 0)], eqs=[(0, 0, 1)])
+        assert len(calls) == 2  # one pass per constructor
+        for c, kept, other in ((g, "eq_normals", "rays"), (h, "rays", "eq_normals")):
+            calls.clear()
+            getattr(c, kept)
+            assert not calls  # the side the constructor computed is kept
+            getattr(c, other)
+            assert len(calls) == 1  # the other side: one pass on first read
         calls.clear()
-        PolyCone.from_normals(3, ineqs=[(-1, 0, 0), (0, -1, 0), (-1, -1, 0)], eqs=[(0, 0, 1)])
-        assert len(calls) == 2
+        for c in (g, h):
+            c.lines, c.rays, c.eq_normals, c.ineq_normals, c.generators, c.normals
+        assert not calls  # both sides are kept once computed
 
     def test_line_handling(self):
         c = PolyCone.from_generators(3, rays=[(0, 0, 1)], lines=[(1, 1, 0)])

@@ -1,18 +1,24 @@
 """Condition cones, induced subdivisions (with the fiber oracle),
 regularity, enumeration, and the elementary row moves."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexfan import gkzfan
 from lexfan.cones import PolyCone
 from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
+    refines,
     trivial_subdivision,
+    validate_subdivision,
 )
-from lexfan.errors import BudgetExceeded, DimensionError
+from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
 from lexfan.exactlex import LexVec, WeightMatrix
 from lexfan.gkzfan import (
     add_row_multiple,
@@ -211,6 +217,58 @@ class TestEnumeration:
             psi = random_matrix(rng, rng.randint(1, 3), square_cfg.r)
             s = subdivide(square_cfg, psi)
             assert sum(1 for t in subs if t == s) == 1
+
+
+@pytest.fixture(scope="module")
+def fans(seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg):
+    """Every cover the search finds, per configuration."""
+    return {
+        cfg: enumerate_subdivisions(cfg)
+        for cfg in (seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg)
+    }
+
+
+@pytest.fixture(scope="module")
+def regular_fans(fans):
+    return {cfg: [s for s in subs if is_regular(cfg, s)] for cfg, subs in fans.items()}
+
+
+class TestOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ledger_rule_is_open_membership(
+        self, regular_fans, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+        row = st.lists(entry, min_size=cfg.r, max_size=cfg.r).map(tuple)
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=3))))
+        assert closed_member(cfg, psi, subdivide(cfg, psi)).open_member
+        for t in regular_fans[cfg]:
+            assert closed_member(cfg, psi, t).open_member == open_member(cfg, psi, t)
+
+    def test_cone_inclusion_is_refinement(self, regular_fans):
+        for cfg, subs in regular_fans.items():
+            cones = [condition_cone(cfg, s).cone for s in subs]
+            for i, j in itertools.permutations(range(len(subs)), 2):
+                assert (cones[i] <= cones[j]) == refines(cfg, subs[i], subs[j])
+
+    def test_covers_are_subdivisions(self, fans, pinwheel_cfg, pinwheel_tri):
+        for cfg, subs in fans.items():
+            assert all(validate_subdivision(cfg, s).ok for s in subs)
+        assert pinwheel_tri in fans[pinwheel_cfg]
+
+
+class TestInvariants:
+    def test_relation_vector_raises(self, monkeypatch, seg_cfg, seg_sub):
+        monkeypatch.setattr(gkzfan, "solve", lambda *args: None)
+        with pytest.raises(InvariantError):
+            condition_generators(seg_cfg, seg_sub)
+
+    def test_linear_extension_raises(self, monkeypatch, seg_cfg, seg_sub, seg_psi):
+        monkeypatch.setattr(gkzfan, "solve", lambda *args: None)
+        with pytest.raises(InvariantError):
+            linear_extension(seg_cfg, seg_sub, seg_psi)
 
 
 class TestRowMoves:

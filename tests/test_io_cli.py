@@ -4,11 +4,12 @@ surface with its exit-code contract."""
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from lexfan import io
+from lexfan import config, gkzfan, io
 from lexfan.cli import main, render_svg
 from lexfan.cones import MuCone, PolyCone
 from lexfan.config import PointConfig
@@ -77,6 +78,23 @@ def files(tmp_path, seg_cfg, seg_psi):
     return {"config": str(cfg), "matrix": str(mat), "expr": str(expr), "dir": tmp_path}
 
 
+def _count_calls(monkeypatch, fn) -> list:
+    """Replace fn in every lexfan module namespace that holds it by a
+    wrapper recording each call's arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lexfan" or name.startswith("lexfan."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 class TestCli:
     def test_subdivide_json(self, files, capsys):
         assert main(["subdivide", files["config"], files["matrix"]]) == 0
@@ -119,6 +137,27 @@ class TestCli:
         assert len(payload["regular_subdivisions"]) == 3
         # both refinements of the trivial subdivision are recorded
         assert len(payload["refinement_poset"]) == 2
+
+    def test_subdivide_runs_subdivide_once(self, files, capsys, monkeypatch):
+        calls = _count_calls(monkeypatch, gkzfan.subdivide)
+        assert main(["subdivide", files["config"], files["matrix"]]) == 0
+        assert json.loads(capsys.readouterr().out)["open_member"]
+        assert len(calls) == 1
+
+    def test_fan_builds_each_cone_once(self, capsys, tmp_path, monkeypatch, simplex_cfg):
+        cfg = tmp_path / "simplex.json"
+        cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
+        cone_calls = _count_calls(monkeypatch, gkzfan.condition_cone)
+        refines_calls = _count_calls(monkeypatch, config.refines)
+        validate_calls = _count_calls(monkeypatch, config.validate_subdivision)
+        assert main(["fan", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        listed = [c[1] for c in cone_calls]
+        assert len(listed) == len(payload["regular_subdivisions"]) == 3
+        assert [io.subdivision_to_json(s)["cells"] for s in listed] == [
+            e["cells"] for e in payload["regular_subdivisions"]
+        ]
+        assert not refines_calls and not validate_calls
 
     def test_valuate(self, files, capsys):
         assert (

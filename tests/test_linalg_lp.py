@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexfan import lp
+from lexfan import linalg, lp
+from lexfan.errors import InvariantError
 from lexfan.linalg import (
     canonical_subspace_basis,
     det,
@@ -64,6 +66,11 @@ class TestLinalg:
         diff = tuple(a - b for a, b in zip((3, 1, 2), p))
         assert rank(list(basis) + [diff]) == rank(list(basis))
 
+    def test_project_off_raises_on_singular_gram(self, monkeypatch):
+        monkeypatch.setattr(linalg, "solve", lambda *args: None)
+        with pytest.raises(InvariantError):
+            project_off([3, 1, 2], [(1, 1, 0)])
+
     def test_canonical_basis_is_representation_independent(self):
         b1 = canonical_subspace_basis([[1, 1, 0], [0, 2, 2]])
         b2 = canonical_subspace_basis([[1, 3, 2], [2, 2, 0], [3, 5, 2]])
@@ -116,6 +123,11 @@ class TestSimplex:
         assert res.status == lp.OPTIMAL
         assert res.value == 3
         assert res.x == (Fraction(3), Fraction(1))
+
+    def test_unbounded_phase_one_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "_simplex", lambda *args: lp.UNBOUNDED)
+        with pytest.raises(InvariantError):
+            lp.solve_lp([1, 0], [[1, 0]], [3], [[1, 1]], [4])
 
     def test_infeasible(self):
         res = lp.solve_lp([1], [[1], [-1]], [-1, -1], [], [])
