@@ -10,16 +10,12 @@ Run from the repository root:
 
 import argparse
 import random
+import sys
 from fractions import Fraction
 
-from lexfan.config import PointConfig, is_triangulation, refines
+from lexfan.config import PointConfig, is_triangulation
 from lexfan.exactlex import WeightMatrix
-from lexfan.gkzfan import (
-    condition_cone,
-    cone_dim,
-    enumerate_regular_subdivisions,
-    subdivide,
-)
+from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions, subdivide
 
 CONFIGS = {
     "segment {-2,-1,0,2,4}": PointConfig(
@@ -43,7 +39,7 @@ def random_matrix(rng: random.Random, n: int, r: int) -> WeightMatrix:
     )
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
@@ -53,19 +49,20 @@ def main() -> None:
     for name, cfg in CONFIGS.items():
         subs = enumerate_regular_subdivisions(cfg)
         print(f"\n{name}: {len(subs)} regular subdivisions")
-        for i, s in enumerate(subs):
-            cc = condition_cone(cfg, s)
+        cones = [condition_cone(cfg, s).cone for s in subs]
+        for i, (s, cone) in enumerate(zip(subs, cones)):
             tag = "triangulation" if is_triangulation(cfg, s) else "subdivision"
             print(
                 f"  [{i}] {tag}, {len(s.cells)} cells, "
-                f"cone dim (N=1) = {cone_dim(cfg, s, 1)}, "
-                f"rays {len(cc.cone.rays)}, lines {len(cc.cone.lines)}"
+                f"cone dim (N=1) = {cfg.r - cone.lineality_dim()}, "
+                f"rays {len(cone.rays)}, lines {len(cone.lines)}"
             )
+        # s_i refines s_j iff the condition cone of s_i lies in that of s_j
         relations = [
             (i, j)
-            for i, si in enumerate(subs)
-            for j, sj in enumerate(subs)
-            if i != j and refines(cfg, si, sj)
+            for i, ci in enumerate(cones)
+            for j, cj in enumerate(cones)
+            if i != j and ci <= cj
         ]
         print(f"  refinement relations: {relations}")
 
@@ -74,10 +71,17 @@ def main() -> None:
             psi = random_matrix(rng, rng.randint(1, 3), cfg.r)
             s = subdivide(cfg, psi)
             matches = [k for k, t in enumerate(subs) if t == s]
-            assert len(matches) == 1, "partition property violated"
+            if len(matches) != 1:
+                print(
+                    f"partition property violated: {psi} induces a subdivision "
+                    f"listed {len(matches)} times",
+                    file=sys.stderr,
+                )
+                return 1
             hits[matches[0]] += 1
         print(f"  open-cone hits over {args.samples} random matrices: {hits}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,6 +25,8 @@ from lexfan.gkzfan import (
 from lexfan.quasival import (
     Expr,
     GradedPoint,
+    NuTable,
+    TruncatedSemigroup,
     delta_image,
     nu_quasi,
     power_seq,
@@ -56,9 +58,10 @@ def main() -> None:
 
     f = Expr.from_terms([(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)])
     print("V(f)  =", v_quasi(plm, f).value)
-    print("nu(f) =", nu_quasi(cfg, psi, f).value)
+    table = NuTable(cfg, psi)
+    print("nu(f) =", nu_quasi(table, f).value)
 
-    seq = power_seq(cfg, psi, f, window=8, degree_bound=16)
+    seq = power_seq(table, f, window=8, degree_bound=16)
     print("nu(f^l)/l for l = 1..8:")
     for ell, val in seq:
         print(f"  l={ell}: {val}")
@@ -68,11 +71,12 @@ def main() -> None:
 
     img = delta_image(cfg, psi, plm, 8)
     print("delta image up to degree 8:", sorted(img.values))
-    print("stretch factor:", stretch_factor(cfg, s))
+    print("stretch factor:", stretch_factor(TruncatedSemigroup(cfg, s, 12)))
 
-    pres_v = gr_v_present(cfg, s, 6)
+    truncated = TruncatedSemigroup(cfg, s, 6)
+    pres_v = gr_v_present(truncated)
     print("gr_V components:", len(pres_v.components), "nilpotents:", len(pres_v.nilpotents))
-    pres_nu = gr_nu_reduced(cfg, s, 6)
+    pres_nu = gr_nu_reduced(truncated)
     print(
         "reduced gr_nu nilpotent classes:",
         [(u.vector, w) for u, w in pres_nu.nilpotents[:4]],

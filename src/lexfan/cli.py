@@ -180,7 +180,8 @@ def cmd_valuate(args) -> int:
     s = gkzfan.subdivide(cfg, psi)
     plm = gkzfan.linear_extension(cfg, s, psi)
     v_rep = quasival.v_quasi(plm, f)
-    nu_rep = quasival.nu_quasi(cfg, psi, f, degree_bound=args.degree_bound)
+    table = quasival.NuTable(cfg, psi)
+    nu_rep = quasival.nu_quasi(table, f, degree_bound=args.degree_bound)
     payload = {
         "V": _lexvec_json(v_rep.value),
         "V_witness_point": None
@@ -197,7 +198,7 @@ def cmd_valuate(args) -> int:
     }
     if not f.is_zero():
         payload["delta"] = _lexvec_json(
-            quasival.delta(cfg, psi, plm, f, degree_bound=args.degree_bound)
+            quasival.delta(table, plm, f, degree_bound=args.degree_bound)
         )
     _emit(args, payload)
     return 0
@@ -208,7 +209,7 @@ def cmd_liminf(args) -> int:
     psi = io.matrix_from_json(io.load_json(args.matrix))
     f = io.expr_from_json(io.load_json(args.expr))
     seq = quasival.power_seq(
-        cfg, psi, f, window=args.window, degree_bound=args.degree_bound
+        quasival.NuTable(cfg, psi), f, window=args.window, degree_bound=args.degree_bound
     )
     acc = quasival.windowed_accumulation(seq)
     payload = {
@@ -228,8 +229,9 @@ def cmd_degenerate(args) -> int:
     psi = io.matrix_from_json(io.load_json(args.matrix))
     s = gkzfan.subdivide(cfg, psi)
     bound = args.degree_bound
-    gr_v = degeneration.gr_v_present(cfg, s, bound)
-    gr_nu = degeneration.gr_nu_reduced(cfg, s, bound)
+    t = quasival.TruncatedSemigroup(cfg, s, bound)
+    gr_v = degeneration.gr_v_present(t)
+    gr_nu = degeneration.gr_nu_reduced(t)
     payload = {
         "cells": io.subdivision_to_json(s)["cells"],
         "degree_bound": bound,

@@ -16,12 +16,11 @@ from lexfan.config import (
 )
 from lexfan.quasival import (
     GradedPoint,
-    _bounded_combination,
-    cell_semigroup,
+    Submonoid,
+    TruncatedSemigroup,
     in_any_SQ1,
     in_cell_cone,
     in_SQ1,
-    semigroup_up_to,
     stretch_factor,
 )
 
@@ -88,16 +87,14 @@ def _build_table(basis, bound, members):
     return table
 
 
-def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgebraPresentation:
+def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """Presentation of the graded algebra of the piecewise-linear valuation:
     classes multiply through when they share a cell cone, otherwise to zero.
     Reduced, with one irreducible component per cell."""
-    basis = tuple(semigroup_up_to(cfg, bound))
-    comps = tuple(
-        tuple(cell_semigroup(cfg, s, cell, bound)) for cell in s.cells
-    )
+    cfg, s = t.cfg, t.s
+    comps = t.cell_semigroups
     members = [set(u.vector for u in comp) for comp in comps]
-    table = _build_table(basis, bound, members)
+    table = _build_table(t.basis, t.bound, members)
     certs = []
     for ci, cell in enumerate(s.cells):
         inside = _inside(cfg, cell)
@@ -113,8 +110,8 @@ def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgeb
         certs.append(ComponentCertificate(ci, witness, in_own, outside))
     return FanAlgebraPresentation(
         subdivision=s,
-        bound=bound,
-        basis=basis,
+        bound=t.bound,
+        basis=t.basis,
         components=comps,
         table=table,
         nilpotents=(),
@@ -123,39 +120,34 @@ def gr_v_present(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgeb
     )
 
 
-def gr_nu_reduced(cfg: PointConfig, s: MarkedSubdivision, bound: int) -> FanAlgebraPresentation:
+def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
     nilpotent, witnessed by the smallest stretch multiple that lands in one."""
-    basis = tuple(semigroup_up_to(cfg, bound))
-    comps = tuple(
-        tuple(u for u in basis if in_SQ1(cfg, u, cell)) for cell in s.cells
-    )
+    basis = t.basis
+    marked = [Submonoid(t.cfg, cell.marking) for cell in t.s.cells]
+    comps = tuple(tuple(u for u in basis if in_SQ1(q, u)) for q in marked)
     members = [set(u.vector for u in comp) for comp in comps]
-    table = _build_table(basis, bound, members)
-    stretch = stretch_factor(cfg, s, degree_bound=bound)
+    table = _build_table(basis, t.bound, members)
+    stretch = stretch_factor(t)
     nils = []
     for u in basis:
         if u.d == 0 or any(u.vector in m for m in members):
             continue  # members holds in_any_SQ1 for every basis element
         witness = next(
-            (
-                k
-                for k in range(2, stretch + 1)
-                if in_any_SQ1(cfg, s, u.scaled(k))
-            ),
+            (k for k in range(2, stretch + 1) if in_any_SQ1(marked, u.scaled(k))),
             None,
         )
         nils.append((u, witness))
     return FanAlgebraPresentation(
-        subdivision=s,
-        bound=bound,
+        subdivision=t.s,
+        bound=t.bound,
         basis=basis,
         components=comps,
         table=table,
         nilpotents=tuple(nils),
         certificates=(),
-        equidimensional=_equidimensional(cfg, s),
+        equidimensional=_equidimensional(t.cfg, t.s),
     )
 
 
@@ -202,33 +194,24 @@ class KhovanskiiReport:
     per_cell_extras: tuple  # per cell: S_Q elements not generated by A cap Q
 
 
-def khovanskii_report(
-    cfg: PointConfig, s: MarkedSubdivision, bound: int
-) -> KhovanskiiReport:
-    inside_sets = [_inside(cfg, cell) for cell in s.cells]
+def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
+    cfg, s = t.cfg, t.s
+    generated_by = [Submonoid(cfg, _inside(cfg, cell)) for cell in s.cells]
+    holders = [set(u.vector for u in comp) for comp in t.cell_semigroups]
     generated, extra = [], []
-    for u in semigroup_up_to(cfg, bound):
+    for u in t.basis:
         if u.d == 0:
             continue
-        cells_holding = [
-            ci for ci, cell in enumerate(s.cells) if in_cell_cone(cfg, u, cell)
-        ]
-        ok = any(
-            _bounded_combination(cfg, u, inside_sets[ci]) is not None
-            for ci in cells_holding
-        )
+        cells_holding = [ci for ci, m in enumerate(holders) if u.vector in m]
+        ok = any(in_SQ1(generated_by[ci], u) for ci in cells_holding)
         (generated if ok else extra).append((u, tuple(cells_holding)))
-    per_cell = []
-    for ci, cell in enumerate(s.cells):
-        extras = tuple(
-            u
-            for u in cell_semigroup(cfg, s, cell, bound)
-            if u.d > 0 and _bounded_combination(cfg, u, inside_sets[ci]) is None
-        )
-        per_cell.append(extras)
+    per_cell = tuple(
+        tuple(u for u in comp if u.d > 0 and not in_SQ1(q, u))
+        for q, comp in zip(generated_by, t.cell_semigroups)
+    )
     return KhovanskiiReport(
-        bound=bound,
+        bound=t.bound,
         generated=tuple(u for u, _ in generated),
         extra_generators=tuple(extra),
-        per_cell_extras=tuple(per_cell),
+        per_cell_extras=per_cell,
     )

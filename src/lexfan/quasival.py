@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 from lexfan.config import (
@@ -21,14 +23,8 @@ from lexfan.config import (
     PointConfig,
     hull_of,
 )
-from lexfan.errors import DegreeOverflow
-from lexfan.exactlex import (
-    INFINITY,
-    LexVec,
-    WeightMatrix,
-    mat_vec,
-    rat,
-)
+from lexfan.errors import DegreeOverflow, DimensionError, InvariantError
+from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
 from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
 from lexfan.linalg import rank, solve
 
@@ -98,6 +94,8 @@ class Expr:
         return Expr.from_terms(pairs)
 
     def power(self, k: int) -> "Expr":
+        if k < 1:
+            raise ValueError(f"power exponent must be at least 1, got {k}")
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -117,22 +115,36 @@ class Expr:
 # the semigroup
 # ---------------------------------------------------------------------------
 
+class Submonoid:
+    """The submonoid generated by the homogenized configuration points at the
+    given indices, as layered reachable sets: layer d holds the characters of
+    all sums of exactly d of those points.  Layers are added one at a time
+    when a higher degree is asked for, and kept for the life of the object."""
+
+    def __init__(self, cfg: PointConfig, indices: Iterable[int]):
+        self._points = tuple(cfg.points[i] for i in indices)
+        self._layers = [{(0,) * cfg.dim}]
+
+    def layer(self, d: int) -> set:
+        layers = self._layers
+        while len(layers) <= d:
+            layers.append({tuple(map(add, eta, p)) for eta in layers[-1] for p in self._points})
+        return layers[d]
+
+
 def semigroup_up_to(cfg: PointConfig, bound: int) -> list[GradedPoint]:
-    """All semigroup elements of degree <= bound, by layered sums."""
+    """All semigroup elements of degree <= bound, by layered sums, sorted by
+    (degree, character)."""
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    zero = GradedPoint(0, (0,) * cfg.dim)
-    layers = [{zero}]
-    gens = [GradedPoint(1, p) for p in cfg.points]
-    for _ in range(bound):
-        layers.append({u + g for u in layers[-1] for g in gens})
-    out = sorted({u for layer in layers for u in layer}, key=lambda u: u.vector)
-    return out
+    whole = Submonoid(cfg, range(cfg.r))
+    return [GradedPoint(d, eta) for d in range(bound + 1) for eta in sorted(whole.layer(d))]
 
 
 def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
     """All exponent vectors alpha in N^r with sum alpha = d_u and
-    sum alpha_j chi_j = eta_u (depth-first bounded knapsack)."""
+    sum alpha_j chi_j = eta_u (depth-first bounded knapsack), in lex order.
+    The fibre oracle that tests check ``NuTable`` against."""
     r = cfg.r
     out: list[tuple] = []
     lo = [min(p[k] for p in cfg.points) for k in range(cfg.dim)]
@@ -196,60 +208,137 @@ def v_quasi(plm: PiecewiseLinearMap, f: Expr, use_vertices: bool = False) -> Val
     return ValuationReport(best, best_u, None, cell)
 
 
-def nu_point(
-    cfg: PointConfig, psi: WeightMatrix, u: GradedPoint, degree_bound: int = 12
-) -> tuple[LexVec, tuple]:
+class NuTable:
+    """nu(f_u) = max over the fibre of u of Psi.alpha, for the graded points
+    of one configuration under one weight matrix, by dynamic programming
+    over the semigroup layers: nu(u) is the best over the points a_j of
+    nu(u - a_j) + Psi e_j, so each point costs one lookup per configuration
+    point once the points below it are known.  Points are filled only below
+    the ones asked for, and each is computed once for the life of the table.
+
+    The witness is the lex-smallest maximizing alpha (the first maximizer in
+    ``rep_set`` order): among the candidates beta + e_j, where beta is the
+    witness below, ties go to the smaller alpha, which is exact because
+    adding e_j keeps lex order.  Values are kept as integer tuples: each row
+    of Psi is scaled by the lcm of its denominators, a positive row scaling,
+    which keeps lex order."""
+
+    def __init__(self, cfg: PointConfig, psi: WeightMatrix):
+        if psi.n_cols != cfg.r:
+            raise DimensionError(
+                f"matrix has {psi.n_cols} columns, configuration has {cfg.r} points"
+            )
+        self._dim = cfg.dim
+        self._scales = tuple(lcm(*(x.denominator for x in row)) for row in psi.rows)
+        self._steps = tuple(
+            (
+                j,
+                p,
+                tuple(
+                    row[j].numerator * (s // row[j].denominator)
+                    for row, s in zip(psi.rows, self._scales)
+                ),
+            )
+            for j, p in enumerate(cfg.points)
+        )
+        self._lo = tuple(min(c) for c in zip(*cfg.points))
+        self._hi = tuple(max(c) for c in zip(*cfg.points))
+        zero = (0,) * cfg.dim
+        # (d, eta) -> (integer value, alpha), or None outside the semigroup
+        self._memo = {(0, zero): ((0,) * psi.n_rows, (0,) * cfg.r)}
+
+    def best(self, u: GradedPoint) -> Optional[tuple[LexVec, tuple]]:
+        """(nu(f_u), witness alpha), or None when u is not in the semigroup."""
+        if len(u.eta) != self._dim:
+            raise DimensionError(f"{u} has a character of length {len(u.eta)}, not {self._dim}")
+        key = (u.d, u.eta)
+        if key not in self._memo:
+            self._fill(key)
+        found = self._memo[key]
+        if found is None:
+            return None
+        val, alpha = found
+        return LexVec(Fraction(v, s) for v, s in zip(val, self._scales)), alpha
+
+    def _fill(self, key: tuple) -> None:
+        """Fill the memo at key and at every point below it that it needs:
+        layer by layer down to the known points, then back up (a loop over
+        degrees, so no recursion grows with the degree).  A point whose
+        character lies outside d times the bounding box of the
+        configuration is not in the semigroup and is not visited."""
+        memo = self._memo
+        below_of = {}  # point -> its visited points one degree lower
+        layers = [[key]]
+        for d in range(key[0] - 1, -1, -1):
+            lo = tuple(d * c for c in self._lo)
+            hi = tuple(d * c for c in self._hi)
+            layer = {}
+            for v in layers[-1]:
+                below = below_of[v] = []
+                for j, p, col in self._steps:
+                    eta = tuple(map(sub, v[1], p))
+                    w = (d, eta)
+                    if w not in memo and w not in layer:
+                        if not all(map(le, lo, eta)) or not all(map(le, eta, hi)):
+                            continue
+                        layer[w] = None
+                    below.append((j, col, w))
+            if not layer:
+                break
+            layers.append(list(layer))
+        for layer in reversed(layers):
+            for v in layer:
+                best = None
+                for j, col, w in below_of.get(v, ()):
+                    found = memo[w]
+                    if found is None:
+                        continue
+                    val = tuple(map(add, found[0], col))
+                    if best is not None and val < best[0]:
+                        continue
+                    alpha = found[1][:j] + (found[1][j] + 1,) + found[1][j + 1:]
+                    if best is None or val > best[0] or alpha < best[1]:
+                        best = (val, alpha)
+                memo[v] = best
+
+
+def nu_point(table: NuTable, u: GradedPoint, degree_bound: int = 12) -> tuple[LexVec, tuple]:
     """nu(f_u) = max over representatives alpha of Psi.alpha, with witness."""
     if u.d > degree_bound:
         raise DegreeOverflow(f"degree {u.d} exceeds bound {degree_bound}")
-    reps = rep_set(cfg, u)
-    if not reps:
+    found = table.best(u)
+    if found is None:
         raise ValueError(f"{u} is not in the semigroup")
-    best, best_alpha = None, None
-    for alpha in reps:
-        val = mat_vec(psi, alpha)
-        if best is None or val > best:
-            best, best_alpha = val, alpha
-    return best, best_alpha
+    return found
 
 
-def nu_quasi(
-    cfg: PointConfig, psi: WeightMatrix, f: Expr, degree_bound: int = 12
-) -> ValuationReport:
+def nu_quasi(table: NuTable, f: Expr, degree_bound: int = 12) -> ValuationReport:
     """nu(f): minimum over the support of the per-point maxima."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
     best = None
     best_u = best_alpha = None
     for u in f.support:
-        val, alpha = nu_point(cfg, psi, u, degree_bound)
+        val, alpha = nu_point(table, u, degree_bound)
         if best is None or val < best:
             best, best_u, best_alpha = val, u, alpha
     return ValuationReport(best, best_u, best_alpha, None)
 
 
 def delta_point(
-    cfg: PointConfig,
-    psi: WeightMatrix,
-    plm: PiecewiseLinearMap,
-    u: GradedPoint,
-    degree_bound: int = 12,
+    table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint, degree_bound: int = 12
 ) -> LexVec:
-    nu_val, _ = nu_point(cfg, psi, u, degree_bound)
+    nu_val, _ = nu_point(table, u, degree_bound)
     return nu_val - g_eval(plm, u.vector)
 
 
 def delta(
-    cfg: PointConfig,
-    psi: WeightMatrix,
-    plm: PiecewiseLinearMap,
-    f: Expr,
-    degree_bound: int = 12,
+    table: NuTable, plm: PiecewiseLinearMap, f: Expr, degree_bound: int = 12
 ) -> LexVec:
     """min over the support of nu(f_u) - V(f_u); always <= 0."""
     if f.is_zero():
         raise ValueError("delta of the zero expression")
-    return min(delta_point(cfg, psi, plm, u, degree_bound) for u in f.support)
+    return min(delta_point(table, plm, u, degree_bound) for u in f.support)
 
 
 @dataclass(frozen=True)
@@ -276,8 +365,9 @@ def delta_image(
         hull_of(tuple(cfg.points[i] for i in c.vertices))
         for c in plm.subdivision.cells
     ]
+    table = NuTable(cfg, psi)
     for u in elems:
-        val = delta_point(cfg, psi, plm, u, degree_bound=max(bound, u.d))
+        val = delta_point(table, plm, u, degree_bound=bound)
         values.add(val)
         for ci, h in enumerate(hulls):
             if u.d > 0 and h.contains(tuple(Fraction(e, u.d) for e in u.eta)):
@@ -303,7 +393,8 @@ def _bounded_combination(
     cfg: PointConfig, u: GradedPoint, indices: Sequence[int]
 ) -> Optional[tuple]:
     """A nonnegative-integer combination of the homogenized points at the
-    given indices equal to u, if one exists (exact degree knapsack)."""
+    given indices equal to u, if one exists (exact degree knapsack).  The
+    membership oracle that tests check ``Submonoid`` against."""
     pts = [cfg.points[i] for i in indices]
 
     def walk(j: int, remaining: int, eta: tuple):
@@ -318,28 +409,46 @@ def _bounded_combination(
     return walk(0, u.d, u.eta)
 
 
-def in_SQ1(cfg: PointConfig, u: GradedPoint, cell: MarkedCell) -> bool:
-    """Membership in the submonoid generated by the cell's marked points."""
-    return _bounded_combination(cfg, u, cell.marking) is not None
+def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:
+    """Membership in a layered submonoid, such as the marked submonoid S¹_Q
+    generated by a cell's marked points."""
+    return u.d >= 0 and u.eta in q.layer(u.d)
 
 
-def in_any_SQ1(cfg: PointConfig, s: MarkedSubdivision, u: GradedPoint) -> bool:
-    return any(in_SQ1(cfg, u, c) for c in s.cells)
+def in_any_SQ1(qs: Iterable[Submonoid], u: GradedPoint) -> bool:
+    return any(in_SQ1(q, u) for q in qs)
 
 
 def cell_semigroup(
-    cfg: PointConfig, s: MarkedSubdivision, cell: MarkedCell, bound: int
+    cfg: PointConfig, cell: MarkedCell, elems: Iterable[GradedPoint]
 ) -> list[GradedPoint]:
-    """S_Q up to the degree bound: semigroup elements in the cone over Q."""
-    return [u for u in semigroup_up_to(cfg, bound) if in_cell_cone(cfg, u, cell)]
+    """S_Q among the given semigroup elements: those in the cone over Q."""
+    return [u for u in elems if in_cell_cone(cfg, u, cell)]
 
 
-def _cell_generators(
-    cfg: PointConfig, s: MarkedSubdivision, cell: MarkedCell, bound: int
-) -> list[GradedPoint]:
+class TruncatedSemigroup:
+    """The semigroup of a configuration up to a degree bound, with the pieces
+    that the presentations of one subdivision read: the basis and the cell
+    semigroups S_Q.  Each is computed once, on first read; create one per
+    computation and pass it around."""
+
+    def __init__(self, cfg: PointConfig, s: MarkedSubdivision, bound: int):
+        self.cfg, self.s, self.bound = cfg, s, bound
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(semigroup_up_to(self.cfg, self.bound))
+
+    @cached_property
+    def cell_semigroups(self) -> tuple:
+        return tuple(
+            tuple(cell_semigroup(self.cfg, cell, self.basis)) for cell in self.s.cells
+        )
+
+
+def _cell_generators(elems: Sequence[GradedPoint]) -> list[GradedPoint]:
     """Elements of S_Q (degree <= bound) that are not sums of two smaller
     S_Q elements; a generating set up to the bound."""
-    elems = cell_semigroup(cfg, s, cell, bound)
     in_sq = set(u.vector for u in elems)
     gens = []
     for u in elems:
@@ -377,14 +486,14 @@ def _barycentric_denominator(
     raise ValueError(f"{u} is not a nonnegative combination of the marked points")
 
 
-def stretch_factor(cfg: PointConfig, s: MarkedSubdivision, degree_bound: int = 12) -> int:
+def stretch_factor(t: TruncatedSemigroup) -> int:
     """A positive integer l with l*u in some marked submonoid for every
     semigroup element u (valid but not necessarily minimal): the lcm of the
     barycentric denominators of the per-cell generators up to the bound."""
     factor = 1
-    for cell in s.cells:
-        for g in _cell_generators(cfg, s, cell, degree_bound):
-            factor = lcm(factor, _barycentric_denominator(cfg, g, cell.marking))
+    for cell, elems in zip(t.s.cells, t.cell_semigroups):
+        for g in _cell_generators(elems):
+            factor = lcm(factor, _barycentric_denominator(t.cfg, g, cell.marking))
     return factor
 
 
@@ -393,8 +502,7 @@ def stretch_factor(cfg: PointConfig, s: MarkedSubdivision, degree_bound: int = 1
 # ---------------------------------------------------------------------------
 
 def power_seq(
-    cfg: PointConfig,
-    psi: WeightMatrix,
+    table: NuTable,
     f: Expr,
     window: int = 8,
     degree_bound: int = 12,
@@ -414,7 +522,7 @@ def power_seq(
         if ell > 1:
             current = current * f
         if ell >= start:
-            rep = nu_quasi(cfg, psi, current, degree_bound)
+            rep = nu_quasi(table, current, degree_bound)
             out.append((ell, rep.value * Fraction(1, ell)))
     return out
 
@@ -513,5 +621,5 @@ def stack(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:
         rows.append(tuple(Fraction(p[k]) for p in cfg.points))
     stacked = WeightMatrix(rows=tuple(rows))
     if subdivide(cfg, stacked) != subdivide(cfg, psi):
-        raise AssertionError("stacking changed the induced subdivision")
+        raise InvariantError("stacking changed the induced subdivision")
     return stacked

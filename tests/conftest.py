@@ -8,6 +8,7 @@ import pytest
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import linear_extension, subdivide
+from lexfan.quasival import Submonoid
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,12 @@ def seg_psi() -> WeightMatrix:
 @pytest.fixture(scope="session")
 def seg_sub(seg_cfg, seg_psi) -> MarkedSubdivision:
     return subdivide(seg_cfg, seg_psi)
+
+
+@pytest.fixture(scope="session")
+def seg_marked(seg_cfg, seg_sub) -> tuple:
+    """The marked submonoids S¹_Q of the segment example's two cells."""
+    return tuple(Submonoid(seg_cfg, c.marking) for c in seg_sub.cells)
 
 
 @pytest.fixture(scope="session")

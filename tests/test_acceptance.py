@@ -28,6 +28,8 @@ from lexfan.gkzfan import (
 from lexfan.quasival import (
     Expr,
     GradedPoint,
+    NuTable,
+    TruncatedSemigroup,
     delta_image,
     in_any_SQ1,
     is_full_rank,
@@ -109,7 +111,7 @@ def test_criterion_2_running_example(seg_cfg, seg_psi, capsys):
     f = Expr.from_terms(
         [(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)]
     )
-    seq = power_seq(seg_cfg, seg_psi, f, window=8, degree_bound=16)
+    seq = power_seq(NuTable(seg_cfg, seg_psi), f, window=8, degree_bound=16)
     tail = [(ell, v) for ell, v in seq if ell >= 2]
     even_c, even_b = LexVec(["3/2", "1"]), LexVec([3, 1])
     odd_c, odd_b = LexVec(["3/2", "1/2"]), LexVec(["-3/2", "1/2"])
@@ -188,15 +190,16 @@ def test_criterion_5_dimension_formulas(simplex_cfg, capsys):
     _report(capsys, 5, "mu_dim matches closure rank on 200 cones; triangulation cones full-dimensional")
 
 
-def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_sub, seg_plm, capsys):
+def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_marked, seg_plm, capsys):
     zero = LexVec([0, 0])
+    nu = NuTable(seg_cfg, seg_psi)
     for u in semigroup_up_to(seg_cfg, 10):
         f = Expr.basis(u)
         vv = v_quasi(seg_plm, f).value
-        nn = nu_quasi(seg_cfg, seg_psi, f, degree_bound=10).value
+        nn = nu_quasi(nu, f, degree_bound=10).value
         assert nn <= vv  # V >= nu throughout
         # equality exactly on the union of the marked submonoids
-        assert (vv == nn) == in_any_SQ1(seg_cfg, seg_sub, u)
+        assert (vv == nn) == in_any_SQ1(seg_marked, u)
     img = delta_image(seg_cfg, seg_psi, seg_plm, 12)
     rev = delta_image(seg_cfg, seg_psi, seg_plm, 12, reverse=True)
     assert img.values == rev.values and img.per_cell == rev.per_cell
@@ -210,7 +213,7 @@ def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_sub, seg_plm, ca
 
 
 def test_criterion_7_degeneration(seg_cfg, seg_psi, seg_sub, simplex_cfg, simplex_q2, capsys):
-    pres = gr_v_present(seg_cfg, seg_sub, 6)
+    pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
     assert pres.nilpotents == ()
     assert len(pres.components) == len(seg_sub.cells)
     assert all(c.ok for c in pres.certificates)
@@ -225,8 +228,8 @@ def test_criterion_7_degeneration(seg_cfg, seg_psi, seg_sub, simplex_cfg, simple
     s_other = subdivide(seg_cfg, other)
     assert s_other == seg_sub and other != seg_psi
     for build in (gr_v_present, gr_nu_reduced):
-        a = build(seg_cfg, seg_sub, 5)
-        b = build(seg_cfg, s_other, 5)
+        a = build(TruncatedSemigroup(seg_cfg, seg_sub, 5))
+        b = build(TruncatedSemigroup(seg_cfg, s_other, 5))
         assert a.table == b.table
         assert a.components == b.components
         assert a.nilpotents == b.nilpotents

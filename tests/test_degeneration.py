@@ -11,7 +11,7 @@ from lexfan.degeneration import (
     khovanskii_report,
     stanley_reisner,
 )
-from lexfan.quasival import GradedPoint, in_any_SQ1
+from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_any_SQ1
 
 
 def gp(d, e):
@@ -20,7 +20,7 @@ def gp(d, e):
 
 class TestGrV:
     def test_running_example_products(self, seg_cfg, seg_sub):
-        pres = gr_v_present(seg_cfg, seg_sub, 6)
+        pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         # no common cell: [-2, 0] vs [0, 4] interiors
         assert pres.product(gp(1, -2), gp(1, 4)) is None
         # common cell [-2, 0]
@@ -33,7 +33,7 @@ class TestGrV:
         assert pres.equidimensional
 
     def test_radical_powers(self, seg_cfg, seg_sub):
-        pres = gr_v_present(seg_cfg, seg_sub, 6)
+        pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         # powers inside a single cell never vanish
         for u in (gp(1, -1), gp(1, 2), gp(2, -3)):
             for ell in (2, 3):
@@ -42,7 +42,7 @@ class TestGrV:
                 assert pres.product(u.scaled(ell - 1), u) == u.scaled(ell)
 
     def test_associativity_sampled(self, seg_cfg, seg_sub):
-        pres = gr_v_present(seg_cfg, seg_sub, 6)
+        pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         deg1 = [u for u in pres.basis if u.d == 1]
         for a in deg1:
             for b in deg1:
@@ -58,13 +58,13 @@ class TestGrV:
                         assert left == right
 
     def test_trivial_subdivision_single_component(self, seg_cfg):
-        pres = gr_v_present(seg_cfg, trivial_subdivision(seg_cfg), 4)
+        pres = gr_v_present(TruncatedSemigroup(seg_cfg, trivial_subdivision(seg_cfg), 4))
         assert len(pres.components) == 1
         assert all(v is not None for v in pres.table.values())
         assert pres.nilpotents == ()
 
     def test_simplex_disjoint_triangles(self, simplex_cfg, simplex_q2):
-        pres = gr_v_present(simplex_cfg, simplex_q2, 6)
+        pres = gr_v_present(TruncatedSemigroup(simplex_cfg, simplex_q2, 6))
         u = GradedPoint(3, (4, 1))  # interior to the cone over (0, 1, 3)
         w = GradedPoint(3, (1, 4))  # interior to the cone over (0, 2, 3)
         assert pres.product(u, w) is None
@@ -75,14 +75,14 @@ class TestGrV:
         moved = shift_row(seg_psi, 1, 7)
         s2 = subdivide(seg_cfg, moved)
         assert s2 == seg_sub
-        a = gr_v_present(seg_cfg, seg_sub, 5)
-        b = gr_v_present(seg_cfg, s2, 5)
+        a = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 5))
+        b = gr_v_present(TruncatedSemigroup(seg_cfg, s2, 5))
         assert a.table == b.table and a.components == b.components
 
 
 class TestGrNuReduced:
-    def test_nilpotents_pinned(self, seg_cfg, seg_sub):
-        pres = gr_nu_reduced(seg_cfg, seg_sub, 6)
+    def test_nilpotents_pinned(self, seg_cfg, seg_sub, seg_marked):
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         nil = {u.vector: w for u, w in pres.nilpotents}
         assert nil[(1, -1)] == 2
         assert nil[(1, 2)] == 2
@@ -90,20 +90,20 @@ class TestGrNuReduced:
         for u in pres.basis:
             if u.d == 0:
                 continue
-            assert ((u.vector in nil)) == (not in_any_SQ1(seg_cfg, seg_sub, u))
+            assert ((u.vector in nil)) == (not in_any_SQ1(seg_marked, u))
 
     def test_marked_degree_one_never_nilpotent(self, seg_cfg, seg_sub):
-        pres = gr_nu_reduced(seg_cfg, seg_sub, 6)
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         nil_vecs = {u.vector for u, _ in pres.nilpotents}
         for i in seg_sub.marked_points:
             assert (1,) + (seg_cfg.points[i]) not in nil_vecs
 
     def test_trivial_all_marked_no_nilpotents(self, seg_cfg):
-        pres = gr_nu_reduced(seg_cfg, trivial_subdivision(seg_cfg), 4)
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, trivial_subdivision(seg_cfg), 4))
         assert pres.nilpotents == ()
 
     def test_component_count(self, seg_cfg, seg_sub):
-        pres = gr_nu_reduced(seg_cfg, seg_sub, 6)
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         assert len(pres.components) == len(seg_sub.cells)
         assert pres.equidimensional
 
@@ -111,7 +111,7 @@ class TestGrNuReduced:
         # the structure rule of the reduced algebra mirrors face membership
         # in the simplicial complex: pairwise products of variable classes
         # vanish exactly on non-faces
-        pres = gr_nu_reduced(simplex_cfg, simplex_q2, 4)
+        pres = gr_nu_reduced(TruncatedSemigroup(simplex_cfg, simplex_q2, 4))
         ideal = stanley_reisner(simplex_cfg, simplex_q2)
         facets = [set(c.vertices) for c in simplex_q2.cells]
         cls = {i: GradedPoint(1, simplex_cfg.points[i]) for i in ideal.variables}
@@ -153,7 +153,7 @@ class TestStanleyReisner:
 
 class TestKhovanskii:
     def test_running_example_pinned(self, seg_cfg, seg_sub):
-        rep = khovanskii_report(seg_cfg, seg_sub, 4)
+        rep = khovanskii_report(TruncatedSemigroup(seg_cfg, seg_sub, 4))
         # the marked monoid of [-2, 0] is generated in degree 1
         assert rep.per_cell_extras[0] == ()
         # odd characters in the cone over [0, 4] need new generators
@@ -173,9 +173,9 @@ class TestKhovanskii:
         from lexfan.config import PointConfig
 
         cfg = PointConfig(dim=1, points=((0,), (1,), (2,)))
-        rep = khovanskii_report(cfg, trivial_subdivision(cfg), 4)
+        rep = khovanskii_report(TruncatedSemigroup(cfg, trivial_subdivision(cfg), 4))
         assert rep.extra_generators == ()
 
     def test_simplex_q2_reports_per_cell(self, simplex_cfg, simplex_q2):
-        rep = khovanskii_report(simplex_cfg, simplex_q2, 3)
+        rep = khovanskii_report(TruncatedSemigroup(simplex_cfg, simplex_q2, 3))
         assert len(rep.per_cell_extras) == 3

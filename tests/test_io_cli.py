@@ -1,6 +1,7 @@
 """JSON schemas (exact rational round-trips) and the command-line
 surface with its exit-code contract."""
 
+import importlib.util
 import json
 import re
 import shlex
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from lexfan import config, gkzfan, io
+from lexfan import config, gkzfan, io, quasival
 from lexfan.cli import main, render_svg
 from lexfan.cones import MuCone, PolyCone
-from lexfan.config import PointConfig
+from lexfan.config import MarkedSubdivision, PointConfig
 from lexfan.errors import SchemaError
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import condition_cone
@@ -202,6 +203,42 @@ class TestCli:
         assert payload["gr_V"]["nilpotents"] == []
         assert payload["gr_nu_reduced"]["nilpotents"]
 
+    def test_valuation_commands_skip_oracles_and_enumerate_once(
+        self, files, capsys, monkeypatch, seg_sub
+    ):
+        reps = _count_calls(monkeypatch, quasival.rep_set)
+        knapsacks = _count_calls(monkeypatch, quasival._bounded_combination)
+        semigroups = _count_calls(monkeypatch, quasival.semigroup_up_to)
+        cell_semigroups = _count_calls(monkeypatch, quasival.cell_semigroup)
+        inputs = [files["config"], files["matrix"]]
+        assert main(["valuate", *inputs, files["expr"]]) == 0
+        assert main(["--degree-bound", "16", "liminf", *inputs, files["expr"]]) == 0
+        assert not reps
+        assert main(["--degree-bound", "6", "degenerate", *inputs]) == 0
+        assert not reps and not knapsacks
+        assert len(semigroups) == 1
+        assert [args[1] for args in cell_semigroups] == list(seg_sub.cells)
+
+    def test_degree_bound_2000_needs_no_recursion(self, files, capsys, tmp_path):
+        # nu at two degree-2000 points: a recursion over the degree would
+        # overflow the interpreter stack long before it got there
+        far = tmp_path / "far.json"
+        f = Expr.from_terms(
+            [(GradedPoint(2000, (8000,)), 1), (GradedPoint(2000, (-4000,)), "1/2")]
+        )
+        far.write_text(json.dumps(io.expr_to_json(f)))
+        inputs = [files["config"], files["matrix"]]
+        assert main(["--degree-bound", "2000", "valuate", *inputs, str(far)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["nu"] == ["2000", "0"]  # 2000 * Psi e_0, the lesser one
+        assert main(["--degree-bound", "1999", "valuate", *inputs, str(far)]) == 5
+        assert main(["--degree-bound", "2000", "liminf", *inputs, files["expr"]]) == 0
+        assert (
+            main(["--degree-bound", "2000", "--window", "2001", "liminf", *inputs,
+                  files["expr"]])
+            == 5
+        )
+
     def test_exit_2_schema(self, files, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -225,6 +262,11 @@ class TestCli:
         short = tmp_path / "short.json"
         short.write_text(json.dumps({"Psi": [["1", "2", "3"]]}))
         assert main(["subdivide", files["config"], str(short)]) == 3
+
+    def test_exit_3_expression_dimension(self, files, tmp_path):
+        planar = tmp_path / "planar.json"
+        planar.write_text(json.dumps([{"d": 1, "eta": [-1, 5], "coeff": "1"}]))
+        assert main(["liminf", files["config"], files["matrix"], str(planar)]) == 3
 
     def test_exit_4_budget(self, files, tmp_path, simplex_cfg):
         cfg = tmp_path / "simplex.json"
@@ -263,6 +305,22 @@ class TestReadme:
         for argv in commands:
             assert main(argv[1:]) == 0, argv
             assert capsys.readouterr().out
+
+
+class TestScripts:
+    def test_enumerate_fans_exits_nonzero_on_partition_failure(
+        self, capsys, monkeypatch
+    ):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "enumerate_fans.py"
+        spec = importlib.util.spec_from_file_location("enumerate_fans", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--samples", "1"])
+        assert script.main() == 0
+        # a matrix whose subdivision is in no open cone of the listed fan
+        monkeypatch.setattr(script, "subdivide", lambda cfg, psi: MarkedSubdivision(()))
+        assert script.main() == 1
+        assert "partition property violated" in capsys.readouterr().err
 
 
 class TestSvg:

@@ -2,13 +2,21 @@
 sequences, accumulation, elementarity, and full-rank checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexfan.errors import DegreeOverflow
-from lexfan.exactlex import INFINITY, LexVec, WeightMatrix
+from lexfan import quasival
+from lexfan.config import trivial_subdivision
+from lexfan.errors import DegreeOverflow, InvariantError
+from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
 from lexfan.quasival import (
     Expr,
     GradedPoint,
+    NuTable,
+    Submonoid,
+    TruncatedSemigroup,
+    _bounded_combination,
     cell_semigroup,
     delta,
     delta_image,
@@ -82,6 +90,12 @@ class TestExpr:
     def test_power_matches_repeated_product(self, f_running):
         assert f_running.power(3) == f_running * f_running * f_running
 
+    def test_power_below_one_raises(self, f_running):
+        assert f_running.power(1) == f_running
+        for k in (0, -2):
+            with pytest.raises(ValueError):
+                f_running.power(k)
+
     def test_support_vertices(self):
         f = Expr.from_terms([(gp(1, -2), 1), (gp(1, 0), 2), (gp(1, 4), 1)])
         assert {u.vector for u in f.support_vertices()} == {(1, -2), (1, 4)}
@@ -93,28 +107,29 @@ class TestValuations:
         assert v_quasi(seg_plm, f_running, use_vertices=True).value == LexVec(
             ["3/2", "1/2"]
         )
-        assert nu_quasi(seg_cfg, seg_psi, f_running).value == LexVec([0, 0])
+        assert nu_quasi(NuTable(seg_cfg, seg_psi), f_running).value == LexVec([0, 0])
 
     def test_zero_expression(self, seg_cfg, seg_psi, seg_plm):
         assert v_quasi(seg_plm, Expr.from_terms([])).value is INFINITY
-        assert nu_quasi(seg_cfg, seg_psi, Expr.from_terms([])).value is INFINITY
+        assert nu_quasi(NuTable(seg_cfg, seg_psi), Expr.from_terms([])).value is INFINITY
 
     def test_nu_point_pinned(self, seg_cfg, seg_psi):
-        val, alpha = nu_point(seg_cfg, seg_psi, gp(2, -2))
+        val, alpha = nu_point(NuTable(seg_cfg, seg_psi), gp(2, -2))
         assert val == LexVec([3, 1])
         assert alpha == (1, 0, 1, 0, 0)
 
     def test_nu_degree_overflow(self, seg_cfg, seg_psi):
         with pytest.raises(DegreeOverflow):
-            nu_point(seg_cfg, seg_psi, gp(13, 0), degree_bound=12)
+            nu_point(NuTable(seg_cfg, seg_psi), gp(13, 0), degree_bound=12)
 
     def test_marked_point_equality(self, seg_cfg, seg_psi, seg_plm):
         # f_(1,0): the height of a marked point is both V and nu
         f = Expr.basis(gp(1, 0))
         assert v_quasi(seg_plm, f).value == seg_psi.column(2)
-        assert nu_quasi(seg_cfg, seg_psi, f).value == seg_psi.column(2)
+        assert nu_quasi(NuTable(seg_cfg, seg_psi), f).value == seg_psi.column(2)
 
     def test_axioms_sampled(self, seg_cfg, seg_psi, seg_plm):
+        nu = NuTable(seg_cfg, seg_psi)
         fs = [
             Expr.basis(gp(1, -1)),
             Expr.basis(gp(1, 2)),
@@ -127,16 +142,16 @@ class TestValuations:
             scaled = Expr.from_terms([(u, 5 * c) for u, c in f.terms])
             assert v_quasi(seg_plm, scaled).value == vf
             assert (
-                nu_quasi(seg_cfg, seg_psi, scaled).value
-                == nu_quasi(seg_cfg, seg_psi, f).value
+                nu_quasi(nu, scaled).value
+                == nu_quasi(nu, f).value
             )
             for g in fs:
                 vg = v_quasi(seg_plm, g).value
                 # superadditivity of products
                 assert vf + vg <= v_quasi(seg_plm, f * g).value
-                nf = nu_quasi(seg_cfg, seg_psi, f).value
-                ng = nu_quasi(seg_cfg, seg_psi, g).value
-                assert nf + ng <= nu_quasi(seg_cfg, seg_psi, f * g).value
+                nf = nu_quasi(nu, f).value
+                ng = nu_quasi(nu, g).value
+                assert nf + ng <= nu_quasi(nu, f * g).value
                 # minimum property of sums
                 ff = f * f
                 h = Expr.from_terms(list(ff.terms) + list(g.terms))
@@ -150,35 +165,37 @@ class TestValuations:
             assert v_quasi(seg_plm, f_running.power(ell)).value == v1 * ell
 
     def test_domination(self, seg_cfg, seg_psi, seg_plm):
+        nu = NuTable(seg_cfg, seg_psi)
         for u in semigroup_up_to(seg_cfg, 5):
             f = Expr.basis(u)
             vv = v_quasi(seg_plm, f).value
-            nn = nu_quasi(seg_cfg, seg_psi, f).value
+            nn = nu_quasi(nu, f).value
             assert nn <= vv  # nu <= V
 
 
 class TestDelta:
     def test_pinned_values(self, seg_cfg, seg_psi, seg_plm):
-        assert delta_point(seg_cfg, seg_psi, seg_plm, gp(1, -1)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(1, -1)) == LexVec(
             ["-3/2", "1/2"]
         )
-        assert delta_point(seg_cfg, seg_psi, seg_plm, gp(1, 2)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(1, 2)) == LexVec(
             ["-3/2", "-1"]
         )
-        assert delta_point(seg_cfg, seg_psi, seg_plm, gp(2, -2)) == LexVec([0, 0])
+        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(2, -2)) == LexVec([0, 0])
 
-    def test_nonpositive_and_marked_zero(self, seg_cfg, seg_psi, seg_plm, seg_sub):
+    def test_nonpositive_and_marked_zero(self, seg_cfg, seg_psi, seg_plm, seg_marked):
         zero = LexVec([0, 0])
+        nu = NuTable(seg_cfg, seg_psi)
         for u in semigroup_up_to(seg_cfg, 5):
-            val = delta_point(seg_cfg, seg_psi, seg_plm, u)
+            val = delta_point(nu, seg_plm, u)
             assert val <= zero
-            assert (val == zero) == in_any_SQ1(seg_cfg, seg_sub, u)
+            assert (val == zero) == in_any_SQ1(seg_marked, u)
 
     def test_delta_of_expression(self, seg_cfg, seg_psi, seg_plm):
         f = Expr.from_terms([(gp(1, -1), 1), (gp(2, -2), 1)])
-        assert delta(seg_cfg, seg_psi, seg_plm, f) == LexVec(["-3/2", "1/2"])
+        assert delta(NuTable(seg_cfg, seg_psi), seg_plm, f) == LexVec(["-3/2", "1/2"])
         with pytest.raises(ValueError):
-            delta(seg_cfg, seg_psi, seg_plm, Expr.from_terms([]))
+            delta(NuTable(seg_cfg, seg_psi), seg_plm, Expr.from_terms([]))
 
     def test_image_pinned_and_stable(self, seg_cfg, seg_psi, seg_plm):
         img = delta_image(seg_cfg, seg_psi, seg_plm, 4)
@@ -205,38 +222,39 @@ class TestCellMonoids:
         assert in_cell_cone(seg_cfg, gp(1, 2), c2)
         assert in_cell_cone(seg_cfg, gp(0, 0), c1)
 
-    def test_in_SQ1_pinned(self, seg_cfg, seg_sub):
-        c1 = seg_sub.cells[0]
-        assert in_SQ1(seg_cfg, gp(2, -2), c1)
-        assert not in_SQ1(seg_cfg, gp(1, -1), c1)
-        assert not in_any_SQ1(seg_cfg, seg_sub, gp(1, -1))
-        assert not in_any_SQ1(seg_cfg, seg_sub, gp(1, 2))
+    def test_in_SQ1_pinned(self, seg_cfg, seg_sub, seg_marked):
+        c1 = Submonoid(seg_cfg, seg_sub.cells[0].marking)
+        assert in_SQ1(c1, gp(2, -2))
+        assert not in_SQ1(c1, gp(1, -1))
+        assert not in_any_SQ1(seg_marked, gp(1, -1))
+        assert not in_any_SQ1(seg_marked, gp(1, 2))
         # (2, 2) = -2 + 4 needs points from both cells, so it is in no S¹_Q
-        assert not in_any_SQ1(seg_cfg, seg_sub, gp(2, 2))
-        assert in_any_SQ1(seg_cfg, seg_sub, gp(2, 4))  # 0 + 4 inside [0, 4]
+        assert not in_any_SQ1(seg_marked, gp(2, 2))
+        assert in_any_SQ1(seg_marked, gp(2, 4))  # 0 + 4 inside [0, 4]
 
     def test_cell_semigroup(self, seg_cfg, seg_sub):
         right = seg_sub.cells[1]
-        elems = cell_semigroup(seg_cfg, seg_sub, right, 1)
+        elems = cell_semigroup(seg_cfg, right, semigroup_up_to(seg_cfg, 1))
         assert {u.vector for u in elems} == {(0, 0), (1, 0), (1, 2), (1, 4)}
 
     def test_stretch_factors(self, seg_cfg, seg_sub, simplex_cfg, simplex_q2):
-        assert stretch_factor(seg_cfg, seg_sub) == 4
-        assert stretch_factor(simplex_cfg, simplex_q2) == 1
+        assert stretch_factor(TruncatedSemigroup(seg_cfg, seg_sub, 12)) == 4
+        assert stretch_factor(TruncatedSemigroup(simplex_cfg, simplex_q2, 12)) == 1
 
     def test_radicalization_by_stretch(self, seg_cfg, seg_psi, seg_plm):
-        ell = stretch_factor(seg_cfg, seg_plm.subdivision)
+        ell = stretch_factor(TruncatedSemigroup(seg_cfg, seg_plm.subdivision, 12))
+        nu = NuTable(seg_cfg, seg_psi)
         for u in semigroup_up_to(seg_cfg, 2):
             if u.d == 0:
                 continue
             v_val = v_quasi(seg_plm, Expr.basis(u)).value
-            nu_val, _ = nu_point(seg_cfg, seg_psi, u.scaled(ell))
+            nu_val, _ = nu_point(nu, u.scaled(ell))
             assert nu_val == v_val * ell
 
 
 class TestPowerSequences:
     def test_pinned_sequence(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(seg_cfg, seg_psi, f_running, window=8, degree_bound=16)
+        seq = power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=16)
         expected = [
             (1, LexVec([0, 0])),
             (2, LexVec([0, "1/2"])),
@@ -251,16 +269,16 @@ class TestPowerSequences:
 
     def test_start_parameter(self, seg_cfg, seg_psi, f_running):
         seq = power_seq(
-            seg_cfg, seg_psi, f_running, window=4, degree_bound=16, start=3
+            NuTable(seg_cfg, seg_psi), f_running, window=4, degree_bound=16, start=3
         )
         assert [ell for ell, _ in seq] == [3, 4]
 
     def test_degree_overflow(self, seg_cfg, seg_psi, f_running):
         with pytest.raises(DegreeOverflow):
-            power_seq(seg_cfg, seg_psi, f_running, window=8, degree_bound=6)
+            power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=6)
 
     def test_accumulation_pinned(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(seg_cfg, seg_psi, f_running, window=8, degree_bound=16)
+        seq = power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=16)
         acc = windowed_accumulation([t for t in seq if t[0] >= 2])
         assert acc.candidates == frozenset(
             {LexVec(["3/2", "1"]), LexVec(["3/2", "1/2"])}
@@ -318,3 +336,76 @@ class TestFullRank:
         s2 = subdivide(seg_cfg, stacked)
         plm2 = linear_extension(seg_cfg, s2, stacked)
         assert is_full_rank(seg_cfg, plm2, 5).full_rank
+
+    def test_stack_raises_when_subdivision_changes(
+        self, seg_cfg, seg_psi, seg_sub, monkeypatch
+    ):
+        induced = iter([trivial_subdivision(seg_cfg), seg_sub])
+        monkeypatch.setattr(quasival, "subdivide", lambda cfg, psi: next(induced))
+        with pytest.raises(InvariantError):
+            stack(seg_cfg, seg_psi)
+
+
+def _fibre_max(cfg, psi, u):
+    """nu by brute force: the first maximizer of Psi.alpha over the fibre,
+    in rep_set order, or None off the semigroup."""
+    best = None
+    for alpha in rep_set(cfg, u):
+        val = mat_vec(psi, alpha)
+        if best is None or val > best[0]:
+            best = (val, alpha)
+    return best
+
+
+@st.composite
+def _graded_points(draw, cfg, max_degree):
+    """A sum of d configuration points, sometimes moved off the semigroup by
+    a unit step in each coordinate."""
+    d = draw(st.integers(0, max_degree))
+    picks = draw(st.lists(st.sampled_from(cfg.points), min_size=d, max_size=d))
+    eta = [sum(p[k] for p in picks) for k in range(cfg.dim)]
+    if draw(st.booleans()):
+        eta = [e + draw(st.integers(-1, 1)) for e in eta]
+    return GradedPoint(d, tuple(eta))
+
+
+class TestOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_nu_table_matches_fibre_enumeration(
+        self, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+
+        def affine(c):
+            return tuple(c[0] + sum(a * x for a, x in zip(c[1:], p)) for p in cfg.points)
+
+        # a row affine in the points is constant on every fibre; when all rows
+        # are, every representative ties and the witness must be the
+        # lex-smallest one
+        row = st.one_of(
+            st.lists(entry, min_size=cfg.r, max_size=cfg.r).map(tuple),
+            st.lists(entry, min_size=cfg.dim + 1, max_size=cfg.dim + 1).map(affine),
+        )
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=3))))
+        table = NuTable(cfg, psi)
+        # several points through one table, so later ones read the memo
+        for u in data.draw(st.lists(_graded_points(cfg, 8), min_size=1, max_size=4)):
+            expected = _fibre_max(cfg, psi, u)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    nu_point(table, u, degree_bound=8)
+            else:
+                assert nu_point(table, u, degree_bound=8) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_submonoid_matches_knapsack(self, seg_cfg, simplex_cfg, square_cfg, data):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        indices = data.draw(
+            st.lists(st.integers(0, cfg.r - 1), min_size=1, max_size=cfg.r, unique=True)
+        )
+        q = Submonoid(cfg, indices)
+        for u in data.draw(st.lists(_graded_points(cfg, 8), min_size=1, max_size=4)):
+            assert in_SQ1(q, u) == (_bounded_combination(cfg, u, indices) is not None)
