@@ -5,10 +5,14 @@ A PolyCone has two descriptions:
   V-description: lineality basis (lines) + extreme rays (rays),
   H-description: equality normals + inequality normals, cone = all x with
                  n.x = 0 on equalities and n.x <= 0 on inequalities.
-It keeps the side it was built from and computes the other side by one pass
-of the double description method over Fraction when that side is first read.
-Canonical forms (rref subspace bases, rays projected off the subspace,
-primitive integer vectors, sorted) make structural equality meaningful.
+It keeps the side its constructor computed and computes the other side by
+one more pass of the double description method when that side is first read.
+Every vector of either side is a primitive int tuple: input vectors of ints
+or Fractions enter the fraction-free DD as primitive vectors, and rays
+combine by integer combinations followed by a gcd division (Fukuda & Prodon,
+"Double description method revisited", 1996).  Canonical forms (rref
+subspace bases, rays projected off the subspace, primitive integer vectors,
+sorted) make structural equality meaningful.
 
 A MuCone is a finite intersection of generalized half-spaces
 {Psi : Psi.v <= 0 lexicographically} in the space of N x r matrices; it is
@@ -21,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from lexfan.errors import DimensionError
@@ -28,13 +33,9 @@ from lexfan.exactlex import WeightMatrix, lex_sign, mat_vec
 from lexfan.linalg import (
     canonical_subspace_basis,
     dot,
-    frac_vec,
-    is_zero,
     primitive,
     project_off,
     rank,
-    vec_scale,
-    vec_sub,
 )
 
 
@@ -43,25 +44,31 @@ from lexfan.linalg import (
 # ---------------------------------------------------------------------------
 
 def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
-    """Extreme rays and lineality of {x : e.x = 0 (e in eqs), a.x <= 0}."""
-    lines = [
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-    ]
+    """Extreme rays and lineality of {x : e.x = 0 (e in eqs), a.x <= 0},
+    fraction-free: constraints and vectors are primitive int tuples, and
+    every combination is an integer one followed by a gcd division."""
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple] = []
     processed: list[tuple] = []  # inequality constraints seen so far
 
     def reduce_by_line(a, w):
-        """Intersect with the constraint using lineality direction w."""
+        """Intersect with the constraint using lineality direction w:
+        v -> |a.w| v - sgn(a.w) (a.v) w, a positive multiple of the
+        projection of v along w onto the hyperplane a.x = 0."""
         aw = dot(a, w)
+        m, s = abs(aw), (aw > 0) - (aw < 0)
+
+        def project(v):
+            c = s * dot(a, v)
+            return primitive([m * x - c * y for x, y in zip(v, w)])
+
         nonlocal lines, rays
-        lines = [vec_sub(v, vec_scale(w, dot(a, v) / aw)) for v in lines if v != w]
-        rays = [
-            primitive(vec_sub(r, vec_scale(w, dot(a, r) / aw))) for r in rays
-        ]
+        lines = [project(v) for v in lines if v != w]
+        rays = [project(r) for r in rays]
 
     for a in eqs:
-        a = frac_vec(a)
-        if is_zero(a):
+        a = primitive(a)
+        if not any(a):
             continue
         w = next((v for v in lines if dot(a, v) != 0), None)
         if w is not None:
@@ -71,28 +78,26 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
         processed.append(a)
 
     for a in ineqs:
-        a = frac_vec(a)
-        if is_zero(a):
+        a = primitive(a)
+        if not any(a):
             continue
         w = next((v for v in lines if dot(a, v) != 0), None)
         if w is not None:
-            if dot(a, w) > 0:
-                w_dir = tuple(-x for x in w)
-            else:
-                w_dir = w
+            w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
             reduce_by_line(a, w)
-            rays.append(primitive(w_dir))
+            rays.append(w_dir)
             processed.append(a)
             continue
         _cut(a, rays, processed, equality=False)
         processed.append(a)
 
-    rays = [r for r in rays if not is_zero(r)]
-    return [primitive(l) for l in lines], _dedupe(rays)
+    rays = [r for r in rays if any(r)]
+    return lines, _dedupe(rays)
 
 
 def _cut(a, rays, processed, equality):
-    """Standard double-description step on the pointed part."""
+    """Standard double-description step on the pointed part; adjacent
+    rays combine as (a.rp) rn - (a.rn) rp, then the gcd is divided out."""
     vals = {r: dot(a, r) for r in rays}
     pos = [r for r in rays if vals[r] > 0]
     neg = [r for r in rays if vals[r] < 0]
@@ -112,9 +117,10 @@ def _cut(a, rays, processed, equality):
             common <= zsets[o] for o in rays if o is not rp and o is not rn
         ):
             continue  # not adjacent
-        combo = vec_sub(vec_scale(rn, vals[rp]), vec_scale(rp, vals[rn]))
-        if not is_zero(combo):
-            new.append(primitive(combo))
+        vp, vn = vals[rp], vals[rn]
+        combo = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
+        if any(combo):
+            new.append(combo)
     rays[:] = _dedupe(keep + new)
 
 
@@ -202,7 +208,6 @@ class PolyCone:
         )
 
     def contains(self, x: Sequence) -> bool:
-        x = frac_vec(x)
         if len(x) != self.dim:
             raise DimensionError("point length != ambient dimension")
         return all(dot(n, x) == 0 for n in self.eq_normals) and all(
@@ -222,9 +227,9 @@ class PolyCone:
         """Sum of the extreme rays (zero lineality combination); lies in the
         relative interior, and co-faces taken there do not depend on the
         particular interior point chosen."""
-        p = tuple(Fraction(0) for _ in range(self.dim))
+        p = (0,) * self.dim
         for r in self.rays:
-            p = tuple(a + b for a, b in zip(p, r))
+            p = tuple(map(add, p, r))
         return p
 
     def sample_points(self, rng, count: int = 10) -> list[tuple]:
@@ -295,7 +300,7 @@ def _canonical(basis, rays) -> tuple:
     out = []
     for r in rays:
         p = project_off(r, basis)
-        if not is_zero(p):
+        if any(p):
             out.append(primitive(p))
     return basis, tuple(sorted(_dedupe(out)))
 
@@ -327,7 +332,6 @@ def cone_intersection(a: PolyCone, b: PolyCone) -> PolyCone:
 def coface(cone: PolyCone, u: Sequence) -> PolyCone:
     """The cone C + R.u for u in C, computed as the intersection of the
     half-spaces of C whose normals vanish on u."""
-    u = frac_vec(u)
     if not cone.contains(u):
         raise ValueError("point is not in the cone")
     tight = [n for n in cone.ineq_normals if dot(n, u) == 0]
@@ -403,10 +407,10 @@ def mu_member(mu: MuCone, psi: WeightMatrix) -> MuMembership:
     signs = tuple(lex_sign(mat_vec(psi, v)) for v in gens)
     if any(s > 0 for s in signs):
         return MuMembership(member=False, signs=signs, face=None)
-    tightsum = tuple(Fraction(0) for _ in range(mu.r))
+    tightsum = (0,) * mu.r
     for v, s in zip(gens, signs):
         if s == 0:
-            tightsum = tuple(a + b for a, b in zip(tightsum, v))
+            tightsum = tuple(map(add, tightsum, v))
     return MuMembership(member=True, signs=signs, face=mu_face(mu, tightsum))
 
 
@@ -432,12 +436,12 @@ def euclidean_closure(mu: MuCone) -> PolyCone:
     eqs = []
     for i in range(n):
         for b in c.lines:  # rows must be orthogonal to the lineality space
-            v = [Fraction(0)] * (n * r)
-            v[i * r : (i + 1) * r] = list(b)
+            v = [0] * (n * r)
+            v[i * r : (i + 1) * r] = b
             eqs.append(tuple(v))
     ineqs = []
     for g in c.rays:  # top row pairs <= 0 against the pointed generators
-        v = [Fraction(0)] * (n * r)
-        v[0:r] = list(g)
+        v = [0] * (n * r)
+        v[0:r] = g
         ineqs.append(tuple(v))
     return PolyCone.from_normals(n * r, ineqs=ineqs, eqs=eqs)

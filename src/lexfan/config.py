@@ -4,7 +4,10 @@ A configuration is a finite list of distinct lattice points affinely spanning
 its ambient space.  Subdivisions are stored combinatorially: each cell is a
 vertex-index set plus a marking (indices of configuration points attached to
 the cell).  All geometry goes through the homogenization cone, so every
-predicate is exact.
+predicate is exact: a point x is the homogeneous vector (1, x), a rational
+point y / d is (d, y), hull normals are primitive int tuples, and membership
+in a hull is membership of the homogeneous vector in its cone, with no
+division anywhere.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
-from lexfan.linalg import det, dot, rank
+from lexfan.linalg import det, dot, primitive, rank
 
 Point = tuple
 
@@ -59,38 +62,34 @@ class PointConfig:
 
 @dataclass(frozen=True)
 class Hull:
-    """Exact hull data of a point list: facet inequalities, affine-hull
-    equations (both on homogenized coordinates (1, x)), and vertex indices."""
+    """Exact hull data of a point list: the cone over the homogenized points
+    (1, x), whose normals are the facet inequalities and affine-hull
+    equations, and the vertex indices.  A homogeneous vector (d, y) lies in
+    the cone iff d > 0 and y / d lies in the hull, or it is zero, so
+    ``cone.contains`` is the membership test."""
 
     points: tuple
-    facets: tuple  # a with a.(1,x) <= 0 on the hull
-    affine_eqs: tuple  # a with a.(1,x) = 0 on the hull
+    cone: PolyCone
     vertices: tuple  # indices into points
+
+    facets = property(lambda self: self.cone.ineq_normals)  # a.(1,x) <= 0
+    affine_eqs = property(lambda self: self.cone.eq_normals)  # a.(1,x) = 0
 
     @property
     def intrinsic_dim(self) -> int:
         return len(self.points[0]) - len(self.affine_eqs)
 
-    def contains(self, x: Sequence) -> bool:
-        h = (Fraction(1),) + tuple(Fraction(c) for c in x)
-        return all(dot(a, h) == 0 for a in self.affine_eqs) and all(
-            dot(a, h) <= 0 for a in self.facets
-        )
-
-    def tight_facets(self, xs: Iterable[Sequence]) -> tuple:
-        """Facets active on every one of the given points."""
-        hs = [(Fraction(1),) + tuple(Fraction(c) for c in x) for x in xs]
-        return tuple(a for a in self.facets if all(dot(a, h) == 0 for h in hs))
+    def tight_facets(self, ws: Sequence[Sequence]) -> tuple:
+        """Facets active on every one of the given homogeneous vectors."""
+        return tuple(a for a in self.facets if all(dot(a, w) == 0 for w in ws))
 
     def face_vertices(self, facet_subset: Sequence) -> tuple:
-        """Coordinates of the hull vertices on which every given facet is
-        active (the vertex set of the corresponding face)."""
-        out = []
-        for i in self.vertices:
-            h = (Fraction(1),) + tuple(Fraction(c) for c in self.points[i])
-            if all(dot(a, h) == 0 for a in facet_subset):
-                out.append(self.points[i])
-        return tuple(out)
+        """The primitive homogeneous vectors of the hull vertices on which
+        every given facet is active (the vertex set of the corresponding
+        face): the rays of the cone on those facets."""
+        return tuple(
+            r for r in self.cone.rays if all(dot(a, r) == 0 for a in facet_subset)
+        )
 
     def faces(self) -> list[frozenset]:
         """All faces as frozensets of point indices (indices into the point
@@ -98,10 +97,7 @@ class Hull:
         idx_on = lambda facets: frozenset(
             i
             for i, p in enumerate(self.points)
-            if all(
-                dot(a, (Fraction(1),) + tuple(Fraction(c) for c in p)) == 0
-                for a in facets
-            )
+            if all(dot(a, (1, *p)) == 0 for a in facets)
         )
         seen = {}
         frontier = [()]
@@ -121,23 +117,14 @@ class Hull:
 
 @lru_cache(maxsize=4096)
 def hull_of(points: tuple) -> Hull:
-    """Hull via the cone over the homogenized points."""
-    pts = tuple(tuple(Fraction(c) for c in p) for p in points)
-    cone = PolyCone.from_generators(len(pts[0]) + 1, rays=[(Fraction(1),) + p for p in pts])
-    vertices = []
-    for ray in cone.rays:
-        if ray[0] <= 0:  # cannot happen for a cone over a point set
-            continue
-        x = tuple(c / ray[0] for c in ray[1:])
-        for i, p in enumerate(pts):
-            if p == x:
-                vertices.append(i)
-                break
+    """Hull via the cone over the homogenized points; it is pointed, and its
+    rays are the primitive homogenized vertices."""
+    cone = PolyCone.from_generators(len(points[0]) + 1, rays=[(1, *p) for p in points])
+    rays = set(cone.rays)
     return Hull(
         points=points,
-        facets=cone.ineq_normals,
-        affine_eqs=cone.eq_normals,
-        vertices=tuple(sorted(vertices)),
+        cone=cone,
+        vertices=tuple(i for i, p in enumerate(points) if primitive((1, *p)) in rays),
     )
 
 
@@ -154,16 +141,12 @@ def _triangulate(points: tuple) -> list[tuple]:
     if len(verts) == k + 1:
         return [tuple(verts)]
     v0 = min(verts)
-    h0 = (Fraction(1),) + tuple(Fraction(c) for c in v0)
+    w0 = (1, *v0)
     simplices = []
     for a in h.facets:
-        if dot(a, h0) == 0:
+        if dot(a, w0) == 0:
             continue  # v0 lies on this facet
-        facet_pts = tuple(
-            p
-            for p in points
-            if dot(a, (Fraction(1),) + tuple(Fraction(c) for c in p)) == 0
-        )
+        facet_pts = tuple(p for p in points if dot(a, (1, *p)) == 0)
         for s in _triangulate(facet_pts):
             simplices.append((v0,) + s)
     return simplices
@@ -171,7 +154,7 @@ def _triangulate(points: tuple) -> list[tuple]:
 
 def volume(points: Sequence[Sequence]) -> Fraction:
     """Exact Euclidean volume of a full-dimensional polytope."""
-    pts = tuple(tuple(Fraction(c) for c in p) for p in points)
+    pts = tuple(map(tuple, points))
     d = len(pts[0])
     total = Fraction(0)
     for simplex in _triangulate(pts):
@@ -181,18 +164,16 @@ def volume(points: Sequence[Sequence]) -> Fraction:
 
 
 def _intersection_vertices(pa: tuple, pb: tuple) -> list[tuple]:
-    """Vertices of conv(pa) intersect conv(pb), exactly."""
+    """Vertices of conv(pa) intersect conv(pb), exactly, as the primitive
+    homogeneous rays (d, y) with d > 0 of the intersection of the two
+    cones: the vertex is y / d."""
     ha, hb = hull_of(pa), hull_of(pb)
     d = len(pa[0])
     ineqs = list(ha.facets) + list(hb.facets)
-    ineqs.append(tuple([Fraction(-1)] + [Fraction(0)] * d))  # t >= 0
+    ineqs.append((-1,) + (0,) * d)  # t >= 0
     eqs = list(ha.affine_eqs) + list(hb.affine_eqs)
     cone = PolyCone.from_normals(d + 1, ineqs=ineqs, eqs=eqs)
-    verts = []
-    for ray in cone.rays:
-        if ray[0] > 0:
-            verts.append(tuple(c / ray[0] for c in ray[1:]))
-    return verts
+    return [ray for ray in cone.rays if ray[0] > 0]
 
 
 def _face_to_face(pa: tuple, pb: tuple) -> bool:
@@ -272,8 +253,9 @@ def cell_pair_violations(cfg: PointConfig, ca: MarkedCell, cb: MarkedCell) -> li
     ha, hb = hull_of(pa), hull_of(pb)
     return [
         ("marking-mismatch", f"point {i} on cells {ca.vertices} / {cb.vertices}")
-        for i, p in enumerate(cfg.points)
-        if ha.contains(p) and hb.contains(p) and (i in ca.marking) != (i in cb.marking)
+        for i, w in enumerate(map(cfg.homogenized, range(cfg.r)))
+        if (i in ca.marking) != (i in cb.marking)
+        and ha.cone.contains(w) and hb.cone.contains(w)
     ]
 
 
@@ -301,7 +283,7 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
         if not set(c.vertices) <= set(c.marking):
             v.append(("marking-missing-vertex", f"cell {c.vertices}"))
         for i in c.marking:
-            if not h.contains(cfg.points[i]):
+            if not h.cone.contains(cfg.homogenized(i)):
                 v.append(("marking-outside-cell", f"point {i} not in cell {c.vertices}"))
 
     if v:
@@ -325,7 +307,7 @@ def refines(cfg: PointConfig, s: MarkedSubdivision, coarse: MarkedSubdivision) -
         inside = [
             c
             for c in s.cells
-            if all(hb.contains(cfg.points[i]) for i in c.vertices)
+            if all(hb.cone.contains(cfg.homogenized(i)) for i in c.vertices)
         ]
         total = sum(
             (volume(_cell_points(cfg, c)) for c in inside), Fraction(0)

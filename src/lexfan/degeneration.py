@@ -64,7 +64,7 @@ class FanAlgebraPresentation:
 def _inside(cfg: PointConfig, cell) -> tuple:
     """Indices of the configuration points lying in the cell."""
     h = hull_of(tuple(cfg.points[i] for i in cell.vertices))
-    return tuple(i for i in range(cfg.r) if h.contains(cfg.points[i]))
+    return tuple(i for i in range(cfg.r) if h.cone.contains(cfg.homogenized(i)))
 
 
 def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:

@@ -18,7 +18,10 @@ Rat = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational."""
+    """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational;
+    booleans are rejected, though Python counts them as ints."""
+    if isinstance(x, bool):
+        raise SchemaError(f"not a rational: {x!r}")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

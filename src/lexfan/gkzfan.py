@@ -25,9 +25,9 @@ from lexfan.config import (
     hull_of,
     volume,
 )
-from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
+from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
-from lexfan.linalg import dot, frac_vec, primitive, rank, solve
+from lexfan.linalg import dot, primitive, rank, solve
 from lexfan import lp
 
 
@@ -71,8 +71,8 @@ def _relation_vector(cfg: PointConfig, v: int, basis: Sequence[int]) -> tuple:
     coeffs = solve(mat, cfg.homogenized(v))
     if coeffs is None:
         raise InvariantError(f"point {v} is not an affine combination of basis {basis}")
-    u = [Fraction(0)] * cfg.r
-    u[v] = Fraction(1)
+    u = [0] * cfg.r
+    u[v] = 1
     for a, w in zip(coeffs, basis):
         u[w] -= a
     return primitive(u)
@@ -166,10 +166,7 @@ def closed_member(
 def _rank1_cells(cfg: PointConfig, idxs: Sequence[int], heights: Sequence) -> list[tuple]:
     """Upper-hull regular subdivision of (conv A[idxs], A[idxs]) under a
     single height row: the marked point sets of the cells."""
-    lifted = [
-        (Fraction(1),) + tuple(Fraction(c) for c in cfg.points[i]) + (rat(heights[i]),)
-        for i in idxs
-    ]
+    lifted = [(1, *cfg.points[i], heights[i]) for i in idxs]
     cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
     if cone.eq_normals:
         # heights affine on the points: the subdivision is trivial
@@ -250,19 +247,13 @@ def linear_extension(
 
 
 def cell_value(plm: PiecewiseLinearMap, cell_index: int, w: Sequence) -> LexVec:
-    w = frac_vec(w)
     return LexVec(dot(row, w) for row in plm.cell_maps[cell_index])
 
 
 def g_eval(plm: PiecewiseLinearMap, w: Sequence) -> LexVec:
     """Lexicographic minimum of the cell maps at a point of the cone over P."""
-    w = frac_vec(w)
-    if len(w) != plm.cfg.n:
-        raise DimensionError("point length != homogenized dimension")
-    if all(x == 0 for x in w):
-        return zero_vec(plm.n_rank)
-    if w[0] <= 0 or not plm.cfg.hull().contains(tuple(x / w[0] for x in w[1:])):
-        raise ValueError("point outside the cone over the configuration")
+    if not plm.cfg.hull().cone.contains(w):
+        raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
     return min(cell_value(plm, ci, w) for ci in range(len(plm.subdivision.cells)))
 
 
@@ -270,7 +261,6 @@ def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[Le
     """Independent oracle: lex-max of Psi.lambda over the fiber polytope
     {lambda >= 0 : sum lambda_j (1, chi_j) = w}, by enumerating its vertices
     as basic feasible solutions.  None if the fiber is empty."""
-    w = frac_vec(w)
     if all(x == 0 for x in w):
         return zero_vec(psi.n_rows)
     cols = [cfg.homogenized(j) for j in range(cfg.r)]
@@ -343,7 +333,9 @@ def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
                 continue
             if len(h.vertices) != size:
                 continue  # some listed point is not a vertex
-            inside = [i for i in idxs if i not in combo and h.contains(cfg.points[i])]
+            inside = [
+                i for i in idxs if i not in combo and h.cone.contains(cfg.homogenized(i))
+            ]
             for extra in itertools.chain.from_iterable(
                 itertools.combinations(inside, k) for k in range(len(inside) + 1)
             ):

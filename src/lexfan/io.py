@@ -144,5 +144,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc

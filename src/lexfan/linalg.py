@@ -1,10 +1,16 @@
-"""Small exact linear algebra over Fraction: rref, rank, solve, nullspace,
-primitive integer scaling, orthogonal projection.  Desk-scale sizes only."""
+"""Small exact linear algebra: rref, rank, solve, nullspace and det over
+Fraction, primitive integer scaling, orthogonal projection.  Desk-scale
+sizes only.
+
+Cone and hull vectors are primitive ``int`` tuples (``primitive``); ``dot``
+works on ints and Fractions alike, so they are never boxed.  Values that are
+truly rational (weights, solutions, determinants) stay Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from lexfan.errors import InvariantError
@@ -14,21 +20,9 @@ def frac_vec(v: Sequence) -> tuple:
     return tuple(Fraction(x) for x in v)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a, c):
-    c = Fraction(c)
-    return tuple(x * c for x in a)
-
-
-def is_zero(a) -> bool:
-    return all(x == 0 for x in a)
+def dot(a: Sequence, b: Sequence):
+    """Sum of products: an int on int vectors, a Fraction if any entry is."""
+    return sum(map(mul, a, b))
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
@@ -67,7 +61,7 @@ def solve(a_rows: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     a_rows = [frac_vec(r) for r in a_rows]
     b = frac_vec(b)
     if not a_rows:
-        return () if is_zero(b) else None
+        return None if any(b) else ()
     ncols = len(a_rows[0])
     aug = [row + (bb,) for row, bb in zip(a_rows, b)]
     red, pivots = rref(aug)
@@ -100,15 +94,12 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[tup
 
 
 def primitive(v: Sequence) -> tuple:
-    """Scale a nonzero rational vector by a positive rational to coprime
-    integers (direction preserved)."""
-    v = frac_vec(v)
-    den = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * den) for x in v]
-    g = gcd(*(abs(i) for i in ints)) if any(ints) else 1
-    if g == 0:
-        g = 1
-    return tuple(Fraction(i, g) for i in ints)
+    """Scale a nonzero vector of ints or Fractions by a positive rational to
+    coprime ints (direction preserved); the zero vector stays zero."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(i // g for i in ints)
 
 
 def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
@@ -119,7 +110,7 @@ def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
 
 def project_off(v: Sequence, basis: Sequence[Sequence]) -> tuple:
     """Orthogonal projection of v onto the complement of span(basis)."""
-    v = frac_vec(v)
+    v = tuple(v)
     if not basis:
         return v
     gram = [[dot(a, b) for b in basis] for a in basis]
@@ -128,7 +119,7 @@ def project_off(v: Sequence, basis: Sequence[Sequence]) -> tuple:
     if coeffs is None:
         raise InvariantError("project_off: basis rows are linearly dependent")
     for c, b in zip(coeffs, basis):
-        v = vec_sub(v, vec_scale(b, c))
+        v = tuple(x - c * y for x, y in zip(v, b))
     return v
 
 

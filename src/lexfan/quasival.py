@@ -23,7 +23,7 @@ from lexfan.config import (
     PointConfig,
     hull_of,
 )
-from lexfan.errors import DegreeOverflow, DimensionError, InvariantError
+from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
 from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
 from lexfan.linalg import rank, solve
@@ -308,7 +308,7 @@ def nu_point(table: NuTable, u: GradedPoint, degree_bound: int = 12) -> tuple[Le
         raise DegreeOverflow(f"degree {u.d} exceeds bound {degree_bound}")
     found = table.best(u)
     if found is None:
-        raise ValueError(f"{u} is not in the semigroup")
+        raise SchemaError(f"{u} is not in the semigroup")
     return found
 
 
@@ -370,7 +370,7 @@ def delta_image(
         val = delta_point(table, plm, u, degree_bound=bound)
         values.add(val)
         for ci, h in enumerate(hulls):
-            if u.d > 0 and h.contains(tuple(Fraction(e, u.d) for e in u.eta)):
+            if u.d > 0 and h.cone.contains(u.vector):
                 per_cell[ci].add(val)
     return DeltaImage(
         values=frozenset(values), per_cell=tuple(frozenset(s) for s in per_cell)
@@ -383,10 +383,7 @@ def delta_image(
 
 def in_cell_cone(cfg: PointConfig, u: GradedPoint, cell: MarkedCell) -> bool:
     """Whether u lies in the cone over the cell."""
-    if u.d == 0:
-        return all(c == 0 for c in u.eta)
-    h = hull_of(tuple(cfg.points[i] for i in cell.vertices))
-    return h.contains(tuple(Fraction(e, u.d) for e in u.eta))
+    return hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains(u.vector)
 
 
 def _bounded_combination(
@@ -510,7 +507,7 @@ def power_seq(
 ) -> list[tuple[int, LexVec]]:
     """The exact sequence nu(f^l)/l for l = start..window."""
     if f.is_zero():
-        raise ValueError("power sequence of the zero expression")
+        raise SchemaError("power sequence of the zero expression")
     max_deg = max(u.d for u in f.support)
     if window * max_deg > degree_bound:
         raise DegreeOverflow(

@@ -3,8 +3,11 @@ polar duality, and lexicographic matrix-space cones."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexfan import cones
 from lexfan.cones import (
@@ -20,6 +23,7 @@ from lexfan.cones import (
     mu_member,
     normal_span,
 )
+from lexfan.config import hull_of
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import condition_cone
@@ -114,6 +118,35 @@ class TestPolyCone:
         c = PolyCone.full(2)
         with pytest.raises(DimensionError):
             c.contains((1, 2, 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_vectors_are_primitive_int_tuples(self, data):
+        """Rational generators and normals (the criterion-3 entries p/q with
+        |p| <= 4, q <= 3) give cones whose four vector lists, and hulls whose
+        facets and equations, hold only primitive int tuples."""
+        dim = data.draw(st.integers(2, 5))
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        vectors = st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=6)
+        given_rays, given_ineqs, given_eqs = (data.draw(vectors) for _ in range(3))
+
+        def primitive_ints(vs):
+            return all(
+                all(type(x) is int for x in v) and gcd(*v) == 1 for v in vs
+            )
+
+        for c in (
+            PolyCone.from_generators(dim, rays=given_rays),
+            PolyCone.from_normals(dim, ineqs=given_ineqs, eqs=given_eqs[:1]),
+        ):
+            assert primitive_ints(c.lines) and primitive_ints(c.rays)
+            assert primitive_ints(c.eq_normals) and primitive_ints(c.ineq_normals)
+        points = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * (dim - 1)), min_size=1, max_size=6)
+        )
+        for pts in (tuple(points), tuple(tuple(map(Fraction, p)) for p in points)):
+            h = hull_of.__wrapped__(pts)  # uncached: int and Fraction keys are equal
+            assert primitive_ints(h.facets) and primitive_ints(h.affine_eqs)
 
 
 class TestFacesAndCofaces:

@@ -42,13 +42,16 @@ class TestHull:
         assert h.vertices == (0, 1, 2, 3)
         assert len(h.facets) == 4 and h.affine_eqs == ()
         assert h.intrinsic_dim == 2
-        assert h.contains((Fraction(1, 2), Fraction(1, 2)))
-        assert not h.contains((2, 0))
+        # membership is on homogeneous vectors (d, y): y / d in the hull
+        assert h.cone.contains((2, 1, 1))  # the point (1/2, 1/2)
+        assert not h.cone.contains((1, 2, 0))
+        with pytest.raises(DimensionError):
+            h.cone.contains((1, 1))  # an affine point, not (d, y)
 
     def test_interior_point_not_vertex(self, simplex_cfg):
         h = simplex_cfg.hull()
         assert h.vertices == (0, 1, 2)
-        assert h.contains((1, 1))
+        assert h.cone.contains((1, 1, 1))
 
     def test_lower_dimensional_hull(self):
         h = hull_of(((0, 0), (2, 2)))

@@ -56,6 +56,8 @@ class TestJson:
         with pytest.raises(SchemaError):
             io.matrix_from_json({"Psi": [[0.5]]})  # float rejected
         with pytest.raises(SchemaError):
+            io.matrix_from_json({"Psi": [[True, 1]]})  # bool is no rational
+        with pytest.raises(SchemaError):
             io.expr_from_json({"not": "a list"})
         with pytest.raises(SchemaError):
             io.config_from_json({"dim": 1, "points": [[0], [0]]})  # duplicate
@@ -63,6 +65,14 @@ class TestJson:
     def test_load_json_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
             io.load_json(str(tmp_path / "nope.json"))
+
+    def test_load_json_unreadable(self, tmp_path):
+        with pytest.raises(SchemaError):
+            io.load_json(str(tmp_path))  # a directory
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")  # not UTF-8
+        with pytest.raises(SchemaError):
+            io.load_json(str(binary))
 
 
 @pytest.fixture()
@@ -243,6 +253,34 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
         assert main(["subdivide", str(bad), files["matrix"]]) == 2
+
+    @staticmethod
+    def _exit_2_one_line(argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, terms",
+        [
+            # (1, 1) lies in the cone over the segment, but 1 is no point of it
+            ("valuate", [{"d": 1, "eta": [1], "coeff": "1"}]),
+            ("liminf", [{"d": 1, "eta": [1], "coeff": "1"}]),
+            ("valuate", [{"d": 1, "eta": [7], "coeff": "1"}]),  # outside the cone
+            ("liminf", []),  # the zero expression has no power sequence
+        ],
+    )
+    def test_exit_2_expression_outside_domain(self, files, tmp_path, capsys, command, terms):
+        expr = tmp_path / "terms.json"
+        expr.write_text(json.dumps(terms))
+        self._exit_2_one_line([command, files["config"], files["matrix"], str(expr)], capsys)
+
+    def test_exit_2_boolean_entry_or_directory(self, files, tmp_path, capsys):
+        psi = tmp_path / "bool.json"
+        psi.write_text(json.dumps({"Psi": [[True, 1, 0, 0, 1]]}))
+        self._exit_2_one_line(["subdivide", files["config"], str(psi)], capsys)
+        self._exit_2_one_line(["subdivide", str(tmp_path), files["matrix"]], capsys)
 
     def test_exit_2_bad_bounds(self, files):
         assert (

@@ -221,6 +221,10 @@ class TestCellMonoids:
         assert not in_cell_cone(seg_cfg, gp(1, 2), c1)
         assert in_cell_cone(seg_cfg, gp(1, 2), c2)
         assert in_cell_cone(seg_cfg, gp(0, 0), c1)
+        assert not in_cell_cone(seg_cfg, gp(0, 1), c1)
+        # a negative degree is outside every cell cone, even where eta / d
+        # would lie in the cell
+        assert not in_cell_cone(seg_cfg, gp(-1, 1), c1)
 
     def test_in_SQ1_pinned(self, seg_cfg, seg_sub, seg_marked):
         c1 = Submonoid(seg_cfg, seg_sub.cells[0].marking)
