@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from lexfan.config import PointConfig, is_triangulation
 from lexfan.exactlex import WeightMatrix
-from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions, subdivide
+from lexfan.gkzfan import enumerate_regular_subdivisions, subdivide
 
 CONFIGS = {
     "segment {-2,-1,0,2,4}": PointConfig(
@@ -47,9 +47,10 @@ def main() -> int:
     rng = random.Random(args.seed)
 
     for name, cfg in CONFIGS.items():
-        subs = enumerate_regular_subdivisions(cfg)
+        ccs = enumerate_regular_subdivisions(cfg)
+        subs = [cc.subdivision for cc in ccs]
+        cones = [cc.cone for cc in ccs]
         print(f"\n{name}: {len(subs)} regular subdivisions")
-        cones = [condition_cone(cfg, s).cone for s in subs]
         for i, (s, cone) in enumerate(zip(subs, cones)):
             tag = "triangulation" if is_triangulation(cfg, s) else "subdivision"
             print(

@@ -150,16 +150,16 @@ def _subdivision_text(payload) -> str:
 
 def cmd_fan(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
-    subs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
-    cones = [gkzfan.condition_cone(cfg, s).cone for s in subs]
+    ccs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
+    cones = [cc.cone for cc in ccs]
     entries = [
         {
-            "cells": io.subdivision_to_json(s)["cells"],
-            "condition_cone": io.cone_to_json(cone),
-            "dim_closed_cone_rank1": cfg.r - cone.lineality_dim(),
-            "is_triangulation": is_triangulation(cfg, s),
+            "cells": io.subdivision_to_json(cc.subdivision)["cells"],
+            "condition_cone": io.cone_to_json(cc.cone),
+            "dim_closed_cone_rank1": cfg.r - cc.cone.lineality_dim(),
+            "is_triangulation": is_triangulation(cfg, cc.subdivision),
         }
-        for s, cone in zip(subs, cones)
+        for cc in ccs
     ]
     # s_i refines s_j iff the condition cone of s_i lies in that of s_j
     poset = [

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from lexfan.errors import DimensionError, SchemaError
 
@@ -131,8 +131,6 @@ class Infinity:
 
 
 INFINITY = Infinity()
-
-LexValue = Union[LexVec, Infinity]
 
 
 def lex_sign(a: Sequence[Fraction]) -> int:

@@ -7,6 +7,9 @@ row induces an upper-hull regular subdivision, each cell restricted to its
 marked points is refined by the next row, and so on.  An independent fiber
 oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
+
+Regularity is read off the condition cone (``ConditionCone.witness_height``);
+no LP is solved.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from lexfan.config import (
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
 from lexfan.linalg import dot, primitive, rank, solve
-from lexfan import lp
+# Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
+# tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
+from lexfan import lp  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,20 @@ class ConditionCone:
     subdivision: MarkedSubdivision
     cone: PolyCone
     generators: tuple  # of ConditionGenerator
+
+    @property
+    def witness_height(self) -> Optional[tuple]:
+        """A rank-1 height in the open cone of the subdivision (a primitive
+        int tuple, zero if no generator is one-sided), or None if it is not
+        regular.  The facet normals generate the closed height cone, the
+        polar of this cone, so their sum h lies in its relative interior,
+        which a nonempty open cone contains (Gordan/Stiemke; De Loera,
+        Rambau & Santos, *Triangulations*, ch. 5): the subdivision is
+        regular iff h.u < 0 for every one-sided generator u."""
+        h = [sum(c) for c in zip((0,) * self.cone.dim, *self.cone.ineq_normals)]
+        if all(dot(h, g.vector) < 0 for g in self.generators if not g.two_sided):
+            return primitive(h)
+        return None
 
 
 def _affine_basis(cfg: PointConfig, indices: Sequence[int]) -> Optional[tuple]:
@@ -292,32 +311,9 @@ def open_member(cfg: PointConfig, psi: WeightMatrix, s: MarkedSubdivision) -> bo
 
 
 def is_regular(cfg: PointConfig, s: MarkedSubdivision) -> bool:
-    """Nonemptiness of the rank-1 open cone."""
-    return regular_witness_height(cfg, s) is not None
-
-
-def regular_witness_height(
-    cfg: PointConfig, s: MarkedSubdivision
-) -> Optional[tuple]:
-    """A rank-1 height vector in the open cone of s, or None if s is not
-    regular.  Exact LP: maximize a slack t with h.u = 0 on marked relations,
-    h.u + t <= 0 on unmarked ones, t <= 1; the open cone is nonempty iff the
-    optimum is positive, and the optimal h then lies in it."""
-    eqs, strict = [], []
-    for g in condition_generators(cfg, s):
-        (eqs if g.two_sided else strict).append(g.vector)
-    r = cfg.r
-    a_ub = [list(u) + [Fraction(1)] for u in strict]
-    b_ub = [Fraction(0)] * len(strict)
-    a_ub.append([Fraction(0)] * r + [Fraction(1)])
-    b_ub.append(Fraction(1))
-    a_eq = [list(u) + [Fraction(0)] for u in eqs]
-    b_eq = [Fraction(0)] * len(eqs)
-    c = [Fraction(0)] * r + [Fraction(1)]
-    res = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    if res.status != lp.OPTIMAL or res.value <= 0:
-        return None
-    return res.x[:r]
+    """Nonemptiness of the rank-1 open cone, read off the condition cone
+    (``ConditionCone.witness_height``)."""
+    return condition_cone(cfg, s).witness_height is not None
 
 
 def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
@@ -389,9 +385,12 @@ def enumerate_subdivisions(
 
 def enumerate_regular_subdivisions(
     cfg: PointConfig, budget: int = 200_000
-) -> list[MarkedSubdivision]:
-    """All regular subdivisions of the configuration (desk scale)."""
-    return [s for s in enumerate_subdivisions(cfg, budget) if is_regular(cfg, s)]
+) -> list[ConditionCone]:
+    """The condition cones of all regular subdivisions (desk scale), in the
+    order of the cover search: one cone is built per cover, and the cover is
+    kept iff the cone has a witness height."""
+    ccs = (condition_cone(cfg, s) for s in enumerate_subdivisions(cfg, budget))
+    return [cc for cc in ccs if cc.witness_height is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
 
 @dataclass(frozen=True)
 class ValuationReport:
-    value: object  # LexValue
+    value: object  # LexVec or INFINITY
     witness_point: Optional[GradedPoint]
     witness_alpha: Optional[tuple]  # for nu: maximizing exponent vector
     witness_cell: Optional[int]  # for V: a cell where g attains the value

@@ -157,7 +157,7 @@ def test_criterion_4_partition_property(seg_cfg, simplex_cfg, square_cfg, capsys
     t0 = time.monotonic()
     rng = random.Random(404)
     configs = [seg_cfg, simplex_cfg, square_cfg]
-    fans = [enumerate_regular_subdivisions(cfg) for cfg in configs]
+    fans = [[cc.subdivision for cc in enumerate_regular_subdivisions(cfg)] for cfg in configs]
     for i in range(500):
         cfg = configs[i % 3]
         fan = fans[i % 3]
@@ -179,9 +179,9 @@ def test_criterion_5_dimension_formulas(simplex_cfg, capsys):
         assert mu_dim(mu) == euclidean_closure(mu).cone_dim()
     # every regular triangulation of the simplex example has full cone dim
     tris = [
-        s
-        for s in enumerate_regular_subdivisions(simplex_cfg)
-        if is_triangulation(simplex_cfg, s)
+        cc.subdivision
+        for cc in enumerate_regular_subdivisions(simplex_cfg)
+        if is_triangulation(simplex_cfg, cc.subdivision)
     ]
     assert tris
     for s in tris:

@@ -1,6 +1,11 @@
 """Scalars, lexicographic vectors, infinity, weight matrices."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -147,3 +152,33 @@ class TestWeightMatrix:
 
     def test_zero_vec(self):
         assert zero_vec(3) == LexVec([0, 0, 0])
+
+
+class TestReimport:
+    def test_dropped_imports_are_freed(self):
+        """A fresh import of lexfan, once dropped from sys.modules, is
+        collected: no module-level object (such as a typing alias cached
+        by ``typing``) keeps the old classes and module dicts alive."""
+        code = textwrap.dedent(
+            """
+            import gc, importlib, sys, weakref
+            refs = []
+            for _ in range(3):
+                importlib.import_module("lexfan.cli")
+                refs.append(weakref.ref(sys.modules["lexfan.exactlex"].LexVec))
+                for name in [m for m in sys.modules if m.split(".")[0] == "lexfan"]:
+                    del sys.modules[name]
+                gc.collect()
+            print(sum(ref() is not None for ref in refs))
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "0"

@@ -6,14 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lexfan import gkzfan
+from lexfan import gkzfan, lp
 from lexfan.cones import PolyCone
 from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
+    PointConfig,
     refines,
     trivial_subdivision,
     validate_subdivision,
@@ -34,11 +35,11 @@ from lexfan.gkzfan import (
     is_regular,
     linear_extension,
     open_member,
-    regular_witness_height,
     scale_row,
     shift_row,
     subdivide,
 )
+from lexfan.linalg import primitive, rank
 
 from helpers import random_matrix
 
@@ -178,10 +179,10 @@ class TestRegularity:
 
     def test_pinwheel_not_regular(self, pinwheel_cfg, pinwheel_tri):
         assert not is_regular(pinwheel_cfg, pinwheel_tri)
-        assert regular_witness_height(pinwheel_cfg, pinwheel_tri) is None
+        assert condition_cone(pinwheel_cfg, pinwheel_tri).witness_height is None
 
     def test_witness_height_induces_subdivision(self, simplex_cfg, simplex_q2):
-        h = regular_witness_height(simplex_cfg, simplex_q2)
+        h = condition_cone(simplex_cfg, simplex_q2).witness_height
         assert h is not None
         assert subdivide(simplex_cfg, WeightMatrix(rows=(h,))) == simplex_q2
 
@@ -192,7 +193,8 @@ class TestEnumeration:
     ):
         subs = enumerate_subdivisions(simplex_cfg)
         assert set(subs) == {simplex_q0, simplex_q1, simplex_q2}
-        assert set(enumerate_regular_subdivisions(simplex_cfg)) == set(subs)
+        regular = enumerate_regular_subdivisions(simplex_cfg)
+        assert {cc.subdivision for cc in regular} == set(subs)
 
     def test_square_three(self, square_cfg):
         subs = enumerate_subdivisions(square_cfg)
@@ -203,7 +205,7 @@ class TestEnumeration:
         from lexfan.config import PointConfig
 
         cfg = PointConfig(dim=1, points=((0,), (1,)))
-        subs = enumerate_regular_subdivisions(cfg)
+        subs = [cc.subdivision for cc in enumerate_regular_subdivisions(cfg)]
         assert subs == [trivial_subdivision(cfg)]
 
     def test_budget(self, simplex_cfg):
@@ -211,7 +213,7 @@ class TestEnumeration:
             enumerate_subdivisions(simplex_cfg, budget=2)
 
     def test_partition_sampled(self, square_cfg):
-        subs = enumerate_regular_subdivisions(square_cfg)
+        subs = [cc.subdivision for cc in enumerate_regular_subdivisions(square_cfg)]
         rng = random.Random(77)
         for _ in range(25):
             psi = random_matrix(rng, rng.randint(1, 3), square_cfg.r)
@@ -233,7 +235,57 @@ def regular_fans(fans):
     return {cfg: [s for s in subs if is_regular(cfg, s)] for cfg, subs in fans.items()}
 
 
+def _lp_regular(cfg, s) -> bool:
+    """The max-slack LP oracle: maximize t subject to h.l = 0 on two-sided
+    generators l, h.u + t <= 0 on one-sided generators u, and t <= 1.  The
+    open cone of s is nonempty iff the optimum is positive."""
+    eqs, strict = [], []
+    for g in condition_generators(cfg, s):
+        (eqs if g.two_sided else strict).append(list(g.vector))
+    r = cfg.r
+    res = lp.solve_lp(
+        [0] * r + [1],
+        [u + [1] for u in strict] + [[0] * r + [1]],
+        [0] * len(strict) + [1],
+        [l + [0] for l in eqs],
+        [0] * len(eqs),
+    )
+    return res.status == lp.OPTIMAL and res.value > 0
+
+
+@st.composite
+def oracle_configs(draw, pinwheel: PointConfig):
+    """Random lattice configurations (dim 1-2, r <= 6), the pinwheel, and
+    the pinwheel scaled by 4 with its inner triangle moved by at most 1 per
+    coordinate; most of these keep a non-regular triangulation."""
+    kind = draw(st.sampled_from(["random", "pinwheel", "perturbed"]))
+    if kind == "pinwheel":
+        return pinwheel
+    if kind == "perturbed":
+        dim, step = 2, st.integers(-1, 1)
+        pts = [tuple(4 * c for c in p) for p in pinwheel.points]
+        pts[3:] = [tuple(c + draw(step) for c in p) for p in pts[3:]]
+    else:
+        dim = draw(st.integers(1, 2))
+        point = st.tuples(*[st.integers(0, 4)] * dim)
+        pts = draw(st.lists(point, min_size=dim + 1, max_size=6, unique=True))
+    assume(len(set(pts)) == len(pts) and rank([(1,) + p for p in pts]) == dim + 1)
+    return PointConfig(dim=dim, points=tuple(pts))
+
+
 class TestOracles:
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_witness_height_matches_lp(self, pinwheel_cfg, data):
+        cfg = data.draw(oracle_configs(pinwheel_cfg))
+        for s in enumerate_subdivisions(cfg):
+            h = condition_cone(cfg, s).witness_height
+            assert (h is not None) == _lp_regular(cfg, s)
+            if h is not None:
+                assert type(h) is tuple and all(type(x) is int for x in h)
+                assert primitive(h) == h
+                assert subdivide(cfg, WeightMatrix(rows=(h,))) == s
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_ledger_rule_is_open_membership(

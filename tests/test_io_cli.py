@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lexfan import config, gkzfan, io, quasival
+from lexfan import config, gkzfan, io, lp, quasival
 from lexfan.cli import main, render_svg
 from lexfan.cones import MuCone, PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig
@@ -155,20 +155,23 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["open_member"]
         assert len(calls) == 1
 
-    def test_fan_builds_each_cone_once(self, capsys, tmp_path, monkeypatch, simplex_cfg):
-        cfg = tmp_path / "simplex.json"
-        cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
+    def test_fan_builds_each_cone_once(self, capsys, tmp_path, monkeypatch, pinwheel_cfg):
+        cfg = tmp_path / "pinwheel.json"
+        cfg.write_text(json.dumps(io.config_to_json(pinwheel_cfg)))
+        covers = gkzfan.enumerate_subdivisions(pinwheel_cfg)
+        regular = [s for s in covers if gkzfan.is_regular(pinwheel_cfg, s)]
+        assert len(regular) < len(covers)
         cone_calls = _count_calls(monkeypatch, gkzfan.condition_cone)
+        lp_calls = _count_calls(monkeypatch, lp.solve_lp)
         refines_calls = _count_calls(monkeypatch, config.refines)
         validate_calls = _count_calls(monkeypatch, config.validate_subdivision)
         assert main(["fan", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        listed = [c[1] for c in cone_calls]
-        assert len(listed) == len(payload["regular_subdivisions"]) == 3
-        assert [io.subdivision_to_json(s)["cells"] for s in listed] == [
+        assert [c[1] for c in cone_calls] == covers
+        assert [io.subdivision_to_json(s)["cells"] for s in regular] == [
             e["cells"] for e in payload["regular_subdivisions"]
         ]
-        assert not refines_calls and not validate_calls
+        assert not lp_calls and not refines_calls and not validate_calls
 
     def test_valuate(self, files, capsys):
         assert (
