@@ -176,5 +176,7 @@ def mat_vec(psi: WeightMatrix, u: Sequence) -> LexVec:
     """Psi . u as a LexVec (the bilinear pairing of matrix space with Q^r)."""
     if len(u) != psi.n_cols:
         raise DimensionError(f"matrix has {psi.n_cols} columns, vector length {len(u)}")
-    uu = [rat(x) for x in u]
-    return LexVec(sum(row[j] * uu[j] for j in range(len(uu))) for row in psi.rows)
+    # ints multiply the Fraction rows as they are; zero entries drop out
+    uu = [(j, x if type(x) is int else rat(x)) for j, x in enumerate(u)]
+    uu = [(j, x) for j, x in uu if x]
+    return LexVec(sum(row[j] * x for j, x in uu) for row in psi.rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.config import (
@@ -30,7 +30,7 @@ from lexfan.config import (
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
-from lexfan.linalg import dot, primitive, rank, solve
+from lexfan.linalg import dot, echelon, primitive, rank, solve
 # Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
 # tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
 from lexfan import lp  # noqa: F401
@@ -75,65 +75,51 @@ class ConditionCone:
         return None
 
 
+def _point_columns(cfg: PointConfig, idxs: Sequence[int]) -> list[list[int]]:
+    """The homogenized points idxs as the columns of an integer matrix."""
+    return [[1] * len(idxs)] + [[cfg.points[i][k] for i in idxs] for k in range(cfg.dim)]
+
+
 def _affine_basis(cfg: PointConfig, indices: Sequence[int]) -> Optional[tuple]:
-    """Lexicographically smallest affinely independent (dim+1)-subset."""
-    n = cfg.dim + 1
-    for combo in itertools.combinations(sorted(indices), n):
-        if rank([cfg.homogenized(i) for i in combo]) == n:
-            return combo
-    return None
+    """Lexicographically smallest affinely independent (dim+1)-subset, or
+    None if the points do not span.  The lex-first basis of a matroid is the
+    greedy one, so it is the pivot columns of one echelon pass over the
+    points in sorted order."""
+    idxs = sorted(indices)
+    pivots = echelon(_point_columns(cfg, idxs))[1]
+    return tuple(idxs[p] for p in pivots) if len(pivots) == cfg.n else None
 
 
-def _relation_vector(cfg: PointConfig, v: int, basis: Sequence[int]) -> tuple:
-    """Primitive integer form of e_v - sum a_i e_{w_i} with v = sum a_i w_i."""
-    mat = [[cfg.homogenized(w)[k] for w in basis] for k in range(cfg.n)]
-    coeffs = solve(mat, cfg.homogenized(v))
-    if coeffs is None:
-        raise InvariantError(f"point {v} is not an affine combination of basis {basis}")
-    u = [0] * cfg.r
-    u[v] = 1
-    for a, w in zip(coeffs, basis):
-        u[w] -= a
-    return primitive(u)
-
-
-def condition_generators(
-    cfg: PointConfig, s: MarkedSubdivision, all_bases: bool = False
-) -> list[ConditionGenerator]:
-    """The reduced generator set (one fixed affine basis per cell), or the
-    full set over every affine basis inside every marking."""
+def condition_generators(cfg: PointConfig, s: MarkedSubdivision) -> list[ConditionGenerator]:
+    """The reduced generator set: one fixed affine basis per cell, the
+    ``_affine_basis`` B of its marking.  One echelon pass over the columns
+    [B | H], H every other point, marked ones first, gives d I | d B^-1 H;
+    the relation vector of v is primitive(|d| e_v - sgn(d) column_v)."""
     out = []
     for ci, cell in enumerate(s.cells):
-        bases: Iterable[tuple]
-        if all_bases:
-            n = cfg.dim + 1
-            bases = [
-                combo
-                for combo in itertools.combinations(sorted(cell.marking), n)
-                if rank([cfg.homogenized(i) for i in combo]) == n
-            ]
-        else:
-            basis = _affine_basis(cfg, cell.marking)
-            if basis is None:
-                raise ValueError(
-                    f"cell {cell.vertices}: marking contains no affine basis"
-                )
-            bases = [basis]
         # marked points first (two-sided), then unmarked ones (one-sided)
-        unmarked = [v for v in range(cfg.r) if v not in cell.marking]
-        for basis in bases:
-            for v in list(cell.marking) + unmarked:
-                if v in basis:
-                    continue
-                out.append(
-                    ConditionGenerator(
-                        vector=_relation_vector(cfg, v, basis),
-                        cell=ci,
-                        basis=basis,
-                        point=v,
-                        two_sided=v in cell.marking,
-                    )
+        idxs = list(cell.marking) + [v for v in range(cfg.r) if v not in cell.marking]
+        red, pivots, d = echelon(_point_columns(cfg, idxs))
+        if len(pivots) < cfg.n or pivots[-1] >= len(cell.marking):
+            raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
+        basis = tuple(idxs[p] for p in pivots)
+        sgn = 1 if d > 0 else -1
+        for j, v in enumerate(idxs):
+            if v in basis:
+                continue
+            u = [0] * cfg.r
+            u[v] = abs(d)
+            for w, row in zip(basis, red):
+                u[w] = -sgn * row[j]
+            out.append(
+                ConditionGenerator(
+                    vector=primitive(u),
+                    cell=ci,
+                    basis=basis,
+                    point=v,
+                    two_sided=j < len(cell.marking),
                 )
+            )
     return out
 
 
@@ -244,7 +230,7 @@ def linear_extension(
     for cell in s.cells:
         basis = _affine_basis(cfg, cell.marking)
         if basis is None:
-            raise ValueError("marking contains no affine basis")
+            raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
         mat = [cfg.homogenized(i) for i in basis]
         rows = []
         for k in range(psi.n_rows):

@@ -1,10 +1,15 @@
-"""Small exact linear algebra: rref, rank, solve, nullspace and det over
-Fraction, primitive integer scaling, orthogonal projection.  Desk-scale
-sizes only.
+"""Small exact linear algebra on one fraction-free elimination: ``echelon``,
+Bareiss's integer-preserving Gauss-Jordan pass ("Sylvester's identity and
+multistep integer-preserving Gaussian elimination", 1968).  ``rank``,
+``det``, ``canonical_subspace_basis`` and ``project_off`` run it on rows
+scaled to primitive ints; ``rref``, ``solve`` and ``nullspace`` divide its
+result by the pivot once.  Desk-scale sizes only.
 
 Cone and hull vectors are primitive ``int`` tuples (``primitive``); ``dot``
 works on ints and Fractions alike, so they are never boxed.  Values that are
-truly rational (weights, solutions, determinants) stay Fractions."""
+truly rational stay Fractions: weights, ``LexVec`` values, volumes and
+determinants, and the solutions of ``solve`` and ``rref`` (the interpolation
+of a rational ``Psi``)."""
 
 from __future__ import annotations
 
@@ -25,52 +30,62 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(frac_vec(r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def echelon(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Returns ``(rows, pivots, d)``: ``rows`` are the nonzero rows of d times
+    the reduced row echelon form, with ``d != 0`` on every pivot, and
+    ``pivots`` their pivot columns, chosen greedily left to right.  Each step
+    divides exactly by the previous pivot, so every entry stays an integer
+    minor.  A row swap negates the row it moves down, which keeps the
+    determinant, so ``d`` is the determinant of a nonsingular square matrix
+    and of the pivot columns in general."""
+    mat = [list(r) for r in mat]
     pivots: list[int] = []
+    prev = 1
     row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
+    for col in range(len(mat[0]) if mat else 0):
+        p = next((i for i in range(row, len(mat)) if mat[i][col]), None)
+        if p is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1) / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for i in range(len(mat)):
-            if i != row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[row])]
+        if p != row:
+            mat[row], mat[p] = mat[p], [-x for x in mat[row]]
+        top = mat[row]
+        piv = top[col]
+        for i, r in enumerate(mat):
+            if i != row:
+                a = r[col]
+                mat[i] = [(piv * x - a * y) // prev for x, y in zip(r, top)]
+        prev = piv
         pivots.append(col)
         row += 1
         if row == len(mat):
             break
-    return [tuple(r) for r in mat[:row]], pivots
+    return mat[:row], pivots, prev
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    red, pivots, d = echelon([primitive(r) for r in rows])
+    return [tuple(Fraction(x, d) for x in r) for r in red], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(echelon([primitive(r) for r in rows])[1])
 
 
 def solve(a_rows: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     """One exact solution x of A x = b, or None if inconsistent.
     Free variables are set to zero."""
-    a_rows = [frac_vec(r) for r in a_rows]
-    b = frac_vec(b)
     if not a_rows:
         return None if any(b) else ()
     ncols = len(a_rows[0])
-    aug = [row + (bb,) for row, bb in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    red, pivots, d = echelon([primitive((*r, bb)) for r, bb in zip(a_rows, b)])
+    if pivots and pivots[-1] == ncols:  # 0 = 1 row
+        return None
     x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:  # 0 = 1 row
-            return None
-        x[p] = row[-1]
-    # rows past the pivot list are zero by construction of rref
+    for r, p in zip(red, pivots):
+        x[p] = Fraction(r[-1], d)
     return tuple(x)
 
 
@@ -96,49 +111,49 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[tup
 def primitive(v: Sequence) -> tuple:
     """Scale a nonzero vector of ints or Fractions by a positive rational to
     coprime ints (direction preserved); the zero vector stays zero."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints) or 1
-    return tuple(i // g for i in ints)
+    den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        ints = [x.numerator for x in v]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(ints) if g < 2 else tuple([i // g for i in ints])
 
 
 def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
     """Canonical basis of the row span: rref rows, primitively scaled."""
-    red, _ = rref(rows)
-    return tuple(primitive(r) for r in red)
+    red, _, d = echelon([primitive(r) for r in rows])
+    return tuple(primitive(r if d > 0 else [-x for x in r]) for r in red)
 
 
 def project_off(v: Sequence, basis: Sequence[Sequence]) -> tuple:
-    """Orthogonal projection of v onto the complement of span(basis)."""
+    """Orthogonal projection of v onto the complement of span(basis).
+
+    One echelon pass over [G | B v], G the Gram matrix, gives d G^-1 B v;
+    the integer numerator d v - (d G^-1 B v) B is divided by d once."""
     v = tuple(v)
     if not basis:
         return v
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    rhs = [dot(a, v) for a in basis]
-    coeffs = solve(gram, rhs)
-    if coeffs is None:
+    n = len(basis)
+    aug = [primitive([*(dot(a, b) for b in basis), dot(a, v)]) for a in basis]
+    red, pivots, d = echelon(aug)
+    if pivots != list(range(n)):
         raise InvariantError("project_off: basis rows are linearly dependent")
-    for c, b in zip(coeffs, basis):
-        v = tuple(x - c * y for x, y in zip(v, b))
-    return v
+    num = [d * x for x in v]
+    for r, b in zip(red, basis):
+        num = [x - r[-1] * y for x, y in zip(num, b)]
+    return tuple(Fraction(x, d) for x in num)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    mat = [list(frac_vec(r)) for r in rows]
-    n = len(mat)
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            result = -result
-        result *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+    """Determinant: the last pivot of the echelon of the primitive rows,
+    divided by the factor each row was scaled by."""
+    ints = [primitive(r) for r in rows]
+    _, pivots, d = echelon(ints)
+    if len(pivots) < len(ints):
+        return Fraction(0)
+    result = Fraction(d)
+    for r, p in zip(rows, ints):
+        j = next(k for k, x in enumerate(p) if x)
+        result = result * r[j] / p[j]
     return result

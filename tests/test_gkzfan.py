@@ -39,7 +39,7 @@ from lexfan.gkzfan import (
     shift_row,
     subdivide,
 )
-from lexfan.linalg import primitive, rank
+from lexfan.linalg import primitive, rank, solve
 
 from helpers import random_matrix
 
@@ -128,12 +128,21 @@ class TestConditionCone:
     def test_reduced_equals_full(self, seg_cfg, seg_sub, simplex_cfg, simplex_q2):
         for cfg, s in ((seg_cfg, seg_sub), (simplex_cfg, simplex_q2)):
             reduced = condition_cone(cfg, s).cone
-            gens = condition_generators(cfg, s, all_bases=True)
-            full = PolyCone.from_generators(
-                cfg.r,
-                rays=[g.vector for g in gens if not g.two_sided],
-                lines=[g.vector for g in gens if g.two_sided],
-            )
+            # the full set: every affine basis inside every marking, each
+            # relation vector from its own Fraction solve
+            rays, lines = [], []
+            for cell in s.cells:
+                for basis in itertools.combinations(cell.marking, cfg.n):
+                    mat = [[cfg.homogenized(w)[k] for w in basis] for k in range(cfg.n)]
+                    if rank(mat) < cfg.n:
+                        continue
+                    for v in set(range(cfg.r)) - set(basis):
+                        coeffs = solve(mat, cfg.homogenized(v))
+                        u = [Fraction(int(i == v)) for i in range(cfg.r)]
+                        for a, w in zip(coeffs, basis):
+                            u[w] -= a
+                        (lines if v in cell.marking else rays).append(primitive(u))
+            full = PolyCone.from_generators(cfg.r, rays=rays, lines=lines)
             assert reduced == full
 
     def test_simplex_cones_pinned(self, simplex_cfg, simplex_q0, simplex_q1, simplex_q2):
@@ -312,10 +321,11 @@ class TestOracles:
 
 
 class TestInvariants:
-    def test_relation_vector_raises(self, monkeypatch, seg_cfg, seg_sub):
-        monkeypatch.setattr(gkzfan, "solve", lambda *args: None)
+    def test_relation_vector_raises(self, simplex_cfg):
+        # two marked points span no triangle: the cell has no affine basis
+        flat = MarkedSubdivision(cells=(MarkedCell(vertices=(0, 3), marking=(0, 3)),))
         with pytest.raises(InvariantError):
-            condition_generators(seg_cfg, seg_sub)
+            condition_generators(simplex_cfg, flat)
 
     def test_linear_extension_raises(self, monkeypatch, seg_cfg, seg_sub, seg_psi):
         monkeypatch.setattr(gkzfan, "solve", lambda *args: None)

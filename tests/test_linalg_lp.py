@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexfan import linalg, lp
+from lexfan import lp
 from lexfan.errors import InvariantError
 from lexfan.linalg import (
     canonical_subspace_basis,
@@ -65,10 +65,9 @@ class TestLinalg:
         diff = tuple(a - b for a, b in zip((3, 1, 2), p))
         assert rank(list(basis) + [diff]) == rank(list(basis))
 
-    def test_project_off_raises_on_singular_gram(self, monkeypatch):
-        monkeypatch.setattr(linalg, "solve", lambda *args: None)
+    def test_project_off_raises_on_singular_gram(self):
         with pytest.raises(InvariantError):
-            project_off([3, 1, 2], [(1, 1, 0)])
+            project_off([3, 1, 2], [(1, 1, 0), (2, 2, 0)])
 
     def test_canonical_basis_is_representation_independent(self):
         b1 = canonical_subspace_basis([[1, 1, 0], [0, 2, 2]])
