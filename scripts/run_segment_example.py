@@ -58,10 +58,10 @@ def main() -> None:
 
     f = Expr.from_terms([(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)])
     print("V(f)  =", v_quasi(plm, f).value)
-    table = NuTable(cfg, psi)
+    table = NuTable(cfg, psi, 16)
     print("nu(f) =", nu_quasi(table, f).value)
 
-    seq = power_seq(table, f, window=8, degree_bound=16)
+    seq = power_seq(table, f, window=8)
     print("nu(f^l)/l for l = 1..8:")
     for ell, val in seq:
         print(f"  l={ell}: {val}")

@@ -8,6 +8,7 @@ budget exceeded, 5 degree-bound overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -180,8 +181,8 @@ def cmd_valuate(args) -> int:
     s = gkzfan.subdivide(cfg, psi)
     plm = gkzfan.linear_extension(cfg, s, psi)
     v_rep = quasival.v_quasi(plm, f)
-    table = quasival.NuTable(cfg, psi)
-    nu_rep = quasival.nu_quasi(table, f, degree_bound=args.degree_bound)
+    table = quasival.NuTable(cfg, psi, args.degree_bound)
+    nu_rep = quasival.nu_quasi(table, f)
     payload = {
         "V": _lexvec_json(v_rep.value),
         "V_witness_point": None
@@ -197,9 +198,7 @@ def cmd_valuate(args) -> int:
         else list(nu_rep.witness_alpha),
     }
     if not f.is_zero():
-        payload["delta"] = _lexvec_json(
-            quasival.delta(table, plm, f, degree_bound=args.degree_bound)
-        )
+        payload["delta"] = _lexvec_json(quasival.delta(table, plm, f))
     _emit(args, payload)
     return 0
 
@@ -209,7 +208,7 @@ def cmd_liminf(args) -> int:
     psi = io.matrix_from_json(io.load_json(args.matrix))
     f = io.expr_from_json(io.load_json(args.expr))
     seq = quasival.power_seq(
-        quasival.NuTable(cfg, psi), f, window=args.window, degree_bound=args.degree_bound
+        quasival.NuTable(cfg, psi, args.degree_bound), f, window=args.window
     )
     acc = quasival.windowed_accumulation(seq)
     payload = {
@@ -273,7 +272,10 @@ def _presentation_payload(pres) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, so
+    every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="lexfan",
         description="Exact-rational secondary fans, subdivisions, valuations "
@@ -315,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.degree_bound <= 0 or args.window <= 0:
         print("error: bounds must be positive", file=sys.stderr)
         return 2

@@ -76,14 +76,20 @@ def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:
 
 def _build_table(basis, bound, members):
     """Products of positive-degree basis classes up to the bound: u + w when
-    some component's vector set in members holds both, else None (zero)."""
+    some component's vector set in members holds both, else None (zero).
+    Each class carries a bitmask of the components that hold it, so two
+    classes share a component iff their masks meet."""
+    masks = [
+        sum(1 << ci for ci, m in enumerate(members) if u.vector in m) for u in basis
+    ]
     table = {}
-    for i, u in enumerate(basis):
-        for w in basis[i:]:
-            if u.d == 0 or w.d == 0 or u.d + w.d > bound:
+    for i, (u, mask) in enumerate(zip(basis, masks)):
+        if u.d == 0:
+            continue
+        for w, other in zip(basis[i:], masks[i:]):
+            if w.d == 0 or u.d + w.d > bound:
                 continue
-            shares = any(u.vector in m and w.vector in m for m in members)
-            table[(u, w)] = u + w if shares else None
+            table[(u, w)] = u + w if mask & other else None
     return table
 
 

@@ -10,11 +10,12 @@ V is recovered from nu by stretching (the radicalization).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, le, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from lexfan.config import (
@@ -210,135 +211,184 @@ def v_quasi(plm: PiecewiseLinearMap, f: Expr, use_vertices: bool = False) -> Val
 
 class NuTable:
     """nu(f_u) = max over the fibre of u of Psi.alpha, for the graded points
-    of one configuration under one weight matrix, by dynamic programming
-    over the semigroup layers: nu(u) is the best over the points a_j of
-    nu(u - a_j) + Psi e_j, so each point costs one lookup per configuration
-    point once the points below it are known.  Points are filled only below
-    the ones asked for, and each is computed once for the life of the table.
+    of degree <= ``bound`` of one configuration under one weight matrix, by
+    dynamic programming over the semigroup layers: nu(u) is the best over
+    the points a_j of nu(u - a_j) + Psi e_j, so each point costs one lookup
+    per configuration point once the points below it are known.  Points
+    are filled only below the ones asked for, and each is computed once for
+    the life of the table.  The walk runs on plain ints: each point is one
+    int code in the dict of its degree, and each (value, witness) one int
+    key, both valid only up to the bound.
 
-    The witness is the lex-smallest maximizing alpha (the first maximizer in
-    ``rep_set`` order): among the candidates beta + e_j, where beta is the
-    witness below, ties go to the smaller alpha, which is exact because
-    adding e_j keeps lex order.  Values are kept as integer tuples: each row
-    of Psi is scaled by the lcm of its denominators, a positive row scaling,
-    which keeps lex order."""
+    Characters.  With lo_k and span_k the least coordinate and the width of
+    the configuration along axis k, the character eta of a point of degree
+    d is in d times the bounding box iff every digit e_k = eta_k - d*lo_k
+    lies in [0, d*span_k]; no other point is in the semigroup.  The code is
+    sum_k e_k W_k in the mixed radix R_k = bound*span_k + 1 (W_0 = 1,
+    W_{k+1} = W_k R_k), so a step down by a_j subtracts the constant
+    s_j = sum_k (a_jk - lo_k) W_k.  A code w = v - s_j at degree d - 1 is
+    kept when its divmod digits are <= (d-1)*span_k and the last quotient
+    is 0.  That test is exact and keeps the packing injective: digit k of
+    v - s_j is e_k - (a_jk - lo_k) >= -span_k, and if some of these are
+    negative, the least significant one, with no borrow below it, reads
+    e_k - (a_jk - lo_k) + R_k >= (bound-1)*span_k + 1 > (d-1)*span_k, so a
+    code that borrowed never passes and never equals the code of a point
+    in the box.  The upward pass can therefore look v - s_j up with no test.
 
-    def __init__(self, cfg: PointConfig, psi: WeightMatrix):
+    Values and witnesses.  Each row of Psi is scaled by the lcm of its
+    denominators, a positive row scaling, which keeps lex order; row i of
+    Psi.alpha then lies in [-bound*M_i, bound*M_i] (M_i the largest |entry|
+    of the scaled row), and the value packs as one int V in the balanced
+    radix Q_i = 2*bound*M_i + 1, most significant row first, so integer
+    order is lex order.  With C = (bound+1)^r and the witness code
+    w(alpha) = sum_j alpha_j (bound+1)^(r-1-j) in [0, C), the key
+    V*C - w(alpha) is linear in alpha, so key(u) = max_j key(u - a_j) + K_j.
+    The largest key holds the lex-largest value and, among ties, the
+    lex-smallest alpha: the witness is the first maximizer in ``rep_set``
+    order.  That is exact because the key is the maximum of a linear
+    function over the fibre, and the fibre of u is the union over j of
+    e_j plus the fibre of u - a_j."""
+
+    def __init__(self, cfg: PointConfig, psi: WeightMatrix, bound: int):
         if psi.n_cols != cfg.r:
             raise DimensionError(
                 f"matrix has {psi.n_cols} columns, configuration has {cfg.r} points"
             )
-        self._dim = cfg.dim
+        if bound < 0:
+            raise ValueError("degree bound must be nonnegative")
+        self.bound = bound
+        axes = tuple(zip(*cfg.points))
+        self._lo = tuple(map(min, axes))
+        self._spans = tuple(max(a) - lo for a, lo in zip(axes, self._lo))
+        self._radices = tuple(bound * s + 1 for s in self._spans)
+        self._places = tuple(itertools.accumulate(self._radices[:-1], mul, initial=1))
         self._scales = tuple(lcm(*(x.denominator for x in row)) for row in psi.rows)
+        rows = [
+            tuple(x.numerator * (s // x.denominator) for x in row)
+            for row, s in zip(psi.rows, self._scales)
+        ]
+        self._halves = tuple(bound * max(map(abs, row)) for row in rows)
+        self._witness_radix = (bound + 1) ** cfg.r
+
+        def key_step(j: int, col: tuple) -> int:
+            packed = 0
+            for v, h in zip(col, self._halves):
+                packed = packed * (2 * h + 1) + v
+            return packed * self._witness_radix - (bound + 1) ** (cfg.r - 1 - j)
+
+        # per point a_j: (s_j, K_j)
         self._steps = tuple(
-            (
-                j,
-                p,
-                tuple(
-                    row[j].numerator * (s // row[j].denominator)
-                    for row, s in zip(psi.rows, self._scales)
-                ),
-            )
-            for j, p in enumerate(cfg.points)
+            (sum(map(mul, map(sub, p, self._lo), self._places)), key_step(j, col))
+            for j, (p, col) in enumerate(zip(cfg.points, zip(*rows)))
         )
-        self._lo = tuple(min(c) for c in zip(*cfg.points))
-        self._hi = tuple(max(c) for c in zip(*cfg.points))
-        zero = (0,) * cfg.dim
-        # (d, eta) -> (integer value, alpha), or None outside the semigroup
-        self._memo = {(0, zero): ((0,) * psi.n_rows, (0,) * cfg.r)}
+        # degree -> {character code: key, or None outside the semigroup}
+        self._memo = defaultdict(dict, {0: {0: 0}})
 
     def best(self, u: GradedPoint) -> Optional[tuple[LexVec, tuple]]:
         """(nu(f_u), witness alpha), or None when u is not in the semigroup."""
-        if len(u.eta) != self._dim:
-            raise DimensionError(f"{u} has a character of length {len(u.eta)}, not {self._dim}")
-        key = (u.d, u.eta)
-        if key not in self._memo:
-            self._fill(key)
-        found = self._memo[key]
-        if found is None:
+        if u.d > self.bound:
+            raise DegreeOverflow(f"degree {u.d} exceeds bound {self.bound}")
+        if len(u.eta) != len(self._lo):
+            raise DimensionError(
+                f"{u} has a character of length {len(u.eta)}, not {len(self._lo)}"
+            )
+        d, code = u.d, 0
+        if d < 0:
             return None
-        val, alpha = found
-        return LexVec(Fraction(v, s) for v, s in zip(val, self._scales)), alpha
+        for c, lo, s, w in zip(u.eta, self._lo, self._spans, self._places):
+            if not 0 <= c - d * lo <= d * s:
+                return None
+            code += (c - d * lo) * w
+        if code not in self._memo[d]:
+            self._fill(d, code)
+        key = self._memo[d][code]
+        if key is None:
+            return None
+        packed = -(-key // self._witness_radix)
+        witness = packed * self._witness_radix - key
+        alpha = []
+        for _ in self._steps:
+            witness, a = divmod(witness, self.bound + 1)
+            alpha.append(a)
+        val = []
+        for h in reversed(self._halves):
+            packed, v = divmod(packed + h, 2 * h + 1)
+            val.append(v - h)
+        return (
+            LexVec(Fraction(v, s) for v, s in zip(reversed(val), self._scales)),
+            tuple(reversed(alpha)),
+        )
 
-    def _fill(self, key: tuple) -> None:
-        """Fill the memo at key and at every point below it that it needs:
-        layer by layer down to the known points, then back up (a loop over
-        degrees, so no recursion grows with the degree).  A point whose
-        character lies outside d times the bounding box of the
-        configuration is not in the semigroup and is not visited."""
-        memo = self._memo
-        below_of = {}  # point -> its visited points one degree lower
-        layers = [[key]]
-        for d in range(key[0] - 1, -1, -1):
-            lo = tuple(d * c for c in self._lo)
-            hi = tuple(d * c for c in self._hi)
-            layer = {}
-            for v in layers[-1]:
-                below = below_of[v] = []
-                for j, p, col in self._steps:
-                    eta = tuple(map(sub, v[1], p))
-                    w = (d, eta)
-                    if w not in memo and w not in layer:
-                        if not all(map(le, lo, eta)) or not all(map(le, eta, hi)):
-                            continue
-                        layer[w] = None
-                    below.append((j, col, w))
+    def _fill(self, d0: int, code: int) -> None:
+        """Fill the memo at (d0, code) and at every point below it that it
+        needs: layer by layer down to the known points, then back up (a
+        loop over degrees, so no recursion grows with the degree)."""
+        memo, steps = self._memo, self._steps
+        levels = [(d0, [code])]
+        for d in range(d0 - 1, -1, -1):
+            known, layer = memo[d], {}
+            box = tuple((radix, d * s) for radix, s in zip(self._radices, self._spans))
+            for v in levels[-1][1]:
+                for s, _ in steps:
+                    w = v - s
+                    if w in known or w in layer:
+                        continue
+                    q = w
+                    for radix, top in box:
+                        q, e = divmod(q, radix)
+                        if e > top:
+                            break
+                    else:
+                        if q == 0:
+                            layer[w] = None
             if not layer:
                 break
-            layers.append(list(layer))
-        for layer in reversed(layers):
-            for v in layer:
+            levels.append((d, list(layer)))
+        for d, codes in reversed(levels):
+            below, layer = memo[d - 1].get, memo[d]
+            for v in codes:
                 best = None
-                for j, col, w in below_of.get(v, ()):
-                    found = memo[w]
-                    if found is None:
-                        continue
-                    val = tuple(map(add, found[0], col))
-                    if best is not None and val < best[0]:
-                        continue
-                    alpha = found[1][:j] + (found[1][j] + 1,) + found[1][j + 1:]
-                    if best is None or val > best[0] or alpha < best[1]:
-                        best = (val, alpha)
-                memo[v] = best
+                for s, k in steps:
+                    found = below(v - s)
+                    if found is not None:
+                        found += k
+                        if best is None or found > best:
+                            best = found
+                layer[v] = best
 
 
-def nu_point(table: NuTable, u: GradedPoint, degree_bound: int = 12) -> tuple[LexVec, tuple]:
-    """nu(f_u) = max over representatives alpha of Psi.alpha, with witness."""
-    if u.d > degree_bound:
-        raise DegreeOverflow(f"degree {u.d} exceeds bound {degree_bound}")
+def nu_point(table: NuTable, u: GradedPoint) -> tuple[LexVec, tuple]:
+    """nu(f_u) = max over representatives alpha of Psi.alpha, with witness;
+    DegreeOverflow above the table's bound."""
     found = table.best(u)
     if found is None:
         raise SchemaError(f"{u} is not in the semigroup")
     return found
 
 
-def nu_quasi(table: NuTable, f: Expr, degree_bound: int = 12) -> ValuationReport:
+def nu_quasi(table: NuTable, f: Expr) -> ValuationReport:
     """nu(f): minimum over the support of the per-point maxima."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
     best = None
     best_u = best_alpha = None
     for u in f.support:
-        val, alpha = nu_point(table, u, degree_bound)
+        val, alpha = nu_point(table, u)
         if best is None or val < best:
             best, best_u, best_alpha = val, u, alpha
     return ValuationReport(best, best_u, best_alpha, None)
 
 
-def delta_point(
-    table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint, degree_bound: int = 12
-) -> LexVec:
-    nu_val, _ = nu_point(table, u, degree_bound)
+def delta_point(table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint) -> LexVec:
+    nu_val, _ = nu_point(table, u)
     return nu_val - g_eval(plm, u.vector)
 
 
-def delta(
-    table: NuTable, plm: PiecewiseLinearMap, f: Expr, degree_bound: int = 12
-) -> LexVec:
+def delta(table: NuTable, plm: PiecewiseLinearMap, f: Expr) -> LexVec:
     """min over the support of nu(f_u) - V(f_u); always <= 0."""
     if f.is_zero():
         raise ValueError("delta of the zero expression")
-    return min(delta_point(table, plm, u, degree_bound) for u in f.support)
+    return min(delta_point(table, plm, u) for u in f.support)
 
 
 @dataclass(frozen=True)
@@ -365,9 +415,9 @@ def delta_image(
         hull_of(tuple(cfg.points[i] for i in c.vertices))
         for c in plm.subdivision.cells
     ]
-    table = NuTable(cfg, psi)
+    table = NuTable(cfg, psi, bound)
     for u in elems:
-        val = delta_point(table, plm, u, degree_bound=bound)
+        val = delta_point(table, plm, u)
         values.add(val)
         for ci, h in enumerate(hulls):
             if u.d > 0 and h.cone.contains(u.vector):
@@ -499,19 +549,15 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
 # ---------------------------------------------------------------------------
 
 def power_seq(
-    table: NuTable,
-    f: Expr,
-    window: int = 8,
-    degree_bound: int = 12,
-    start: int = 1,
+    table: NuTable, f: Expr, window: int = 8, start: int = 1
 ) -> list[tuple[int, LexVec]]:
     """The exact sequence nu(f^l)/l for l = start..window."""
     if f.is_zero():
         raise SchemaError("power sequence of the zero expression")
     max_deg = max(u.d for u in f.support)
-    if window * max_deg > degree_bound:
+    if window * max_deg > table.bound:
         raise DegreeOverflow(
-            f"power {window} needs degree {window * max_deg} > bound {degree_bound}"
+            f"power {window} needs degree {window * max_deg} > bound {table.bound}"
         )
     out = []
     current = f
@@ -519,7 +565,7 @@ def power_seq(
         if ell > 1:
             current = current * f
         if ell >= start:
-            rep = nu_quasi(table, current, degree_bound)
+            rep = nu_quasi(table, current)
             out.append((ell, rep.value * Fraction(1, ell)))
     return out
 

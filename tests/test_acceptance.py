@@ -111,7 +111,7 @@ def test_criterion_2_running_example(seg_cfg, seg_psi, capsys):
     f = Expr.from_terms(
         [(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)]
     )
-    seq = power_seq(NuTable(seg_cfg, seg_psi), f, window=8, degree_bound=16)
+    seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f, window=8)
     tail = [(ell, v) for ell, v in seq if ell >= 2]
     even_c, even_b = LexVec(["3/2", "1"]), LexVec([3, 1])
     odd_c, odd_b = LexVec(["3/2", "1/2"]), LexVec(["-3/2", "1/2"])
@@ -192,11 +192,11 @@ def test_criterion_5_dimension_formulas(simplex_cfg, capsys):
 
 def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_marked, seg_plm, capsys):
     zero = LexVec([0, 0])
-    nu = NuTable(seg_cfg, seg_psi)
+    nu = NuTable(seg_cfg, seg_psi, 10)
     for u in semigroup_up_to(seg_cfg, 10):
         f = Expr.basis(u)
         vv = v_quasi(seg_plm, f).value
-        nn = nu_quasi(nu, f, degree_bound=10).value
+        nn = nu_quasi(nu, f).value
         assert nn <= vv  # V >= nu throughout
         # equality exactly on the union of the marked submonoids
         assert (vv == nn) == in_any_SQ1(seg_marked, u)

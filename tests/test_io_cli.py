@@ -129,6 +129,15 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second and first.startswith("<svg")
 
+    def test_global_flags_do_not_carry_over(self, files, capsys):
+        # main parses every call with one parser; a call without flags must
+        # still see the defaults (json, degree bound 12) after one with flags
+        inputs = [files["config"], files["matrix"]]
+        assert main(["--format", "text", "--degree-bound", "3", "subdivide", *inputs]) == 0
+        assert capsys.readouterr().out.startswith("subdivision of 5 points")
+        assert main(["liminf", *inputs, files["expr"]]) == 0  # degree 8 <= 12
+        assert len(json.loads(capsys.readouterr().out)["sequence"]) == 8
+
     def test_out_file(self, files):
         out = files["dir"] / "result.json"
         assert (

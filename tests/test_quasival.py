@@ -1,13 +1,15 @@
 """The graded semigroup, the two quasi-valuations, their gap, power
 sequences, accumulation, elementarity, and full-rank checks."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexfan import quasival
-from lexfan.config import trivial_subdivision
-from lexfan.errors import DegreeOverflow, InvariantError
+from lexfan.config import PointConfig, trivial_subdivision
+from lexfan.errors import DegreeOverflow, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
 from lexfan.quasival import (
@@ -107,29 +109,29 @@ class TestValuations:
         assert v_quasi(seg_plm, f_running, use_vertices=True).value == LexVec(
             ["3/2", "1/2"]
         )
-        assert nu_quasi(NuTable(seg_cfg, seg_psi), f_running).value == LexVec([0, 0])
+        assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), f_running).value == LexVec([0, 0])
 
     def test_zero_expression(self, seg_cfg, seg_psi, seg_plm):
         assert v_quasi(seg_plm, Expr.from_terms([])).value is INFINITY
-        assert nu_quasi(NuTable(seg_cfg, seg_psi), Expr.from_terms([])).value is INFINITY
+        assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), Expr.from_terms([])).value is INFINITY
 
     def test_nu_point_pinned(self, seg_cfg, seg_psi):
-        val, alpha = nu_point(NuTable(seg_cfg, seg_psi), gp(2, -2))
+        val, alpha = nu_point(NuTable(seg_cfg, seg_psi, 12), gp(2, -2))
         assert val == LexVec([3, 1])
         assert alpha == (1, 0, 1, 0, 0)
 
     def test_nu_degree_overflow(self, seg_cfg, seg_psi):
         with pytest.raises(DegreeOverflow):
-            nu_point(NuTable(seg_cfg, seg_psi), gp(13, 0), degree_bound=12)
+            nu_point(NuTable(seg_cfg, seg_psi, 12), gp(13, 0))
 
     def test_marked_point_equality(self, seg_cfg, seg_psi, seg_plm):
         # f_(1,0): the height of a marked point is both V and nu
         f = Expr.basis(gp(1, 0))
         assert v_quasi(seg_plm, f).value == seg_psi.column(2)
-        assert nu_quasi(NuTable(seg_cfg, seg_psi), f).value == seg_psi.column(2)
+        assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), f).value == seg_psi.column(2)
 
     def test_axioms_sampled(self, seg_cfg, seg_psi, seg_plm):
-        nu = NuTable(seg_cfg, seg_psi)
+        nu = NuTable(seg_cfg, seg_psi, 12)
         fs = [
             Expr.basis(gp(1, -1)),
             Expr.basis(gp(1, 2)),
@@ -165,7 +167,7 @@ class TestValuations:
             assert v_quasi(seg_plm, f_running.power(ell)).value == v1 * ell
 
     def test_domination(self, seg_cfg, seg_psi, seg_plm):
-        nu = NuTable(seg_cfg, seg_psi)
+        nu = NuTable(seg_cfg, seg_psi, 12)
         for u in semigroup_up_to(seg_cfg, 5):
             f = Expr.basis(u)
             vv = v_quasi(seg_plm, f).value
@@ -175,17 +177,17 @@ class TestValuations:
 
 class TestDelta:
     def test_pinned_values(self, seg_cfg, seg_psi, seg_plm):
-        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(1, -1)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(1, -1)) == LexVec(
             ["-3/2", "1/2"]
         )
-        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(1, 2)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(1, 2)) == LexVec(
             ["-3/2", "-1"]
         )
-        assert delta_point(NuTable(seg_cfg, seg_psi), seg_plm, gp(2, -2)) == LexVec([0, 0])
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(2, -2)) == LexVec([0, 0])
 
     def test_nonpositive_and_marked_zero(self, seg_cfg, seg_psi, seg_plm, seg_marked):
         zero = LexVec([0, 0])
-        nu = NuTable(seg_cfg, seg_psi)
+        nu = NuTable(seg_cfg, seg_psi, 12)
         for u in semigroup_up_to(seg_cfg, 5):
             val = delta_point(nu, seg_plm, u)
             assert val <= zero
@@ -193,9 +195,9 @@ class TestDelta:
 
     def test_delta_of_expression(self, seg_cfg, seg_psi, seg_plm):
         f = Expr.from_terms([(gp(1, -1), 1), (gp(2, -2), 1)])
-        assert delta(NuTable(seg_cfg, seg_psi), seg_plm, f) == LexVec(["-3/2", "1/2"])
+        assert delta(NuTable(seg_cfg, seg_psi, 12), seg_plm, f) == LexVec(["-3/2", "1/2"])
         with pytest.raises(ValueError):
-            delta(NuTable(seg_cfg, seg_psi), seg_plm, Expr.from_terms([]))
+            delta(NuTable(seg_cfg, seg_psi, 12), seg_plm, Expr.from_terms([]))
 
     def test_image_pinned_and_stable(self, seg_cfg, seg_psi, seg_plm):
         img = delta_image(seg_cfg, seg_psi, seg_plm, 4)
@@ -247,7 +249,7 @@ class TestCellMonoids:
 
     def test_radicalization_by_stretch(self, seg_cfg, seg_psi, seg_plm):
         ell = stretch_factor(TruncatedSemigroup(seg_cfg, seg_plm.subdivision, 12))
-        nu = NuTable(seg_cfg, seg_psi)
+        nu = NuTable(seg_cfg, seg_psi, 12)
         for u in semigroup_up_to(seg_cfg, 2):
             if u.d == 0:
                 continue
@@ -258,7 +260,7 @@ class TestCellMonoids:
 
 class TestPowerSequences:
     def test_pinned_sequence(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=16)
+        seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f_running, window=8)
         expected = [
             (1, LexVec([0, 0])),
             (2, LexVec([0, "1/2"])),
@@ -272,17 +274,15 @@ class TestPowerSequences:
         assert seq == expected
 
     def test_start_parameter(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(
-            NuTable(seg_cfg, seg_psi), f_running, window=4, degree_bound=16, start=3
-        )
+        seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f_running, window=4, start=3)
         assert [ell for ell, _ in seq] == [3, 4]
 
     def test_degree_overflow(self, seg_cfg, seg_psi, f_running):
         with pytest.raises(DegreeOverflow):
-            power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=6)
+            power_seq(NuTable(seg_cfg, seg_psi, 6), f_running, window=8)
 
     def test_accumulation_pinned(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(NuTable(seg_cfg, seg_psi), f_running, window=8, degree_bound=16)
+        seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f_running, window=8)
         acc = windowed_accumulation([t for t in seq if t[0] >= 2])
         assert acc.candidates == frozenset(
             {LexVec(["3/2", "1"]), LexVec(["3/2", "1/2"])}
@@ -393,15 +393,15 @@ class TestOracles:
             st.lists(entry, min_size=cfg.dim + 1, max_size=cfg.dim + 1).map(affine),
         )
         psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=3))))
-        table = NuTable(cfg, psi)
+        table = NuTable(cfg, psi, 8)
         # several points through one table, so later ones read the memo
         for u in data.draw(st.lists(_graded_points(cfg, 8), min_size=1, max_size=4)):
             expected = _fibre_max(cfg, psi, u)
             if expected is None:
                 with pytest.raises(ValueError):
-                    nu_point(table, u, degree_bound=8)
+                    nu_point(table, u)
             else:
-                assert nu_point(table, u, degree_bound=8) == expected
+                assert nu_point(table, u) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -413,3 +413,115 @@ class TestOracles:
         q = Submonoid(cfg, indices)
         for u in data.draw(st.lists(_graded_points(cfg, 8), min_size=1, max_size=4)):
             assert in_SQ1(q, u) == (_bounded_combination(cfg, u, indices) is not None)
+
+
+# A configuration in 3-space with negative coordinates on every axis, and a
+# line of points in the plane at height 3: PointConfig rejects the line (its
+# points do not span the plane), but NuTable and rep_set read only dim, r
+# and points, so it exercises an axis of span 0, where the radix is 1.
+_SPACE = PointConfig(
+    dim=3, points=((0, 0, 0), (-1, 2, 0), (1, -1, -2), (0, 1, 3), (-2, -1, 1))
+)
+_LINE = SimpleNamespace(dim=2, r=4, points=((-1, 3), (0, 3), (2, 3), (5, 3)))
+
+
+@st.composite
+def _matrices(draw, cfg):
+    """A weight matrix of 1-3 rows; an affine row ties every representative
+    of a fibre, so the witness rule decides."""
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+
+    def affine(c):
+        return tuple(c[0] + sum(a * x for a, x in zip(c[1:], p)) for p in cfg.points)
+
+    row = st.one_of(
+        st.lists(entry, min_size=cfg.r, max_size=cfg.r).map(tuple),
+        st.lists(entry, min_size=cfg.dim + 1, max_size=cfg.dim + 1).map(affine),
+    )
+    return WeightMatrix(rows=tuple(draw(st.lists(row, min_size=1, max_size=3))))
+
+
+def _check_box(cfg, table):
+    """Every point the table holds is in d times the bounding box: its code,
+    read in the radix bound*span_k + 1, has digits <= d*span_k and nothing
+    beyond the last digit."""
+    lo = [min(c) for c in zip(*cfg.points)]
+    spans = [max(c) - m for c, m in zip(zip(*cfg.points), lo)]
+    for d, layer in table._memo.items():
+        for code in layer:
+            for span in spans:
+                code, digit = divmod(code, table.bound * span + 1)
+                assert 0 <= digit <= d * span
+            assert code == 0
+
+
+class TestPackedTable:
+    """NuTable against the fibre oracle where its int packing is tight."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_in_space_and_on_a_line(self, data):
+        cfg = data.draw(st.sampled_from([_SPACE, _LINE]))
+        psi = data.draw(_matrices(cfg))
+        table = NuTable(cfg, psi, data.draw(st.integers(1, 6)))
+        points = _graded_points(cfg, table.bound)
+        for u in data.draw(st.lists(points, min_size=1, max_size=4)):
+            assert table.best(u) == _fibre_max(cfg, psi, u)
+        _check_box(cfg, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_degree_exactly_bound(self, seg_cfg, square_cfg, data):
+        # sums of exactly `bound` points, often of one extreme point, where a
+        # digit reaches bound*span_k, the largest the radix holds
+        cfg = data.draw(st.sampled_from([seg_cfg, square_cfg, _SPACE, _LINE]))
+        psi = data.draw(_matrices(cfg))
+        bound = data.draw(st.integers(1, 5))
+        table = NuTable(cfg, psi, bound)
+        extreme = st.sampled_from(cfg.points).map(lambda p: [p] * bound)
+        mixed = st.lists(st.sampled_from(cfg.points), min_size=bound, max_size=bound)
+        sums = st.lists(st.one_of(extreme, mixed), min_size=1, max_size=4)
+        for picks in data.draw(sums):
+            u = GradedPoint(bound, tuple(map(sum, zip(*picks))))
+            assert table.best(u) == _fibre_max(cfg, psi, u)
+        _check_box(cfg, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_just_outside_the_box(self, seg_cfg, square_cfg, data):
+        # one coordinate a unit past d times the box, the others anywhere in
+        # it; at d = bound the packed code of such a character is the code of
+        # a point inside (a carry or borrow between digits), so the table
+        # must test the box rather than look the code up
+        cfg = data.draw(st.sampled_from([seg_cfg, square_cfg, _SPACE, _LINE]))
+        psi = data.draw(_matrices(cfg))
+        table = NuTable(cfg, psi, data.draw(st.integers(1, 5)))
+        lo = [min(c) for c in zip(*cfg.points)]
+        hi = [max(c) for c in zip(*cfg.points)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            d = data.draw(st.one_of(st.just(table.bound), st.integers(1, table.bound)))
+            eta = [data.draw(st.integers(d * a, d * b)) for a, b in zip(lo, hi)]
+            k = data.draw(st.integers(0, cfg.dim - 1))
+            step = data.draw(st.sampled_from([-1, 1]))
+            eta[k] = d * (lo[k] if step < 0 else hi[k])
+            inside = GradedPoint(d, tuple(eta))  # on the face of the box
+            eta[k] += step
+            u = GradedPoint(d, tuple(eta))
+            expected = _fibre_max(cfg, psi, inside)
+            assert table.best(inside) == expected
+            assert _fibre_max(cfg, psi, u) is None
+            assert table.best(u) is None
+            with pytest.raises(SchemaError):
+                nu_point(table, u)
+            assert table.best(inside) == expected
+        _check_box(cfg, table)
+
+    def test_degree_overflow_above_bound(self, seg_cfg, seg_psi, f_running):
+        table = NuTable(seg_cfg, seg_psi, 4)
+        assert nu_point(table, gp(4, 16))[1] == (0, 0, 0, 0, 4)
+        with pytest.raises(DegreeOverflow, match="degree 5 exceeds bound 4"):
+            nu_point(table, gp(5, 0))
+        with pytest.raises(DegreeOverflow, match="degree 5 exceeds bound 4"):
+            nu_quasi(table, Expr.from_terms([(gp(1, 0), 1), (gp(5, 0), 1)]))
+        with pytest.raises(DegreeOverflow, match="power 5 needs degree 5 > bound 4"):
+            power_seq(table, f_running, window=5)
