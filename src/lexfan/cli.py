@@ -162,12 +162,16 @@ def cmd_fan(args) -> int:
         }
         for cc in ccs
     ]
-    # s_i refines s_j iff the condition cone of s_i lies in that of s_j
+    # s_i refines s_j iff the condition cone of s_i lies in that of s_j.  A
+    # line of C_i in C_j is a line of C_j, and a strict refinement makes the
+    # closed height cone of the coarser subdivision a proper face of the
+    # finer one's, so the lineality of C_j is strictly larger: only such
+    # pairs are tested.
     poset = [
         [i, j]
         for i, ci in enumerate(cones)
         for j, cj in enumerate(cones)
-        if i != j and ci <= cj
+        if ci.lineality_dim() < cj.lineality_dim() and ci <= cj
     ]
     payload = {"regular_subdivisions": entries, "refinement_poset": poset}
     _emit(args, payload)

@@ -297,11 +297,7 @@ def _canonical(basis, rays) -> tuple:
     """Canonical form of one side: the rref subspace basis and the primitive
     rays projected off it, deduplicated and sorted."""
     basis = canonical_subspace_basis(basis)
-    out = []
-    for r in rays:
-        p = project_off(r, basis)
-        if any(p):
-            out.append(primitive(p))
+    out = [primitive(p) for p in project_off(rays, basis) if any(p)]
     return basis, tuple(sorted(_dedupe(out)))
 
 

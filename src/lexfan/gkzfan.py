@@ -9,7 +9,9 @@ oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
 Regularity is read off the condition cone (``ConditionCone.witness_height``);
-no LP is solved.
+no LP is solved.  The cover search tests whether two cells meet properly
+against the circuits of the configuration (``circuits``), not by intersecting
+their hulls; ``config.cell_pair_violations`` stays the independent check.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 from lexfan.cones import PolyCone
@@ -24,7 +27,6 @@ from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
     PointConfig,
-    cell_pair_violations,
     hull_of,
     volume,
 )
@@ -78,6 +80,28 @@ class ConditionCone:
 def _point_columns(cfg: PointConfig, idxs: Sequence[int]) -> list[list[int]]:
     """The homogenized points idxs as the columns of an integer matrix."""
     return [[1] * len(idxs)] + [[cfg.points[i][k] for i in idxs] for k in range(cfg.dim)]
+
+
+def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
+    """Every circuit (minimal affine dependence) of the points, once, as a
+    ``(positive, negative)`` pair of index bitmasks.  A subset of k points is
+    a circuit iff one echelon pass over its columns leaves k - 1 pivots and
+    the kernel vector, d at the free column f and -row[f] at each pivot,
+    has full support.  Circuits have at most n + 1 points."""
+    out = []
+    for k in range(2, cfg.n + 2):
+        for idxs in itertools.combinations(range(cfg.r), k):
+            red, pivots, d = echelon(_point_columns(cfg, idxs))
+            if len(pivots) != k - 1:
+                continue
+            f = next(c for c in range(k) if c not in pivots)
+            coeffs = [(idxs[f], d), *((idxs[p], -row[f]) for p, row in zip(pivots, red))]
+            if any(c == 0 for _, c in coeffs):
+                continue
+            pos = sum(1 << i for i, c in coeffs if c > 0)
+            neg = sum(1 << i for i, c in coeffs if c < 0)
+            out.append((pos, neg))
+    return out
 
 
 def _affine_basis(cfg: PointConfig, indices: Sequence[int]) -> Optional[tuple]:
@@ -327,29 +351,63 @@ def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
     return cells
 
 
+def meet_properly(circs: Sequence[tuple[int, int]], a: int, b: int) -> bool:
+    """Whether two cells with marking bitmasks a and b meet properly: their
+    hulls meet in a common face F (or not at all) with a & F == b & F, what
+    ``config.cell_pair_violations`` checks.  That holds iff no circuit Z of
+    ``circs``, in either orientation, has Z+ in a, Z- in b and Z not in a & b
+    (De Loera, Rambau & Santos, *Triangulations*, 4.1).
+
+    (=>) Such a Z gives a point x = sum l_i z_i over Z+ = sum m_j z_j over
+    Z-, with positive coefficients, on both hulls, so x lies in F.  F is a
+    face of both hulls and x a positive combination on each side, so Z+ and
+    Z- lie in F: Z+ in a & F = b & F and Z- in b & F = a & F, so Z is in a & b.
+
+    (<=) Take x in the relative interior of the intersection, and F_a, F_b
+    the smallest faces of the two hulls containing it.  x is a convex
+    combination l with support all of a & F_a, and m with support all of
+    b & F_b.  If a & F_a is not in b, or b & F_b not in a, then l - m is an
+    affine dependence with positive part in a, negative part in b and a
+    point of its support outside a & b.  By conformal decomposition it is a
+    sum of sign-compatible circuits, and the one through that point breaks
+    the rule.  Otherwise F_a = conv(a & F_a) lies in both hulls, so it is
+    the intersection; likewise F_b, and a & F = b & F."""
+    both = a & b
+    return not any(
+        (pos | neg) & ~both
+        and (pos & ~a == 0 and neg & ~b == 0 or neg & ~a == 0 and pos & ~b == 0)
+        for pos, neg in circs
+    )
+
+
 def enumerate_subdivisions(
     cfg: PointConfig, budget: int = 200_000
 ) -> list[MarkedSubdivision]:
     """All marked subdivisions by depth-first cover search over candidate
     cells (desk scale).  Full-dimensional cells that pairwise meet in common
     faces with agreeing markings, and whose volumes sum to the whole, form a
-    subdivision, so a cover needs no further validation."""
+    subdivision, so a cover needs no further validation.  Volumes are summed
+    as the integers dim! * volume."""
     candidates = _candidate_cells(cfg)
-    vols = [volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
-    target = volume(cfg.points)
-    compatible: dict[tuple[int, int], bool] = {}
+    scale = factorial(cfg.dim)
+    vols = [
+        int(volume(tuple(cfg.points[i] for i in c.vertices)) * scale) for c in candidates
+    ]
+    target = int(volume(cfg.points) * scale)
+    masks = [sum(1 << i for i in c.marking) for c in candidates]
+    circs = circuits(cfg)
+    compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i
 
     def compat(i: int, j: int) -> bool:
-        key = (min(i, j), max(i, j))
+        key = (i, j)
         if key not in compatible:
-            ca, cb = candidates[key[0]], candidates[key[1]]
-            compatible[key] = not cell_pair_violations(cfg, ca, cb)
+            compatible[key] = meet_properly(circs, masks[i], masks[j])
         return compatible[key]
 
     results = []
     nodes = 0
 
-    def search(start: int, chosen: list[int], vol_acc: Fraction):
+    def search(start: int, chosen: list[int], vol_acc: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -365,7 +423,7 @@ def enumerate_subdivisions(
                 search(i + 1, chosen, vol_acc + vols[i])
                 chosen.pop()
 
-    search(0, [], Fraction(0))
+    search(0, [], 0)
     return results
 
 

@@ -126,23 +126,30 @@ def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
     return tuple(primitive(r if d > 0 else [-x for x in r]) for r in red)
 
 
-def project_off(v: Sequence, basis: Sequence[Sequence]) -> tuple:
-    """Orthogonal projection of v onto the complement of span(basis).
+def project_off(vs: Sequence[Sequence], basis: Sequence[Sequence]) -> list[tuple]:
+    """Orthogonal projections of the vectors vs onto the complement of
+    span(basis).
 
-    One echelon pass over [G | B v], G the Gram matrix, gives d G^-1 B v;
-    the integer numerator d v - (d G^-1 B v) B is divided by d once."""
-    v = tuple(v)
+    One echelon pass over [G | B v_1 ... B v_k], G the Gram matrix, gives
+    every d G^-1 B v_j; each integer numerator d v_j - (d G^-1 B v_j) B is
+    divided by d once."""
+    vs = [tuple(v) for v in vs]
     if not basis:
-        return v
+        return vs
     n = len(basis)
-    aug = [primitive([*(dot(a, b) for b in basis), dot(a, v)]) for a in basis]
+    aug = [
+        primitive([*(dot(a, b) for b in basis), *(dot(a, v) for v in vs)]) for a in basis
+    ]
     red, pivots, d = echelon(aug)
     if pivots != list(range(n)):
         raise InvariantError("project_off: basis rows are linearly dependent")
-    num = [d * x for x in v]
-    for r, b in zip(red, basis):
-        num = [x - r[-1] * y for x, y in zip(num, b)]
-    return tuple(Fraction(x, d) for x in num)
+    out = []
+    for j, v in enumerate(vs, start=n):
+        num = [d * x for x in v]
+        for r, b in zip(red, basis):
+            num = [x - r[j] * y for x, y in zip(num, b)]
+        out.append(tuple(Fraction(x, d) for x in num))
+    return out
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:

@@ -142,14 +142,14 @@ class TestIntegerLinalg:
         v = data.draw(st.lists(small_rationals, min_size=len(rows[0]), max_size=len(rows[0])))
         if rank(rows) < len(rows):
             with pytest.raises(InvariantError):
-                project_off(v, rows)
+                project_off([v], rows)
             return
         expected = [Fraction(x) for x in v]
         gram = [[dot(a, b) for b in rows] + [dot(a, expected)] for a in rows]
         coeffs = [r[-1] for r in fraction_rref(gram)[0]]
         for c, b in zip(coeffs, rows):
             expected = [x - c * y for x, y in zip(expected, b)]
-        assert project_off(v, rows) == tuple(expected)
+        assert project_off([v], rows) == [tuple(expected)]
 
 
 class TestGeneratorsAgainstSolve:

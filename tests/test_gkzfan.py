@@ -15,6 +15,7 @@ from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
     PointConfig,
+    cell_pair_violations,
     refines,
     trivial_subdivision,
     validate_subdivision,
@@ -22,7 +23,9 @@ from lexfan.config import (
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
 from lexfan.exactlex import LexVec, WeightMatrix
 from lexfan.gkzfan import (
+    _candidate_cells,
     add_row_multiple,
+    circuits,
     closed_member,
     condition_cone,
     condition_generators,
@@ -34,12 +37,13 @@ from lexfan.gkzfan import (
     g_eval,
     is_regular,
     linear_extension,
+    meet_properly,
     open_member,
     scale_row,
     shift_row,
     subdivide,
 )
-from lexfan.linalg import primitive, rank, solve
+from lexfan.linalg import nullspace, primitive, rank, solve
 
 from helpers import random_matrix
 
@@ -314,10 +318,99 @@ class TestOracles:
             for i, j in itertools.permutations(range(len(subs)), 2):
                 assert (cones[i] <= cones[j]) == refines(cfg, subs[i], subs[j])
 
+    def test_refinement_raises_lineality(self, regular_fans):
+        # fan tests cone inclusion only where the lineality rises strictly
+        for cfg, subs in regular_fans.items():
+            cones = [condition_cone(cfg, s).cone for s in subs]
+            for ci, cj in itertools.permutations(cones, 2):
+                if ci <= cj:
+                    assert ci.lineality_dim() < cj.lineality_dim()
+
     def test_covers_are_subdivisions(self, fans, pinwheel_cfg, pinwheel_tri):
         for cfg, subs in fans.items():
             assert all(validate_subdivision(cfg, s).ok for s in subs)
         assert pinwheel_tri in fans[pinwheel_cfg]
+
+
+def _rank_circuits(cfg) -> list:
+    """Oracle: the dependent subsets whose every one-point-smaller subset is
+    independent (by rank), signed by their kernel vector."""
+    def cols(idxs):
+        return [[cfg.homogenized(i)[c] for i in idxs] for c in range(cfg.n)]
+
+    out = []
+    for k in range(2, cfg.n + 2):
+        for combo in itertools.combinations(range(cfg.r), k):
+            if rank(cols(combo)) == k or any(
+                rank(cols(sub)) < k - 1 for sub in itertools.combinations(combo, k - 1)
+            ):
+                continue
+            (z,) = nullspace(cols(combo))
+            pos = sum(1 << i for i, x in zip(combo, z) if x > 0)
+            neg = sum(1 << i for i, x in zip(combo, z) if x < 0)
+            out.append((pos, neg))
+    return out
+
+
+def _unoriented(circs) -> list:
+    return sorted(tuple(sorted(z)) for z in circs)
+
+
+@st.composite
+def collinear_configs(draw):
+    """Configurations on the {0, 1, 2} grid in dimension 1-3 (r <= 6), so
+    collinear and coplanar points are common."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    pts = draw(st.lists(point, min_size=dim + 1, max_size=6, unique=True))
+    assume(rank([(1,) + p for p in pts]) == dim + 1)
+    return PointConfig(dim=dim, points=tuple(pts))
+
+
+class TestCircuits:
+    def test_unit_square(self, square_cfg):
+        # (0,0) + (1,1) = (1,0) + (0,1)
+        assert _unoriented(circuits(square_cfg)) == [(0b0110, 0b1001)]
+
+    def test_pentagon(self):
+        cfg = PointConfig(dim=2, points=((0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)))
+        circs = circuits(cfg)
+        assert len(circs) == 5
+        assert all(bin(pos | neg).count("1") == 4 for pos, neg in circs)
+
+    def test_line5(self, seg_cfg):
+        circs = circuits(seg_cfg)
+        assert len(circs) == 10
+        assert all(bin(pos | neg).count("1") == 3 for pos, neg in circs)
+        assert all(pos & neg == 0 and pos and neg for pos, neg in circs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(collinear_configs())
+    def test_matches_rank_oracle(self, cfg):
+        assert _unoriented(circuits(cfg)) == _unoriented(_rank_circuits(cfg))
+
+    @staticmethod
+    def _check_every_pair(cfg):
+        circs = circuits(cfg)
+        for ca, cb in itertools.combinations(_candidate_cells(cfg), 2):
+            a = sum(1 << i for i in ca.marking)
+            b = sum(1 << i for i in cb.marking)
+            expected = not cell_pair_violations(cfg, ca, cb)
+            assert meet_properly(circs, a, b) == expected, (ca, cb)
+            assert meet_properly(circs, b, a) == expected, (cb, ca)
+
+    def test_rule_is_pair_validation_on_examples(self, seg_cfg, square_cfg, pinwheel_cfg):
+        grid = PointConfig(dim=2, points=((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
+        # a diamond whose inner diagonal holds three points: two cells that
+        # share it, both marking its midpoint, meet properly
+        diamond = PointConfig(dim=2, points=((1, 0), (1, 1), (1, 2), (0, 1), (2, 1)))
+        for cfg in (seg_cfg, square_cfg, pinwheel_cfg, grid, diamond):
+            self._check_every_pair(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(collinear_configs())
+    def test_rule_is_pair_validation(self, cfg):
+        self._check_every_pair(cfg)
 
 
 class TestInvariants:

@@ -174,6 +174,7 @@ class TestCli:
         lp_calls = _count_calls(monkeypatch, lp.solve_lp)
         refines_calls = _count_calls(monkeypatch, config.refines)
         validate_calls = _count_calls(monkeypatch, config.validate_subdivision)
+        pair_calls = _count_calls(monkeypatch, config.cell_pair_violations)
         assert main(["fan", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [c[1] for c in cone_calls] == covers
@@ -181,6 +182,7 @@ class TestCli:
             e["cells"] for e in payload["regular_subdivisions"]
         ]
         assert not lp_calls and not refines_calls and not validate_calls
+        assert not pair_calls
 
     def test_valuate(self, files, capsys):
         assert (

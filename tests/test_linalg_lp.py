@@ -59,7 +59,7 @@ class TestLinalg:
 
     def test_project_off_is_orthogonal(self):
         basis = canonical_subspace_basis([[1, 1, 0]])
-        p = project_off([3, 1, 2], basis)
+        (p,) = project_off([[3, 1, 2]], basis)
         assert all(dot(b, p) == 0 for b in basis)
         # original minus projection lies in the span
         diff = tuple(a - b for a, b in zip((3, 1, 2), p))
@@ -67,7 +67,7 @@ class TestLinalg:
 
     def test_project_off_raises_on_singular_gram(self):
         with pytest.raises(InvariantError):
-            project_off([3, 1, 2], [(1, 1, 0), (2, 2, 0)])
+            project_off([[3, 1, 2]], [(1, 1, 0), (2, 2, 0)])
 
     def test_canonical_basis_is_representation_independent(self):
         b1 = canonical_subspace_basis([[1, 1, 0], [0, 2, 2]])
