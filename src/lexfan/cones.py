@@ -290,7 +290,7 @@ class PolyCone:
 def _polar(dim: int, lines: Sequence[Sequence], rays: Sequence[Sequence]):
     """Lineality basis and extreme rays of the polar of the cone generated
     by lines and rays: the H-description of that cone."""
-    return _dd(dim, [], list(rays) + list(lines) + [tuple(-x for x in l) for l in lines])
+    return _dd(dim, list(lines), list(rays))
 
 
 def _canonical(basis, rays) -> tuple:

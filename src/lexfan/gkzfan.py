@@ -4,7 +4,9 @@ row moves that preserve open-cone membership.
 
 The subdivision algorithm is iterated rank-1 refinement: the most-significant
 row induces an upper-hull regular subdivision, each cell restricted to its
-marked points is refined by the next row, and so on.  An independent fiber
+marked points is refined by the next row, and so on.  Each row of Psi is
+scaled once to coprime ints, a positive scaling that moves no cell and no
+lex sign.  An independent fiber
 oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
@@ -31,7 +33,7 @@ from lexfan.config import (
     volume,
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
-from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec, rat, zero_vec
+from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, rat, zero_vec
 from lexfan.linalg import dot, echelon, primitive, rank, solve
 # Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
 # tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
@@ -176,10 +178,14 @@ def closed_member(
     generator and Psi.u = 0 for every two-sided one."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
+    # each row scaled to coprime ints (the scale_row move): no sign changes
+    rows = [primitive(r) for r in psi.rows]
     ok = True
     ledger = []
     for g in condition_generators(cfg, s):
-        sign = lex_sign(mat_vec(psi, g.vector))
+        nz = [(j, x) for j, x in enumerate(g.vector) if x]
+        val = next((v for row in rows if (v := sum(row[j] * x for j, x in nz))), 0)
+        sign = (val > 0) - (val < 0)
         ledger.append((g, sign))
         if g.two_sided:
             ok = ok and sign == 0
@@ -192,14 +198,16 @@ def closed_member(
 # the subdivision induced by a weight matrix
 # ---------------------------------------------------------------------------
 
-def _rank1_cells(cfg: PointConfig, idxs: Sequence[int], heights: Sequence) -> list[tuple]:
+def _rank1_cells(cfg: PointConfig, idxs: Sequence[int], heights: Sequence[int]) -> list[tuple]:
     """Upper-hull regular subdivision of (conv A[idxs], A[idxs]) under a
-    single height row: the marked point sets of the cells."""
+    single int height row: the marked point sets of the cells.  The cell is
+    full-dimensional, so the lifted points have rank n iff the heights are
+    affine on them and the cell stays whole; otherwise their cone is
+    full-dimensional and its polar pointed, so it has no equality normals."""
     lifted = [(1, *cfg.points[i], heights[i]) for i in idxs]
-    cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
-    if cone.eq_normals:
-        # heights affine on the points: the subdivision is trivial
+    if len(echelon(lifted)[1]) == cfg.n:
         return [tuple(idxs)]
+    cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
     cells = []
     for a in cone.ineq_normals:
         if a[-1] <= 0:
@@ -215,6 +223,8 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
     points where the map equals the height."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
+    # each row scaled to coprime ints (the scale_row move): same subdivision
+    rows = [primitive(r) for r in psi.rows]
 
     def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
         if row == psi.n_rows:
@@ -222,7 +232,7 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
             verts = tuple(sorted(idxs[i] for i in h.vertices))
             return [MarkedCell(vertices=verts, marking=tuple(sorted(idxs)))]
         out = []
-        for part in _rank1_cells(cfg, idxs, psi.rows[row]):
+        for part in _rank1_cells(cfg, idxs, rows[row]):
             out.extend(refine(part, row + 1))
         return out
 

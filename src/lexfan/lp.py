@@ -28,11 +28,13 @@ class LpResult:
 
 def _pivot(tab, basis, row, col):
     piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    top = tab[row] = [x / piv for x in tab[row]]
+    nz = [j for j, y in enumerate(top) if y]  # x - f * 0 = x elsewhere
+    for i, r in enumerate(tab):
+        if i != row and r[col] != 0:
+            f = r[col]
+            for j in nz:
+                r[j] -= f * top[j]
     basis[row] = col
 
 

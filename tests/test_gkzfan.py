@@ -21,7 +21,7 @@ from lexfan.config import (
     validate_subdivision,
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
-from lexfan.exactlex import LexVec, WeightMatrix
+from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec
 from lexfan.gkzfan import (
     _candidate_cells,
     add_row_multiple,
@@ -43,7 +43,7 @@ from lexfan.gkzfan import (
     shift_row,
     subdivide,
 )
-from lexfan.linalg import nullspace, primitive, rank, solve
+from lexfan.linalg import dot, nullspace, primitive, rank, solve
 
 from helpers import random_matrix
 
@@ -411,6 +411,87 @@ class TestCircuits:
     @given(collinear_configs())
     def test_rule_is_pair_validation(self, cfg):
         self._check_every_pair(cfg)
+
+
+def _rank1_cells_by_cone(cfg, idxs, heights) -> list:
+    """Oracle: the upper facets of the cone over the lifted points, built on
+    the unscaled heights even where they are affine."""
+    lifted = [(1, *cfg.points[i], heights[i]) for i in idxs]
+    cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
+    if cone.eq_normals:
+        return [tuple(idxs)]
+    return sorted({
+        tuple(i for i, v in zip(idxs, lifted) if dot(a, v) == 0)
+        for a in cone.ineq_normals
+        if a[-1] > 0
+    })
+
+
+def weight_matrices(cfg: PointConfig):
+    """Rank 1-3 matrices over cfg whose rows are random Fraction rows, zero
+    rows, or heights affine on all the points."""
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    row = st.one_of(
+        st.lists(entry, min_size=cfg.r, max_size=cfg.r).map(tuple),
+        st.just((0,) * cfg.r),
+        st.lists(entry, min_size=cfg.n, max_size=cfg.n).map(
+            lambda c: tuple(dot(c, cfg.homogenized(j)) for j in range(cfg.r))
+        ),
+    )
+    return st.lists(row, min_size=1, max_size=3).map(lambda rows: WeightMatrix(rows=tuple(rows)))
+
+
+class TestIntegerRows:
+    """subdivide and closed_member run on the rows of Psi scaled to coprime
+    ints; the oracles run on the unscaled Fraction rows."""
+
+    def test_affine_exit_on_the_square(self, square_cfg):
+        affine = tuple(x + 2 * y - Fraction(1, 3) for x, y in square_cfg.points)
+        idxs = [0, 1, 2, 3]
+        assert gkzfan._rank1_cells(square_cfg, idxs, primitive(affine)) == [(0, 1, 2, 3)]
+        assert _rank1_cells_by_cone(square_cfg, idxs, affine) == [(0, 1, 2, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rank1_cells_match_cone_oracle(self, data):
+        cfg = data.draw(collinear_configs())
+        psi = data.draw(weight_matrices(cfg))
+        parts = [tuple(range(cfg.r))]
+        for row in psi.rows:
+            refined = []
+            for p in parts:
+                cells = _rank1_cells_by_cone(cfg, p, row)
+                assert gkzfan._rank1_cells(cfg, p, primitive(row)) == cells
+                refined += cells
+            parts = refined
+        assert sorted(c.marking for c in subdivide(cfg, psi).cells) == sorted(set(parts))
+
+    def test_ledger_signs_on_the_square(self, square_cfg):
+        affine = tuple(x + 2 * y - Fraction(1, 3) for x, y in square_cfg.points)
+        up = (0, 0, 0, Fraction(1, 2))
+        subs = [
+            trivial_subdivision(square_cfg),
+            subdivide(square_cfg, WeightMatrix(rows=(up,))),
+            subdivide(square_cfg, WeightMatrix(rows=(tuple(-x for x in up),))),
+        ]
+        seen = set()
+        for psi in (WeightMatrix(rows=(affine,)), WeightMatrix(rows=(affine, up))):
+            for s in subs:
+                for g, sign in closed_member(square_cfg, psi, s).signs:
+                    assert sign == lex_sign(mat_vec(psi, g.vector))
+                    seen.add(sign)
+        assert seen == {-1, 0, 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ledger_signs_match_fraction_oracle(self, data):
+        cfg = data.draw(collinear_configs())
+        psi = data.draw(weight_matrices(cfg))
+        other = data.draw(weight_matrices(cfg))
+        # the subdivision of psi and two that psi need not induce
+        for s in (subdivide(cfg, psi), subdivide(cfg, other), trivial_subdivision(cfg)):
+            for g, sign in closed_member(cfg, psi, s).signs:
+                assert sign == lex_sign(mat_vec(psi, g.vector))
 
 
 class TestInvariants:
