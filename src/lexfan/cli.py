@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -26,9 +25,9 @@ from lexfan.exactlex import INFINITY, rat_str
 
 def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2)
+        rendered = io.dumps(payload)
     elif args.format == "text":
-        rendered = text_fn(payload) if text_fn else json.dumps(payload, indent=2)
+        rendered = text_fn(payload) if text_fn else io.dumps(payload)
     elif args.format == "svg":
         if svg_fn is None:
             raise SchemaError("svg output is not available for this command")
@@ -250,20 +249,13 @@ def cmd_degenerate(args) -> int:
 
 
 def _presentation_payload(pres) -> dict:
+    """Points as ``u.vector`` tuples, which ``io.dumps`` renders once each."""
     return {
         "basis_size": len(pres.basis),
-        "components": [
-            [list(u.vector) for u in comp] for comp in pres.components
-        ],
-        "zero_products": [
-            [list(u.vector), list(w.vector)]
-            for (u, w), prod in sorted(
-                pres.table.items(), key=lambda kv: (kv[0][0].vector, kv[0][1].vector)
-            )
-            if prod is None
-        ],
+        "components": [[u.vector for u in comp] for comp in pres.components],
+        "zero_products": [(u.vector, w.vector) for u, w in pres.table],
         "nilpotents": [
-            {"point": list(u.vector), "witness": ell} for u, ell in pres.nilpotents
+            {"point": u.vector, "witness": ell} for u, ell in pres.nilpotents
         ],
         "equidimensional": pres.equidimensional,
         "certificates_ok": all(c.ok for c in pres.certificates)

@@ -1,6 +1,11 @@
-"""Associated graded algebras of the two quasi-valuations, materialized as
-multiplication tables on a degree-truncated basis, plus the Stanley-Reisner
-ideal in the triangulation case and a Khovanskii-basis report."""
+"""Associated graded algebras of the two quasi-valuations on a
+degree-truncated basis, plus the Stanley-Reisner ideal in the triangulation
+case and a Khovanskii-basis report.
+
+Both algebras are reduced unions of toric pieces, one per cell, so two basis
+classes multiply to zero exactly when no component holds both: the structure
+rule is a bitmask of components per class, not a multiplication table (cf.
+Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 8-10)."""
 
 from __future__ import annotations
 
@@ -44,21 +49,27 @@ class ComponentCertificate:
 @dataclass(frozen=True)
 class FanAlgebraPresentation:
     """Degree-truncated presentation: basis classes, per-cell component
-    monoids, the structure rule as a table, nilpotent classes (empty for the
-    piecewise-linear valuation), and per-cell certificates."""
+    monoids, the component bitmask of each basis class (bit ci set when
+    component ci holds it), the zero products, nilpotent classes (empty for
+    the piecewise-linear valuation), and per-cell certificates."""
 
     subdivision: MarkedSubdivision
     bound: int
     basis: tuple  # of GradedPoint
     components: tuple  # per cell: tuple of GradedPoint in its monoid
-    table: dict  # (u, w) -> GradedPoint or None (product is zero)
+    masks: dict  # GradedPoint -> component bitmask, for every basis class
+    table: tuple  # zero products (u, w), sorted by (u.vector, w.vector)
     nilpotents: tuple  # of (GradedPoint, exponent witness)
     certificates: tuple  # of ComponentCertificate
     equidimensional: bool
 
     def product(self, u: GradedPoint, w: GradedPoint) -> Optional[GradedPoint]:
-        key = (u, w) if (u.vector <= w.vector) else (w, u)
-        return self.table[key]
+        """u + w when some component holds both classes, None when the
+        product is zero.  KeyError unless both are positive-degree basis
+        classes with d_u + d_w within the bound."""
+        if u.d <= 0 or w.d <= 0 or u.d + w.d > self.bound:
+            raise KeyError((u, w))
+        return u + w if self.masks[u] & self.masks[w] else None
 
 
 def _inside(cfg: PointConfig, cell) -> tuple:
@@ -74,23 +85,30 @@ def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:
     )
 
 
-def _build_table(basis, bound, members):
-    """Products of positive-degree basis classes up to the bound: u + w when
-    some component's vector set in members holds both, else None (zero).
-    Each class carries a bitmask of the components that hold it, so two
-    classes share a component iff their masks meet."""
-    masks = [
-        sum(1 << ci for ci, m in enumerate(members) if u.vector in m) for u in basis
-    ]
-    table = {}
-    for i, (u, mask) in enumerate(zip(basis, masks)):
-        if u.d == 0:
-            continue
-        for w, other in zip(basis[i:], masks[i:]):
-            if w.d == 0 or u.d + w.d > bound:
-                continue
-            table[(u, w)] = u + w if mask & other else None
-    return table
+def _masks(basis, comps) -> dict:
+    """The component bitmask of every basis class."""
+    masks = dict.fromkeys(basis, 0)
+    for ci, comp in enumerate(comps):
+        for u in comp:
+            masks[u] |= 1 << ci
+    return masks
+
+
+def _zero_products(basis, bound, masks) -> tuple:
+    """Pairs (u, w) of positive-degree basis classes, u before w, with
+    d_u + d_w <= bound and no component holding both.  The basis is sorted by
+    (d, eta), so the pairs come out sorted by (u.vector, w.vector) and the
+    inner loop stops at the first w past the bound."""
+    pos = [(u, masks[u]) for u in basis if u.d > 0]
+    zeros = []
+    for i, (u, mask) in enumerate(pos):
+        room = bound - u.d
+        for w, other in pos[i:]:
+            if w.d > room:
+                break
+            if not mask & other:
+                zeros.append((u, w))
+    return tuple(zeros)
 
 
 def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
@@ -99,8 +117,7 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     Reduced, with one irreducible component per cell."""
     cfg, s = t.cfg, t.s
     comps = t.cell_semigroups
-    members = [set(u.vector for u in comp) for comp in comps]
-    table = _build_table(t.basis, t.bound, members)
+    masks = _masks(t.basis, comps)
     certs = []
     for ci, cell in enumerate(s.cells):
         inside = _inside(cfg, cell)
@@ -119,7 +136,8 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
         bound=t.bound,
         basis=t.basis,
         components=comps,
-        table=table,
+        masks=masks,
+        table=_zero_products(t.basis, t.bound, masks),
         nilpotents=(),
         certificates=tuple(certs),
         equidimensional=_equidimensional(cfg, s),
@@ -133,13 +151,12 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     basis = t.basis
     marked = [Submonoid(t.cfg, cell.marking) for cell in t.s.cells]
     comps = tuple(tuple(u for u in basis if in_SQ1(q, u)) for q in marked)
-    members = [set(u.vector for u in comp) for comp in comps]
-    table = _build_table(basis, t.bound, members)
+    masks = _masks(basis, comps)
     stretch = stretch_factor(t)
     nils = []
     for u in basis:
-        if u.d == 0 or any(u.vector in m for m in members):
-            continue  # members holds in_any_SQ1 for every basis element
+        if u.d == 0 or masks[u]:
+            continue  # masks holds in_any_SQ1 for every basis element
         witness = next(
             (k for k in range(2, stretch + 1) if in_any_SQ1(marked, u.scaled(k))),
             None,
@@ -150,7 +167,8 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
         bound=t.bound,
         basis=basis,
         components=comps,
-        table=table,
+        masks=masks,
+        table=_zero_products(basis, t.bound, masks),
         nilpotents=tuple(nils),
         certificates=(),
         equidimensional=_equidimensional(t.cfg, t.s),

@@ -1,9 +1,11 @@
 """JSON (de)serialization; every number travels as an exact rational string
-"p/q" (or "p"), so round-trips are exact."""
+"p/q" (or "p"), so round-trips are exact.  ``dumps`` writes the CLI's
+output, byte for byte as ``json.dumps(obj, indent=2)``."""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from lexfan.cones import MuCone, PolyCone
@@ -148,3 +150,72 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+
+
+_FLAT = frozenset((int, str))
+
+
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool, None and float.  A tuple of plain ints and
+    strs, such as a basis vector, is rendered once per depth and reused for
+    every equal tuple at that depth within the call.  Only exact int and str
+    items qualify: ``(1,) == (True,)``, yet they render differently."""
+    parts: list = []
+    put = parts.append
+    # at index k: newline and k indents, the same after a comma, and the
+    # rendered flat tuples met at depth k
+    nl, sep, memo = ["\n"], [",\n"], [{}]
+
+    def enc(o: Any, depth: int) -> None:
+        if isinstance(o, (list, tuple, dict)):
+            if not o:
+                put("{}" if isinstance(o, dict) else "[]")
+                return
+            if len(nl) == depth + 1:
+                nl.append(nl[depth] + "  ")
+                sep.append(sep[depth] + "  ")
+                memo.append({})
+            inner = nl[depth + 1]
+            if type(o) is tuple and {*map(type, o)} <= _FLAT:
+                text = memo[depth].get(o)
+                if text is None:
+                    items = sep[depth + 1].join(
+                        int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
+                        for x in o
+                    )
+                    text = memo[depth][o] = "[" + inner + items + nl[depth] + "]"
+                put(text)
+            elif isinstance(o, dict):
+                put("{")
+                for i, (k, v) in enumerate(o.items()):
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                    put(sep[depth + 1] if i else inner)
+                    put(encode_basestring_ascii(k))
+                    put(": ")
+                    enc(v, depth + 1)
+                put(nl[depth])
+                put("}")
+            else:
+                put("[")
+                for i, x in enumerate(o):
+                    put(sep[depth + 1] if i else inner)
+                    enc(x, depth + 1)
+                put(nl[depth])
+                put("]")
+        elif isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        else:
+            put(json.dumps(o))  # float; TypeError for anything else
+
+    enc(obj, 0)
+    return "".join(parts)

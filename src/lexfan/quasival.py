@@ -40,10 +40,7 @@ class GradedPoint:
     homogenized configuration points."""
 
     d: int
-    eta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", tuple(int(c) for c in self.eta))
+    eta: tuple  # of int
 
     def __add__(self, other: "GradedPoint") -> "GradedPoint":
         return GradedPoint(self.d + other.d, tuple(a + b for a, b in zip(self.eta, other.eta)))

@@ -231,6 +231,13 @@ def test_criterion_7_degeneration(seg_cfg, seg_psi, seg_sub, simplex_cfg, simple
         a = build(TruncatedSemigroup(seg_cfg, seg_sub, 5))
         b = build(TruncatedSemigroup(seg_cfg, s_other, 5))
         assert a.table == b.table
+        pos = [u for u in a.basis if u.d > 0]
+        assert all(
+            a.product(u, w) == b.product(u, w)
+            for u in pos
+            for w in pos
+            if u.d + w.d <= a.bound
+        )
         assert a.components == b.components
         assert a.nilpotents == b.nilpotents
     _report(capsys, 7, "presentations reduced/certified; SR ideals exact; tables depend only on the cell structure")

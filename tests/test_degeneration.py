@@ -4,6 +4,7 @@ reports."""
 import pytest
 
 from lexfan.config import trivial_subdivision
+from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import shift_row, subdivide
 from lexfan.degeneration import (
     gr_nu_reduced,
@@ -60,7 +61,7 @@ class TestGrV:
     def test_trivial_subdivision_single_component(self, seg_cfg):
         pres = gr_v_present(TruncatedSemigroup(seg_cfg, trivial_subdivision(seg_cfg), 4))
         assert len(pres.components) == 1
-        assert all(v is not None for v in pres.table.values())
+        assert pres.table == ()
         assert pres.nilpotents == ()
 
     def test_simplex_disjoint_triangles(self, simplex_cfg, simplex_q2):
@@ -126,6 +127,63 @@ class TestGrNuReduced:
         assert pair is not None
         assert pres.product(pair, cls[2]) is None
         assert ideal.nonfaces == ((0, 1, 2),)
+
+
+def _old_table(pres) -> dict:
+    """The full product table, rebuilt from the components alone: u + w when
+    some component holds both classes, else None (zero), for positive-degree
+    basis classes u before w with d_u + d_w within the bound."""
+    comps = [set(comp) for comp in pres.components]
+    pos = [u for u in pres.basis if u.d > 0]
+    return {
+        (u, w): u + w if any(u in c and w in c for c in comps) else None
+        for i, u in enumerate(pos)
+        for w in pos[i:]
+        if u.d + w.d <= pres.bound
+    }
+
+
+@pytest.fixture(scope="module")
+def mask_cases(seg_cfg, seg_sub, simplex_cfg, simplex_q2, square_cfg):
+    square_sub = subdivide(square_cfg, WeightMatrix(rows=((1, 0, 0, 0),)))
+    return {
+        "segment": (seg_cfg, seg_sub),
+        "simplex": (simplex_cfg, simplex_q2),
+        "square": (square_cfg, square_sub),
+    }
+
+
+class TestMaskRule:
+    """The zero products and ``product`` read off the component bitmasks
+    agree with the product table built from the components."""
+
+    @pytest.mark.parametrize("bound", [4, 5, 6, 7])
+    @pytest.mark.parametrize("case", ["segment", "simplex", "square"])
+    @pytest.mark.parametrize("build", [gr_v_present, gr_nu_reduced])
+    def test_matches_product_table(self, mask_cases, case, bound, build):
+        cfg, s = mask_cases[case]
+        pres = build(TruncatedSemigroup(cfg, s, bound))
+        old = _old_table(pres)
+        assert old
+        for (u, w), prod in old.items():
+            assert pres.product(u, w) == prod
+            assert pres.product(w, u) == prod
+        zeros = sorted(
+            (k for k, v in old.items() if v is None),
+            key=lambda k: (k[0].vector, k[1].vector),
+        )
+        assert pres.table == tuple(zeros)
+
+    def test_out_of_range_raises(self, seg_cfg, seg_sub):
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 4))
+        zero, top = pres.basis[0], pres.basis[-1]
+        assert zero.d == 0 and top.d == 4
+        outside = gp(1, 1)  # 1 is no point of the segment
+        pairs = [(zero, gp(1, 0)), (gp(1, 0), zero), (top, gp(1, 0)), (outside, gp(1, 0))]
+        for u, w in pairs:
+            with pytest.raises(KeyError):
+                pres.product(u, w)
+        assert pres.product(gp(3, 0), gp(1, 0)) == gp(4, 0)
 
 
 class TestStanleyReisner:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexfan import config, gkzfan, io, lp, quasival
 from lexfan.cli import main, render_svg
@@ -73,6 +75,53 @@ class TestJson:
         binary.write_bytes(b"\xff\xfe{}")  # not UTF-8
         with pytest.raises(SchemaError):
             io.load_json(str(binary))
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(max_value=-(10**30)),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9t\u00e9", "\U0001f600", "/", ""]),
+)
+_FLAT_TUPLES = st.lists(
+    st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2)), min_size=1, max_size=3
+).map(tuple)
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _FLAT_TUPLES),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    """``io.dumps`` against ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_JSON, t=_FLAT_TUPLES)
+    def test_matches_json_dumps(self, x, t):
+        # the same tuple at several depths, and a tuple holding a list
+        obj = {"x": x, "t": t, "deeper": [t, {"t": t, "x": x}], "holds": (t, [x], t)}
+        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        assert io.dumps(x) == json.dumps(x, indent=2)
+
+    def test_equal_tuples_of_other_types(self):
+        # (1,) == (True,) == (1.0,) but each renders its own way
+        obj = [(1, 0), (True, False), (1.0, 0.0), [(1, 0), (True, False)]]
+        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        assert "true" in io.dumps(obj)
+
+    def test_non_str_key_raises(self):
+        with pytest.raises(TypeError):
+            io.dumps({1: 2})
+        with pytest.raises(TypeError):
+            io.dumps([object()])
 
 
 @pytest.fixture()

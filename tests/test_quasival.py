@@ -50,6 +50,21 @@ def f_running():
     return Expr.from_terms([(gp(1, -1), 1), (gp(1, 2), 1)])
 
 
+class TestGradedPoint:
+    def test_coordinates_stay_int(self, seg_cfg):
+        # no constructor re-casts: sums, multiples, the basis and parsed
+        # points are int tuples because their inputs are
+        from lexfan.io import expr_from_json
+
+        u, w = GradedPoint(2, (-3,)), GradedPoint(1, (4,))
+        parsed = expr_from_json([{"d": 2, "eta": [5], "coeff": "1/2"}]).terms[0][0]
+        points = [u + w, u.scaled(3), parsed, *semigroup_up_to(seg_cfg, 2)]
+        assert (u + w, u.scaled(3), parsed) == (gp(3, 1), gp(6, -9), gp(2, 5))
+        for p in points:
+            assert type(p.d) is int and type(p.eta) is tuple
+            assert all(type(c) is int for c in p.eta)
+
+
 class TestSemigroup:
     def test_degree_two_census(self, seg_cfg):
         elems = semigroup_up_to(seg_cfg, 2)
