@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from lexfan.config import PointConfig, is_triangulation
+from lexfan.config import PointConfig, is_triangulation, refinement_poset
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import enumerate_regular_subdivisions, subdivide
 
@@ -58,17 +58,7 @@ def main() -> int:
                 f"cone dim (N=1) = {cfg.r - cone.lineality_dim()}, "
                 f"rays {len(cone.rays)}, lines {len(cone.lines)}"
             )
-        # s_i refines s_j iff the condition cone of s_i lies in that of s_j;
-        # then the lineality of C_j is strictly larger (a line of C_i is one
-        # of C_j, and the coarser closed height cone is a proper face of the
-        # finer one), so only such pairs are tested
-        relations = [
-            (i, j)
-            for i, ci in enumerate(cones)
-            for j, cj in enumerate(cones)
-            if ci.lineality_dim() < cj.lineality_dim() and ci <= cj
-        ]
-        print(f"  refinement relations: {relations}")
+        print(f"  refinement relations: {refinement_poset(subs)}")
 
         hits = [0] * len(subs)
         for _ in range(args.samples):

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from lexfan import degeneration, gkzfan, io, quasival
-from lexfan.config import PointConfig, is_triangulation
+from lexfan.config import PointConfig, is_triangulation, refinement_poset
 from lexfan.errors import (
     BudgetExceeded,
     DegreeOverflow,
@@ -151,7 +151,6 @@ def _subdivision_text(payload) -> str:
 def cmd_fan(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     ccs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
-    cones = [cc.cone for cc in ccs]
     entries = [
         {
             "cells": io.subdivision_to_json(cc.subdivision)["cells"],
@@ -161,17 +160,7 @@ def cmd_fan(args) -> int:
         }
         for cc in ccs
     ]
-    # s_i refines s_j iff the condition cone of s_i lies in that of s_j.  A
-    # line of C_i in C_j is a line of C_j, and a strict refinement makes the
-    # closed height cone of the coarser subdivision a proper face of the
-    # finer one's, so the lineality of C_j is strictly larger: only such
-    # pairs are tested.
-    poset = [
-        [i, j]
-        for i, ci in enumerate(cones)
-        for j, cj in enumerate(cones)
-        if ci.lineality_dim() < cj.lineality_dim() and ci <= cj
-    ]
+    poset = refinement_poset([cc.subdivision for cc in ccs])
     payload = {"regular_subdivisions": entries, "refinement_poset": poset}
     _emit(args, payload)
     return 0

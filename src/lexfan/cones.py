@@ -154,7 +154,9 @@ class PolyCone:
 
     @cached_property
     def _h(self) -> tuple:
-        return _canonical(*_polar(self.dim, *self._v))
+        # the H-side is the polar's V-side: the DD of the generators taken as
+        # constraints, lines as equalities and rays as inequalities
+        return _canonical(*_dd(self.dim, *self._v))
 
     lines = property(lambda self: self._v[0])  # canonical lineality basis
     rays = property(lambda self: self._v[1])  # extreme rays mod lineality, canonical
@@ -173,7 +175,7 @@ class PolyCone:
         for g in rays + lines:
             if len(g) != dim:
                 raise DimensionError("generator length != ambient dimension")
-        return PolyCone(dim, h=_canonical(*_polar(dim, lines, rays)))
+        return PolyCone(dim, h=_canonical(*_dd(dim, lines, rays)))
 
     @staticmethod
     def from_normals(
@@ -285,12 +287,6 @@ class PolyCone:
 
     def __hash__(self):
         return hash((self.dim, self._vkey()))
-
-
-def _polar(dim: int, lines: Sequence[Sequence], rays: Sequence[Sequence]):
-    """Lineality basis and extreme rays of the polar of the cone generated
-    by lines and rays: the H-description of that cone."""
-    return _dd(dim, list(lines), list(rays))
 
 
 def _canonical(basis, rays) -> tuple:

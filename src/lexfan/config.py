@@ -320,6 +320,25 @@ def refines(cfg: PointConfig, s: MarkedSubdivision, coarse: MarkedSubdivision) -
     return True
 
 
+def refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list[tuple[int, int]]:
+    """Every pair (i, j), i != j, i-major, with s_i refining s_j: each cell
+    marking of s_i lies inside some cell marking of s_j (De Loera, Rambau &
+    Santos, *Triangulations*, 2.3; ``refines`` is the geometric check).  For
+    regular subdivisions this is inclusion of condition cones (ch. 5).  Two
+    exact prefilters: the marked points of s_i lie in those of s_j, and s_i
+    has at least as many cells, since each coarse cell is a union of fine
+    ones.  Not strictly more: unmarking a point refines and keeps the cells."""
+    masks = [[sum(1 << i for i in c.marking) for c in s.cells] for s in subdivisions]
+    marked = [sum(1 << i for i in s.marked_points) for s in subdivisions]
+    return [
+        (i, j)
+        for i, (xi, mi) in enumerate(zip(masks, marked))
+        for j, (xj, mj) in enumerate(zip(masks, marked))
+        if mi & ~mj == 0 and len(xi) >= len(xj) and i != j
+        and all(any(x & ~y == 0 for y in xj) for x in xi)
+    ]
+
+
 def is_triangulation(cfg: PointConfig, s: MarkedSubdivision) -> bool:
     """Every cell a simplex marked exactly by its vertices."""
     return all(

@@ -228,9 +228,11 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
 
     def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
         if row == psi.n_rows:
-            h = hull_of(tuple(cfg.points[i] for i in idxs))
-            verts = tuple(sorted(idxs[i] for i in h.vertices))
-            return [MarkedCell(vertices=verts, marking=tuple(sorted(idxs)))]
+            # a full-dimensional cell of n points is a simplex: all are vertices
+            verts = idxs if len(idxs) == cfg.n else [
+                idxs[i] for i in hull_of(tuple(cfg.points[i] for i in idxs)).vertices
+            ]
+            return [MarkedCell(vertices=verts, marking=idxs)]
         out = []
         for part in _rank1_cells(cfg, idxs, rows[row]):
             out.extend(refine(part, row + 1))

@@ -16,6 +16,8 @@ from lexfan.config import (
     MarkedSubdivision,
     PointConfig,
     cell_pair_violations,
+    hull_of,
+    refinement_poset,
     refines,
     trivial_subdivision,
     validate_subdivision,
@@ -286,6 +288,17 @@ def oracle_configs(draw, pinwheel: PointConfig):
     return PointConfig(dim=dim, points=tuple(pts))
 
 
+@st.composite
+def collinear_configs(draw):
+    """Configurations on the {0, 1, 2} grid in dimension 1-3 (r <= 6), so
+    collinear and coplanar points are common."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    pts = draw(st.lists(point, min_size=dim + 1, max_size=6, unique=True))
+    assume(rank([(1,) + p for p in pts]) == dim + 1)
+    return PointConfig(dim=dim, points=tuple(pts))
+
+
 class TestOracles:
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
@@ -319,12 +332,42 @@ class TestOracles:
                 assert (cones[i] <= cones[j]) == refines(cfg, subs[i], subs[j])
 
     def test_refinement_raises_lineality(self, regular_fans):
-        # fan tests cone inclusion only where the lineality rises strictly
+        # a cone inside another of the fan has strictly smaller lineality: the
+        # coarser closed height cone is a proper face of the finer one
         for cfg, subs in regular_fans.items():
             cones = [condition_cone(cfg, s).cone for s in subs]
             for ci, cj in itertools.permutations(cones, 2):
                 if ci <= cj:
                     assert ci.lineality_dim() < cj.lineality_dim()
+
+    @staticmethod
+    def _check_poset(cfg, subs):
+        """The marking rule against geometric refinement on every cover, and
+        against cone inclusion on the regular ones."""
+        pairs = lambda k: itertools.permutations(range(k), 2)  # i-major, i != j
+        assert refinement_poset(subs) == [
+            (i, j) for i, j in pairs(len(subs)) if refines(cfg, subs[i], subs[j])
+        ]
+        regular = [s for s in subs if is_regular(cfg, s)]
+        cones = [condition_cone(cfg, s).cone for s in regular]
+        assert refinement_poset(regular) == [
+            (i, j) for i, j in pairs(len(regular)) if cones[i] <= cones[j]
+        ]
+
+    def test_refinement_poset_on_examples(self, fans):
+        for cfg, subs in fans.items():  # the pinwheel's non-regular covers too
+            self._check_poset(cfg, subs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(collinear_configs())
+    def test_refinement_poset(self, cfg):
+        self._check_poset(cfg, enumerate_subdivisions(cfg))
+
+    def test_refinement_poset_keeps_cell_count(self, simplex_q0, simplex_q1, simplex_q2):
+        # unmarking the interior point refines the trivial subdivision and
+        # keeps its one cell
+        assert len(simplex_q0.cells) == len(simplex_q1.cells) == 1
+        assert refinement_poset([simplex_q0, simplex_q1, simplex_q2]) == [(1, 0), (2, 0)]
 
     def test_covers_are_subdivisions(self, fans, pinwheel_cfg, pinwheel_tri):
         for cfg, subs in fans.items():
@@ -354,17 +397,6 @@ def _rank_circuits(cfg) -> list:
 
 def _unoriented(circs) -> list:
     return sorted(tuple(sorted(z)) for z in circs)
-
-
-@st.composite
-def collinear_configs(draw):
-    """Configurations on the {0, 1, 2} grid in dimension 1-3 (r <= 6), so
-    collinear and coplanar points are common."""
-    dim = draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(0, 2)] * dim)
-    pts = draw(st.lists(point, min_size=dim + 1, max_size=6, unique=True))
-    assume(rank([(1,) + p for p in pts]) == dim + 1)
-    return PointConfig(dim=dim, points=tuple(pts))
 
 
 class TestCircuits:
@@ -465,6 +497,15 @@ class TestIntegerRows:
                 refined += cells
             parts = refined
         assert sorted(c.marking for c in subdivide(cfg, psi).cells) == sorted(set(parts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cell_vertices_match_hull(self, data):
+        # subdivide reads a simplex cell's vertices off its size, not its hull
+        cfg = data.draw(collinear_configs())
+        for c in subdivide(cfg, data.draw(weight_matrices(cfg))).cells:
+            h = hull_of(tuple(cfg.points[i] for i in c.marking))
+            assert c.vertices == tuple(c.marking[i] for i in h.vertices)
 
     def test_ledger_signs_on_the_square(self, square_cfg):
         affine = tuple(x + 2 * y - Fraction(1, 3) for x, y in square_cfg.points)
