@@ -5,12 +5,15 @@ A PolyCone has two descriptions:
   V-description: lineality basis (lines) + extreme rays (rays),
   H-description: equality normals + inequality normals, cone = all x with
                  n.x = 0 on equalities and n.x <= 0 on inequalities.
-It keeps the side its constructor computed and computes the other side by
-one more pass of the double description method when that side is first read.
-Every vector of either side is a primitive int tuple: input vectors of ints
-or Fractions enter the fraction-free DD as primitive vectors, and rays
-combine by integer combinations followed by a gcd division (Fukuda & Prodon,
-"Double description method revisited", 1996).  Canonical forms (rref
+Each cone costs one pass of the double description (DD) method: its
+constructor computes one side and keeps the vectors it was given, and the
+other side is read off the incidences between the given vectors and the
+computed side when it is first read (Fukuda & Prodon, "Double description
+method revisited", 1996).  Faces are read off the same incidences, with no
+DD pass per face.  Every vector of either side is a primitive int tuple:
+input vectors of ints or Fractions enter the fraction-free DD as primitive
+vectors, rays combine by integer combinations followed by a gcd division,
+and projections return primitive int directions.  Canonical forms (rref
 subspace bases, rays projected off the subspace, primitive integer vectors,
 sorted) make structural equality meaningful.
 
@@ -97,31 +100,38 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
 
 def _cut(a, rays, processed, equality):
     """Standard double-description step on the pointed part; adjacent
-    rays combine as (a.rp) rn - (a.rn) rp, then the gcd is divided out."""
-    vals = {r: dot(a, r) for r in rays}
-    pos = [r for r in rays if vals[r] > 0]
-    neg = [r for r in rays if vals[r] < 0]
-    zero = [r for r in rays if vals[r] == 0]
+    rays combine as (a.rp) rn - (a.rn) rp, then the gcd is divided out.
+    Two rays are adjacent iff no third ray is tight on every processed
+    constraint that both are tight on; zero sets are int bitmasks."""
+    vals = [dot(a, r) for r in rays]
+    pos = [k for k, v in enumerate(vals) if v > 0]
+    neg = [k for k, v in enumerate(vals) if v < 0]
     if not pos and not (equality and neg):
         return
-    keep = zero + ([] if equality else neg)
-
-    def zset(r):
-        return frozenset(k for k, c in enumerate(processed) if dot(c, r) == 0)
-
-    zsets = {r: zset(r) for r in rays}
+    keep = [r for r, v in zip(rays, vals) if not v]
+    if not equality:
+        keep += [rays[k] for k in neg]
+    zsets = _incidences(rays, processed)
     new = []
-    for rp, rn in itertools.product(pos, neg):
-        common = zsets[rp] & zsets[rn]
+    for p, q in itertools.product(pos, neg):
+        common = zsets[p] & zsets[q]
         if any(
-            common <= zsets[o] for o in rays if o is not rp and o is not rn
+            z & common == common for k, z in enumerate(zsets) if k != p and k != q
         ):
             continue  # not adjacent
-        vp, vn = vals[rp], vals[rn]
+        rp, rn, vp, vn = rays[p], rays[q], vals[p], vals[q]
         combo = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
         if any(combo):
             new.append(combo)
     rays[:] = _dedupe(keep + new)
+
+
+def _incidences(vectors: Sequence[Sequence], against: Sequence[Sequence]) -> list[int]:
+    """For each vector, the bitmask of the members of ``against`` it is
+    orthogonal to (bit k for against[k])."""
+    return [
+        sum(1 << k for k, b in enumerate(against) if not dot(b, v)) for v in vectors
+    ]
 
 
 def _dedupe(vectors: Iterable[tuple]) -> list[tuple]:
@@ -138,25 +148,33 @@ def _dedupe(vectors: Iterable[tuple]) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 class PolyCone:
-    """Canonical polyhedral cone in Q^dim.  It holds the side its constructor
-    computed; the other side costs one DD pass on first read."""
+    """Canonical polyhedral cone in Q^dim.  A constructor computes one side
+    by one DD pass and keeps the vectors it was given; the other side is read
+    off them on first read (``_read_off``), with no second pass."""
 
-    def __init__(self, dim: int, v: Optional[tuple] = None, h: Optional[tuple] = None):
+    def __init__(
+        self,
+        dim: int,
+        v: Optional[tuple] = None,
+        h: Optional[tuple] = None,
+        given: Optional[tuple] = None,
+    ):
+        # given: the (subspace, one-sided) vectors the side not passed is
+        # read off, (lines, rays) if h is passed and (eqs, ineqs) if v is
         self.dim = dim
         if v is not None:
             self._v = v
         if h is not None:
             self._h = h
+        self._given = given
 
     @cached_property
     def _v(self) -> tuple:
-        return _canonical(*_dd(self.dim, *self._h))
+        return _read_off(*self._given, self._h[1])
 
     @cached_property
     def _h(self) -> tuple:
-        # the H-side is the polar's V-side: the DD of the generators taken as
-        # constraints, lines as equalities and rays as inequalities
-        return _canonical(*_dd(self.dim, *self._v))
+        return _read_off(*self._given, self._v[1])
 
     lines = property(lambda self: self._v[0])  # canonical lineality basis
     rays = property(lambda self: self._v[1])  # extreme rays mod lineality, canonical
@@ -164,8 +182,6 @@ class PolyCone:
     ineq_normals = property(lambda self: self._h[1])  # facet normals mod eq span, canonical
 
     # -- construction -------------------------------------------------------
-    # Each constructor runs one DD pass, from the given side to the other,
-    # and keeps only the result; the given side is recomputed when read.
 
     @staticmethod
     def from_generators(
@@ -175,16 +191,19 @@ class PolyCone:
         for g in rays + lines:
             if len(g) != dim:
                 raise DimensionError("generator length != ambient dimension")
-        return PolyCone(dim, h=_canonical(*_dd(dim, lines, rays)))
+        # the H-side is the polar's V-side: the DD of the generators taken as
+        # constraints, lines as equalities and rays as inequalities
+        return PolyCone(dim, h=_canonical(*_dd(dim, lines, rays)), given=(lines, rays))
 
     @staticmethod
     def from_normals(
         dim: int, ineqs: Sequence[Sequence] = (), eqs: Sequence[Sequence] = ()
     ) -> "PolyCone":
-        for n in list(ineqs) + list(eqs):
+        ineqs, eqs = list(ineqs), list(eqs)
+        for n in ineqs + eqs:
             if len(n) != dim:
                 raise DimensionError("normal length != ambient dimension")
-        return PolyCone(dim, v=_canonical(*_dd(dim, eqs, ineqs)))
+        return PolyCone(dim, v=_canonical(*_dd(dim, eqs, ineqs)), given=(eqs, ineqs))
 
     @staticmethod
     def zero(dim: int) -> "PolyCone":
@@ -256,22 +275,30 @@ class PolyCone:
 
     def faces(self) -> list["PolyCone"]:
         """All faces (intersections with supporting hyperplanes of facets),
-        including the cone itself and its minimal face."""
-        seen = {self._vkey(): self}
-        frontier = [self]
+        including the cone itself and its minimal face, breadth first: each
+        face's facets cut out the next faces.  A face is the set of rays tight
+        on some facets, so it is read off the ray-facet incidences, with no DD
+        pass (Kaibel & Pfetsch, "Computing the face lattice of a polytope from
+        its vertex-facet incidences", 2002): its V-side is the lines and those
+        rays, and its H-side is read off the cone's normals, the facets tight
+        on all of those rays becoming equations."""
+        rays = self.rays
+        full = (1 << len(rays)) - 1
+        seen = {full: self}
+        frontier = [(full, self)]
         while frontier:
             nxt = []
-            for f in frontier:
-                for n in f.ineq_normals:
-                    sub = PolyCone.from_normals(
-                        self.dim,
-                        ineqs=f.ineq_normals,
-                        eqs=list(f.eq_normals) + [n],
-                    )
-                    key = sub._vkey()
-                    if key not in seen:
-                        seen[key] = sub
-                        nxt.append(sub)
+            for mask, f in frontier:
+                for m in _incidences(f.ineq_normals, rays):
+                    m &= mask
+                    if m not in seen:
+                        sub = PolyCone(
+                            self.dim,
+                            v=(self.lines, tuple(r for k, r in enumerate(rays) if m >> k & 1)),
+                            given=(self.eq_normals, self.ineq_normals),
+                        )
+                        seen[m] = sub
+                        nxt.append((m, sub))
             frontier = nxt
         return list(seen.values())
 
@@ -293,8 +320,29 @@ def _canonical(basis, rays) -> tuple:
     """Canonical form of one side: the rref subspace basis and the primitive
     rays projected off it, deduplicated and sorted."""
     basis = canonical_subspace_basis(basis)
-    out = [primitive(p) for p in project_off(rays, basis) if any(p)]
-    return basis, tuple(sorted(_dedupe(out)))
+    return basis, tuple(sorted(_dedupe(p for p in project_off(rays, basis) if any(p))))
+
+
+def _read_off(base, cands, other) -> tuple:
+    """The canonical side of a cone built from ``base`` (lines or equations)
+    and ``cands`` (rays or inequalities), read off their incidences with the
+    one-sided vectors ``other`` of its computed side (facet normals or extreme
+    rays), with no DD pass.  The subspace is spanned by base and every
+    candidate tight on all of other.  Each remaining candidate is kept iff
+    no remaining candidate is tight on a strict superset of its members of
+    other: each face of a cone is generated by the generators it contains,
+    so a ray is extreme iff its face is minimal, and dually an inequality is
+    a facet iff its face is maximal (Fukuda & Prodon 1996)."""
+    full = (1 << len(other)) - 1
+    span, rest = list(base), []
+    for c, m in zip(cands, _incidences(cands, other)):
+        if m == full:
+            span.append(c)
+        else:
+            rest.append((c, m))
+    masks = {m for _, m in rest}
+    kept = [c for c, m in rest if not any(n != m and n & m == m for n in masks)]
+    return _canonical(span, kept)
 
 
 # ---------------------------------------------------------------------------

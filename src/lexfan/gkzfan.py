@@ -423,7 +423,10 @@ def enumerate_subdivisions(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} search nodes")
+            raise BudgetExceeded(
+                f"enumeration stopped after visiting {budget} search nodes:"
+                f" {len(results)} subdivisions found among {len(candidates)} candidate cells"
+            )
         if vol_acc == target:
             results.append(MarkedSubdivision(cells=tuple(candidates[i] for i in chosen)))
             return

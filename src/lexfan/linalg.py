@@ -5,7 +5,8 @@ multistep integer-preserving Gaussian elimination", 1968).  ``rank``,
 scaled to primitive ints; ``rref``, ``solve`` and ``nullspace`` divide its
 result by the pivot once.  Desk-scale sizes only.
 
-Cone and hull vectors are primitive ``int`` tuples (``primitive``); ``dot``
+Cone and hull vectors are primitive ``int`` tuples (``primitive``, and the
+directions ``project_off`` returns); ``dot``
 works on ints and Fractions alike, so they are never boxed.  Values that are
 truly rational stay Fractions: weights, ``LexVec`` values, volumes and
 determinants, and the solutions of ``solve`` and ``rref`` (the interpolation
@@ -110,14 +111,16 @@ def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[tup
 
 def primitive(v: Sequence) -> tuple:
     """Scale a nonzero vector of ints or Fractions by a positive rational to
-    coprime ints (direction preserved); the zero vector stays zero."""
-    den = lcm(*[x.denominator for x in v])
-    if den == 1:
-        ints = [x.numerator for x in v]
-    else:
-        ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    return tuple(ints) if g < 2 else tuple([i // g for i in ints])
+    coprime ints (direction preserved); the zero vector stays zero.  An all-int
+    vector goes straight to the gcd: ``gcd`` refuses a Fraction, and only then
+    are the denominators cleared."""
+    try:
+        g = gcd(*v)
+    except TypeError:
+        den = lcm(*[x.denominator for x in v])
+        v = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*v)
+    return tuple(v) if g < 2 else tuple([i // g for i in v])
 
 
 def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
@@ -127,13 +130,14 @@ def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
 
 
 def project_off(vs: Sequence[Sequence], basis: Sequence[Sequence]) -> list[tuple]:
-    """Orthogonal projections of the vectors vs onto the complement of
-    span(basis).
+    """Directions of the orthogonal projections of the vectors vs onto the
+    complement of span(basis), as primitive int tuples.
 
-    One echelon pass over [G | B v_1 ... B v_k], G the Gram matrix, gives
-    every d G^-1 B v_j; each integer numerator d v_j - (d G^-1 B v_j) B is
-    divided by d once."""
-    vs = [tuple(v) for v in vs]
+    One echelon pass over [G | B v_1 ... B v_k], G the Gram matrix and each
+    v_j taken primitive, gives every d G^-1 B v_j; the integer vector
+    d v_j - (d G^-1 B v_j) B is d times the projection, so its primitive form,
+    negated if d < 0, is the direction."""
+    vs = [primitive(v) for v in vs]
     if not basis:
         return vs
     n = len(basis)
@@ -148,7 +152,7 @@ def project_off(vs: Sequence[Sequence], basis: Sequence[Sequence]) -> list[tuple
         num = [d * x for x in v]
         for r, b in zip(red, basis):
             num = [x - r[j] * y for x, y in zip(num, b)]
-        out.append(tuple(Fraction(x, d) for x in num))
+        out.append(primitive(num if d > 0 else [-x for x in num]))
     return out
 
 

@@ -466,8 +466,10 @@ def in_any_SQ1(qs: Iterable[Submonoid], u: GradedPoint) -> bool:
 def cell_semigroup(
     cfg: PointConfig, cell: MarkedCell, elems: Iterable[GradedPoint]
 ) -> list[GradedPoint]:
-    """S_Q among the given semigroup elements: those in the cone over Q."""
-    return [u for u in elems if in_cell_cone(cfg, u, cell)]
+    """S_Q among the given semigroup elements: those in the cone over Q,
+    whose hull is taken once for all of them."""
+    contains = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains
+    return [u for u in elems if contains(u.vector)]
 
 
 class TruncatedSemigroup:

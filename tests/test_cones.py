@@ -69,7 +69,7 @@ class TestPolyCone:
                 h = PolyCone.from_normals(c.dim, ineqs=c.ineq_normals, eqs=c.eq_normals)
                 assert fields(g) == fields(h) == fields(c)
 
-    def test_one_dd_pass_per_side(self, monkeypatch):
+    def test_one_dd_pass_per_cone(self, monkeypatch):
         calls = []
         dd = cones._dd
 
@@ -81,16 +81,12 @@ class TestPolyCone:
         g = PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (1, 1, 0)], lines=[(0, 0, 1)])
         h = PolyCone.from_normals(3, ineqs=[(-1, 0, 0), (0, -1, 0), (-1, -1, 0)], eqs=[(0, 0, 1)])
         assert len(calls) == 2  # one pass per constructor
-        for c, kept, other in ((g, "eq_normals", "rays"), (h, "rays", "eq_normals")):
-            calls.clear()
-            getattr(c, kept)
-            assert not calls  # the side the constructor computed is kept
-            getattr(c, other)
-            assert len(calls) == 1  # the other side: one pass on first read
         calls.clear()
         for c in (g, h):
             c.lines, c.rays, c.eq_normals, c.ineq_normals, c.generators, c.normals
-        assert not calls  # both sides are kept once computed
+            for f in c.faces():
+                f.lines, f.rays, f.eq_normals, f.ineq_normals
+        assert not calls  # the other side and the faces are read off, not recomputed
 
     def test_line_handling(self):
         c = PolyCone.from_generators(3, rays=[(0, 0, 1)], lines=[(1, 1, 0)])
@@ -147,6 +143,95 @@ class TestPolyCone:
         for pts in (tuple(points), tuple(tuple(map(Fraction, p)) for p in points)):
             h = hull_of.__wrapped__(pts)  # uncached: int and Fraction keys are equal
             assert primitive_ints(h.facets) and primitive_ints(h.affine_eqs)
+
+
+def _sides(c: PolyCone) -> tuple:
+    return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
+
+
+@st.composite
+def degenerate_sides(draw):
+    """A dimension and a (subspace, one-sided) pair of vector lists, as fed
+    to either constructor: Fraction entries, linearly dependent subspace
+    vectors, and one-sided vectors that are zero, repeated, positive
+    multiples of others or inside the subspace."""
+    dim = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    )
+    vec = st.tuples(*[entry] * dim)
+    base = draw(st.lists(vec, max_size=2))
+    if len(base) == 2 and draw(st.booleans()):
+        base.append(tuple(x + y for x, y in zip(*base)))  # linearly dependent
+    cands = draw(st.lists(vec, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "subspace"]))
+        if kind == "zero":
+            cands.append((0,) * dim)
+        elif kind == "repeat":
+            cands.append(draw(st.sampled_from(cands)))
+        elif kind == "multiple":
+            k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3))
+            cands.append(tuple(k * x for x in draw(st.sampled_from(cands))))
+        elif base:
+            k = draw(st.integers(-2, 2))
+            cands.append(tuple(k * x for x in draw(st.sampled_from(base))))
+    return dim, base, draw(st.permutations(cands))
+
+
+def faces_by_dd(cone: PolyCone) -> list[PolyCone]:
+    """Oracle for ``PolyCone.faces``: the same breadth-first search, each face
+    built by a DD pass from its parent's normals plus one facet as an
+    equation."""
+    seen = {cone._vkey(): cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for n in f.ineq_normals:
+                sub = PolyCone.from_normals(
+                    cone.dim, ineqs=f.ineq_normals, eqs=list(f.eq_normals) + [n]
+                )
+                if sub._vkey() not in seen:
+                    seen[sub._vkey()] = sub
+                    nxt.append(sub)
+        frontier = nxt
+    return list(seen.values())
+
+
+class TestReadOff:
+    """The side a constructor did not compute is read off the given vectors;
+    the oracle is a second DD pass from the computed side."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_sides())
+    def test_generators_read_off_matches_dd(self, drawn):
+        dim, lines, rays = drawn
+        c = PolyCone.from_generators(dim, rays=rays, lines=lines)
+        assert c._v == cones._canonical(*cones._dd(dim, c.eq_normals, c.ineq_normals))
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_sides())
+    def test_normals_read_off_matches_dd(self, drawn):
+        dim, eqs, ineqs = drawn
+        c = PolyCone.from_normals(dim, ineqs=ineqs, eqs=eqs)
+        assert c._h == cones._canonical(*cones._dd(dim, c.lines, c.rays))
+
+    @settings(max_examples=100, deadline=None)
+    @given(degenerate_sides(), st.booleans())
+    def test_faces_match_dd(self, drawn, by_normals):
+        dim, base, cands = drawn
+        if by_normals:
+            c = PolyCone.from_normals(dim, ineqs=cands, eqs=base)
+        else:
+            c = PolyCone.from_generators(dim, rays=cands, lines=base)
+        assert [_sides(f) for f in c.faces()] == [_sides(f) for f in faces_by_dd(c)]
+
+    def test_faces_of_random_cones_match_dd(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            c = random_cone(rng, rng.randint(2, 5), max_gens=8)
+            assert [_sides(f) for f in c.faces()] == [_sides(f) for f in faces_by_dd(c)]
 
 
 class TestFacesAndCofaces:

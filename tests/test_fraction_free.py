@@ -149,7 +149,8 @@ class TestIntegerLinalg:
         coeffs = [r[-1] for r in fraction_rref(gram)[0]]
         for c, b in zip(coeffs, rows):
             expected = [x - c * y for x, y in zip(expected, b)]
-        assert project_off([v], rows) == [tuple(expected)]
+        (p,) = project_off([v], rows)
+        assert p == primitive(expected) and all(type(x) is int for x in p)
 
 
 class TestGeneratorsAgainstSolve:

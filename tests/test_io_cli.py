@@ -369,10 +369,16 @@ class TestCli:
         planar.write_text(json.dumps([{"d": 1, "eta": [-1, 5], "coeff": "1"}]))
         assert main(["liminf", files["config"], files["matrix"], str(planar)]) == 3
 
-    def test_exit_4_budget(self, files, tmp_path, simplex_cfg):
+    def test_exit_4_budget(self, files, tmp_path, capsys, simplex_cfg):
         cfg = tmp_path / "simplex.json"
         cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
         assert main(["--budget", "1", "fan", str(cfg)]) == 4
+        capsys.readouterr()
+        # the simplex has 5 candidate cells; 3 nodes reach 2 of its 3 covers
+        assert main(["--budget", "3", "fan", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "after visiting 3 search nodes" in err
+        assert "2 subdivisions found among 5 candidate cells" in err
 
     def test_exit_5_degree(self, files):
         assert (

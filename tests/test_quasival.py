@@ -257,6 +257,11 @@ class TestCellMonoids:
         right = seg_sub.cells[1]
         elems = cell_semigroup(seg_cfg, right, semigroup_up_to(seg_cfg, 1))
         assert {u.vector for u in elems} == {(0, 0), (1, 0), (1, 2), (1, 4)}
+        basis = semigroup_up_to(seg_cfg, 4)
+        for cell in seg_sub.cells:  # one hull per cell, as in_cell_cone per element
+            assert cell_semigroup(seg_cfg, cell, basis) == [
+                u for u in basis if in_cell_cone(seg_cfg, u, cell)
+            ]
 
     def test_stretch_factors(self, seg_cfg, seg_sub, simplex_cfg, simplex_q2):
         assert stretch_factor(TruncatedSemigroup(seg_cfg, seg_sub, 12)) == 4
