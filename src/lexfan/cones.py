@@ -160,7 +160,8 @@ class PolyCone:
         given: Optional[tuple] = None,
     ):
         # given: the (subspace, one-sided) vectors the side not passed is
-        # read off, (lines, rays) if h is passed and (eqs, ineqs) if v is
+        # read off, (lines, rays) if h is passed and (eqs, ineqs) if v is;
+        # dropped once that side is read
         self.dim = dim
         if v is not None:
             self._v = v
@@ -170,11 +171,11 @@ class PolyCone:
 
     @cached_property
     def _v(self) -> tuple:
-        return _read_off(*self._given, self._h[1])
+        return _read_off(*self.__dict__.pop("_given"), self._h[1])
 
     @cached_property
     def _h(self) -> tuple:
-        return _read_off(*self._given, self._v[1])
+        return _read_off(*self.__dict__.pop("_given"), self._v[1])
 
     lines = property(lambda self: self._v[0])  # canonical lineality basis
     rays = property(lambda self: self._v[1])  # extreme rays mod lineality, canonical

@@ -61,7 +61,8 @@ class TestLinalg:
         basis = canonical_subspace_basis([[1, 1, 0]])
         (p,) = project_off([[3, 1, 2]], basis)
         assert all(dot(b, p) == 0 for b in basis)
-        # original minus projection lies in the span
+        # (3, 1, 2) - 2 (1, 1, 0) is primitive, so the direction is the
+        # projection itself: original minus projection lies in the span
         diff = tuple(a - b for a, b in zip((3, 1, 2), p))
         assert rank(list(basis) + [diff]) == rank(list(basis))
 
