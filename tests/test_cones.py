@@ -31,6 +31,11 @@ from lexfan.gkzfan import condition_cone
 from helpers import criterion3_cones, polar, random_cone
 
 
+def _sides(c: PolyCone) -> tuple:
+    # __eq__ compares only the V-side, so compare every field
+    return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
+
+
 class TestPolyCone:
     def test_orthant(self):
         c = PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -59,15 +64,11 @@ class TestPolyCone:
         assert a == b and hash(a) == hash(b)
 
     def test_dual_descriptions_agree(self):
-        # __eq__ compares only the V-side, so compare every field
-        def fields(c):
-            return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
-
         for a, b, _n in criterion3_cones(200):
             for c in (a, b):
                 g = PolyCone.from_generators(c.dim, rays=c.rays, lines=c.lines)
                 h = PolyCone.from_normals(c.dim, ineqs=c.ineq_normals, eqs=c.eq_normals)
-                assert fields(g) == fields(h) == fields(c)
+                assert _sides(g) == _sides(h) == _sides(c)
 
     def test_one_dd_pass_per_cone(self, monkeypatch):
         calls = []
@@ -143,10 +144,6 @@ class TestPolyCone:
         for pts in (tuple(points), tuple(tuple(map(Fraction, p)) for p in points)):
             h = hull_of.__wrapped__(pts)  # uncached: int and Fraction keys are equal
             assert primitive_ints(h.facets) and primitive_ints(h.affine_eqs)
-
-
-def _sides(c: PolyCone) -> tuple:
-    return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
 
 
 @st.composite
