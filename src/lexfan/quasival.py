@@ -244,7 +244,14 @@ class NuTable:
     lex-smallest alpha: the witness is the first maximizer in ``rep_set``
     order.  That is exact because the key is the maximum of a linear
     function over the fibre, and the fibre of u is the union over j of
-    e_j plus the fibre of u - a_j."""
+    e_j plus the fibre of u - a_j.
+
+    Lookups.  ``key(u)`` checks u against the bound and the dimension, fills
+    the table below u when needed and returns u's key, or None off the
+    semigroup; ``decode(key)`` turns one key into (nu(f_u), witness alpha).
+    The value part of a key is V = -(-key // C), so callers that take a
+    minimum over many points compare those ints and decode only the
+    winner."""
 
     def __init__(self, cfg: PointConfig, psi: WeightMatrix, bound: int):
         if psi.n_cols != cfg.r:
@@ -281,8 +288,8 @@ class NuTable:
         # degree -> {character code: key, or None outside the semigroup}
         self._memo = defaultdict(dict, {0: {0: 0}})
 
-    def best(self, u: GradedPoint) -> Optional[tuple[LexVec, tuple]]:
-        """(nu(f_u), witness alpha), or None when u is not in the semigroup."""
+    def key(self, u: GradedPoint) -> Optional[int]:
+        """The max-plus key of u, or None when u is not in the semigroup."""
         if u.d > self.bound:
             raise DegreeOverflow(f"degree {u.d} exceeds bound {self.bound}")
         if len(u.eta) != len(self._lo):
@@ -296,11 +303,13 @@ class NuTable:
             if not 0 <= c - d * lo <= d * s:
                 return None
             code += (c - d * lo) * w
-        if code not in self._memo[d]:
+        layer = self._memo[d]
+        if code not in layer:
             self._fill(d, code)
-        key = self._memo[d][code]
-        if key is None:
-            return None
+        return layer[code]
+
+    def decode(self, key: int) -> tuple[LexVec, tuple]:
+        """(nu(f_u), witness alpha) from the key of u."""
         packed = -(-key // self._witness_radix)
         witness = packed * self._witness_radix - key
         alpha = []
@@ -354,26 +363,43 @@ class NuTable:
                 layer[v] = best
 
 
+def _semigroup_key(table: NuTable, u: GradedPoint) -> int:
+    """u's key in the table; SchemaError off the semigroup."""
+    key = table.key(u)
+    if key is None:
+        raise SchemaError(f"{u} is not in the semigroup")
+    return key
+
+
 def nu_point(table: NuTable, u: GradedPoint) -> tuple[LexVec, tuple]:
     """nu(f_u) = max over representatives alpha of Psi.alpha, with witness;
     DegreeOverflow above the table's bound."""
-    found = table.best(u)
-    if found is None:
-        raise SchemaError(f"{u} is not in the semigroup")
-    return found
+    return table.decode(_semigroup_key(table, u))
+
+
+def _least_key(table: NuTable, points: Iterable[GradedPoint]) -> tuple[int, GradedPoint]:
+    """The key of the first of the points whose value is least, with that
+    point.  A key's value part is -(-key // C), C = (bound+1)^r; whole keys
+    are not compared, since among equal values they order the witnesses
+    and would pick a later point on a tie."""
+    radix = table._witness_radix
+    least = None
+    for u in points:
+        key = _semigroup_key(table, u)
+        value = -(-key // radix)
+        if least is None or value < least:
+            least, least_key, least_u = value, key, u
+    return least_key, least_u
 
 
 def nu_quasi(table: NuTable, f: Expr) -> ValuationReport:
-    """nu(f): minimum over the support of the per-point maxima."""
+    """nu(f): minimum over the support of the per-point maxima, the first
+    minimal support point its witness; only the winner's key is decoded."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
-    best = None
-    best_u = best_alpha = None
-    for u in f.support:
-        val, alpha = nu_point(table, u)
-        if best is None or val < best:
-            best, best_u, best_alpha = val, u, alpha
-    return ValuationReport(best, best_u, best_alpha, None)
+    key, u = _least_key(table, f.support)
+    value, alpha = table.decode(key)
+    return ValuationReport(value, u, alpha, None)
 
 
 def delta_point(table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint) -> LexVec:
@@ -558,14 +584,26 @@ def power_seq(
         raise DegreeOverflow(
             f"power {window} needs degree {window * max_deg} > bound {table.bound}"
         )
+    # f^l as {point vector: int coefficient}: f's coefficients times the
+    # lcm of their denominators, a positive scaling that keeps the support
+    # and makes every cancellation an exact int sum
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    base = [(u.vector, c.numerator * (scale // c.denominator)) for u, c in f.terms]
+    current = dict(base)
     out = []
-    current = f
     for ell in range(1, window + 1):
         if ell > 1:
-            current = current * f
+            product = defaultdict(int)
+            for v, c in current.items():
+                for w, e in base:
+                    product[tuple(map(add, v, w))] += c * e
+            current = {v: c for v, c in product.items() if c}
         if ell >= start:
-            rep = nu_quasi(table, current)
-            out.append((ell, rep.value * Fraction(1, ell)))
+            # in sorted order, as in Expr.support, so an error names the
+            # same point as nu_quasi(table, f.power(ell)) would
+            points = (GradedPoint(v[0], v[1:]) for v in sorted(current))
+            value, _ = table.decode(_least_key(table, points)[0])
+            out.append((ell, value * Fraction(1, ell)))
     return out
 
 
@@ -578,24 +616,25 @@ class AccumulationReport:
 
 def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationReport:
     """Accumulation candidates from the finite window: on every arithmetic
-    index progression (step <= 4) fit v_l = c + b/l exactly from the last two
-    terms and keep c when the last three or more terms agree with the fit."""
+    index progression (step <= 4) keep c when its last three terms fit
+    v_l = c + b/l exactly."""
     candidates = set()
-    by_index = dict(seq)
-    indices = sorted(by_index)
+    # v_l = c + b/l iff N_l = l*v_l = c*l + b, so c is kept iff the points
+    # (l, N_l) are collinear, and it is their slope
+    scaled = {l: [x * l for x in v] for l, v in seq}
+    indices = sorted(scaled)
     for step in range(1, 5):
         for offset in range(step):
             sub = [l for l in indices if l % step == offset]
             if len(sub) < 3:
                 continue
-            l1, l2 = sub[-2], sub[-1]
-            v1, v2 = by_index[l1], by_index[l2]
-            # solve c + b/l1 = v1, c + b/l2 = v2 componentwise
-            b = (v1 - v2) * Fraction(l1 * l2, l2 - l1)
-            c = v1 - b * Fraction(1, l1)
-            tail = sub[-3:]
-            if all(by_index[l] == c + b * Fraction(1, l) for l in tail):
-                candidates.add(c)
+            l0, l1, l2 = sub[-3:]
+            n0, n1, n2 = scaled[l0], scaled[l1], scaled[l2]
+            if all(
+                (c - b) * (l1 - l0) == (b - a) * (l2 - l1)
+                for a, b, c in zip(n0, n1, n2)
+            ):
+                candidates.add(LexVec((c - b) / (l2 - l1) for b, c in zip(n1, n2)))
     liminf = min(candidates) if candidates else None
     return AccumulationReport(
         candidates=frozenset(candidates), liminf=liminf, windowed=True

@@ -1,6 +1,8 @@
 """The graded semigroup, the two quasi-valuations, their gap, power
 sequences, accumulation, elementarity, and full-rank checks."""
 
+import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,11 +15,13 @@ from lexfan.errors import DegreeOverflow, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
 from lexfan.quasival import (
+    AccumulationReport,
     Expr,
     GradedPoint,
     NuTable,
     Submonoid,
     TruncatedSemigroup,
+    ValuationReport,
     _bounded_combination,
     cell_semigroup,
     delta,
@@ -381,6 +385,13 @@ def _fibre_max(cfg, psi, u):
     return best
 
 
+def _lookup(table, u):
+    """(nu(f_u), witness alpha) through the table's key, or None off the
+    semigroup."""
+    key = table.key(u)
+    return None if key is None else table.decode(key)
+
+
 @st.composite
 def _graded_points(draw, cfg, max_degree):
     """A sum of d configuration points, sometimes moved off the semigroup by
@@ -486,7 +497,7 @@ class TestPackedTable:
         table = NuTable(cfg, psi, data.draw(st.integers(1, 6)))
         points = _graded_points(cfg, table.bound)
         for u in data.draw(st.lists(points, min_size=1, max_size=4)):
-            assert table.best(u) == _fibre_max(cfg, psi, u)
+            assert _lookup(table, u) == _fibre_max(cfg, psi, u)
         _check_box(cfg, table)
 
     @settings(max_examples=40, deadline=None)
@@ -503,7 +514,7 @@ class TestPackedTable:
         sums = st.lists(st.one_of(extreme, mixed), min_size=1, max_size=4)
         for picks in data.draw(sums):
             u = GradedPoint(bound, tuple(map(sum, zip(*picks))))
-            assert table.best(u) == _fibre_max(cfg, psi, u)
+            assert _lookup(table, u) == _fibre_max(cfg, psi, u)
         _check_box(cfg, table)
 
     @settings(max_examples=40, deadline=None)
@@ -528,12 +539,12 @@ class TestPackedTable:
             eta[k] += step
             u = GradedPoint(d, tuple(eta))
             expected = _fibre_max(cfg, psi, inside)
-            assert table.best(inside) == expected
+            assert _lookup(table, inside) == expected
             assert _fibre_max(cfg, psi, u) is None
-            assert table.best(u) is None
+            assert _lookup(table, u) is None
             with pytest.raises(SchemaError):
                 nu_point(table, u)
-            assert table.best(inside) == expected
+            assert _lookup(table, inside) == expected
         _check_box(cfg, table)
 
     def test_degree_overflow_above_bound(self, seg_cfg, seg_psi, f_running):
@@ -545,3 +556,165 @@ class TestPackedTable:
             nu_quasi(table, Expr.from_terms([(gp(1, 0), 1), (gp(5, 0), 1)]))
         with pytest.raises(DegreeOverflow, match="power 5 needs degree 5 > bound 4"):
             power_seq(table, f_running, window=5)
+
+
+def _nu_quasi_per_point(table, f):
+    """nu(f) by decoding every support point and keeping the first least
+    value: the witness is the first minimal point in support order."""
+    if f.is_zero():
+        return ValuationReport(INFINITY, None, None, None)
+    best = best_u = best_alpha = None
+    for u in f.support:
+        val, alpha = nu_point(table, u)
+        if best is None or val < best:
+            best, best_u, best_alpha = val, u, alpha
+    return ValuationReport(best, best_u, best_alpha, None)
+
+
+def _power_seq_by_algebra(table, f, window, start):
+    """nu(f^l)/l through the expression algebra, f^l as Expr.power."""
+    return [
+        (ell, nu_quasi(table, f.power(ell)).value * Fraction(1, ell))
+        for ell in range(start, window + 1)
+    ]
+
+
+def _fit_accumulation(seq):
+    """Accumulation candidates by fitting v_l = c + b/l to the last two terms
+    of every index progression (step <= 4) and keeping c when the last
+    three terms agree with the fit."""
+    candidates = set()
+    by_index = dict(seq)
+    indices = sorted(by_index)
+    for step in range(1, 5):
+        for offset in range(step):
+            sub = [l for l in indices if l % step == offset]
+            if len(sub) < 3:
+                continue
+            l1, l2 = sub[-2], sub[-1]
+            v1, v2 = by_index[l1], by_index[l2]
+            b = (v1 - v2) * Fraction(l1 * l2, l2 - l1)
+            c = v1 - b * Fraction(1, l1)
+            if all(by_index[l] == c + b * Fraction(1, l) for l in sub[-3:]):
+                candidates.add(c)
+    liminf = min(candidates) if candidates else None
+    return AccumulationReport(
+        candidates=frozenset(candidates), liminf=liminf, windowed=True
+    )
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the message of the SchemaError it raises."""
+    try:
+        return fn(*args)
+    except SchemaError as exc:
+        return ("SchemaError", str(exc))
+
+
+_COEFFS = st.sampled_from([Fraction(c) for c in ("1", "-1", "1/2", "-1/2", "2/3", "-3/2")])
+
+
+@st.composite
+def _exprs(draw, cfg, max_degree):
+    """An expression of 1-4 terms, some of them maybe off the semigroup and
+    some cancelling."""
+    points = st.lists(_graded_points(cfg, max_degree), min_size=1, max_size=4)
+    return Expr.from_terms([(u, draw(_COEFFS)) for u in draw(points)])
+
+
+@st.composite
+def _tie_matrices(draw, cfg):
+    """A weight matrix with a zero row among 0-2 others: with no other row,
+    every point of every support ties."""
+    rows = list(draw(_matrices(cfg)).rows)[: draw(st.integers(0, 2))]
+    rows.insert(draw(st.integers(0, len(rows))), (0,) * cfg.r)
+    return WeightMatrix(rows=tuple(rows))
+
+
+class TestKeyedValuations:
+    """nu_quasi and power_seq, which compare the table's int keys and decode
+    one winner, against the per-point and expression-algebra oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_nu_quasi_matches_per_point_minimum(
+        self, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        psi = data.draw(st.one_of(_matrices(cfg), _tie_matrices(cfg)))
+        table = NuTable(cfg, psi, 6)
+        for f in data.draw(st.lists(_exprs(cfg, 6), min_size=1, max_size=3)):
+            assert _outcome(nu_quasi, table, f) == _outcome(_nu_quasi_per_point, table, f)
+
+    def test_tie_keeps_the_first_support_point(self, seg_cfg):
+        # under a zero matrix every value is 0; the whole key -w(alpha) of
+        # (2,-4) is below that of (1,4), which comes first in the support
+        table = NuTable(seg_cfg, WeightMatrix(rows=((0,) * 5,)), 4)
+        f = Expr.from_terms([(gp(2, -4), 1), (gp(1, 4), 1)])
+        rep = nu_quasi(table, f)
+        assert rep == _nu_quasi_per_point(table, f)
+        assert (rep.value, rep.witness_point, rep.witness_alpha) == (
+            LexVec([0]),
+            gp(1, 4),
+            (0, 0, 0, 0, 1),
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_power_seq_matches_expression_algebra(
+        self, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        psi = data.draw(st.one_of(_matrices(cfg), _tie_matrices(cfg)))
+        table = NuTable(cfg, psi, 8)
+        f = data.draw(_exprs(cfg, 2))
+        window = data.draw(st.integers(1, 4))
+        start = data.draw(st.integers(1, window))
+        if f.is_zero():
+            with pytest.raises(SchemaError, match="zero expression"):
+                power_seq(table, f, window, start)
+        else:
+            assert _outcome(power_seq, table, f, window, start) == _outcome(
+                _power_seq_by_algebra, table, f, window, start
+            )
+
+    def test_power_seq_cancelling_term(self, seg_cfg):
+        # u1 + u2 = 2*u3: the 2*u3 term of f^2 is 1 - 2*(1/2) = 0, and it
+        # would be the least point of the support if it stayed
+        u1, u2, u3 = gp(1, -2), gp(1, 2), gp(1, 0)
+        f = Expr.from_terms([(u1, 1), (u2, "-1/2"), (u3, 1)])
+        table = NuTable(seg_cfg, WeightMatrix(rows=((2, 9, -9, 0, 30),)), 8)
+        assert u3.scaled(2) not in f.power(2).support
+        assert nu_point(table, u3.scaled(2))[0] == LexVec([2])
+        seq = power_seq(table, f, window=3, start=2)
+        assert seq == _power_seq_by_algebra(table, f, 3, 2)
+        assert seq[0] == (2, LexVec([2]))
+
+    def test_power_seq_error_messages(self, seg_cfg, seg_psi):
+        table = NuTable(seg_cfg, seg_psi, 4)
+        off = Expr.from_terms([(gp(1, 3), "1/2"), (gp(1, 1), 1)])
+        with pytest.raises(SchemaError, match=re.escape(f"{gp(1, 1)} is not in the semigroup")):
+            power_seq(table, off, window=2)
+        # f^2 lists 1+10 before 5+5, both off the semigroup; the message
+        # names the least, as nu_quasi(table, f.power(2)) does
+        far = Expr.from_terms([(gp(1, 1), 1), (gp(1, 5), "1/2"), (gp(1, 10), 1)])
+        with pytest.raises(SchemaError, match=re.escape(f"{gp(2, 10)} is not in the semigroup")):
+            power_seq(table, far, window=2, start=2)
+        with pytest.raises(DegreeOverflow, match="power 3 needs degree 6 > bound 4"):
+            power_seq(table, Expr.from_terms([(gp(2, 0), "2/3")]), window=3, start=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accumulation_matches_fit(self, data):
+        n = data.draw(st.integers(1, 3))
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        vec = st.lists(entry, min_size=n, max_size=n).map(LexVec)
+        c, b = data.draw(vec), data.draw(vec)
+        indices = data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=12, unique=True))
+        # each term on the curve c + b/l or anywhere, so progressions fit
+        # fully, partly or not at all
+        seq = [
+            (ell, data.draw(st.one_of(st.just(c + b * Fraction(1, ell)), vec)))
+            for ell in sorted(indices)
+        ]
+        assert windowed_accumulation(seq) == _fit_accumulation(seq)
