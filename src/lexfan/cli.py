@@ -35,8 +35,11 @@ def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
     else:
         raise SchemaError(f"unknown format {args.format!r}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         print(rendered)
 

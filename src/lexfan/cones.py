@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Iterable, Optional, Sequence
@@ -69,30 +68,21 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
         lines = [project(v) for v in lines if v != w]
         rays = [project(r) for r in rays]
 
-    for a in eqs:
-        a = primitive(a)
-        if not any(a):
-            continue
-        w = next((v for v in lines if dot(a, v) != 0), None)
-        if w is not None:
-            reduce_by_line(a, w)
-            continue
-        _cut(a, rays, processed, equality=True)
-        processed.append(a)
-
-    for a in ineqs:
-        a = primitive(a)
-        if not any(a):
-            continue
-        w = next((v for v in lines if dot(a, v) != 0), None)
-        if w is not None:
-            w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
-            reduce_by_line(a, w)
-            rays.append(w_dir)
+    for equality, constraints in ((True, eqs), (False, ineqs)):
+        for a in constraints:
+            a = primitive(a)
+            if not any(a):
+                continue
+            w = next((v for v in lines if dot(a, v) != 0), None)
+            if w is None:
+                _cut(a, rays, processed, equality)
+            else:
+                w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
+                reduce_by_line(a, w)
+                if equality:
+                    continue  # every vector left is tight on a
+                rays.append(w_dir)
             processed.append(a)
-            continue
-        _cut(a, rays, processed, equality=False)
-        processed.append(a)
 
     rays = [r for r in rays if any(r)]
     return lines, _dedupe(rays)
@@ -253,20 +243,6 @@ class PolyCone:
         for r in self.rays:
             p = tuple(map(add, p, r))
         return p
-
-    def sample_points(self, rng, count: int = 10) -> list[tuple]:
-        """Random rational members (nonnegative ray / free line combos)."""
-        out = []
-        for _ in range(count):
-            p = [Fraction(0)] * self.dim
-            for r in self.rays:
-                c = Fraction(rng.randint(0, 6), rng.randint(1, 4))
-                p = [a + c * b for a, b in zip(p, r)]
-            for l in self.lines:
-                c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                p = [a + c * b for a, b in zip(p, l)]
-            out.append(tuple(p))
-        return out
 
     def __le__(self, other: "PolyCone") -> bool:
         """Set inclusion."""
@@ -465,24 +441,3 @@ def mu_dim(mu: MuCone) -> int:
     """N times the codimension of the lineality space of the co-polar."""
     c = mu.copolar_cone
     return mu.n_rank * (c.dim - c.lineality_dim())
-
-
-def euclidean_closure(mu: MuCone) -> PolyCone:
-    """The topological closure of the mu-cone as an ordinary polyhedral cone
-    in Q^(N*r): rows constrained to the span of the co-polar's normals, the
-    most-significant row obeying the co-polar's inequalities.  Its dimension
-    independently recomputes mu_dim."""
-    c = mu.copolar_cone
-    n, r = mu.n_rank, c.dim
-    eqs = []
-    for i in range(n):
-        for b in c.lines:  # rows must be orthogonal to the lineality space
-            v = [0] * (n * r)
-            v[i * r : (i + 1) * r] = b
-            eqs.append(tuple(v))
-    ineqs = []
-    for g in c.rays:  # top row pairs <= 0 against the pointed generators
-        v = [0] * (n * r)
-        v[0:r] = g
-        ineqs.append(tuple(v))
-    return PolyCone.from_normals(n * r, ineqs=ineqs, eqs=eqs)

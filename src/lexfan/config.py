@@ -37,6 +37,8 @@ class PointConfig:
     def __post_init__(self):
         pts = tuple(tuple(int(c) for c in p) for p in self.points)
         object.__setattr__(self, "points", pts)
+        if not pts:
+            raise SchemaError("a configuration needs at least one point")
         if any(len(p) != self.dim for p in pts):
             raise DimensionError("point length != ambient dimension")
         if len(set(pts)) != len(pts):
@@ -90,29 +92,6 @@ class Hull:
         return tuple(
             r for r in self.cone.rays if all(dot(a, r) == 0 for a in facet_subset)
         )
-
-    def faces(self) -> list[frozenset]:
-        """All faces as frozensets of point indices (indices into the point
-        list, restricted to points lying on the face), the hull included."""
-        idx_on = lambda facets: frozenset(
-            i
-            for i, p in enumerate(self.points)
-            if all(dot(a, (1, *p)) == 0 for a in facets)
-        )
-        seen = {}
-        frontier = [()]
-        while frontier:
-            nxt = []
-            for facets in frontier:
-                key = idx_on(facets)
-                if key in seen:
-                    continue
-                seen[key] = facets
-                for a in self.facets:
-                    if a not in facets:
-                        nxt.append(facets + (a,))
-            frontier = nxt
-        return list(seen.keys())
 
 
 @lru_cache(maxsize=4096)

@@ -12,11 +12,6 @@ from typing import Iterable, Sequence
 
 from lexfan.errors import DimensionError, SchemaError
 
-# The spec's Rat type: arbitrary-precision rational kept in lowest terms with
-# positive denominator.  Fraction already guarantees both invariants.
-Rat = Fraction
-
-
 def rat(x) -> Fraction:
     """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational;
     booleans are rejected, though Python counts them as ints."""

@@ -33,8 +33,8 @@ from lexfan.config import (
     volume,
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
-from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, rat, zero_vec
-from lexfan.linalg import dot, echelon, primitive, rank, solve
+from lexfan.exactlex import LexVec, WeightMatrix, rat
+from lexfan.linalg import dot, echelon, primitive
 # Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
 # tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
 from lexfan import lp  # noqa: F401
@@ -106,20 +106,10 @@ def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
     return out
 
 
-def _affine_basis(cfg: PointConfig, indices: Sequence[int]) -> Optional[tuple]:
-    """Lexicographically smallest affinely independent (dim+1)-subset, or
-    None if the points do not span.  The lex-first basis of a matroid is the
-    greedy one, so it is the pivot columns of one echelon pass over the
-    points in sorted order."""
-    idxs = sorted(indices)
-    pivots = echelon(_point_columns(cfg, idxs))[1]
-    return tuple(idxs[p] for p in pivots) if len(pivots) == cfg.n else None
-
-
 def condition_generators(cfg: PointConfig, s: MarkedSubdivision) -> list[ConditionGenerator]:
     """The reduced generator set: one fixed affine basis per cell, the
-    ``_affine_basis`` B of its marking.  One echelon pass over the columns
-    [B | H], H every other point, marked ones first, gives d I | d B^-1 H;
+    lex-first (so greedy) one B of its marking.  One echelon pass over the
+    columns [B | H], H every other point, marked ones first, gives d I | d B^-1 H;
     the relation vector of v is primitive(|d| e_v - sgn(d) column_v)."""
     out = []
     for ci, cell in enumerate(s.cells):
@@ -261,27 +251,23 @@ def linear_extension(
     cfg: PointConfig, s: MarkedSubdivision, psi: WeightMatrix
 ) -> PiecewiseLinearMap:
     """Interpolate Psi on each cell's marking, verifying that the marked
-    heights are actually affine per cell (Psi in the closed cone)."""
+    heights are actually affine per cell (Psi in the closed cone).  One
+    echelon pass over the rows (1, x_i | Psi e_i) of the marked points gives
+    d I | d X, and row k of the cell map is column n + k over d; a pivot
+    past column n - 1 means the heights are not affine."""
+    n = cfg.n
     maps = []
     for cell in s.cells:
-        basis = _affine_basis(cfg, cell.marking)
-        if basis is None:
+        red, pivots, d = echelon(
+            [primitive((*cfg.homogenized(i), *psi.column(i))) for i in cell.marking]
+        )
+        if pivots[:n] != list(range(n)):
             raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
-        mat = [cfg.homogenized(i) for i in basis]
-        rows = []
-        for k in range(psi.n_rows):
-            coeff = solve(mat, [psi.rows[k][i] for i in basis])
-            if coeff is None:
-                raise InvariantError(f"affine basis {basis} is singular")
-            rows.append(tuple(coeff))
-        for i in cell.marking:
-            h = cfg.homogenized(i)
-            val = LexVec(dot(row, h) for row in rows)
-            if val != psi.column(i):
-                raise ValueError(
-                    f"heights not affine on cell {cell.vertices} (point {i})"
-                )
-        maps.append(tuple(rows))
+        if len(pivots) > n:
+            raise ValueError(f"heights not affine on cell {cell.vertices}")
+        maps.append(
+            tuple(tuple(Fraction(row[n + k], d) for row in red) for k in range(psi.n_rows))
+        )
     return PiecewiseLinearMap(
         cfg=cfg, subdivision=s, n_rank=psi.n_rows, cell_maps=tuple(maps)
     )
@@ -296,31 +282,6 @@ def g_eval(plm: PiecewiseLinearMap, w: Sequence) -> LexVec:
     if not plm.cfg.hull().cone.contains(w):
         raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
     return min(cell_value(plm, ci, w) for ci in range(len(plm.subdivision.cells)))
-
-
-def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[LexVec]:
-    """Independent oracle: lex-max of Psi.lambda over the fiber polytope
-    {lambda >= 0 : sum lambda_j (1, chi_j) = w}, by enumerating its vertices
-    as basic feasible solutions.  None if the fiber is empty."""
-    if all(x == 0 for x in w):
-        return zero_vec(psi.n_rows)
-    cols = [cfg.homogenized(j) for j in range(cfg.r)]
-    n = cfg.n
-    best = None
-    for support in itertools.combinations(range(cfg.r), n):
-        mat = [[cols[j][k] for j in support] for k in range(n)]
-        if rank(mat) != n:
-            continue
-        coeff = solve(mat, w)
-        if coeff is None or any(c < 0 for c in coeff):
-            continue
-        lam = [Fraction(0)] * cfg.r
-        for j, c in zip(support, coeff):
-            lam[j] += c
-        val = mat_vec(psi, lam)
-        if best is None or val > best:
-            best = val
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ from typing import Optional, Sequence
 from lexfan.errors import InvariantError
 
 
-def frac_vec(v: Sequence) -> tuple:
-    return tuple(Fraction(x) for x in v)
-
-
 def dot(a: Sequence, b: Sequence):
     """Sum of products: an int on int vectors, a Fraction if any entry is."""
     return sum(map(mul, a, b))

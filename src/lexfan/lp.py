@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lexfan.errors import InvariantError
-from lexfan.linalg import frac_vec
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -69,12 +68,12 @@ def solve_lp(
     b_eq: Sequence = (),
 ) -> LpResult:
     """Maximize c.x over free x with A_ub x <= b_ub, A_eq x = b_eq."""
-    c = list(frac_vec(c))
+    c = [Fraction(x) for x in c]
     n = len(c)
     rows = []
     for a, b, eq in [(a_ub, b_ub, False), (a_eq, b_eq, True)]:
         for av, bv in zip(a, b):
-            rows.append((list(frac_vec(av)), Fraction(bv), eq))
+            rows.append(([Fraction(x) for x in av], Fraction(bv), eq))
 
     # x_j = p_j - q_j with p, q >= 0; inequalities gain a slack variable.
     nslack = sum(1 for _, _, eq in rows if not eq)

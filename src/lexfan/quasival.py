@@ -99,15 +99,6 @@ class Expr:
             out = out * self
         return out
 
-    def support_vertices(self) -> tuple:
-        """Vertices of the support polytope (the valuation minimum over the
-        support is attained there)."""
-        if not self.terms:
-            return ()
-        pts = tuple(u.vector for u in self.support)
-        h = hull_of(pts)
-        return tuple(self.support[i] for i in h.vertices)
-
 
 # ---------------------------------------------------------------------------
 # the semigroup
@@ -187,14 +178,13 @@ class ValuationReport:
     witness_cell: Optional[int]  # for V: a cell where g attains the value
 
 
-def v_quasi(plm: PiecewiseLinearMap, f: Expr, use_vertices: bool = False) -> ValuationReport:
+def v_quasi(plm: PiecewiseLinearMap, f: Expr) -> ValuationReport:
     """V(f): lexicographic minimum of the piecewise-linear map over the
-    support (vertices of the support polytope suffice)."""
+    support, the first minimal support point its witness."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
-    points = f.support_vertices() if use_vertices else f.support
     best, best_u = None, None
-    for u in points:
+    for u in f.support:
         val = g_eval(plm, u.vector)
         if best is None or val < best:
             best, best_u = val, u
@@ -457,26 +447,6 @@ def delta_image(
 def in_cell_cone(cfg: PointConfig, u: GradedPoint, cell: MarkedCell) -> bool:
     """Whether u lies in the cone over the cell."""
     return hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains(u.vector)
-
-
-def _bounded_combination(
-    cfg: PointConfig, u: GradedPoint, indices: Sequence[int]
-) -> Optional[tuple]:
-    """A nonnegative-integer combination of the homogenized points at the
-    given indices equal to u, if one exists (exact degree knapsack).  The
-    membership oracle that tests check ``Submonoid`` against."""
-    pts = [cfg.points[i] for i in indices]
-
-    def walk(j: int, remaining: int, eta: tuple):
-        if j == len(pts):
-            return () if remaining == 0 and all(c == 0 for c in eta) else None
-        for take in range(remaining, -1, -1):
-            rest = walk(j + 1, remaining - take, tuple(e - take * c for e, c in zip(eta, pts[j])))
-            if rest is not None:
-                return (take,) + rest
-        return None
-
-    return walk(0, u.d, u.eta)
 
 
 def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:

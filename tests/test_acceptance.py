@@ -11,7 +11,6 @@ from lexfan.cones import (
     cofaces,
     cone_intersection,
     cone_sum,
-    euclidean_closure,
     mu_dim,
 )
 from lexfan.config import MarkedCell, MarkedSubdivision, is_triangulation
@@ -43,6 +42,7 @@ from lexfan.quasival import (
 from lexfan.degeneration import gr_nu_reduced, gr_v_present, stanley_reisner
 
 from helpers import criterion3_cones, polar, random_matrix
+from oracles import euclidean_closure
 
 
 def _report(capsys, n, message):

@@ -17,7 +17,6 @@ from lexfan.cones import (
     cofaces,
     cone_intersection,
     cone_sum,
-    euclidean_closure,
     mu_dim,
     mu_face,
     mu_member,
@@ -29,6 +28,7 @@ from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import condition_cone
 
 from helpers import criterion3_cones, polar, random_cone
+from oracles import euclidean_closure
 
 
 def _sides(c: PolyCone) -> tuple:
@@ -294,13 +294,6 @@ class TestPolarDuality:
                     dim, ineqs=pa.ineq_normals, eqs=list(pa.eq_normals) + [u]
                 )
                 assert polar(cf) == dual
-
-    def test_sample_points_lie_in_cone(self):
-        rng = random.Random(9)
-        c = random_cone(rng, 3)
-        for p in c.sample_points(rng, count=8):
-            assert c.contains(p)
-
 
 class TestMuCone:
     def test_membership_signs_on_condition_cone(self, seg_cfg, seg_psi, seg_sub):

@@ -59,8 +59,8 @@ class TestHull:
         assert len(h.affine_eqs) == 1
 
     def test_faces_of_square(self, square_cfg):
-        faces = square_cfg.hull().faces()
-        sizes = sorted(len(f) for f in faces)
+        faces = square_cfg.hull().cone.faces()
+        sizes = sorted(len(f.rays) for f in faces)
         # empty face, 4 vertices, 4 edges, the square itself
         assert sizes == [0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
 

@@ -1,10 +1,9 @@
 """Differential tests of the fraction-free paths: the Bareiss ``echelon`` and
 the integer ``rank``, ``det``, ``canonical_subspace_basis`` and
-``project_off`` against Fraction elimination, and the greedy affine basis
-and batched relation vectors of ``gkzfan`` against the per-subset and
-per-point constructions they replace."""
+``project_off`` against Fraction elimination, and the batched relation
+vectors of ``gkzfan``, with their greedy affine bases, against the
+per-subset and per-point constructions they replace."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig
 from lexfan.errors import InvariantError
-from lexfan.gkzfan import _affine_basis, condition_generators
+from lexfan.gkzfan import condition_generators
 from lexfan.linalg import (
     canonical_subspace_basis,
     det,
@@ -24,6 +23,8 @@ from lexfan.linalg import (
     rank,
     solve,
 )
+
+from oracles import combination_basis
 
 small_ints = st.integers(-6, 6)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -80,14 +81,6 @@ def lattice_configs(draw):
     cfg = PointConfig(dim=dim, points=tuple(pts))
     idxs = draw(st.lists(st.integers(0, cfg.r - 1), min_size=1, unique=True))
     return cfg, tuple(sorted(idxs))
-
-
-def combination_basis(cfg, indices):
-    """Oracle: the first affinely independent (dim+1)-subset in lex order."""
-    for combo in itertools.combinations(sorted(indices), cfg.n):
-        if rank([cfg.homogenized(i) for i in combo]) == cfg.n:
-            return combo
-    return None
 
 
 def solve_relation(cfg, v, basis) -> tuple:
@@ -154,12 +147,6 @@ class TestIntegerLinalg:
 
 
 class TestGeneratorsAgainstSolve:
-    @settings(max_examples=150, deadline=None)
-    @given(lattice_configs())
-    def test_greedy_affine_basis(self, drawn):
-        cfg, idxs = drawn
-        assert _affine_basis(cfg, idxs) == combination_basis(cfg, idxs)
-
     @settings(max_examples=150, deadline=None)
     @given(lattice_configs())
     def test_relation_vectors(self, drawn):

@@ -35,7 +35,6 @@ from lexfan.gkzfan import (
     elementary_moves,
     enumerate_regular_subdivisions,
     enumerate_subdivisions,
-    fiber_value,
     g_eval,
     is_regular,
     linear_extension,
@@ -48,6 +47,7 @@ from lexfan.gkzfan import (
 from lexfan.linalg import dot, nullspace, primitive, rank, solve
 
 from helpers import random_matrix
+from oracles import cell_maps_by_solve, fiber_value
 
 
 class TestSubdivide:
@@ -128,6 +128,24 @@ class TestPiecewiseLinear:
         # the running matrix is not affine on the fully marked trivial cell
         with pytest.raises(ValueError):
             linear_extension(seg_cfg, trivial_subdivision(seg_cfg), seg_psi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cell_maps_match_solve_oracle(self, data):
+        # one elimination per cell against one solve per row on a basis; on
+        # a subdivision Psi does not induce, both refuse non-affine heights
+        cfg = data.draw(collinear_configs())
+        psi = data.draw(weight_matrices(cfg))
+        s = subdivide(cfg, psi)
+        assert linear_extension(cfg, s, psi).cell_maps == cell_maps_by_solve(cfg, s, psi)
+        for s in (subdivide(cfg, data.draw(weight_matrices(cfg))), trivial_subdivision(cfg)):
+            try:
+                expected = cell_maps_by_solve(cfg, s, psi)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    linear_extension(cfg, s, psi)
+            else:
+                assert linear_extension(cfg, s, psi).cell_maps == expected
 
 
 class TestConditionCone:
@@ -542,10 +560,11 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             condition_generators(simplex_cfg, flat)
 
-    def test_linear_extension_raises(self, monkeypatch, seg_cfg, seg_sub, seg_psi):
-        monkeypatch.setattr(gkzfan, "solve", lambda *args: None)
+    def test_linear_extension_raises(self, simplex_cfg):
+        # two marked points span no triangle: no affine interpolation
+        flat = MarkedSubdivision(cells=(MarkedCell(vertices=(0, 3), marking=(0, 3)),))
         with pytest.raises(InvariantError):
-            linear_extension(seg_cfg, seg_sub, seg_psi)
+            linear_extension(simplex_cfg, flat, WeightMatrix(rows=((1, 0, 2, 5),)))
 
 
 class TestRowMoves:

@@ -1,6 +1,7 @@
 """JSON schemas (exact rational round-trips) and the command-line
 surface with its exit-code contract."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -280,7 +281,6 @@ class TestCli:
         self, files, capsys, monkeypatch, seg_sub
     ):
         reps = _count_calls(monkeypatch, quasival.rep_set)
-        knapsacks = _count_calls(monkeypatch, quasival._bounded_combination)
         semigroups = _count_calls(monkeypatch, quasival.semigroup_up_to)
         cell_semigroups = _count_calls(monkeypatch, quasival.cell_semigroup)
         inputs = [files["config"], files["matrix"]]
@@ -288,7 +288,7 @@ class TestCli:
         assert main(["--degree-bound", "16", "liminf", *inputs, files["expr"]]) == 0
         assert not reps
         assert main(["--degree-bound", "6", "degenerate", *inputs]) == 0
-        assert not reps and not knapsacks
+        assert not reps
         assert len(semigroups) == 1
         assert [args[1] for args in cell_semigroups] == list(seg_sub.cells)
 
@@ -344,6 +344,14 @@ class TestCli:
         psi.write_text(json.dumps({"Psi": [[True, 1, 0, 0, 1]]}))
         self._exit_2_one_line(["subdivide", files["config"], str(psi)], capsys)
         self._exit_2_one_line(["subdivide", str(tmp_path), files["matrix"]], capsys)
+
+    def test_exit_2_empty_configuration_or_unwritable_out(self, files, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"dim": -1, "points": []}))
+        self._exit_2_one_line(["subdivide", str(empty), files["matrix"]], capsys)
+        self._exit_2_one_line(["fan", str(empty)], capsys)
+        out = str(tmp_path / "no_such_dir" / "x.json")
+        self._exit_2_one_line(["--out", out, "subdivide", files["config"], files["matrix"]], capsys)
 
     def test_exit_2_bad_bounds(self, files):
         assert (
@@ -428,6 +436,19 @@ class TestScripts:
         monkeypatch.setattr(script, "subdivide", lambda cfg, psi: MarkedSubdivision(()))
         assert script.main() == 1
         assert "partition property violated" in capsys.readouterr().err
+
+
+class TestSource:
+    def test_package_has_no_assert(self):
+        # python -O drops assert statements; contracts raise typed errors
+        package = Path(config.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestSvg:

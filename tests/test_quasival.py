@@ -22,7 +22,6 @@ from lexfan.quasival import (
     Submonoid,
     TruncatedSemigroup,
     ValuationReport,
-    _bounded_combination,
     cell_semigroup,
     delta,
     delta_image,
@@ -43,6 +42,8 @@ from lexfan.quasival import (
     v_quasi,
     windowed_accumulation,
 )
+
+from oracles import bounded_combination
 
 
 def gp(d, e):
@@ -117,17 +118,9 @@ class TestExpr:
             with pytest.raises(ValueError):
                 f_running.power(k)
 
-    def test_support_vertices(self):
-        f = Expr.from_terms([(gp(1, -2), 1), (gp(1, 0), 2), (gp(1, 4), 1)])
-        assert {u.vector for u in f.support_vertices()} == {(1, -2), (1, 4)}
-
-
 class TestValuations:
     def test_pinned_running_values(self, seg_cfg, seg_psi, seg_plm, f_running):
         assert v_quasi(seg_plm, f_running).value == LexVec(["3/2", "1/2"])
-        assert v_quasi(seg_plm, f_running, use_vertices=True).value == LexVec(
-            ["3/2", "1/2"]
-        )
         assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), f_running).value == LexVec([0, 0])
 
     def test_zero_expression(self, seg_cfg, seg_psi, seg_plm):
@@ -443,7 +436,7 @@ class TestOracles:
         )
         q = Submonoid(cfg, indices)
         for u in data.draw(st.lists(_graded_points(cfg, 8), min_size=1, max_size=4)):
-            assert in_SQ1(q, u) == (_bounded_combination(cfg, u, indices) is not None)
+            assert in_SQ1(q, u) == (bounded_combination(cfg, u, indices) is not None)
 
 
 # A configuration in 3-space with negative coordinates on every axis, and a
