@@ -51,7 +51,7 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
     every combination is an integer one followed by a gcd division."""
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple] = []
-    processed: list[tuple] = []  # inequality constraints seen so far
+    processed: list[tuple] = []  # constraints seen so far, bar equations a line absorbed
 
     def reduce_by_line(a, w):
         """Intersect with the constraint using lineality direction w:
