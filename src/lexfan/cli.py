@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.degree_bound <= 0 or args.window <= 0:
+    if args.degree_bound <= 0 or args.window <= 0 or args.budget <= 0:
         print("error: bounds must be positive", file=sys.stderr)
         return 2
     try:

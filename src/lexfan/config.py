@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import and_, or_
 from typing import Sequence
 
 from lexfan.cones import PolyCone
@@ -300,22 +301,37 @@ def refines(cfg: PointConfig, s: MarkedSubdivision, coarse: MarkedSubdivision) -
 
 
 def refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list[tuple[int, int]]:
-    """Every pair (i, j), i != j, i-major, with s_i refining s_j: each cell
-    marking of s_i lies inside some cell marking of s_j (De Loera, Rambau &
-    Santos, *Triangulations*, 2.3; ``refines`` is the geometric check).  For
-    regular subdivisions this is inclusion of condition cones (ch. 5).  Two
-    exact prefilters: the marked points of s_i lie in those of s_j, and s_i
-    has at least as many cells, since each coarse cell is a union of fine
-    ones.  Not strictly more: unmarking a point refines and keeps the cells."""
-    masks = [[sum(1 << i for i in c.marking) for c in s.cells] for s in subdivisions]
-    marked = [sum(1 << i for i in s.marked_points) for s in subdivisions]
-    return [
-        (i, j)
-        for i, (xi, mi) in enumerate(zip(masks, marked))
-        for j, (xj, mj) in enumerate(zip(masks, marked))
-        if mi & ~mj == 0 and len(xi) >= len(xj) and i != j
-        and all(any(x & ~y == 0 for y in xj) for x in xi)
-    ]
+    """Every pair (i, j), i != j, i-major and j ascending, with s_i refining
+    s_j: each cell marking of s_i lies inside some cell marking of s_j (De
+    Loera, Rambau & Santos, *Triangulations*, 2.3; ``refines`` is the
+    geometric check).  For regular subdivisions this is inclusion of
+    condition cones (ch. 5).
+
+    The rule is read through an inverted index of the distinct markings,
+    with bitsets of subdivisions as ints: ``holders[y]`` holds the
+    subdivisions with a cell marked y, and ``sup[x]`` the union of
+    ``holders[y]`` over the markings y that contain x.  s_i then refines
+    exactly the subdivisions in the intersection of ``sup[x]`` over its cell
+    markings x, less i itself.  That costs one subset test per pair of
+    distinct markings and one intersection per cell, not a test per pair of
+    subdivisions."""
+    masks = [{sum(1 << i for i in c.marking) for c in s.cells} for s in subdivisions]
+    holders: dict[int, int] = {}
+    for k, xs in enumerate(masks):
+        for y in xs:
+            holders[y] = holders.get(y, 0) | 1 << k
+    sup = {
+        x: reduce(or_, (h for y, h in holders.items() if x & ~y == 0))
+        for x in holders
+    }
+    out = []
+    for i, xs in enumerate(masks):
+        above = reduce(and_, (sup[x] for x in xs)) & ~(1 << i)
+        while above:  # set bits, lowest first
+            low = above & -above
+            out.append((i, low.bit_length() - 1))
+            above ^= low
+    return out
 
 
 def is_triangulation(cfg: PointConfig, s: MarkedSubdivision) -> bool:

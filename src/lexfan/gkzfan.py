@@ -14,6 +14,12 @@ Regularity is read off the condition cone (``ConditionCone.witness_height``);
 no LP is solved.  The cover search tests whether two cells meet properly
 against the circuits of the configuration (``circuits``), not by intersecting
 their hulls; ``config.cell_pair_violations`` stays the independent check.
+
+A condition cone's relations are read cell by cell (``_cell_relations``, one
+echelon pass per cell) and numbered by the cell's index in the subdivision
+(``condition_generators``).  The covers of one enumeration share most of
+their cells, so ``enumerate_regular_subdivisions`` computes each distinct
+cell's relations once and builds one cone per cover from them.
 """
 
 from __future__ import annotations
@@ -106,45 +112,67 @@ def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
     return out
 
 
-def condition_generators(cfg: PointConfig, s: MarkedSubdivision) -> list[ConditionGenerator]:
-    """The reduced generator set: one fixed affine basis per cell, the
-    lex-first (so greedy) one B of its marking.  One echelon pass over the
-    columns [B | H], H every other point, marked ones first, gives d I | d B^-1 H;
-    the relation vector of v is primitive(|d| e_v - sgn(d) column_v)."""
+def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
+    """The affine relations of one cell, from one echelon pass over the
+    columns [B | H]: B the lex-first (so greedy) affine basis of its
+    marking, H every other point, marked ones first.  The pass gives
+    d I | d B^-1 H, and the relation vector of v is
+    primitive(|d| e_v - sgn(d) column_v).  Returned as ``(basis, points,
+    vectors, m)``: the relation of ``points[k]`` is ``vectors[k]``, two-sided
+    iff k < m (the point is marked).  The per-relation lists keep
+    ``condition_generators`` from building a tuple per relation."""
+    # marked points first (two-sided), then unmarked ones (one-sided)
+    idxs = list(cell.marking) + [v for v in range(cfg.r) if v not in cell.marking]
+    red, pivots, d = echelon(_point_columns(cfg, idxs))
+    if len(pivots) < cfg.n or pivots[-1] >= len(cell.marking):
+        raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
+    basis = tuple(idxs[p] for p in pivots)
+    sgn = 1 if d > 0 else -1
+    points, vectors = [], []
+    for j, v in enumerate(idxs):
+        if v in basis:
+            continue
+        u = [0] * cfg.r
+        u[v] = abs(d)
+        for w, row in zip(basis, red):
+            u[w] = -sgn * row[j]
+        points.append(v)
+        vectors.append(primitive(u))
+    return basis, points, vectors, len(cell.marking) - cfg.n
+
+
+def condition_generators(
+    cfg: PointConfig, s: MarkedSubdivision, relations: Optional[dict] = None
+) -> list[ConditionGenerator]:
+    """The reduced generator set: the ``_cell_relations`` of each cell, one
+    fixed affine basis per cell, numbered by the cell's index in s.
+    ``relations``, if given, maps each ``MarkedCell`` to its
+    ``_cell_relations`` and is read and filled, so that a caller assembling
+    many subdivisions runs one echelon pass per distinct cell."""
     out = []
     for ci, cell in enumerate(s.cells):
-        # marked points first (two-sided), then unmarked ones (one-sided)
-        idxs = list(cell.marking) + [v for v in range(cfg.r) if v not in cell.marking]
-        red, pivots, d = echelon(_point_columns(cfg, idxs))
-        if len(pivots) < cfg.n or pivots[-1] >= len(cell.marking):
-            raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
-        basis = tuple(idxs[p] for p in pivots)
-        sgn = 1 if d > 0 else -1
-        for j, v in enumerate(idxs):
-            if v in basis:
-                continue
-            u = [0] * cfg.r
-            u[v] = abs(d)
-            for w, row in zip(basis, red):
-                u[w] = -sgn * row[j]
-            out.append(
-                ConditionGenerator(
-                    vector=primitive(u),
-                    cell=ci,
-                    basis=basis,
-                    point=v,
-                    two_sided=j < len(cell.marking),
-                )
-            )
+        if relations is None:
+            rel = _cell_relations(cfg, cell)
+        elif (rel := relations.get(cell)) is None:
+            rel = relations[cell] = _cell_relations(cfg, cell)
+        basis, points, vectors, m = rel
+        for k, v in enumerate(points):
+            out.append(ConditionGenerator(vectors[k], ci, basis, v, k < m))
     return out
 
 
-def condition_cone(cfg: PointConfig, s: MarkedSubdivision) -> ConditionCone:
-    gens = condition_generators(cfg, s)
+def condition_cone(
+    cfg: PointConfig, s: MarkedSubdivision, relations: Optional[dict] = None
+) -> ConditionCone:
+    """The cone of s's condition generators (``relations`` as in
+    ``condition_generators``).  A vector that several cells share enters the
+    single DD pass once (Fukuda & Prodon 1996: a repeated constraint changes
+    nothing); ``generators`` keeps every one."""
+    gens = condition_generators(cfg, s, relations)
     cone = PolyCone.from_generators(
         cfg.r,
-        rays=[g.vector for g in gens if not g.two_sided],
-        lines=[g.vector for g in gens if g.two_sided],
+        rays=dict.fromkeys(g.vector for g in gens if not g.two_sided),
+        lines=dict.fromkeys(g.vector for g in gens if g.two_sided),
     )
     return ConditionCone(subdivision=s, cone=cone, generators=tuple(gens))
 
@@ -408,8 +436,10 @@ def enumerate_regular_subdivisions(
 ) -> list[ConditionCone]:
     """The condition cones of all regular subdivisions (desk scale), in the
     order of the cover search: one cone is built per cover, and the cover is
-    kept iff the cone has a witness height."""
-    ccs = (condition_cone(cfg, s) for s in enumerate_subdivisions(cfg, budget))
+    kept iff the cone has a witness height.  Covers share most of their
+    cells, so each distinct cell's relations are computed once per call."""
+    relations: dict = {}
+    ccs = (condition_cone(cfg, s, relations) for s in enumerate_subdivisions(cfg, budget))
     return [cc for cc in ccs if cc.witness_height is not None]
 
 

@@ -1,11 +1,18 @@
 """Brute-force oracles that the tests check the library's fast paths
 against: fiber optima by basic feasible solutions, cell maps by one solve
-per affine basis, semigroup membership by an exact knapsack and the
-Euclidean closure of a lex-matrix cone.  No command or script uses them."""
+per affine basis, semigroup membership by an exact knapsack, the Euclidean
+closure of a lex-matrix cone, the refinement poset pair by pair, and the
+face-lattice invariants of a whole ``fan`` output.  No command or script
+uses them.
+
+``python tests/oracles.py CONFIG FAN_JSON`` checks a ``fan`` output against
+the invariants (``fan_invariant_violations``) and exits 1 if one fails."""
 
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -111,3 +118,84 @@ def euclidean_closure(mu: MuCone) -> PolyCone:
         v[0:r] = g
         ineqs.append(tuple(v))
     return PolyCone.from_normals(n * r, ineqs=ineqs, eqs=eqs)
+
+
+def pairwise_refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list[tuple[int, int]]:
+    """The rule of ``config.refinement_poset`` tested on every ordered pair:
+    (i, j), i != j, i-major, when each cell marking of s_i lies inside some
+    cell marking of s_j.  Two exact prefilters go first: the marked points
+    of s_i lie in those of s_j, and s_i has at least as many cells."""
+    masks = [[sum(1 << i for i in c.marking) for c in s.cells] for s in subdivisions]
+    marked = [sum(1 << i for i in s.marked_points) for s in subdivisions]
+    return [
+        (i, j)
+        for i, (xi, mi) in enumerate(zip(masks, marked))
+        for j, (xj, mj) in enumerate(zip(masks, marked))
+        if mi & ~mj == 0 and len(xi) >= len(xj) and i != j
+        and all(any(x & ~y == 0 for y in xj) for x in xi)
+    ]
+
+
+def fan_invariant_violations(r: int, dim: int, payload: dict) -> list[str]:
+    """Face-lattice invariants of a ``fan`` output over r points in
+    dimension dim, which no cover search is needed to check.  A regular
+    subdivision with ``dim_closed_cone_rank1`` k is a face of dimension
+    r - k of the secondary polytope, and s_i refines s_j iff face i lies in
+    face j (Gelfand, Kapranov & Zelevinsky 1994, ch. 7; De Loera, Rambau &
+    Santos, ch. 5).  So:
+
+    - Euler-Poincare: the sum of (-1)^(r - k) over all listed subdivisions
+      is 1, and so is the sum over each face and the faces inside it;
+    - grading: a refinement strictly raises k, and exactly one subdivision,
+      the trivial one, has k = dim + 1;
+    - every wall (k = r - 1) is refined by exactly two chambers (k = r);
+    - each chamber's condition cone has one generator per wall it refines.
+
+    Returns one message per violation; an empty list means all hold."""
+    subs = payload["regular_subdivisions"]
+    poset = [tuple(p) for p in payload["refinement_poset"]]
+    n = len(subs)
+    out = []
+    bad = [p for p in poset if not (0 <= p[0] < n and 0 <= p[1] < n and p[0] != p[1])]
+    if bad:
+        return [f"poset pairs out of range: {bad[:3]}"]
+    if len(set(poset)) != len(poset):
+        out.append("a poset pair is listed twice")
+    k = [e["dim_closed_cone_rank1"] for e in subs]
+    sign = [(-1) ** (r - x) for x in k]
+    if sum(sign) != 1:
+        out.append(f"Euler-Poincare sum {sum(sign)} != 1")
+    face_sums = list(sign)
+    for i, j in poset:
+        face_sums[j] += sign[i]
+    out += [f"Euler-Poincare sum {t} != 1 on face {j}" for j, t in enumerate(face_sums) if t != 1]
+    out += [f"refinement {i} -> {j} does not raise k" for i, j in poset if k[i] <= k[j]]
+    coarsest = [i for i in range(n) if k[i] == dim + 1]
+    if len(coarsest) != 1:
+        out.append(f"{len(coarsest)} subdivisions with k = dim + 1")
+    elif not (len(subs[coarsest[0]]["cells"]) == 1
+              and len(subs[coarsest[0]]["cells"][0]["marking"]) == r):
+        out.append(f"subdivision {coarsest[0]} has k = dim + 1 but is not trivial")
+    chambers = {i: [] for i in range(n) if k[i] == r}
+    walls = {j: [] for j in range(n) if k[j] == r - 1}
+    for i, j in poset:
+        if i in chambers and j in walls:
+            chambers[i].append(j)
+            walls[j].append(i)
+    out += [f"wall {j} lies in {len(c)} chambers" for j, c in walls.items() if len(c) != 2]
+    out += [
+        f"chamber {i}: {len(subs[i]['condition_cone']['generators'])} generators,"
+        f" {len(w)} walls"
+        for i, w in chambers.items()
+        if len(subs[i]["condition_cone"]["generators"]) != len(w)
+    ]
+    return out
+
+
+if __name__ == "__main__":
+    cfg_obj = json.load(open(sys.argv[1]))
+    violations = fan_invariant_violations(
+        len(cfg_obj["points"]), cfg_obj["dim"], json.load(open(sys.argv[2]))
+    )
+    print("\n".join(violations) or "fan invariants hold")
+    sys.exit(1 if violations else 0)

@@ -2,14 +2,18 @@
 regularity, enumeration, and the elementary row moves."""
 
 import itertools
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lexfan import gkzfan, lp
+from lexfan import gkzfan, io, lp
+from lexfan.cli import main
 from lexfan.cones import PolyCone
 from lexfan.config import (
     MarkedCell,
@@ -47,7 +51,14 @@ from lexfan.gkzfan import (
 from lexfan.linalg import dot, nullspace, primitive, rank, solve
 
 from helpers import random_matrix
-from oracles import cell_maps_by_solve, fiber_value
+from oracles import (
+    cell_maps_by_solve,
+    fan_invariant_violations,
+    fiber_value,
+    pairwise_refinement_poset,
+)
+
+DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
 
 
 class TestSubdivide:
@@ -381,6 +392,14 @@ class TestOracles:
     def test_refinement_poset(self, cfg):
         self._check_poset(cfg, enumerate_subdivisions(cfg))
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_refinement_poset_matches_pairwise_rule(self, pinwheel_cfg, data):
+        # every cover, the non-regular ones included, in a drawn order
+        cfg = data.draw(st.one_of(oracle_configs(pinwheel_cfg), collinear_configs()))
+        subs = data.draw(st.permutations(enumerate_subdivisions(cfg)))
+        assert refinement_poset(subs) == pairwise_refinement_poset(subs)
+
     def test_refinement_poset_keeps_cell_count(self, simplex_q0, simplex_q1, simplex_q2):
         # unmarking the interior point refines the trivial subdivision and
         # keeps its one cell
@@ -391,6 +410,47 @@ class TestOracles:
         for cfg, subs in fans.items():
             assert all(validate_subdivision(cfg, s).ok for s in subs)
         assert pinwheel_tri in fans[pinwheel_cfg]
+
+
+def _config_file(name: str) -> PointConfig:
+    return io.config_from_json(io.load_json(str(DATA / f"{name}.json")))
+
+
+def _fan_payload(cfg: PointConfig) -> dict:
+    """The JSON output of the ``fan`` command on cfg."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "fan.json"
+        cfg_path.write_text(json.dumps(io.config_to_json(cfg)))
+        assert main(["--out", str(out), "fan", str(cfg_path)]) == 0
+        return json.loads(out.read_text())
+
+
+PRISM = PointConfig(
+    dim=3, points=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1))
+)
+
+
+class TestWholeFan:
+    @pytest.mark.parametrize("name", ["pinwheel", "prism", "cube"])
+    def test_cones_equal_fresh_cones(self, name, pinwheel_cfg):
+        # the cones built from relations shared across covers are the cones
+        # built cover by cover
+        cfg = {"pinwheel": pinwheel_cfg, "prism": PRISM}.get(name) or _config_file(name)
+        for cc in enumerate_regular_subdivisions(cfg):
+            fresh = condition_cone(cfg, cc.subdivision)
+            assert cc.cone == fresh.cone
+            assert cc.generators == fresh.generators  # field by field
+
+    @pytest.mark.parametrize("name", ["segment", "simplex", "cube"])
+    def test_fan_invariants_on_examples(self, name):
+        cfg = _config_file(name)
+        assert fan_invariant_violations(cfg.r, cfg.dim, _fan_payload(cfg)) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fan_invariants(self, pinwheel_cfg, data):
+        cfg = data.draw(st.one_of(oracle_configs(pinwheel_cfg), collinear_configs()))
+        assert fan_invariant_violations(cfg.r, cfg.dim, _fan_payload(cfg)) == []
 
 
 def _rank_circuits(cfg) -> list:

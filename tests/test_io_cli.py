@@ -388,6 +388,14 @@ class TestCli:
         assert "after visiting 3 search nodes" in err
         assert "2 subdivisions found among 5 candidate cells" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_exit_2_non_positive_budget(self, tmp_path, capsys, simplex_cfg, budget):
+        cfg = tmp_path / "simplex.json"
+        cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
+        assert main(["--budget", budget, "fan", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "search nodes" not in captured.err
+
     def test_exit_5_degree(self, files):
         assert (
             main(
