@@ -40,7 +40,7 @@ from lexfan.config import (
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, rat
-from lexfan.linalg import dot, echelon, primitive
+from lexfan.linalg import det, dot, echelon, primitive
 # Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
 # tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
 from lexfan import lp  # noqa: F401
@@ -221,11 +221,12 @@ def _rank1_cells(cfg: PointConfig, idxs: Sequence[int], heights: Sequence[int]) 
     single int height row: the marked point sets of the cells.  The cell is
     full-dimensional, so the lifted points have rank n iff the heights are
     affine on them and the cell stays whole; otherwise their cone is
-    full-dimensional and its polar pointed, so it has no equality normals."""
+    full-dimensional and its polar pointed, so it has no equality normals.
+    One DD pass therefore answers both questions."""
     lifted = [(1, *cfg.points[i], heights[i]) for i in idxs]
-    if len(echelon(lifted)[1]) == cfg.n:
-        return [tuple(idxs)]
     cone = PolyCone.from_generators(cfg.n + 1, rays=lifted)
+    if cone.eq_normals:
+        return [tuple(idxs)]
     cells = []
     for a in cone.ineq_normals:
         if a[-1] <= 0:
@@ -245,11 +246,12 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
     rows = [primitive(r) for r in psi.rows]
 
     def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
+        if len(idxs) == cfg.n:
+            # a full-dimensional cell of n points is a simplex: it cannot
+            # split, and all its points are vertices
+            return [MarkedCell(vertices=idxs, marking=idxs)]
         if row == psi.n_rows:
-            # a full-dimensional cell of n points is a simplex: all are vertices
-            verts = idxs if len(idxs) == cfg.n else [
-                idxs[i] for i in hull_of(tuple(cfg.points[i] for i in idxs)).vertices
-            ]
+            verts = [idxs[i] for i in hull_of(tuple(cfg.points[i] for i in idxs)).vertices]
             return [MarkedCell(vertices=verts, marking=idxs)]
         out = []
         for part in _rank1_cells(cfg, idxs, rows[row]):
@@ -388,12 +390,16 @@ def enumerate_subdivisions(
     cells (desk scale).  Full-dimensional cells that pairwise meet in common
     faces with agreeing markings, and whose volumes sum to the whole, form a
     subdivision, so a cover needs no further validation.  Volumes are summed
-    as the integers dim! * volume."""
+    as the integers dim! * volume, once per vertex set: a simplex's is the
+    |det| of its homogenized vertices."""
     candidates = _candidate_cells(cfg)
     scale = factorial(cfg.dim)
-    vols = [
-        int(volume(tuple(cfg.points[i] for i in c.vertices)) * scale) for c in candidates
-    ]
+    by_vertices = {
+        vs: int(abs(det([cfg.homogenized(i) for i in vs])) if len(vs) == cfg.n
+                else volume(tuple(cfg.points[i] for i in vs)) * scale)
+        for vs in {c.vertices for c in candidates}
+    }
+    vols = [by_vertices[c.vertices] for c in candidates]
     target = int(volume(cfg.points) * scale)
     masks = [sum(1 << i for i in c.marking) for c in candidates]
     circs = circuits(cfg)

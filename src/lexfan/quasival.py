@@ -27,7 +27,7 @@ from lexfan.config import (
 from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
 from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
-from lexfan.linalg import rank, solve
+from lexfan.linalg import dot, rank, solve
 
 
 # ---------------------------------------------------------------------------
@@ -199,49 +199,49 @@ def v_quasi(plm: PiecewiseLinearMap, f: Expr) -> ValuationReport:
 class NuTable:
     """nu(f_u) = max over the fibre of u of Psi.alpha, for the graded points
     of degree <= ``bound`` of one configuration under one weight matrix, by
-    dynamic programming over the semigroup layers: nu(u) is the best over
-    the points a_j of nu(u - a_j) + Psi e_j, so each point costs one lookup
-    per configuration point once the points below it are known.  Points
-    are filled only below the ones asked for, and each is computed once for
-    the life of the table.  The walk runs on plain ints: each point is one
-    int code in the dict of its degree, and each (value, witness) one int
-    key, both valid only up to the bound.
+    meet in the middle (Horowitz & Sahni, J. ACM 1974).  Each face F keeps
+    complete layers: layer m maps every sum of m points of F to its best
+    key, built from layer m - 1 by one step per point.  A point u of degree
+    d on F is read off layer d when F has it, and otherwise off its best
+    split over the v in layer h = d // 2 with u - v in layer d - h.  Layers
+    and answers are kept for the life of the table, on plain ints (one code
+    per point, one key per value and witness), valid only up to the bound.
+
+    Faces.  A facet form a of the hull is <= 0 on every homogenized point,
+    so a.u > 0 puts u off the semigroup, and a.u = 0 keeps the points off
+    the facet out of every representative of u.  F is the set of points on
+    every facet tight at u: all for an interior u, one for a vertex multiple.
 
     Characters.  With lo_k and span_k the least coordinate and the width of
     the configuration along axis k, the character eta of a point of degree
     d is in d times the bounding box iff every digit e_k = eta_k - d*lo_k
     lies in [0, d*span_k]; no other point is in the semigroup.  The code is
     sum_k e_k W_k in the mixed radix R_k = bound*span_k + 1 (W_0 = 1,
-    W_{k+1} = W_k R_k), so a step down by a_j subtracts the constant
-    s_j = sum_k (a_jk - lo_k) W_k.  A code w = v - s_j at degree d - 1 is
-    kept when its divmod digits are <= (d-1)*span_k and the last quotient
-    is 0.  That test is exact and keeps the packing injective: digit k of
-    v - s_j is e_k - (a_jk - lo_k) >= -span_k, and if some of these are
-    negative, the least significant one, with no borrow below it, reads
-    e_k - (a_jk - lo_k) + R_k >= (bound-1)*span_k + 1 > (d-1)*span_k, so a
-    code that borrowed never passes and never equals the code of a point
-    in the box.  The upward pass can therefore look v - s_j up with no test.
+    W_{k+1} = W_k R_k), so a step by a_j adds s_j = sum_k (a_jk - lo_k) W_k
+    with no carry.  A split needs no box test either: digit k of u - v is
+    e_k - f_k >= -h*span_k, and if some are negative, the least significant
+    one, with no borrow below it, reads e_k - f_k + R_k >= (bound-h)*span_k
+    + 1 > (d-h)*span_k, so a code that borrowed, or a negative one, is
+    never a code of layer d - h.
 
     Values and witnesses.  Each row of Psi is scaled by the lcm of its
-    denominators, a positive row scaling, which keeps lex order; row i of
-    Psi.alpha then lies in [-bound*M_i, bound*M_i] (M_i the largest |entry|
-    of the scaled row), and the value packs as one int V in the balanced
-    radix Q_i = 2*bound*M_i + 1, most significant row first, so integer
-    order is lex order.  With C = (bound+1)^r and the witness code
+    denominators, which keeps lex order; row i of Psi.alpha then lies in
+    [-bound*M_i, bound*M_i] (M_i the largest |entry| of the scaled row),
+    and the value packs as one int V in the balanced radix Q_i =
+    2*bound*M_i + 1, most significant row first, so integer order is lex
+    order.  With C = (bound+1)^r and the witness code
     w(alpha) = sum_j alpha_j (bound+1)^(r-1-j) in [0, C), the key
-    V*C - w(alpha) is linear in alpha, so key(u) = max_j key(u - a_j) + K_j.
-    The largest key holds the lex-largest value and, among ties, the
-    lex-smallest alpha: the witness is the first maximizer in ``rep_set``
-    order.  That is exact because the key is the maximum of a linear
-    function over the fibre, and the fibre of u is the union over j of
-    e_j plus the fibre of u - a_j.
+    V*C - w(alpha) = sum_j alpha_j K_j is linear in alpha, and the largest
+    key holds the lex-largest value and, among ties, the lex-smallest
+    alpha: the first maximizer in ``rep_set`` order.  Layers and splits are
+    exact because the key is linear and every representative of degree d
+    is one of degree h plus one of degree d - h.
 
-    Lookups.  ``key(u)`` checks u against the bound and the dimension, fills
-    the table below u when needed and returns u's key, or None off the
-    semigroup; ``decode(key)`` turns one key into (nu(f_u), witness alpha).
-    The value part of a key is V = -(-key // C), so callers that take a
-    minimum over many points compare those ints and decode only the
-    winner."""
+    Lookups.  ``key(u)`` checks u against the bound and the dimension and
+    returns u's key, or None off the semigroup; ``decode(key)`` turns one
+    key into (nu(f_u), witness alpha).  With the value part V = -(-key // C)
+    a minimum over many points compares ints and decodes only the winner.
+    A point costs F's layers up to d - h however few points lie below it."""
 
     def __init__(self, cfg: PointConfig, psi: WeightMatrix, bound: int):
         if psi.n_cols != cfg.r:
@@ -254,8 +254,8 @@ class NuTable:
         axes = tuple(zip(*cfg.points))
         self._lo = tuple(map(min, axes))
         self._spans = tuple(max(a) - lo for a, lo in zip(axes, self._lo))
-        self._radices = tuple(bound * s + 1 for s in self._spans)
-        self._places = tuple(itertools.accumulate(self._radices[:-1], mul, initial=1))
+        radices = (bound * s + 1 for s in self._spans[:-1])
+        self._places = tuple(itertools.accumulate(radices, mul, initial=1))
         self._scales = tuple(lcm(*(x.denominator for x in row)) for row in psi.rows)
         rows = [
             tuple(x.numerator * (s // x.denominator) for x in row)
@@ -275,8 +275,15 @@ class NuTable:
             (sum(map(mul, map(sub, p, self._lo), self._places)), key_step(j, col))
             for j, (p, col) in enumerate(zip(cfg.points, zip(*rows)))
         )
-        # degree -> {character code: key, or None outside the semigroup}
-        self._memo = defaultdict(dict, {0: {0: 0}})
+        # per facet: its normal and the bitmask of the points on it
+        self._facets = tuple(
+            (a, sum(1 << j for j, p in enumerate(cfg.points) if dot(a, (1, *p)) == 0))
+            for a in hull_of(tuple(cfg.points)).facets
+        )
+        # face bitmask -> its complete layers 0..m, each {code: key}
+        self._layers: dict[int, list] = {}
+        # (degree, code) -> key, or None outside the semigroup
+        self._answers: dict[tuple, Optional[int]] = {}
 
     def key(self, u: GradedPoint) -> Optional[int]:
         """The max-plus key of u, or None when u is not in the semigroup."""
@@ -293,10 +300,34 @@ class NuTable:
             if not 0 <= c - d * lo <= d * s:
                 return None
             code += (c - d * lo) * w
-        layer = self._memo[d]
-        if code not in layer:
-            self._fill(d, code)
-        return layer[code]
+        if (d, code) in self._answers:
+            return self._answers[d, code]
+        face, vec = (1 << len(self._steps)) - 1, u.vector
+        for a, on in self._facets:
+            t = sum(map(mul, a, vec))
+            if t > 0:
+                return None
+            if t == 0:
+                face &= on
+        h = d // 2
+        layers = self._layers.setdefault(face, [{0: 0}])
+        while len(layers) <= d - h:  # a loop: no recursion grows with d
+            layer = {}
+            for j, (s, k) in enumerate(self._steps):
+                if face >> j & 1:
+                    for v, kv in layers[-1].items():
+                        old = layer.get(v + s)
+                        if old is None or kv + k > old:
+                            layer[v + s] = kv + k
+            layers.append(layer)
+        if d < len(layers):
+            best = layers[d].get(code)
+        else:
+            top = layers[d - h].get
+            splits = [k + w for v, k in layers[h].items() if (w := top(code - v)) is not None]
+            best = max(splits, default=None)
+        self._answers[d, code] = best
+        return best
 
     def decode(self, key: int) -> tuple[LexVec, tuple]:
         """(nu(f_u), witness alpha) from the key of u."""
@@ -314,43 +345,6 @@ class NuTable:
             LexVec(Fraction(v, s) for v, s in zip(reversed(val), self._scales)),
             tuple(reversed(alpha)),
         )
-
-    def _fill(self, d0: int, code: int) -> None:
-        """Fill the memo at (d0, code) and at every point below it that it
-        needs: layer by layer down to the known points, then back up (a
-        loop over degrees, so no recursion grows with the degree)."""
-        memo, steps = self._memo, self._steps
-        levels = [(d0, [code])]
-        for d in range(d0 - 1, -1, -1):
-            known, layer = memo[d], {}
-            box = tuple((radix, d * s) for radix, s in zip(self._radices, self._spans))
-            for v in levels[-1][1]:
-                for s, _ in steps:
-                    w = v - s
-                    if w in known or w in layer:
-                        continue
-                    q = w
-                    for radix, top in box:
-                        q, e = divmod(q, radix)
-                        if e > top:
-                            break
-                    else:
-                        if q == 0:
-                            layer[w] = None
-            if not layer:
-                break
-            levels.append((d, list(layer)))
-        for d, codes in reversed(levels):
-            below, layer = memo[d - 1].get, memo[d]
-            for v in codes:
-                best = None
-                for s, k in steps:
-                    found = below(v - s)
-                    if found is not None:
-                        found += k
-                        if best is None or found > best:
-                            best = found
-                layer[v] = best
 
 
 def _semigroup_key(table: NuTable, u: GradedPoint) -> int:

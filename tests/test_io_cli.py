@@ -292,25 +292,54 @@ class TestCli:
         assert len(semigroups) == 1
         assert [args[1] for args in cell_semigroups] == list(seg_sub.cells)
 
-    def test_degree_bound_2000_needs_no_recursion(self, files, capsys, tmp_path):
-        # nu at two degree-2000 points: a recursion over the degree would
-        # overflow the interpreter stack long before it got there
+    @staticmethod
+    def _vertex_multiples(tmp_path) -> str:
+        """An expression file with two degree-2000 terms, 2000 times each
+        vertex of the segment."""
         far = tmp_path / "far.json"
         f = Expr.from_terms(
             [(GradedPoint(2000, (8000,)), 1), (GradedPoint(2000, (-4000,)), "1/2")]
         )
         far.write_text(json.dumps(io.expr_to_json(f)))
+        return str(far)
+
+    def test_degree_bound_2000_needs_no_recursion(self, files, capsys, tmp_path):
+        # nu at two degree-2000 points: a recursion over the degree would
+        # overflow the interpreter stack long before it got there
+        far = self._vertex_multiples(tmp_path)
         inputs = [files["config"], files["matrix"]]
-        assert main(["--degree-bound", "2000", "valuate", *inputs, str(far)]) == 0
+        assert main(["--degree-bound", "2000", "valuate", *inputs, far]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["nu"] == ["2000", "0"]  # 2000 * Psi e_0, the lesser one
-        assert main(["--degree-bound", "1999", "valuate", *inputs, str(far)]) == 5
+        assert main(["--degree-bound", "1999", "valuate", *inputs, far]) == 5
         assert main(["--degree-bound", "2000", "liminf", *inputs, files["expr"]]) == 0
         assert (
             main(["--degree-bound", "2000", "--window", "2001", "liminf", *inputs,
                   files["expr"]])
             == 5
         )
+
+    def test_degree_bound_2000_fills_only_vertex_faces(
+        self, files, capsys, tmp_path, monkeypatch
+    ):
+        # each term's face is one vertex, so the table holds one code per
+        # layer up to degree 1000 of each, and one answer per term: O(d)
+        # codes, where the layers of the whole segment would hold millions
+        tables = []
+
+        class Recording(quasival.NuTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(quasival, "NuTable", Recording)
+        far = self._vertex_multiples(tmp_path)
+        inputs = [files["config"], files["matrix"]]
+        assert main(["--degree-bound", "2000", "valuate", *inputs, far]) == 0
+        (table,) = tables
+        layers = [layer for face in table._layers.values() for layer in face]
+        assert len(table._layers) == 2 and all(len(layer) == 1 for layer in layers)
+        assert sum(map(len, layers)) + len(table._answers) <= 2 * 2000
 
     def test_exit_2_schema(self, files, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexfan import quasival
-from lexfan.config import PointConfig, trivial_subdivision
+from lexfan.config import PointConfig, hull_of, trivial_subdivision
 from lexfan.errors import DegreeOverflow, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
+from lexfan.linalg import dot
 from lexfan.quasival import (
     AccumulationReport,
     Expr,
@@ -466,17 +467,49 @@ def _matrices(draw, cfg):
 
 
 def _check_box(cfg, table):
-    """Every point the table holds is in d times the bounding box: its code,
-    read in the radix bound*span_k + 1, has digits <= d*span_k and nothing
-    beyond the last digit."""
+    """Every point the table holds, in a face layer or among the answers
+    read off a split, is in d times the bounding box: its code, read in the
+    radix bound*span_k + 1, has digits <= d*span_k and nothing beyond the
+    last digit."""
     lo = [min(c) for c in zip(*cfg.points)]
     spans = [max(c) - m for c, m in zip(zip(*cfg.points), lo)]
-    for d, layer in table._memo.items():
-        for code in layer:
-            for span in spans:
-                code, digit = divmod(code, table.bound * span + 1)
-                assert 0 <= digit <= d * span
-            assert code == 0
+    held = [(d, code) for layers in table._layers.values()
+            for d, layer in enumerate(layers) for code in layer]
+    for d, code in held + list(table._answers):
+        for span in spans:
+            code, digit = divmod(code, table.bound * span + 1)
+            assert 0 <= digit <= d * span
+        assert code == 0
+
+
+@st.composite
+def _box_neighbours(draw, cfg, d):
+    """A point of degree d on a face of d times the bounding box, and its
+    neighbour one unit past that face, outside the box."""
+    lo = [min(c) for c in zip(*cfg.points)]
+    hi = [max(c) for c in zip(*cfg.points)]
+    eta = [draw(st.integers(d * a, d * b)) for a, b in zip(lo, hi)]
+    k = draw(st.integers(0, cfg.dim - 1))
+    step = draw(st.sampled_from([-1, 1]))
+    eta[k] = d * (lo[k] if step < 0 else hi[k])
+    inside = GradedPoint(d, tuple(eta))
+    eta[k] += step
+    return inside, GradedPoint(d, tuple(eta))
+
+
+@st.composite
+def _face_points(draw, cfg, d):
+    """A sum of d points of one face of the hull: a vertex in a third of
+    the draws, else the face cut out by a drawn set of facets (the whole
+    hull when the set is empty or cuts out no point)."""
+    hull = hull_of(tuple(cfg.points))
+    if draw(st.integers(0, 2)) == 0:
+        on = [hull.points[draw(st.sampled_from(hull.vertices))]]
+    else:
+        cut = draw(st.sets(st.sampled_from(hull.facets)))
+        on = [p for p in cfg.points if all(dot(a, (1, *p)) == 0 for a in cut)]
+    picks = draw(st.lists(st.sampled_from(on or cfg.points), min_size=d, max_size=d))
+    return GradedPoint(d, tuple(sum(p[k] for p in picks) for k in range(cfg.dim)))
 
 
 class TestPackedTable:
@@ -520,17 +553,9 @@ class TestPackedTable:
         cfg = data.draw(st.sampled_from([seg_cfg, square_cfg, _SPACE, _LINE]))
         psi = data.draw(_matrices(cfg))
         table = NuTable(cfg, psi, data.draw(st.integers(1, 5)))
-        lo = [min(c) for c in zip(*cfg.points)]
-        hi = [max(c) for c in zip(*cfg.points)]
         for _ in range(data.draw(st.integers(1, 4))):
             d = data.draw(st.one_of(st.just(table.bound), st.integers(1, table.bound)))
-            eta = [data.draw(st.integers(d * a, d * b)) for a, b in zip(lo, hi)]
-            k = data.draw(st.integers(0, cfg.dim - 1))
-            step = data.draw(st.sampled_from([-1, 1]))
-            eta[k] = d * (lo[k] if step < 0 else hi[k])
-            inside = GradedPoint(d, tuple(eta))  # on the face of the box
-            eta[k] += step
-            u = GradedPoint(d, tuple(eta))
+            inside, u = data.draw(_box_neighbours(cfg, d))
             expected = _fibre_max(cfg, psi, inside)
             assert _lookup(table, inside) == expected
             assert _fibre_max(cfg, psi, u) is None
@@ -539,6 +564,30 @@ class TestPackedTable:
                 nu_point(table, u)
             assert _lookup(table, inside) == expected
         _check_box(cfg, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_splits_match_oracle_in_any_order(
+        self, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        # points on vertices, faces and inside, and box neighbours off the
+        # semigroup, asked in ascending and descending degree and in a drawn
+        # order, each order on a fresh table, so that most lookups split
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg, _SPACE, _LINE]))
+        psi = data.draw(_matrices(cfg))
+        bound = data.draw(st.integers(1, 7))
+        on_faces = st.integers(0, bound).flatmap(lambda d: _face_points(cfg, d))
+        outside = st.integers(1, bound).flatmap(lambda d: _box_neighbours(cfg, d))
+        point = st.one_of(on_faces, on_faces, outside.map(lambda pair: pair[1]))
+        points = data.draw(st.lists(point, min_size=1, max_size=5))
+        expected = {u: _fibre_max(cfg, psi, u) for u in points}
+        ascending = sorted(points, key=lambda u: u.d)
+        drawn = data.draw(st.permutations(points))
+        for order in (ascending, ascending[::-1], drawn):
+            table = NuTable(cfg, psi, bound)
+            for u in order:
+                assert _lookup(table, u) == expected[u]
+            _check_box(cfg, table)
 
     def test_degree_overflow_above_bound(self, seg_cfg, seg_psi, f_running):
         table = NuTable(seg_cfg, seg_psi, 4)
