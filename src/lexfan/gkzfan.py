@@ -40,7 +40,7 @@ from lexfan.config import (
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, rat
-from lexfan.linalg import det, dot, echelon, primitive
+from lexfan.linalg import dot, echelon, primitive
 # Unused: the LP is the regularity tests' oracle, kept loaded for the benchmark
 # tracer, which looks up `lexfan.lp.solve_lp` after importing the CLI.
 from lexfan import lp  # noqa: F401
@@ -390,13 +390,11 @@ def enumerate_subdivisions(
     cells (desk scale).  Full-dimensional cells that pairwise meet in common
     faces with agreeing markings, and whose volumes sum to the whole, form a
     subdivision, so a cover needs no further validation.  Volumes are summed
-    as the integers dim! * volume, once per vertex set: a simplex's is the
-    |det| of its homogenized vertices."""
+    as the integers dim! * volume, once per vertex set."""
     candidates = _candidate_cells(cfg)
     scale = factorial(cfg.dim)
     by_vertices = {
-        vs: int(abs(det([cfg.homogenized(i) for i in vs])) if len(vs) == cfg.n
-                else volume(tuple(cfg.points[i] for i in vs)) * scale)
+        vs: int(volume(tuple(cfg.points[i] for i in vs)) * scale)
         for vs in {c.vertices for c in candidates}
     }
     vols = [by_vertices[c.vertices] for c in candidates]

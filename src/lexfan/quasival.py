@@ -202,10 +202,10 @@ class NuTable:
     meet in the middle (Horowitz & Sahni, J. ACM 1974).  Each face F keeps
     complete layers: layer m maps every sum of m points of F to its best
     key, built from layer m - 1 by one step per point.  A point u of degree
-    d on F is read off layer d when F has it, and otherwise off its best
-    split over the v in layer h = d // 2 with u - v in layer d - h.  Layers
-    and answers are kept for the life of the table, on plain ints (one code
-    per point, one key per value and witness), valid only up to the bound.
+    d on F is read off its best split over the v in layer h = d // 2 with
+    u - v in layer d - h.  Layers and answers are kept for the life of the
+    table, on plain ints (one code per point, one key per value and
+    witness), valid only up to the bound.
 
     Faces.  A facet form a of the hull is <= 0 on every homogenized point,
     so a.u > 0 puts u off the semigroup, and a.u = 0 keeps the points off
@@ -241,7 +241,12 @@ class NuTable:
     returns u's key, or None off the semigroup; ``decode(key)`` turns one
     key into (nu(f_u), witness alpha).  With the value part V = -(-key // C)
     a minimum over many points compares ints and decodes only the winner.
-    A point costs F's layers up to d - h however few points lie below it."""
+
+    Cost.  Layer m of a k-dimensional face holds O(m^k) codes, so a point
+    costs O(d^(k+1)) however few points lie below it: O(d) for a vertex
+    multiple, but the whole configuration's layers for a point near the
+    boundary on no facet.  On the 2-D simplex, (d, (3d-2, 1)) fills 2.1e6
+    codes at d = 320 and would need about 5e8 at d = 2000."""
 
     def __init__(self, cfg: PointConfig, psi: WeightMatrix, bound: int):
         if psi.n_cols != cfg.r:
@@ -320,12 +325,9 @@ class NuTable:
                         if old is None or kv + k > old:
                             layer[v + s] = kv + k
             layers.append(layer)
-        if d < len(layers):
-            best = layers[d].get(code)
-        else:
-            top = layers[d - h].get
-            splits = [k + w for v, k in layers[h].items() if (w := top(code - v)) is not None]
-            best = max(splits, default=None)
+        top = layers[d - h].get
+        splits = [k + w for v, k in layers[h].items() if (w := top(code - v)) is not None]
+        best = max(splits, default=None)
         self._answers[d, code] = best
         return best
 
