@@ -28,12 +28,10 @@ def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
         rendered = io.dumps(payload)
     elif args.format == "text":
         rendered = text_fn(payload) if text_fn else io.dumps(payload)
-    elif args.format == "svg":
+    else:  # "svg", the only other format argparse accepts
         if svg_fn is None:
             raise SchemaError("svg output is not available for this command")
         rendered = svg_fn(payload)
-    else:
-        raise SchemaError(f"unknown format {args.format!r}")
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -23,10 +23,9 @@ from lexfan.quasival import (
     GradedPoint,
     Submonoid,
     TruncatedSemigroup,
-    in_any_SQ1,
     in_cell_cone,
     in_SQ1,
-    stretch_factor,
+    least_multiple,
 )
 
 
@@ -147,21 +146,11 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
 def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
-    nilpotent, witnessed by the smallest stretch multiple that lands in one."""
+    nilpotent, witnessed by their least multiple that lands in one."""
     basis = t.basis
-    marked = [Submonoid(t.cfg, cell.marking) for cell in t.s.cells]
-    comps = tuple(tuple(u for u in basis if in_SQ1(q, u)) for q in marked)
+    comps = tuple(tuple(u for u in basis if in_SQ1(q, u)) for q in t.marked)
     masks = _masks(basis, comps)
-    stretch = stretch_factor(t)
-    nils = []
-    for u in basis:
-        if u.d == 0 or masks[u]:
-            continue  # masks holds in_any_SQ1 for every basis element
-        witness = next(
-            (k for k in range(2, stretch + 1) if in_any_SQ1(marked, u.scaled(k))),
-            None,
-        )
-        nils.append((u, witness))
+    nils = tuple((u, least_multiple(t, u)) for u in basis if u.d > 0 and not masks[u])
     return FanAlgebraPresentation(
         subdivision=t.s,
         bound=t.bound,
@@ -169,7 +158,7 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
         components=comps,
         masks=masks,
         table=_zero_products(basis, t.bound, masks),
-        nilpotents=tuple(nils),
+        nilpotents=nils,
         certificates=(),
         equidimensional=_equidimensional(t.cfg, t.s),
     )

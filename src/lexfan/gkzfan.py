@@ -149,11 +149,11 @@ def condition_generators(
     ``relations``, if given, maps each ``MarkedCell`` to its
     ``_cell_relations`` and is read and filled, so that a caller assembling
     many subdivisions runs one echelon pass per distinct cell."""
+    if relations is None:
+        relations = {}
     out = []
     for ci, cell in enumerate(s.cells):
-        if relations is None:
-            rel = _cell_relations(cfg, cell)
-        elif (rel := relations.get(cell)) is None:
+        if (rel := relations.get(cell)) is None:
             rel = relations[cell] = _cell_relations(cfg, cell)
         basis, points, vectors, m = rel
         for k, v in enumerate(points):

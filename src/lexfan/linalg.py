@@ -86,12 +86,10 @@ def solve(a_rows: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     return tuple(x)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[tuple]:
-    """Basis of {x : A x = 0}."""
+def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
+    """Basis of {x : A x = 0}; empty when there are no rows."""
     if not rows:
-        if ncols is None:
-            return []
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
+        return []
     ncols = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]

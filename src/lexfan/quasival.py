@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -23,11 +23,12 @@ from lexfan.config import (
     MarkedSubdivision,
     PointConfig,
     hull_of,
+    volume,
 )
 from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
 from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
-from lexfan.linalg import dot, rank, solve
+from lexfan.linalg import dot, rank
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +467,9 @@ def cell_semigroup(
 
 class TruncatedSemigroup:
     """The semigroup of a configuration up to a degree bound, with the pieces
-    that the presentations of one subdivision read: the basis and the cell
-    semigroups S_Q.  Each is computed once, on first read; create one per
+    that the presentations of one subdivision read: the basis, the cell
+    semigroups S_Q, the marked submonoids S¹_Q and the search limit of
+    ``least_multiple``.  Each is computed once, on first read; create one per
     computation and pass it around."""
 
     def __init__(self, cfg: PointConfig, s: MarkedSubdivision, bound: int):
@@ -483,56 +485,41 @@ class TruncatedSemigroup:
             tuple(cell_semigroup(self.cfg, cell, self.basis)) for cell in self.s.cells
         )
 
+    @cached_property
+    def marked(self) -> tuple:
+        """The marked submonoid S¹_Q of each cell, generated by its marking."""
+        return tuple(Submonoid(self.cfg, cell.marking) for cell in self.s.cells)
 
-def _cell_generators(elems: Sequence[GradedPoint]) -> list[GradedPoint]:
-    """Elements of S_Q (degree <= bound) that are not sums of two smaller
-    S_Q elements; a generating set up to the bound."""
-    in_sq = set(u.vector for u in elems)
-    gens = []
-    for u in elems:
-        if u.d == 0:
-            continue
-        decomposable = False
-        for v in elems:
-            if v.d == 0 or v.d >= u.d or v == u:
-                continue
-            w = GradedPoint(u.d - v.d, tuple(a - b for a, b in zip(u.eta, v.eta)))
-            if w.vector in in_sq:
-                decomposable = True
-                break
-        if not decomposable:
-            gens.append(u)
-    return gens
+    @cached_property
+    def multiple_limit(self) -> int:
+        """dim! * vol(P), the normalized volume of the configuration."""
+        return int(factorial(self.cfg.dim) * volume(self.cfg.points))
 
 
-def _barycentric_denominator(
-    cfg: PointConfig, u: GradedPoint, marking: Sequence[int]
-) -> int:
-    """lcm of the denominators of some nonnegative rational expression of u
-    in the homogenized marked points (first basic feasible solution)."""
-    cols = [cfg.homogenized(i) for i in marking]
-    n = cfg.n
-    target = u.vector
-    for support in itertools.combinations(range(len(cols)), min(n, len(cols))):
-        mat = [[cols[j][k] for j in support] for k in range(n)]
-        if rank(mat) != min(n, len(cols)):
-            continue
-        coeff = solve(mat, target)
-        if coeff is None or any(c < 0 for c in coeff):
-            continue
-        return lcm(*(c.denominator for c in coeff)) if coeff else 1
-    raise ValueError(f"{u} is not a nonnegative combination of the marked points")
+def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
+    """The least k >= 1 with k*u in some marked submonoid S¹_Q.
+
+    The search stops at dim! * vol(P) (``t.multiple_limit``), which it never
+    reaches when every cell marks its vertices: u lies in the cone over some
+    cell, hence over a simplex of that cell's vertices.  Its barycentric
+    coordinates there are ratios of integer determinants over the simplex's
+    determinant dim! * vol(simplex) <= dim! * vol(P), so that multiple of u
+    is a nonnegative integer combination of marked vertices.  ValueError
+    names u when no multiple up to the limit lands in a marked submonoid."""
+    for k in range(1, t.multiple_limit + 1):
+        if in_any_SQ1(t.marked, u.scaled(k)):
+            return k
+    raise ValueError(
+        f"no multiple k*u with k <= {t.multiple_limit} of u = {u} lies in a marked"
+        " submonoid; does every cell mark its vertices?"
+    )
 
 
 def stretch_factor(t: TruncatedSemigroup) -> int:
-    """A positive integer l with l*u in some marked submonoid for every
-    semigroup element u (valid but not necessarily minimal): the lcm of the
-    barycentric denominators of the per-cell generators up to the bound."""
-    factor = 1
-    for cell, elems in zip(t.s.cells, t.cell_semigroups):
-        for g in _cell_generators(elems):
-            factor = lcm(factor, _barycentric_denominator(t.cfg, g, cell.marking))
-    return factor
+    """A positive integer l, not always the least, with l*u in some marked
+    submonoid for every basis class u up to the bound: the lcm of their least
+    multiples, which every nilpotent witness of ``gr_nu_reduced`` divides."""
+    return lcm(*(least_multiple(t, u) for u in t.basis))
 
 
 # ---------------------------------------------------------------------------

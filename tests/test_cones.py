@@ -22,10 +22,10 @@ from lexfan.cones import (
     mu_member,
     normal_span,
 )
-from lexfan.config import hull_of
+from lexfan.config import hull_of, refinement_poset
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
-from lexfan.gkzfan import condition_cone
+from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions
 
 from helpers import criterion3_cones, polar, random_cone
 from oracles import euclidean_closure
@@ -306,6 +306,25 @@ class TestMuCone:
         assert sum(1 for s in rep.signs if s == 0) >= nline
         assert all(s <= 0 for s in rep.signs)
         assert rep.face is not None
+
+    def test_membership_on_a_proper_face(self, seg_cfg):
+        # the witness height of a coarser subdivision s' lies on the face of
+        # a refining chamber's mu-cone that is the mu-cone of s'
+        ccs = enumerate_regular_subdivisions(seg_cfg)
+        pairs = [
+            (ccs[i], ccs[j])
+            for i, j in refinement_poset([cc.subdivision for cc in ccs])
+            if ccs[i].cone.lineality_dim() == 0 and any(ccs[j].witness_height)
+        ]
+        assert len(pairs) == 48
+        for fine, coarse in pairs:
+            rep = mu_member(
+                MuCone(n_rank=1, copolar_cone=fine.cone),
+                WeightMatrix(rows=(coarse.witness_height,)),
+            )
+            assert rep.member
+            assert 0 in rep.signs and any(s < 0 for s in rep.signs)
+            assert rep.face == MuCone(n_rank=1, copolar_cone=coarse.cone)
 
     def test_non_membership(self, seg_cfg, seg_sub):
         cc = condition_cone(seg_cfg, seg_sub)

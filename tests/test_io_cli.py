@@ -243,6 +243,16 @@ class TestCli:
         assert payload["nu"] == ["0", "0"]
         assert payload["delta"] == ["-3/2", "-1"]
 
+    def test_valuate_empty_expression(self, files, tmp_path, capsys):
+        expr = tmp_path / "zero.json"
+        expr.write_text("[]")
+        assert main(["valuate", files["config"], files["matrix"], str(expr)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["V"] == payload["nu"] == "infinity"
+        witnesses = ("V_witness_point", "V_witness_cell", "nu_witness_point", "nu_witness_alpha")
+        assert all(payload[k] is None for k in witnesses)
+        assert "delta" not in payload
+
     def test_liminf(self, files, capsys):
         assert (
             main(
@@ -352,6 +362,7 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize(
         "command, terms",
@@ -373,6 +384,24 @@ class TestCli:
         psi.write_text(json.dumps({"Psi": [[True, 1, 0, 0, 1]]}))
         self._exit_2_one_line(["subdivide", files["config"], str(psi)], capsys)
         self._exit_2_one_line(["subdivide", str(tmp_path), files["matrix"]], capsys)
+
+    @pytest.mark.parametrize(
+        "which, obj, message",
+        [
+            ("config", {"dim": 1, "points": 3}, "expected list"),
+            ("config", {"dim": 1, "points": [[0], [1.5]]}, "expected integer"),
+            ("matrix", {"Psi": [[0, 1, 0, 0, 1], "1"]}, "expected a list of rationals"),
+        ],
+    )
+    def test_exit_2_ill_typed_input(self, files, tmp_path, capsys, which, obj, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = {"config": [str(bad), files["matrix"]], "matrix": [files["config"], str(bad)]}
+        assert message in self._exit_2_one_line(["subdivide", *argv[which]], capsys)
+
+    def test_exit_2_svg_unavailable(self, files, capsys):
+        err = self._exit_2_one_line(["--format", "svg", "fan", files["config"]], capsys)
+        assert "svg output is not available for this command" in err
 
     def test_exit_2_empty_configuration_or_unwritable_out(self, files, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexfan import quasival
-from lexfan.config import PointConfig, hull_of, trivial_subdivision
+from lexfan.config import (
+    MarkedCell,
+    MarkedSubdivision,
+    PointConfig,
+    hull_of,
+    trivial_subdivision,
+)
+from lexfan.degeneration import gr_nu_reduced
 from lexfan.errors import DegreeOverflow, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
@@ -33,6 +40,7 @@ from lexfan.quasival import (
     in_SQ1,
     is_elementary,
     is_full_rank,
+    least_multiple,
     nu_point,
     nu_quasi,
     power_seq,
@@ -49,6 +57,10 @@ from oracles import bounded_combination
 
 def gp(d, e):
     return GradedPoint(d, (e,))
+
+
+# Three points on a line with a gap: 3 is a vertex, 1 may be left unmarked.
+_SHORT = PointConfig(dim=1, points=((0,), (1,), (3,)))
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +286,37 @@ class TestCellMonoids:
             v_val = v_quasi(seg_plm, Expr.basis(u)).value
             nu_val, _ = nu_point(nu, u.scaled(ell))
             assert nu_val == v_val * ell
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_least_multiple_matches_knapsack(self, seg_cfg, simplex_cfg, square_cfg, data):
+        cfg = data.draw(st.sampled_from([seg_cfg, _SHORT, simplex_cfg, square_cfg]))
+        # small integer heights leave interior points unmarked often enough
+        row = st.lists(st.integers(-4, 4), min_size=cfg.r, max_size=cfg.r).map(tuple)
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=2))))
+        s = subdivide(cfg, psi)
+        t = TruncatedSemigroup(cfg, s, data.draw(st.integers(1, 6)))
+
+        def lands(u):  # u is a combination of some cell's marking
+            return any(bounded_combination(cfg, u, c.marking) is not None for c in s.cells)
+
+        stretch = stretch_factor(t)
+        for u in t.basis:
+            k = least_multiple(t, u)
+            assert lands(u.scaled(k))
+            assert not any(lands(u.scaled(j)) for j in range(1, k))
+            assert lands(u.scaled(stretch))
+        for u, witness in gr_nu_reduced(t).nilpotents:
+            assert witness == least_multiple(t, u) > 1
+            assert stretch % witness == 0
+
+    @pytest.mark.parametrize("build", [stretch_factor, gr_nu_reduced])
+    def test_unmarked_vertex_raises(self, seg_cfg, build):
+        # the marking -1, 0, 2 leaves the vertices -2 and 4 unmarked, so no
+        # multiple of (1, -2) is a combination of it
+        s = MarkedSubdivision(cells=(MarkedCell(vertices=(0, 4), marking=(1, 2, 3)),))
+        with pytest.raises(ValueError, match=re.escape(str(gp(1, -2)))):
+            build(TruncatedSemigroup(seg_cfg, s, 6))
 
 
 class TestPowerSequences:
