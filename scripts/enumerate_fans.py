@@ -55,7 +55,7 @@ def main() -> int:
             tag = "triangulation" if is_triangulation(cfg, s) else "subdivision"
             print(
                 f"  [{i}] {tag}, {len(s.cells)} cells, "
-                f"cone dim (N=1) = {cfg.r - cone.lineality_dim()}, "
+                f"cone dim (N=1) = {cfg.r - len(cone.lines)}, "
                 f"rays {len(cone.rays)}, lines {len(cone.lines)}"
             )
         print(f"  refinement relations: {refinement_poset(subs)}")

@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Subcommands: subdivide, fan, valuate, liminf, degenerate.
-Exit codes: 0 ok, 2 schema violation, 3 dimension mismatch, 4 enumeration
-budget exceeded, 5 degree-bound overflow.
+Exit codes: 0 ok, 2 schema violation or unwritable output, 3 dimension
+mismatch, 4 enumeration budget exceeded, 5 degree-bound overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -32,14 +35,22 @@ def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
         if svg_fn is None:
             raise SchemaError("svg output is not available for this command")
         rendered = svg_fn(payload)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(rendered + "\n")
-        except OSError as exc:
-            raise SchemaError(f"cannot write {args.out}: {exc.strerror}") from exc
-    else:
-        print(rendered)
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            if fh is None:  # stdout closed at start (`>&-`)
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            # print writes text and newline apart: unbuffered, a write cut
+            # short by a closed pipe drops its rest unseen and the next fails
+            print(rendered, file=fh)
+            fh.flush()
+    except OSError as exc:
+        if not args.out and sys.stdout is not None:
+            # the unwritten output stays buffered: point fd 1 at the null
+            # device, or the interpreter's final flush fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        raise SchemaError(f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
 
 
 def _lexvec_json(v):
@@ -110,9 +121,7 @@ def _angle_key(dx: Fraction, dy: Fraction):
 def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
     ledger = gkzfan.closed_member(cfg, psi, s)
     return {
-        "dim": cfg.dim,
-        "points": [list(p) for p in cfg.points],
-        "cells": io.subdivision_to_json(s)["cells"],
+        **io.config_to_json(cfg, s),
         "open_member": ledger.open_member,
         "closed_member": ledger.member,
         "condition_signs": [
@@ -156,7 +165,7 @@ def cmd_fan(args) -> int:
         {
             "cells": io.subdivision_to_json(cc.subdivision)["cells"],
             "condition_cone": io.cone_to_json(cc.cone),
-            "dim_closed_cone_rank1": cfg.r - cc.cone.lineality_dim(),
+            "dim_closed_cone_rank1": cfg.r - len(cc.cone.lines),
             "is_triangulation": is_triangulation(cfg, cc.subdivision),
         }
         for cc in ccs

@@ -51,7 +51,7 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
     every combination is an integer one followed by a gcd division."""
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple] = []
-    processed: list[tuple] = []  # constraints seen so far, bar equations a line absorbed
+    processed: list[tuple] = []  # inequalities seen so far, zero ones included
 
     def reduce_by_line(a, w):
         """Intersect with the constraint using lineality direction w:
@@ -68,39 +68,36 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
         lines = [project(v) for v in lines if v != w]
         rays = [project(r) for r in rays]
 
-    for equality, constraints in ((True, eqs), (False, ineqs)):
-        for a in constraints:
-            a = primitive(a)
-            if not any(a):
-                continue
-            w = next((v for v in lines if dot(a, v) != 0), None)
-            if w is None:
-                _cut(a, rays, processed, equality)
-            else:
-                w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
-                reduce_by_line(a, w)
-                if equality:
-                    continue  # every vector left is tight on a
-                rays.append(w_dir)
-            processed.append(a)
+    for a in map(primitive, eqs):
+        # no ray exists yet: a cuts the lineality by a line it is not tight
+        # on, or every line is tight on it and it is implied by those before
+        if w := next((v for v in lines if dot(a, v)), None):
+            reduce_by_line(a, w)
+    for a in map(primitive, ineqs):
+        w = next((v for v in lines if dot(a, v)), None)
+        if w is None:
+            _cut(a, rays, processed)
+        else:
+            w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
+            reduce_by_line(a, w)
+            rays.append(w_dir)
+        processed.append(a)
 
     rays = [r for r in rays if any(r)]
     return lines, _dedupe(rays)
 
 
-def _cut(a, rays, processed, equality):
+def _cut(a, rays, processed):
     """Standard double-description step on the pointed part; adjacent
     rays combine as (a.rp) rn - (a.rn) rp, then the gcd is divided out.
     Two rays are adjacent iff no third ray is tight on every processed
     constraint that both are tight on; zero sets are int bitmasks."""
     vals = [dot(a, r) for r in rays]
     pos = [k for k, v in enumerate(vals) if v > 0]
-    neg = [k for k, v in enumerate(vals) if v < 0]
-    if not pos and not (equality and neg):
+    if not pos:
         return
-    keep = [r for r, v in zip(rays, vals) if not v]
-    if not equality:
-        keep += [rays[k] for k in neg]
+    neg = [k for k, v in enumerate(vals) if v < 0]
+    keep = [r for r, v in zip(rays, vals) if not v] + [rays[k] for k in neg]
     zsets = _incidences(rays, processed)
     new = []
     for p, q in itertools.product(pos, neg):
@@ -196,14 +193,6 @@ class PolyCone:
                 raise DimensionError("normal length != ambient dimension")
         return PolyCone(dim, v=_canonical(*_dd(dim, eqs, ineqs)), given=(eqs, ineqs))
 
-    @staticmethod
-    def zero(dim: int) -> "PolyCone":
-        return PolyCone.from_generators(dim)
-
-    @staticmethod
-    def full(dim: int) -> "PolyCone":
-        return PolyCone.from_normals(dim)
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -228,12 +217,6 @@ class PolyCone:
 
     def cone_dim(self) -> int:
         return rank(list(self.lines) + list(self.rays))
-
-    def lineality_dim(self) -> int:
-        return len(self.lines)
-
-    def is_pointed(self) -> bool:
-        return not self.lines
 
     def relative_interior_point(self) -> tuple:
         """Sum of the extreme rays (zero lineality combination); lies in the
@@ -325,12 +308,6 @@ def _read_off(base, cands, other) -> tuple:
 # ---------------------------------------------------------------------------
 # cone operations
 # ---------------------------------------------------------------------------
-
-def normal_span(cone: PolyCone) -> tuple:
-    """Basis of the span of all normals; its orthogonal complement is the
-    lineality space."""
-    return canonical_subspace_basis(list(cone.normals))
-
 
 def cone_sum(a: PolyCone, b: PolyCone) -> PolyCone:
     return PolyCone.from_generators(
@@ -440,4 +417,4 @@ def mu_face(mu: MuCone, u: Sequence) -> MuCone:
 def mu_dim(mu: MuCone) -> int:
     """N times the codimension of the lineality space of the co-polar."""
     c = mu.copolar_cone
-    return mu.n_rank * (c.dim - c.lineality_dim())
+    return mu.n_rank * (c.dim - len(c.lines))

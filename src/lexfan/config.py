@@ -59,9 +59,6 @@ class PointConfig:
     def homogenized(self, j: int) -> tuple:
         return (1,) + self.points[j]
 
-    def hull(self) -> "Hull":
-        return hull_of(self.points)
-
 
 @dataclass(frozen=True)
 class Hull:
@@ -81,18 +78,6 @@ class Hull:
     @property
     def intrinsic_dim(self) -> int:
         return len(self.points[0]) - len(self.affine_eqs)
-
-    def tight_facets(self, ws: Sequence[Sequence]) -> tuple:
-        """Facets active on every one of the given homogeneous vectors."""
-        return tuple(a for a in self.facets if all(dot(a, w) == 0 for w in ws))
-
-    def face_vertices(self, facet_subset: Sequence) -> tuple:
-        """The primitive homogeneous vectors of the hull vertices on which
-        every given facet is active (the vertex set of the corresponding
-        face): the rays of the cone on those facets."""
-        return tuple(
-            r for r in self.cone.rays if all(dot(a, r) == 0 for a in facet_subset)
-        )
 
 
 @lru_cache(maxsize=4096)
@@ -162,10 +147,10 @@ def _face_to_face(pa: tuple, pb: tuple) -> bool:
     if not iv:
         return True
     for h in (hull_of(pa), hull_of(pb)):
-        tight = h.tight_facets(iv)
-        if len(tight) == 0 and len(iv) < len(h.vertices):
-            return False  # intersection meets the interior but is smaller
-        if set(h.face_vertices(tight)) != set(iv):
+        # the intersection must be the face cut out by the facets tight on
+        # all of it: the rays of the cone tight on those facets
+        tight = [a for a in h.facets if all(dot(a, w) == 0 for w in iv)]
+        if {r for r in h.cone.rays if all(dot(a, r) == 0 for a in tight)} != set(iv):
             return False
     return True
 
@@ -208,7 +193,7 @@ class MarkedSubdivision:
 
 
 def trivial_subdivision(cfg: PointConfig) -> MarkedSubdivision:
-    h = cfg.hull()
+    h = hull_of(cfg.points)
     return MarkedSubdivision(
         cells=(MarkedCell(vertices=h.vertices, marking=tuple(range(cfg.r))),)
     )

@@ -110,13 +110,32 @@ def _zero_products(basis, bound, masks) -> tuple:
     return tuple(zeros)
 
 
+def _presentation(t: TruncatedSemigroup, comps, certificates=()) -> FanAlgebraPresentation:
+    """The presentation of t's basis with these components.  A positive-degree
+    class in no component is nilpotent, witnessed by its least multiple in a
+    marked submonoid; gr_V has none, as the cell semigroups cover the basis."""
+    basis = t.basis
+    masks = _masks(basis, comps)
+    return FanAlgebraPresentation(
+        subdivision=t.s,
+        bound=t.bound,
+        basis=basis,
+        components=comps,
+        masks=masks,
+        table=_zero_products(basis, t.bound, masks),
+        nilpotents=tuple(
+            (u, least_multiple(t, u)) for u in basis if u.d > 0 and not masks[u]
+        ),
+        certificates=certificates,
+        equidimensional=_equidimensional(t.cfg, t.s),
+    )
+
+
 def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """Presentation of the graded algebra of the piecewise-linear valuation:
     classes multiply through when they share a cell cone, otherwise to zero.
     Reduced, with one irreducible component per cell."""
     cfg, s = t.cfg, t.s
-    comps = t.cell_semigroups
-    masks = _masks(t.basis, comps)
     certs = []
     for ci, cell in enumerate(s.cells):
         inside = _inside(cfg, cell)
@@ -130,37 +149,15 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
             if cj != ci
         )
         certs.append(ComponentCertificate(ci, witness, in_own, outside))
-    return FanAlgebraPresentation(
-        subdivision=s,
-        bound=t.bound,
-        basis=t.basis,
-        components=comps,
-        masks=masks,
-        table=_zero_products(t.basis, t.bound, masks),
-        nilpotents=(),
-        certificates=tuple(certs),
-        equidimensional=_equidimensional(cfg, s),
-    )
+    return _presentation(t, t.cell_semigroups, tuple(certs))
 
 
 def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
     nilpotent, witnessed by their least multiple that lands in one."""
-    basis = t.basis
-    comps = tuple(tuple(u for u in basis if in_SQ1(q, u)) for q in t.marked)
-    masks = _masks(basis, comps)
-    nils = tuple((u, least_multiple(t, u)) for u in basis if u.d > 0 and not masks[u])
-    return FanAlgebraPresentation(
-        subdivision=t.s,
-        bound=t.bound,
-        basis=basis,
-        components=comps,
-        masks=masks,
-        table=_zero_products(basis, t.bound, masks),
-        nilpotents=nils,
-        certificates=(),
-        equidimensional=_equidimensional(t.cfg, t.s),
+    return _presentation(
+        t, tuple(tuple(u for u in t.basis if in_SQ1(q, u)) for q in t.marked)
     )
 
 
@@ -210,12 +207,12 @@ class KhovanskiiReport:
 def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
     cfg, s = t.cfg, t.s
     generated_by = [Submonoid(cfg, _inside(cfg, cell)) for cell in s.cells]
-    holders = [set(u.vector for u in comp) for comp in t.cell_semigroups]
+    masks = _masks(t.basis, t.cell_semigroups)
     generated, extra = [], []
     for u in t.basis:
         if u.d == 0:
             continue
-        cells_holding = [ci for ci, m in enumerate(holders) if u.vector in m]
+        cells_holding = [ci for ci in range(len(s.cells)) if masks[u] >> ci & 1]
         ok = any(in_SQ1(generated_by[ci], u) for ci in cells_holding)
         (generated if ok else extra).append((u, tuple(cells_holding)))
     per_cell = tuple(

@@ -259,7 +259,7 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
         return out
 
     cells = refine(list(range(cfg.r)), 0)
-    return MarkedSubdivision(cells=tuple(sorted(set(cells), key=lambda c: (c.vertices, c.marking))))
+    return MarkedSubdivision(cells=set(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def cell_value(plm: PiecewiseLinearMap, cell_index: int, w: Sequence) -> LexVec:
 
 def g_eval(plm: PiecewiseLinearMap, w: Sequence) -> LexVec:
     """Lexicographic minimum of the cell maps at a point of the cone over P."""
-    if not plm.cfg.hull().cone.contains(w):
+    if not hull_of(plm.cfg.points).cone.contains(w):
         raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
     return min(cell_value(plm, ci, w) for ci in range(len(plm.subdivision.cells)))
 
@@ -451,13 +451,18 @@ def enumerate_regular_subdivisions(
 # row moves and dimensions
 # ---------------------------------------------------------------------------
 
+def _replace_row(psi: WeightMatrix, row: int, new) -> WeightMatrix:
+    """psi with the given row replaced by the entries of ``new``."""
+    rows = list(psi.rows)
+    rows[row] = tuple(new)
+    return WeightMatrix(rows=tuple(rows))
+
+
 def scale_row(psi: WeightMatrix, row: int, factor) -> WeightMatrix:
     factor = rat(factor)
     if factor <= 0:
         raise ValueError("row scaling requires a positive factor")
-    rows = [list(r) for r in psi.rows]
-    rows[row] = [factor * x for x in rows[row]]
-    return WeightMatrix(rows=tuple(tuple(r) for r in rows))
+    return _replace_row(psi, row, (factor * x for x in psi.rows[row]))
 
 
 def add_row_multiple(psi: WeightMatrix, src: int, dst: int, factor) -> WeightMatrix:
@@ -465,17 +470,15 @@ def add_row_multiple(psi: WeightMatrix, src: int, dst: int, factor) -> WeightMat
     if dst <= src:
         raise ValueError("target row must be strictly less significant")
     factor = rat(factor)
-    rows = [list(r) for r in psi.rows]
-    rows[dst] = [x + factor * y for x, y in zip(rows[dst], rows[src])]
-    return WeightMatrix(rows=tuple(tuple(r) for r in rows))
+    return _replace_row(
+        psi, dst, (x + factor * y for x, y in zip(psi.rows[dst], psi.rows[src]))
+    )
 
 
 def shift_row(psi: WeightMatrix, row: int, constant) -> WeightMatrix:
     """Add a constant to every entry of a row (an affine height shift)."""
     constant = rat(constant)
-    rows = [list(r) for r in psi.rows]
-    rows[row] = [x + constant for x in rows[row]]
-    return WeightMatrix(rows=tuple(tuple(r) for r in rows))
+    return _replace_row(psi, row, (x + constant for x in psi.rows[row]))
 
 
 def elementary_moves(psi: WeightMatrix) -> list[WeightMatrix]:
@@ -498,4 +501,4 @@ def cone_dim(cfg: PointConfig, s: MarkedSubdivision, n_rank: int) -> int:
     """Dimension of the closed cone: N times the codimension of the
     condition cone's lineality space."""
     cc = condition_cone(cfg, s)
-    return n_rank * (cfg.r - cc.cone.lineality_dim())
+    return n_rank * (cfg.r - len(cc.cone.lines))

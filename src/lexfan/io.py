@@ -42,10 +42,7 @@ def _rat_list(xs) -> list:
 def config_to_json(cfg: PointConfig, s: MarkedSubdivision | None = None) -> dict:
     out = {"dim": cfg.dim, "points": [list(p) for p in cfg.points]}
     if s is not None:
-        out["cells"] = [
-            {"vertices": list(c.vertices), "marking": list(c.marking)}
-            for c in s.cells
-        ]
+        out.update(subdivision_to_json(s))
     return out
 
 

@@ -204,9 +204,10 @@ class NuTable:
     complete layers: layer m maps every sum of m points of F to its best
     key, built from layer m - 1 by one step per point.  A point u of degree
     d on F is read off its best split over the v in layer h = d // 2 with
-    u - v in layer d - h.  Layers and answers are kept for the life of the
-    table, on plain ints (one code per point, one key per value and
-    witness), valid only up to the bound.
+    u - v in layer d - h.  Layers are kept for the life of the table, on
+    plain ints (one code per point, one key per value and witness), valid
+    only up to the bound; answers are not: a point asked twice is read off
+    its split twice.
 
     Faces.  A facet form a of the hull is <= 0 on every homogenized point,
     so a.u > 0 puts u off the semigroup, and a.u = 0 keeps the points off
@@ -288,8 +289,6 @@ class NuTable:
         )
         # face bitmask -> its complete layers 0..m, each {code: key}
         self._layers: dict[int, list] = {}
-        # (degree, code) -> key, or None outside the semigroup
-        self._answers: dict[tuple, Optional[int]] = {}
 
     def key(self, u: GradedPoint) -> Optional[int]:
         """The max-plus key of u, or None when u is not in the semigroup."""
@@ -306,8 +305,6 @@ class NuTable:
             if not 0 <= c - d * lo <= d * s:
                 return None
             code += (c - d * lo) * w
-        if (d, code) in self._answers:
-            return self._answers[d, code]
         face, vec = (1 << len(self._steps)) - 1, u.vector
         for a, on in self._facets:
             t = sum(map(mul, a, vec))
@@ -328,9 +325,7 @@ class NuTable:
             layers.append(layer)
         top = layers[d - h].get
         splits = [k + w for v, k in layers[h].items() if (w := top(code - v)) is not None]
-        best = max(splits, default=None)
-        self._answers[d, code] = best
-        return best
+        return max(splits, default=None)
 
     def decode(self, key: int) -> tuple[LexVec, tuple]:
         """(nu(f_u), witness alpha) from the key of u."""
@@ -452,10 +447,6 @@ def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:
     return u.d >= 0 and u.eta in q.layer(u.d)
 
 
-def in_any_SQ1(qs: Iterable[Submonoid], u: GradedPoint) -> bool:
-    return any(in_SQ1(q, u) for q in qs)
-
-
 def cell_semigroup(
     cfg: PointConfig, cell: MarkedCell, elems: Iterable[GradedPoint]
 ) -> list[GradedPoint]:
@@ -507,7 +498,7 @@ def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     is a nonnegative integer combination of marked vertices.  ValueError
     names u when no multiple up to the limit lands in a marked submonoid."""
     for k in range(1, t.multiple_limit + 1):
-        if in_any_SQ1(t.marked, u.scaled(k)):
+        if any(in_SQ1(q, u.scaled(k)) for q in t.marked):
             return k
     raise ValueError(
         f"no multiple k*u with k <= {t.multiple_limit} of u = {u} lies in a marked"

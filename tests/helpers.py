@@ -22,7 +22,7 @@ def polar(c: PolyCone) -> PolyCone:
     """The ordinary polar {y : y.x <= 0 for all x in C}."""
     gens = c.generators
     if not gens:
-        return PolyCone.full(c.dim)
+        return PolyCone.from_normals(c.dim)
     return PolyCone.from_normals(c.dim, ineqs=gens)
 
 

@@ -30,7 +30,7 @@ from lexfan.quasival import (
     NuTable,
     TruncatedSemigroup,
     delta_image,
-    in_any_SQ1,
+    in_SQ1,
     is_full_rank,
     nu_quasi,
     power_seq,
@@ -199,7 +199,7 @@ def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_marked, seg_plm,
         nn = nu_quasi(nu, f).value
         assert nn <= vv  # V >= nu throughout
         # equality exactly on the union of the marked submonoids
-        assert (vv == nn) == in_any_SQ1(seg_marked, u)
+        assert (vv == nn) == any(in_SQ1(q, u) for q in seg_marked)
     img = delta_image(seg_cfg, seg_psi, seg_plm, 12)
     rev = delta_image(seg_cfg, seg_psi, seg_plm, 12, reverse=True)
     assert img.values == rev.values and img.per_cell == rev.per_cell

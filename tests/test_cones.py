@@ -20,11 +20,11 @@ from lexfan.cones import (
     mu_dim,
     mu_face,
     mu_member,
-    normal_span,
 )
 from lexfan.config import hull_of, refinement_poset
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
+from lexfan.linalg import canonical_subspace_basis
 from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions
 
 from helpers import criterion3_cones, polar, random_cone
@@ -41,7 +41,7 @@ class TestPolyCone:
         c = PolyCone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert c.lines == ()
         assert set(c.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        assert c.cone_dim() == 3 and c.is_pointed()
+        assert c.cone_dim() == 3 and not c.lines
         assert c.contains((2, 3, 1)) and not c.contains((-1, 0, 0))
         assert len(c.faces()) == 8
 
@@ -49,12 +49,12 @@ class TestPolyCone:
         c = PolyCone.from_normals(2, ineqs=[(0, 1)])
         assert c.lines == ((1, 0),)
         assert c.rays == ((0, -1),)
-        assert c.cone_dim() == 2 and c.lineality_dim() == 1
+        assert c.cone_dim() == 2 and len(c.lines) == 1
 
     def test_zero_and_full(self):
-        z, f = PolyCone.zero(3), PolyCone.full(3)
+        z, f = PolyCone.from_generators(3), PolyCone.from_normals(3)
         assert z.cone_dim() == 0 and not z.rays and not z.lines
-        assert f.cone_dim() == 3 and f.lineality_dim() == 3
+        assert f.cone_dim() == 3 and len(f.lines) == 3
         assert z <= f and not (f <= z)
         assert polar(z) == f and polar(f) == z
 
@@ -91,11 +91,11 @@ class TestPolyCone:
 
     def test_line_handling(self):
         c = PolyCone.from_generators(3, rays=[(0, 0, 1)], lines=[(1, 1, 0)])
-        assert c.lineality_dim() == 1
+        assert len(c.lines) == 1
         assert c.contains((5, 5, 2)) and c.contains((-4, -4, 0))
         assert not c.contains((1, 0, 0))
         # normal span is the orthogonal complement of the lineality space
-        ns = normal_span(c)
+        ns = canonical_subspace_basis(list(c.normals))
         assert all(
             sum(Fraction(x) * Fraction(y) for x, y in zip(n, l)) == 0
             for n in ns
@@ -107,12 +107,12 @@ class TestPolyCone:
         p = c.relative_interior_point()
         assert c.contains(p)
         # interior: no inequality tight
-        assert coface(c, p).lineality_dim() == 2
+        assert len(coface(c, p).lines) == 2
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
             PolyCone.from_generators(2, rays=[(1, 0, 0)])
-        c = PolyCone.full(2)
+        c = PolyCone.from_normals(2)
         with pytest.raises(DimensionError):
             c.contains((1, 2, 3))
 
@@ -241,13 +241,13 @@ class TestFacesAndCofaces:
             by_face_dim.setdefault(f.cone_dim(), []).append((f, u, cf))
         # interior point -> whole plane
         (f2, _, cf2) = by_face_dim[2][0]
-        assert cf2 == PolyCone.full(2)
+        assert cf2 == PolyCone.from_normals(2)
         # ray -> half-plane containing the cone
         for f1, _, cf1 in by_face_dim[1]:
-            assert cf1.lineality_dim() == 1 and c <= cf1
+            assert len(cf1.lines) == 1 and c <= cf1
         # origin -> the cone itself
         (f0, u0, cf0) = by_face_dim[0][0]
-        assert f0 == PolyCone.zero(2) and cf0 == c
+        assert f0 == PolyCone.from_generators(2) and cf0 == c
 
     def test_coface_requires_membership(self):
         c = PolyCone.from_generators(2, rays=[(1, 0), (0, 1)])
@@ -314,7 +314,7 @@ class TestMuCone:
         pairs = [
             (ccs[i], ccs[j])
             for i, j in refinement_poset([cc.subdivision for cc in ccs])
-            if ccs[i].cone.lineality_dim() == 0 and any(ccs[j].witness_height)
+            if len(ccs[i].cone.lines) == 0 and any(ccs[j].witness_height)
         ]
         assert len(pairs) == 48
         for fine, coarse in pairs:

@@ -38,7 +38,7 @@ class TestPointConfig:
 
 class TestHull:
     def test_square(self, square_cfg):
-        h = square_cfg.hull()
+        h = hull_of(square_cfg.points)
         assert h.vertices == (0, 1, 2, 3)
         assert len(h.facets) == 4 and h.affine_eqs == ()
         assert h.intrinsic_dim == 2
@@ -49,7 +49,7 @@ class TestHull:
             h.cone.contains((1, 1))  # an affine point, not (d, y)
 
     def test_interior_point_not_vertex(self, simplex_cfg):
-        h = simplex_cfg.hull()
+        h = hull_of(simplex_cfg.points)
         assert h.vertices == (0, 1, 2)
         assert h.cone.contains((1, 1, 1))
 
@@ -59,13 +59,13 @@ class TestHull:
         assert len(h.affine_eqs) == 1
 
     def test_faces_of_square(self, square_cfg):
-        faces = square_cfg.hull().cone.faces()
+        faces = hull_of(square_cfg.points).cone.faces()
         sizes = sorted(len(f.rays) for f in faces)
         # empty face, 4 vertices, 4 edges, the square itself
         assert sizes == [0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
 
     def test_segment_hull_vertices(self, seg_cfg):
-        assert seg_cfg.hull().vertices == (0, 4)
+        assert hull_of(seg_cfg.points).vertices == (0, 4)
 
 
 class TestVolume:

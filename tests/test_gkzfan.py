@@ -367,7 +367,7 @@ class TestOracles:
             cones = [condition_cone(cfg, s).cone for s in subs]
             for ci, cj in itertools.permutations(cones, 2):
                 if ci <= cj:
-                    assert ci.lineality_dim() < cj.lineality_dim()
+                    assert len(ci.lines) < len(cj.lines)
 
     @staticmethod
     def _check_poset(cfg, subs):

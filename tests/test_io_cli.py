@@ -4,8 +4,10 @@ surface with its exit-code contract."""
 import ast
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -333,8 +335,8 @@ class TestCli:
         self, files, capsys, tmp_path, monkeypatch
     ):
         # each term's face is one vertex, so the table holds one code per
-        # layer up to degree 1000 of each, and one answer per term: O(d)
-        # codes, where the layers of the whole segment would hold millions
+        # layer up to degree 1000 of each: O(d) codes, where the layers of
+        # the whole segment would hold millions
         tables = []
 
         class Recording(quasival.NuTable):
@@ -349,7 +351,7 @@ class TestCli:
         (table,) = tables
         layers = [layer for face in table._layers.values() for layer in face]
         assert len(table._layers) == 2 and all(len(layer) == 1 for layer in layers)
-        assert sum(map(len, layers)) + len(table._answers) <= 2 * 2000
+        assert sum(map(len, layers)) <= 2 * 2000
 
     def test_exit_2_schema(self, files, tmp_path):
         bad = tmp_path / "bad.json"
@@ -411,6 +413,35 @@ class TestCli:
         out = str(tmp_path / "no_such_dir" / "x.json")
         self._exit_2_one_line(["--out", out, "subdivide", files["config"], files["matrix"]], capsys)
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("read", [0, 10])
+    def test_exit_2_stdout_closed_by_reader(self, read, unbuffered):
+        # the output (432 KB) is larger than a pipe buffer, so the write
+        # fails whether it starts before or after the reader closes its end;
+        # after a read, the write blocked on the full pipe ends short
+        root = Path(__file__).resolve().parent.parent
+        data = root / "scripts" / "data"
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lexfan.cli", "--degree-bound", "8", "degenerate",
+             str(data / "simplex.json"), str(data / "simplex_psi.json")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+        )
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err.startswith("schema error: cannot write stdout: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_exit_2_stdout_closed_at_start(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as under `>&-`
+        err = self._exit_2_one_line(["subdivide", files["config"], files["matrix"]], capsys)
+        assert "cannot write stdout" in err
+
     def test_exit_2_bad_bounds(self, files):
         assert (
             main(
@@ -434,6 +465,15 @@ class TestCli:
         planar = tmp_path / "planar.json"
         planar.write_text(json.dumps([{"d": 1, "eta": [-1, 5], "coeff": "1"}]))
         assert main(["liminf", files["config"], files["matrix"], str(planar)]) == 3
+
+    def test_exit_3_liminf_matrix_width(self, tmp_path, capsys, simplex_cfg):
+        cfg, psi, expr = (tmp_path / f"{name}.json" for name in ("cfg", "psi", "expr"))
+        cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
+        psi.write_text(json.dumps({"Psi": [["1", "2"]]}))
+        expr.write_text(json.dumps([{"d": 1, "eta": [1, 1], "coeff": "1"}]))
+        assert main(["liminf", str(cfg), str(psi), str(expr)]) == 3
+        err = capsys.readouterr().err
+        assert "matrix has 2 columns, configuration has 4 points" in err
 
     def test_exit_4_budget(self, files, tmp_path, capsys, simplex_cfg):
         cfg = tmp_path / "simplex.json"
