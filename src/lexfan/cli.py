@@ -182,9 +182,8 @@ def cmd_valuate(args) -> int:
     f = io.expr_from_json(io.load_json(args.expr))
     s = gkzfan.subdivide(cfg, psi)
     plm = gkzfan.linear_extension(cfg, s, psi)
-    v_rep = quasival.v_quasi(plm, f)
     table = quasival.NuTable(cfg, psi, args.degree_bound)
-    nu_rep = quasival.nu_quasi(table, f)
+    v_rep, nu_rep, delta_rep = quasival.valuate(table, plm, f)
     payload = {
         "V": _lexvec_json(v_rep.value),
         "V_witness_point": None
@@ -199,8 +198,8 @@ def cmd_valuate(args) -> int:
         if nu_rep.witness_alpha is None
         else list(nu_rep.witness_alpha),
     }
-    if not f.is_zero():
-        payload["delta"] = _lexvec_json(quasival.delta(table, plm, f))
+    if delta_rep is not None:
+        payload["delta"] = _lexvec_json(delta_rep.value)
     _emit(args, payload)
     return 0
 

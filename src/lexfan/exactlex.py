@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from lexfan.errors import DimensionError, SchemaError
@@ -161,6 +162,17 @@ class WeightMatrix:
 
     def column(self, j: int) -> LexVec:
         return LexVec(row[j] for row in self.rows)
+
+    def integer_rows(self) -> tuple[tuple, tuple]:
+        """(scales, rows): each row times the lcm of its denominators, as an
+        int tuple, and those lcms.  A positive scale per row keeps the lex
+        order of every value read off the rows."""
+        scales = tuple(lcm(*(x.denominator for x in row)) for row in self.rows)
+        rows = tuple(
+            tuple(x.numerator * (s // x.denominator) for x in row)
+            for row, s in zip(self.rows, scales)
+        )
+        return scales, rows
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from lexfan.cones import PolyCone
@@ -269,12 +269,25 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
     """Per-cell linear maps Q^n -> Q^N; the global convex-upward map is the
-    lexicographic minimum over the cells."""
+    lexicographic minimum over the cells.
+
+    The maps are kept on ints: row k of cell c at w is
+    dot(cell_maps[c][k], w) / (denominator * scales[k]).  ``scales`` are
+    those of ``WeightMatrix.integer_rows`` (each row of Psi times the lcm of
+    its denominators, as ``quasival.NuTable`` packs nu), and ``denominator``
+    D is the lcm of the cells' echelon pivots.  Both are positive, so int
+    rows compare as their values do, and a value is built once, by
+    ``value``."""
 
     cfg: PointConfig
     subdivision: MarkedSubdivision
-    n_rank: int
-    cell_maps: tuple  # per cell: N rows of length n
+    cell_maps: tuple  # per cell: N int rows of length n
+    denominator: int
+    scales: tuple  # per row of Psi
+
+    def value(self, row: Sequence) -> LexVec:
+        """The value whose int row, over D times the scales, is ``row``."""
+        return LexVec(Fraction(x, self.denominator * s) for x, s in zip(row, self.scales))
 
 
 def linear_extension(
@@ -282,36 +295,44 @@ def linear_extension(
 ) -> PiecewiseLinearMap:
     """Interpolate Psi on each cell's marking, verifying that the marked
     heights are actually affine per cell (Psi in the closed cone).  One
-    echelon pass over the rows (1, x_i | Psi e_i) of the marked points gives
-    d I | d X, and row k of the cell map is column n + k over d; a pivot
-    past column n - 1 means the heights are not affine."""
+    echelon pass over the int rows (1, x_i | scaled heights of point i) of
+    the marked points gives d I | d X, and row k of the cell map is column
+    n + k over d; a pivot past column n - 1 means the heights are not
+    affine.  Each cell's columns are then put over D, the lcm of the d."""
     n = cfg.n
-    maps = []
+    scales, rows = psi.integer_rows()
+    heights = tuple(zip(*rows))
+    reduced = []
     for cell in s.cells:
-        red, pivots, d = echelon(
-            [primitive((*cfg.homogenized(i), *psi.column(i))) for i in cell.marking]
-        )
+        red, pivots, d = echelon([(*cfg.homogenized(i), *heights[i]) for i in cell.marking])
         if pivots[:n] != list(range(n)):
             raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
         if len(pivots) > n:
             raise ValueError(f"heights not affine on cell {cell.vertices}")
-        maps.append(
-            tuple(tuple(Fraction(row[n + k], d) for row in red) for k in range(psi.n_rows))
-        )
+        reduced.append((red, d))
+    den = lcm(*(abs(d) for _, d in reduced))
+    maps = tuple(
+        tuple(tuple(row[n + k] * (den // d) for row in red) for k in range(len(rows)))
+        for red, d in reduced
+    )
     return PiecewiseLinearMap(
-        cfg=cfg, subdivision=s, n_rank=psi.n_rows, cell_maps=tuple(maps)
+        cfg=cfg, subdivision=s, cell_maps=maps, denominator=den, scales=scales
     )
 
 
-def cell_value(plm: PiecewiseLinearMap, cell_index: int, w: Sequence) -> LexVec:
-    return LexVec(dot(row, w) for row in plm.cell_maps[cell_index])
+def value_row(plm: PiecewiseLinearMap, w: Sequence) -> tuple[tuple, int]:
+    """The int row of g(w), over D times the scales, and the first cell
+    where it is attained; SchemaError off the cone over the configuration."""
+    if not hull_of(plm.cfg.points).cone.contains(w):
+        raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
+    rows = [tuple(dot(r, w) for r in m) for m in plm.cell_maps]
+    best = min(rows)
+    return best, rows.index(best)
 
 
 def g_eval(plm: PiecewiseLinearMap, w: Sequence) -> LexVec:
     """Lexicographic minimum of the cell maps at a point of the cone over P."""
-    if not hull_of(plm.cfg.points).cone.contains(w):
-        raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
-    return min(cell_value(plm, ci, w) for ci in range(len(plm.subdivision.cells)))
+    return plm.value(value_row(plm, w)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -154,10 +154,11 @@ _FLAT = frozenset((int, str))
 
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool, None and float.  A tuple of plain ints and
-    strs, such as a basis vector, is rendered once per depth and reused for
-    every equal tuple at that depth within the call.  Only exact int and str
-    items qualify: ``(1,) == (True,)``, yet they render differently."""
+    lists, tuples, str, int, bool, None and float.  A list or tuple of plain
+    ints and strs is rendered with one join; such a tuple, such as a basis
+    vector, is rendered once per depth and reused for every equal tuple at
+    that depth within the call.  Only exact int and str items qualify:
+    ``(1,) == (True,)``, yet they render differently."""
     parts: list = []
     put = parts.append
     # at index k: newline and k indents, the same after a comma, and the
@@ -174,14 +175,17 @@ def dumps(obj: Any) -> str:
                 sep.append(sep[depth] + "  ")
                 memo.append({})
             inner = nl[depth + 1]
-            if type(o) is tuple and {*map(type, o)} <= _FLAT:
-                text = memo[depth].get(o)
+            kind = type(o)
+            if (kind is tuple or kind is list) and {*map(type, o)} <= _FLAT:
+                text = memo[depth].get(o) if kind is tuple else None
                 if text is None:
                     items = sep[depth + 1].join(
                         int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
                         for x in o
                     )
-                    text = memo[depth][o] = "[" + inner + items + nl[depth] + "]"
+                    text = "[" + inner + items + nl[depth] + "]"
+                    if kind is tuple:
+                        memo[depth][o] = text
                 put(text)
             elif isinstance(o, dict):
                 put("{")

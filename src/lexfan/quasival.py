@@ -5,6 +5,11 @@ nu: per graded point the maximum of Psi.alpha over all monomial
     representatives, then the minimum over the support.
 Their difference delta is <= 0 with finite image at any bounded degree, and
 V is recovered from nu by stretching (the radicalization).
+
+All three are compared on ints, in the per-row scales of
+``WeightMatrix.integer_rows``: nu as ``NuTable`` keys, V as
+``gkzfan.value_row`` rows over the map's common denominator D, and delta as
+D * nu - V.  A LexVec is built only for an answer.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from lexfan.config import (
 )
 from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
-from lexfan.gkzfan import PiecewiseLinearMap, cell_value, g_eval, subdivide
+from lexfan.gkzfan import PiecewiseLinearMap, subdivide, value_row
 from lexfan.linalg import dot, rank
 
 
@@ -179,22 +184,25 @@ class ValuationReport:
     witness_cell: Optional[int]  # for V: a cell where g attains the value
 
 
+def _first_least(values: Sequence) -> int:
+    """The index of the first least of the values."""
+    return min(range(len(values)), key=values.__getitem__)
+
+
+def _v_report(plm: PiecewiseLinearMap, support: tuple, rows: list) -> ValuationReport:
+    """V(f) from the ``value_row`` of every support point: the first least
+    row, its point and the first cell attaining it; one value is built."""
+    i = _first_least([row for row, _ in rows])
+    row, cell = rows[i]
+    return ValuationReport(plm.value(row), support[i], None, cell)
+
+
 def v_quasi(plm: PiecewiseLinearMap, f: Expr) -> ValuationReport:
     """V(f): lexicographic minimum of the piecewise-linear map over the
     support, the first minimal support point its witness."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
-    best, best_u = None, None
-    for u in f.support:
-        val = g_eval(plm, u.vector)
-        if best is None or val < best:
-            best, best_u = val, u
-    cell = next(
-        ci
-        for ci in range(len(plm.subdivision.cells))
-        if cell_value(plm, ci, best_u.vector) == best
-    )
-    return ValuationReport(best, best_u, None, cell)
+    return _v_report(plm, f.support, [value_row(plm, u.vector) for u in f.support])
 
 
 class NuTable:
@@ -240,7 +248,9 @@ class NuTable:
     is one of degree h plus one of degree d - h.
 
     Lookups.  ``key(u)`` checks u against the bound and the dimension and
-    returns u's key, or None off the semigroup; ``decode(key)`` turns one
+    returns u's key, or None off the semigroup; ``values(key)`` unpacks the
+    int row of nu(f_u) (row i times the scale of Psi row i, as
+    ``WeightMatrix.integer_rows`` scales it) and ``decode(key)`` turns one
     key into (nu(f_u), witness alpha).  With the value part V = -(-key // C)
     a minimum over many points compares ints and decodes only the winner.
 
@@ -263,11 +273,7 @@ class NuTable:
         self._spans = tuple(max(a) - lo for a, lo in zip(axes, self._lo))
         radices = (bound * s + 1 for s in self._spans[:-1])
         self._places = tuple(itertools.accumulate(radices, mul, initial=1))
-        self._scales = tuple(lcm(*(x.denominator for x in row)) for row in psi.rows)
-        rows = [
-            tuple(x.numerator * (s // x.denominator) for x in row)
-            for row, s in zip(psi.rows, self._scales)
-        ]
+        self._scales, rows = psi.integer_rows()
         self._halves = tuple(bound * max(map(abs, row)) for row in rows)
         self._witness_radix = (bound + 1) ** cfg.r
 
@@ -327,20 +333,25 @@ class NuTable:
         splits = [k + w for v, k in layers[h].items() if (w := top(code - v)) is not None]
         return max(splits, default=None)
 
-    def decode(self, key: int) -> tuple[LexVec, tuple]:
-        """(nu(f_u), witness alpha) from the key of u."""
+    def values(self, key: int) -> tuple:
+        """The int row of nu(f_u) from the key of u: row i of the value
+        times the scale of row i of Psi."""
         packed = -(-key // self._witness_radix)
-        witness = packed * self._witness_radix - key
-        alpha = []
-        for _ in self._steps:
-            witness, a = divmod(witness, self.bound + 1)
-            alpha.append(a)
         val = []
         for h in reversed(self._halves):
             packed, v = divmod(packed + h, 2 * h + 1)
             val.append(v - h)
+        return tuple(reversed(val))
+
+    def decode(self, key: int) -> tuple[LexVec, tuple]:
+        """(nu(f_u), witness alpha) from the key of u."""
+        witness = -(-key // self._witness_radix) * self._witness_radix - key
+        alpha = []
+        for _ in self._steps:
+            witness, a = divmod(witness, self.bound + 1)
+            alpha.append(a)
         return (
-            LexVec(Fraction(v, s) for v, s in zip(reversed(val), self._scales)),
+            LexVec(Fraction(v, s) for v, s in zip(self.values(key), self._scales)),
             tuple(reversed(alpha)),
         )
 
@@ -359,19 +370,20 @@ def nu_point(table: NuTable, u: GradedPoint) -> tuple[LexVec, tuple]:
     return table.decode(_semigroup_key(table, u))
 
 
-def _least_key(table: NuTable, points: Iterable[GradedPoint]) -> tuple[int, GradedPoint]:
-    """The key of the first of the points whose value is least, with that
-    point.  A key's value part is -(-key // C), C = (bound+1)^r; whole keys
-    are not compared, since among equal values they order the witnesses
-    and would pick a later point on a tie."""
+def _least_value(table: NuTable, keys: list) -> int:
+    """The index of the first key whose value is least.  A key's value part
+    is -(-key // C), C = (bound+1)^r; whole keys are not compared, since
+    among equal values they order the witnesses and would pick a later
+    point on a tie."""
     radix = table._witness_radix
-    least = None
-    for u in points:
-        key = _semigroup_key(table, u)
-        value = -(-key // radix)
-        if least is None or value < least:
-            least, least_key, least_u = value, key, u
-    return least_key, least_u
+    return _first_least([-(-key // radix) for key in keys])
+
+
+def _nu_report(table: NuTable, support: tuple, keys: list) -> ValuationReport:
+    """nu(f) from the key of every support point; one key is decoded."""
+    i = _least_value(table, keys)
+    value, alpha = table.decode(keys[i])
+    return ValuationReport(value, support[i], alpha, None)
 
 
 def nu_quasi(table: NuTable, f: Expr) -> ValuationReport:
@@ -379,21 +391,49 @@ def nu_quasi(table: NuTable, f: Expr) -> ValuationReport:
     minimal support point its witness; only the winner's key is decoded."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
-    key, u = _least_key(table, f.support)
-    value, alpha = table.decode(key)
-    return ValuationReport(value, u, alpha, None)
+    return _nu_report(table, f.support, [_semigroup_key(table, u) for u in f.support])
+
+
+def _gap(table: NuTable, plm: PiecewiseLinearMap, row: tuple, key: int) -> tuple:
+    """The int row of nu(f_u) - V(f_u), over D times the scales, from u's
+    ``value_row`` and key: D * nu_int - V_int, row by row."""
+    return tuple(plm.denominator * a - b for a, b in zip(table.values(key), row))
 
 
 def delta_point(table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint) -> LexVec:
-    nu_val, _ = nu_point(table, u)
-    return nu_val - g_eval(plm, u.vector)
+    row, _ = value_row(plm, u.vector)
+    return plm.value(_gap(table, plm, row, _semigroup_key(table, u)))
+
+
+def valuate(table: NuTable, plm: PiecewiseLinearMap, f: Expr) -> tuple:
+    """The reports of V(f), nu(f) and delta(f) = min over the support of
+    nu(f_u) - V(f_u), from one pass over the support on ints.  Every point
+    is checked against the cone over P and gets its V row first, so a point
+    off the cone fails before any key is read (a SchemaError before a
+    DegreeOverflow); then every point gets its key.  Each report's witness
+    is the first minimal support point, and each value is built once.  The
+    table and the map must come from the same Psi; the delta report is
+    None for the zero expression."""
+    if f.is_zero():
+        none = ValuationReport(INFINITY, None, None, None)
+        return none, none, None
+    support = f.support
+    rows = [value_row(plm, u.vector) for u in support]
+    keys = [_semigroup_key(table, u) for u in support]
+    gaps = [_gap(table, plm, row, key) for (row, _), key in zip(rows, keys)]
+    i = _first_least(gaps)
+    return (
+        _v_report(plm, support, rows),
+        _nu_report(table, support, keys),
+        ValuationReport(plm.value(gaps[i]), support[i], None, None),
+    )
 
 
 def delta(table: NuTable, plm: PiecewiseLinearMap, f: Expr) -> LexVec:
     """min over the support of nu(f_u) - V(f_u); always <= 0."""
     if f.is_zero():
         raise ValueError("delta of the zero expression")
-    return min(delta_point(table, plm, u) for u in f.support)
+    return valuate(table, plm, f)[2].value
 
 
 @dataclass(frozen=True)
@@ -545,9 +585,10 @@ def power_seq(
         if ell >= start:
             # in sorted order, as in Expr.support, so an error names the
             # same point as nu_quasi(table, f.power(ell)) would
-            points = (GradedPoint(v[0], v[1:]) for v in sorted(current))
-            value, _ = table.decode(_least_key(table, points)[0])
-            out.append((ell, value * Fraction(1, ell)))
+            keys = [_semigroup_key(table, GradedPoint(v[0], v[1:])) for v in sorted(current)]
+            # l * v_l = nu(f^l) as its int row; one LexVec per l
+            row = table.values(keys[_least_value(table, keys)])
+            out.append((ell, LexVec(Fraction(x, ell * s) for x, s in zip(row, table._scales))))
     return out
 
 
@@ -564,8 +605,13 @@ def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationRepo
     v_l = c + b/l exactly."""
     candidates = set()
     # v_l = c + b/l iff N_l = l*v_l = c*l + b, so c is kept iff the points
-    # (l, N_l) are collinear, and it is their slope
-    scaled = {l: [x * l for x in v] for l, v in seq}
+    # (l, N_l) are collinear, and it is their slope.  Row i of every N_l is
+    # kept as an int over S_i, the lcm of the denominators of row i in the
+    # window, so the test and the slopes run on ints
+    dens = [lcm(*(x.denominator for x in col)) for col in zip(*(v for _, v in seq))]
+    scaled = {
+        l: [x.numerator * (s // x.denominator) * l for x, s in zip(v, dens)] for l, v in seq
+    }
     indices = sorted(scaled)
     for step in range(1, 5):
         for offset in range(step):
@@ -578,7 +624,9 @@ def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationRepo
                 (c - b) * (l1 - l0) == (b - a) * (l2 - l1)
                 for a, b, c in zip(n0, n1, n2)
             ):
-                candidates.add(LexVec((c - b) / (l2 - l1) for b, c in zip(n1, n2)))
+                candidates.add(
+                    LexVec(Fraction(c - b, (l2 - l1) * s) for b, c, s in zip(n1, n2, dens))
+                )
     liminf = min(candidates) if candidates else None
     return AccumulationReport(
         candidates=frozenset(candidates), liminf=liminf, windowed=True
@@ -593,7 +641,8 @@ def is_elementary(plm: PiecewiseLinearMap, psi: WeightMatrix, f: Expr) -> bool:
         raise ValueError("zero weight matrix has no leading row")
     if f.is_zero():
         raise ValueError("elementarity of the zero expression")
-    vals = [g_eval(plm, u.vector)[k] for u in f.support]
+    # the int rows compare as the values do
+    vals = [value_row(plm, u.vector)[0][k] for u in f.support]
     m = min(vals)
     return vals.count(m) == 1
 
@@ -611,7 +660,7 @@ def is_full_rank(
     rank up to the bound means the map is injective there."""
     seen: dict[tuple, GradedPoint] = {}
     for u in semigroup_up_to(cfg, bound):
-        val = tuple(g_eval(plm, u.vector))
+        val = value_row(plm, u.vector)[0]
         if val in seen:
             return FullRankResult(False, (seen[val], u))
         seen[val] = u

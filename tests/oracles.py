@@ -1,7 +1,8 @@
 """Brute-force oracles that the tests check the library's fast paths
 against: fiber optima by basic feasible solutions, cell maps by one solve
-per affine basis, semigroup membership by an exact knapsack, the Euclidean
-closure of a lex-matrix cone, the refinement poset pair by pair, and the
+per affine basis and the piecewise-linear map evaluated on them in
+Fractions, semigroup membership by an exact knapsack, the Euclidean closure
+of a lex-matrix cone, the refinement poset pair by pair, and the
 face-lattice invariants of a whole ``fan`` output.  No command or script
 uses them.
 
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lexfan.cones import MuCone, PolyCone
-from lexfan.config import MarkedSubdivision, PointConfig
-from lexfan.errors import InvariantError
+from lexfan.config import MarkedSubdivision, PointConfig, hull_of
+from lexfan.errors import InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
 from lexfan.linalg import dot, rank, solve
 from lexfan.quasival import GradedPoint
@@ -52,6 +53,18 @@ def cell_maps_by_solve(
                 raise ValueError(f"heights not affine on cell {cell.vertices} (point {i})")
         maps.append(rows)
     return tuple(maps)
+
+
+def value_by_cells(cfg: PointConfig, maps: tuple, w: Sequence) -> tuple[LexVec, int]:
+    """g(w) on Fractions: per cell of ``maps`` (``cell_maps_by_solve``) one
+    dot product per row, the lex-least value and the first cell taking it;
+    SchemaError, with ``gkzfan.g_eval``'s message, off the cone over the
+    configuration."""
+    if not hull_of(cfg.points).cone.contains(w):
+        raise SchemaError(f"point {tuple(w)} outside the cone over the configuration")
+    values = [LexVec(dot(row, w) for row in rows) for rows in maps]
+    best = min(values)
+    return best, values.index(best)
 
 
 def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[LexVec]:

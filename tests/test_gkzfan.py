@@ -148,7 +148,7 @@ class TestPiecewiseLinear:
         cfg = data.draw(collinear_configs())
         psi = data.draw(weight_matrices(cfg))
         s = subdivide(cfg, psi)
-        assert linear_extension(cfg, s, psi).cell_maps == cell_maps_by_solve(cfg, s, psi)
+        assert _fraction_maps(linear_extension(cfg, s, psi)) == cell_maps_by_solve(cfg, s, psi)
         for s in (subdivide(cfg, data.draw(weight_matrices(cfg))), trivial_subdivision(cfg)):
             try:
                 expected = cell_maps_by_solve(cfg, s, psi)
@@ -156,7 +156,21 @@ class TestPiecewiseLinear:
                 with pytest.raises(ValueError):
                     linear_extension(cfg, s, psi)
             else:
-                assert linear_extension(cfg, s, psi).cell_maps == expected
+                assert _fraction_maps(linear_extension(cfg, s, psi)) == expected
+
+
+def _fraction_maps(plm) -> tuple:
+    """The int cell maps of ``plm`` as Fraction rows, row k over D times the
+    scale of row k of Psi; every stored entry must be an int."""
+    for m in plm.cell_maps:
+        assert all(type(x) is int for row in m for x in row)
+    return tuple(
+        tuple(
+            tuple(Fraction(x, plm.denominator * s) for x in row)
+            for row, s in zip(m, plm.scales)
+        )
+        for m in plm.cell_maps
+    )
 
 
 class TestConditionCone:

@@ -119,6 +119,10 @@ class TestDumps:
         obj = [(1, 0), (True, False), (1.0, 0.0), [(1, 0), (True, False)]]
         assert io.dumps(obj) == json.dumps(obj, indent=2)
         assert "true" in io.dumps(obj)
+        # the same for lists, which are joined whole but never memoised
+        obj = [[1, 0], [True, False], [1.0, 0.0], [[1, "0"], [True, "0"]], (1, 0)]
+        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        assert io.dumps(obj).count("true") == 2
 
     def test_non_str_key_raises(self):
         with pytest.raises(TypeError):
@@ -254,6 +258,22 @@ class TestCli:
         witnesses = ("V_witness_point", "V_witness_cell", "nu_witness_point", "nu_witness_alpha")
         assert all(payload[k] is None for k in witnesses)
         assert "delta" not in payload
+
+    def test_cone_error_before_degree_overflow(self, tmp_path, capsys):
+        # (13, 0) is past the degree bound 12 and (20, 100) is off the cone
+        # over the segment; every point is checked against the cone before
+        # any nu key is read, so the schema error wins over the overflow
+        data = Path(__file__).resolve().parent.parent / "scripts" / "data"
+        expr = tmp_path / "f.json"
+        f = Expr.from_terms([(GradedPoint(13, (0,)), 1), (GradedPoint(20, (100,)), 1)])
+        expr.write_text(json.dumps(io.expr_to_json(f)))
+        inputs = [str(data / "segment.json"), str(data / "segment_psi.json"), str(expr)]
+        assert main(["--degree-bound", "12", "valuate", *inputs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "schema error: point (20, 100) outside the cone over the configuration"
+        ]
 
     def test_liminf(self, files, capsys):
         assert (

@@ -48,10 +48,11 @@ from lexfan.quasival import (
     stack,
     stretch_factor,
     v_quasi,
+    valuate,
     windowed_accumulation,
 )
 
-from oracles import bounded_combination
+from oracles import bounded_combination, cell_maps_by_solve, value_by_cells
 
 
 def gp(d, e):
@@ -801,3 +802,60 @@ class TestKeyedValuations:
             for ell in sorted(indices)
         ]
         assert windowed_accumulation(seq) == _fit_accumulation(seq)
+
+
+def _valuate_by_fractions(cfg, s, psi, table, f):
+    """The reports of ``valuate`` on Fractions: V and its cell by
+    ``value_by_cells`` over ``cell_maps_by_solve``, nu by decoding every
+    point, delta as ``nu_point`` minus that V; each witness the first least
+    support point, and every point's V before any nu, as in ``valuate``."""
+    if f.is_zero():
+        none = ValuationReport(INFINITY, None, None, None)
+        return none, none, None
+    maps = cell_maps_by_solve(cfg, s, psi)
+    vs = [value_by_cells(cfg, maps, u.vector) for u in f.support]
+    nu_rep = _nu_quasi_per_point(table, f)
+    gaps = [nu_point(table, u)[0] - v for u, (v, _) in zip(f.support, vs)]
+    i = [v for v, _ in vs].index(min(v for v, _ in vs))
+    k = gaps.index(min(gaps))
+    return (
+        ValuationReport(vs[i][0], f.support[i], None, vs[i][1]),
+        nu_rep,
+        ValuationReport(gaps[k], f.support[k], None, None),
+    )
+
+
+class TestIntegerValues:
+    """valuate, power_seq and windowed_accumulation, which compare int rows
+    and build a LexVec only for an answer, against their Fraction oracles
+    on Psi of rank 1-3 with denominators up to 3."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_valuate_matches_fraction_oracle(self, seg_cfg, simplex_cfg, square_cfg, data):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        psi = data.draw(_matrices(cfg))
+        s = subdivide(cfg, psi)
+        plm = linear_extension(cfg, s, psi)
+        table = NuTable(cfg, psi, 6)
+        for f in data.draw(st.lists(_exprs(cfg, 6), min_size=1, max_size=3)):
+            expected = _outcome(_valuate_by_fractions, cfg, s, psi, table, f)
+            assert _outcome(valuate, table, plm, f) == expected
+            if expected[0] != "SchemaError":
+                assert v_quasi(plm, f) == expected[0]
+                assert nu_quasi(table, f) == expected[1]
+                if not f.is_zero():
+                    assert delta(table, plm, f) == expected[2].value
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_liminf_matches_fraction_formula(self, seg_cfg, simplex_cfg, square_cfg, data):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        psi = data.draw(_matrices(cfg))
+        table = NuTable(cfg, psi, 10)
+        f = data.draw(_exprs(cfg, 2).filter(lambda f: not f.is_zero()))
+        window = data.draw(st.integers(3, 5))
+        seq = _outcome(power_seq, table, f, window)
+        assert seq == _outcome(_power_seq_by_algebra, table, f, window, 1)
+        if seq[0] != "SchemaError":
+            assert windowed_accumulation(seq) == _fit_accumulation(seq)
