@@ -6,11 +6,11 @@ A PolyCone has two descriptions:
   H-description: equality normals + inequality normals, cone = all x with
                  n.x = 0 on equalities and n.x <= 0 on inequalities.
 Each cone costs one pass of the double description (DD) method: its
-constructor computes one side and keeps the vectors it was given, and the
-other side is read off the incidences between the given vectors and the
-computed side when it is first read (Fukuda & Prodon, "Double description
-method revisited", 1996).  Faces are read off the same incidences, with no
-DD pass per face.  Every vector of either side is a primitive int tuple:
+constructor computes one side, the pass keeping each computed vector's zero
+set (the given vectors it is tight on), and the other side is read off those
+sets when it is first read (Fukuda & Prodon, "Double description method
+revisited", 1996).  Faces are read off the ray-facet incidences, with no DD
+pass per face.  Every vector of either side is a primitive int tuple:
 input vectors of ints or Fractions enter the fraction-free DD as primitive
 vectors, rays combine by integer combinations followed by a gcd division,
 and projections return primitive int directions.  Canonical forms (rref
@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix, lex_sign, mat_vec
@@ -46,17 +46,18 @@ from lexfan.linalg import (
 # ---------------------------------------------------------------------------
 
 def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
-    """Extreme rays and lineality of {x : e.x = 0 (e in eqs), a.x <= 0},
+    """Lineality basis and extreme rays of {x : e.x = 0 (e in eqs), a.x <= 0},
     fraction-free: constraints and vectors are primitive int tuples, and
-    every combination is an integer one followed by a gcd division."""
+    every combination is an integer one followed by a gcd division.  The
+    rays map to their zero sets: bit k is set iff the ray is tight on ineqs[k]."""
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple] = []
-    processed: list[tuple] = []  # inequalities seen so far, zero ones included
+    rays: dict[tuple, int] = {}
 
-    def reduce_by_line(a, w):
+    def reduce_by_line(a, w, bit):
         """Intersect with the constraint using lineality direction w:
         v -> |a.w| v - sgn(a.w) (a.v) w, a positive multiple of the
-        projection of v along w onto the hyperplane a.x = 0."""
+        projection of v along w onto the hyperplane a.x = 0.  w is tight on
+        all earlier constraints, so a ray keeps its zero set and gains a's."""
         aw = dot(a, w)
         m, s = abs(aw), (aw > 0) - (aw < 0)
 
@@ -66,51 +67,43 @@ def _dd(dim: int, eqs: Sequence[Sequence], ineqs: Sequence[Sequence]):
 
         nonlocal lines, rays
         lines = [project(v) for v in lines if v != w]
-        rays = [project(r) for r in rays]
+        rays = {project(r): z | bit for r, z in rays.items()}
 
     for a in map(primitive, eqs):
         # no ray exists yet: a cuts the lineality by a line it is not tight
         # on, or every line is tight on it and it is implied by those before
         if w := next((v for v in lines if dot(a, v)), None):
-            reduce_by_line(a, w)
-    for a in map(primitive, ineqs):
+            reduce_by_line(a, w, 0)
+    for k, a in enumerate(map(primitive, ineqs)):
+        bit = 1 << k
         w = next((v for v in lines if dot(a, v)), None)
         if w is None:
-            _cut(a, rays, processed)
+            rays = _cut(a, bit, rays)
         else:
             w_dir = tuple(-x for x in w) if dot(a, w) > 0 else w
-            reduce_by_line(a, w)
-            rays.append(w_dir)
-        processed.append(a)
-
-    rays = [r for r in rays if any(r)]
-    return lines, _dedupe(rays)
+            reduce_by_line(a, w, bit)
+            rays[w_dir] = bit - 1  # a line: tight on all before a, not on a
+    return lines, rays
 
 
-def _cut(a, rays, processed):
+def _cut(a, bit, rays: dict) -> dict:
     """Standard double-description step on the pointed part; adjacent
     rays combine as (a.rp) rn - (a.rn) rp, then the gcd is divided out.
-    Two rays are adjacent iff no third ray is tight on every processed
-    constraint that both are tight on; zero sets are int bitmasks."""
+    Two rays are adjacent iff no third ray is tight on every earlier
+    constraint that both are tight on.  A ray tight on a gains a's ``bit``,
+    and a combination's zero set is its two rays' common one plus bit."""
     vals = [dot(a, r) for r in rays]
+    rs, zsets = list(rays), list(rays.values())
+    out = {r: z | bit if not v else z for r, z, v in zip(rs, zsets, vals) if v <= 0}
     pos = [k for k, v in enumerate(vals) if v > 0]
-    if not pos:
-        return
     neg = [k for k, v in enumerate(vals) if v < 0]
-    keep = [r for r, v in zip(rays, vals) if not v] + [rays[k] for k in neg]
-    zsets = _incidences(rays, processed)
-    new = []
     for p, q in itertools.product(pos, neg):
         common = zsets[p] & zsets[q]
-        if any(
-            z & common == common for k, z in enumerate(zsets) if k != p and k != q
-        ):
+        if any(z & common == common for k, z in enumerate(zsets) if k != p and k != q):
             continue  # not adjacent
-        rp, rn, vp, vn = rays[p], rays[q], vals[p], vals[q]
-        combo = primitive([vp * x - vn * y for x, y in zip(rn, rp)])
-        if any(combo):
-            new.append(combo)
-    rays[:] = _dedupe(keep + new)
+        rp, rn, vp, vn = rs[p], rs[q], vals[p], vals[q]
+        out[primitive([vp * x - vn * y for x, y in zip(rn, rp)])] = common | bit
+    return out
 
 
 def _incidences(vectors: Sequence[Sequence], against: Sequence[Sequence]) -> list[int]:
@@ -121,23 +114,15 @@ def _incidences(vectors: Sequence[Sequence], against: Sequence[Sequence]) -> lis
     ]
 
 
-def _dedupe(vectors: Iterable[tuple]) -> list[tuple]:
-    seen, out = set(), []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # PolyCone
 # ---------------------------------------------------------------------------
 
 class PolyCone:
     """Canonical polyhedral cone in Q^dim.  A constructor computes one side
-    by one DD pass and keeps the vectors it was given; the other side is read
-    off them on first read (``_read_off``), with no second pass."""
+    by one DD pass and keeps the vectors it was given and the pass's zero
+    sets; the other side is read off those sets on first read
+    (``_read_off``), with no second pass and no dot product."""
 
     def __init__(
         self,
@@ -146,9 +131,9 @@ class PolyCone:
         h: Optional[tuple] = None,
         given: Optional[tuple] = None,
     ):
-        # given: the (subspace, one-sided) vectors the side not passed is
-        # read off, (lines, rays) if h is passed and (eqs, ineqs) if v is;
-        # dropped once that side is read
+        # given: what the side not passed is read off, (lines, rays) if h is
+        # passed and (eqs, ineqs) if v is, then the passed side's one-sided
+        # vectors' zero sets over those rays or ineqs; dropped once read
         self.dim = dim
         if v is not None:
             self._v = v
@@ -158,11 +143,11 @@ class PolyCone:
 
     @cached_property
     def _v(self) -> tuple:
-        return _read_off(*self.__dict__.pop("_given"), self._h[1])
+        return _read_off(*self.__dict__.pop("_given"))
 
     @cached_property
     def _h(self) -> tuple:
-        return _read_off(*self.__dict__.pop("_given"), self._v[1])
+        return _read_off(*self.__dict__.pop("_given"))
 
     lines = property(lambda self: self._v[0])  # canonical lineality basis
     rays = property(lambda self: self._v[1])  # extreme rays mod lineality, canonical
@@ -181,7 +166,10 @@ class PolyCone:
                 raise DimensionError("generator length != ambient dimension")
         # the H-side is the polar's V-side: the DD of the generators taken as
         # constraints, lines as equalities and rays as inequalities
-        return PolyCone(dim, h=_canonical(*_dd(dim, lines, rays)), given=(lines, rays))
+        basis, zsets = _dd(dim, lines, rays)
+        return PolyCone(
+            dim, h=_canonical(basis, zsets), given=(lines, rays, tuple(zsets.values()))
+        )
 
     @staticmethod
     def from_normals(
@@ -191,7 +179,10 @@ class PolyCone:
         for n in ineqs + eqs:
             if len(n) != dim:
                 raise DimensionError("normal length != ambient dimension")
-        return PolyCone(dim, v=_canonical(*_dd(dim, eqs, ineqs)), given=(eqs, ineqs))
+        basis, zsets = _dd(dim, eqs, ineqs)
+        return PolyCone(
+            dim, v=_canonical(basis, zsets), given=(eqs, ineqs, tuple(zsets.values()))
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -243,6 +234,7 @@ class PolyCone:
         rays, and its H-side is read off the cone's normals, the facets tight
         on all of those rays becoming equations."""
         rays = self.rays
+        zsets = _incidences(rays, self.ineq_normals)
         full = (1 << len(rays)) - 1
         seen = {full: self}
         frontier = [(full, self)]
@@ -252,10 +244,11 @@ class PolyCone:
                 for m in _incidences(f.ineq_normals, rays):
                     m &= mask
                     if m not in seen:
+                        ks = [k for k in range(len(rays)) if m >> k & 1]
                         sub = PolyCone(
                             self.dim,
-                            v=(self.lines, tuple(r for k, r in enumerate(rays) if m >> k & 1)),
-                            given=(self.eq_normals, self.ineq_normals),
+                            v=(self.lines, tuple(rays[k] for k in ks)),
+                            given=(*self._h, tuple(zsets[k] for k in ks)),
                         )
                         seen[m] = sub
                         nxt.append((m, sub))
@@ -278,24 +271,29 @@ class PolyCone:
 
 def _canonical(basis, rays) -> tuple:
     """Canonical form of one side: the rref subspace basis and the primitive
-    rays projected off it, deduplicated and sorted."""
+    rays projected off it, deduplicated and sorted.  No ray is tight on all
+    of its side's constraints, so none lies in the subspace or projects to 0."""
     basis = canonical_subspace_basis(basis)
-    return basis, tuple(sorted(_dedupe(p for p in project_off(rays, basis) if any(p))))
+    return basis, tuple(sorted(set(project_off(rays, basis))))
 
 
-def _read_off(base, cands, other) -> tuple:
+def _read_off(base, cands, zsets) -> tuple:
     """The canonical side of a cone built from ``base`` (lines or equations)
-    and ``cands`` (rays or inequalities), read off their incidences with the
-    one-sided vectors ``other`` of its computed side (facet normals or extreme
-    rays), with no DD pass.  The subspace is spanned by base and every
-    candidate tight on all of other.  Each remaining candidate is kept iff
-    no remaining candidate is tight on a strict superset of its members of
-    other: each face of a cone is generated by the generators it contains,
-    so a ray is extreme iff its face is minimal, and dually an inequality is
-    a facet iff its face is maximal (Fukuda & Prodon 1996)."""
-    full = (1 << len(other)) - 1
+    and ``cands`` (rays or inequalities), read off the zero sets ``zsets`` of
+    the one-sided vectors of its computed side (facet normals or extreme
+    rays), bit k for cands[k], with no DD pass.  A candidate's mask, the
+    vectors tight on it, is a column of zsets; their order and repeats do not
+    matter, nor does projecting a vector off the subspace.  The subspace is
+    spanned by base and every candidate tight on all of them.  Each remaining
+    candidate is kept iff no remaining candidate is tight on a strict
+    superset of its vectors: each face of a cone is generated by the
+    generators it contains, so a ray is extreme iff its face is minimal, and
+    dually an inequality is a facet iff its face is maximal (Fukuda & Prodon
+    1996)."""
+    full = (1 << len(zsets)) - 1
     span, rest = list(base), []
-    for c, m in zip(cands, _incidences(cands, other)):
+    for k, c in enumerate(cands):
+        m = sum(1 << j for j, z in enumerate(zsets) if z >> k & 1)
         if m == full:
             span.append(c)
         else:

@@ -2,9 +2,9 @@
 against: fiber optima by basic feasible solutions, cell maps by one solve
 per affine basis and the piecewise-linear map evaluated on them in
 Fractions, semigroup membership by an exact knapsack, the Euclidean closure
-of a lex-matrix cone, the refinement poset pair by pair, and the
-face-lattice invariants of a whole ``fan`` output.  No command or script
-uses them.
+of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
+matrix flattened to one row, and the face-lattice invariants of a whole
+``fan`` output.  No command or script uses them.
 
 ``python tests/oracles.py CONFIG FAN_JSON`` checks a ``fan`` output against
 the invariants (``fan_invariant_violations``) and exits 1 if one fails."""
@@ -21,7 +21,8 @@ from lexfan.cones import MuCone, PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig, hull_of
 from lexfan.errors import InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
-from lexfan.linalg import dot, rank, solve
+from lexfan.gkzfan import circuits
+from lexfan.linalg import dot, nullspace, primitive, rank, solve
 from lexfan.quasival import GradedPoint
 
 
@@ -131,6 +132,28 @@ def euclidean_closure(mu: MuCone) -> PolyCone:
         v[0:r] = g
         ineqs.append(tuple(v))
     return PolyCone.from_normals(n * r, ineqs=ineqs, eqs=eqs)
+
+
+def flattened(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:
+    """The one-row matrix h = sum_i eps^(i-1) Psi_i, rows scaled to coprime
+    ints, with eps = 1/(M+2) and M the largest |Psi_i . z| over the primitive
+    integer circuits z of cfg.  A nonzero Psi_i . z is at least 1 in size and
+    the later rows add less than eps^(i-1) (M eps < 1 - eps), so
+    sign(h . z) = lexsign(Psi . z) on every circuit; those signs fix the
+    marked regular subdivision, so ``subdivide`` must give the same one for
+    h as for Psi."""
+    rows = [primitive(r) for r in psi.rows]
+    m = 0
+    for pos, neg in circuits(cfg):
+        idxs = [i for i in range(cfg.r) if (pos | neg) >> i & 1]
+        (kernel,) = nullspace([[cfg.homogenized(i)[c] for i in idxs] for c in range(cfg.n)])
+        z = [0] * cfg.r
+        for i, x in zip(idxs, primitive(kernel)):
+            z[i] = x
+        m = max([m, *(abs(dot(row, z)) for row in rows)])
+    eps = Fraction(1, m + 2)
+    h = tuple(sum(eps**i * row[j] for i, row in enumerate(rows)) for j in range(cfg.r))
+    return WeightMatrix(rows=(h,))
 
 
 def pairwise_refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ from lexfan.cones import (
 from lexfan.config import hull_of, refinement_poset
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
-from lexfan.linalg import canonical_subspace_basis
+from lexfan.linalg import canonical_subspace_basis, primitive
 from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions
 
 from helpers import criterion3_cones, polar, random_cone
@@ -194,6 +194,27 @@ def faces_by_dd(cone: PolyCone) -> list[PolyCone]:
                     nxt.append(sub)
         frontier = nxt
     return list(seen.values())
+
+
+class TestZeroSets:
+    """The DD pass keeps each ray's zero set instead of recomputing it; the
+    oracle recomputes it with dot products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_sides())
+    def test_zero_sets_match_incidences(self, drawn):
+        dim, base, cands = drawn
+        cands = [(0,) * dim, *cands, cands[0]]  # a zero and a repeated one
+        _, rays = cones._dd(dim, base, cands)
+        zsets = list(rays.values())
+        assert zsets == cones._incidences(rays, [primitive(a) for a in cands])
+        assert all(any(r) for r in rays)  # no ray is tight on every inequality
+        # both constructors keep exactly these sets for the side they read off
+        for c in (
+            PolyCone.from_normals(dim, ineqs=cands, eqs=base),
+            PolyCone.from_generators(dim, rays=cands, lines=base),
+        ):
+            assert c._given[2] == tuple(zsets)
 
 
 class TestReadOff:

@@ -55,6 +55,7 @@ from oracles import (
     cell_maps_by_solve,
     fan_invariant_violations,
     fiber_value,
+    flattened,
     pairwise_refinement_poset,
 )
 
@@ -424,6 +425,26 @@ class TestOracles:
         for cfg, subs in fans.items():
             assert all(validate_subdivision(cfg, s).ok for s in subs)
         assert pinwheel_tri in fans[pinwheel_cfg]
+
+
+class TestFlattening:
+    """The paper's rank-k subdivision is the lexicographic refinement, whose
+    rank-1 case is the GKZ fan, so it is the rank-1 subdivision of
+    sum_i eps^(i-1) Psi_i for every small enough eps; ``flattened`` takes an
+    exact one from the circuits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rank_k_is_rank_1_at_small_eps(self, data):
+        cfg = data.draw(
+            st.one_of(
+                st.sampled_from(["segment", "simplex", "cube", "grid_3x3"]).map(_config_file),
+                collinear_configs(),
+            )
+        )
+        entries = st.lists(st.integers(-2, 2), min_size=cfg.r, max_size=cfg.r).map(tuple)
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(entries, min_size=2, max_size=3))))
+        assert subdivide(cfg, psi) == subdivide(cfg, flattened(cfg, psi))
 
 
 def _config_file(name: str) -> PointConfig:
