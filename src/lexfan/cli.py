@@ -69,7 +69,8 @@ def render_svg(payload: dict) -> str:
     if dim > 2:
         raise SchemaError("svg output is limited to ambient dimension <= 2")
     pts = [tuple(Fraction(c) for c in p) for p in payload["points"]]
-    coords = [(p[0], p[1] if dim == 2 else Fraction(0)) for p in pts]
+    # each point as (x, y), a coordinate the dimension lacks read as 0
+    coords = [(*p, Fraction(0), Fraction(0))[:2] for p in pts]
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]
     span_x = max(xs) - min(xs) or Fraction(1)

@@ -4,9 +4,9 @@ row moves that preserve open-cone membership.
 
 The subdivision algorithm is iterated rank-1 refinement: the most-significant
 row induces an upper-hull regular subdivision, each cell restricted to its
-marked points is refined by the next row, and so on.  Each row of Psi is
-scaled once to coprime ints, a positive scaling that moves no cell and no
-lex sign.  An independent fiber
+marked points is refined by the next row, and so on.  Psi is read as its
+int rows (``WeightMatrix.integer_rows``), a positive scaling per row that
+moves no cell and no lex sign.  An independent fiber
 oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from lexfan.cones import PolyCone
@@ -179,8 +179,13 @@ def condition_cone(
 
 @dataclass(frozen=True)
 class SignLedger:
-    member: bool
     signs: tuple  # of (ConditionGenerator, lex sign of Psi.u)
+
+    @property
+    def member(self) -> bool:
+        """Closed-cone membership: every two-sided sign is 0 and every
+        one-sided sign is at most 0."""
+        return all(sign == 0 if g.two_sided else sign <= 0 for g, sign in self.signs)
 
     @property
     def open_member(self) -> bool:
@@ -196,20 +201,13 @@ def closed_member(
     generator and Psi.u = 0 for every two-sided one."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
-    # each row scaled to coprime ints (the scale_row move): no sign changes
-    rows = [primitive(r) for r in psi.rows]
-    ok = True
+    _, rows = psi.integer_rows()
     ledger = []
     for g in condition_generators(cfg, s):
         nz = [(j, x) for j, x in enumerate(g.vector) if x]
         val = next((v for row in rows if (v := sum(row[j] * x for j, x in nz))), 0)
-        sign = (val > 0) - (val < 0)
-        ledger.append((g, sign))
-        if g.two_sided:
-            ok = ok and sign == 0
-        else:
-            ok = ok and sign <= 0
-    return SignLedger(member=ok, signs=tuple(ledger))
+        ledger.append((g, (val > 0) - (val < 0)))
+    return SignLedger(signs=tuple(ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +240,7 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
     points where the map equals the height."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
-    # each row scaled to coprime ints (the scale_row move): same subdivision
-    rows = [primitive(r) for r in psi.rows]
+    _, rows = psi.integer_rows()
 
     def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
         if len(idxs) == cfg.n:
@@ -410,16 +407,15 @@ def enumerate_subdivisions(
     """All marked subdivisions by depth-first cover search over candidate
     cells (desk scale).  Full-dimensional cells that pairwise meet in common
     faces with agreeing markings, and whose volumes sum to the whole, form a
-    subdivision, so a cover needs no further validation.  Volumes are summed
-    as the integers dim! * volume, once per vertex set."""
+    subdivision, so a cover needs no further validation.  Volumes are the
+    integer normalized volumes of ``config.volume``, once per vertex set."""
     candidates = _candidate_cells(cfg)
-    scale = factorial(cfg.dim)
     by_vertices = {
-        vs: int(volume(tuple(cfg.points[i] for i in vs)) * scale)
+        vs: volume(tuple(cfg.points[i] for i in vs))
         for vs in {c.vertices for c in candidates}
     }
     vols = [by_vertices[c.vertices] for c in candidates]
-    target = int(volume(cfg.points) * scale)
+    target = volume(cfg.points)
     masks = [sum(1 << i for i in c.marking) for c in candidates]
     circs = circuits(cfg)
     compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i

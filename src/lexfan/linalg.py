@@ -8,9 +8,9 @@ result by the pivot once.  Desk-scale sizes only.
 Cone and hull vectors are primitive ``int`` tuples (``primitive``, and the
 directions ``project_off`` returns); ``dot``
 works on ints and Fractions alike, so they are never boxed.  Values that are
-truly rational stay Fractions: weights, ``LexVec`` values, volumes and
-determinants, and the solutions of ``solve`` and ``rref`` (the interpolation
-of a rational ``Psi``)."""
+truly rational stay Fractions: weights, ``LexVec`` values, determinants of
+rational rows, and the solutions of ``solve`` and ``rref`` (the
+interpolation of a rational ``Psi``)."""
 
 from __future__ import annotations
 

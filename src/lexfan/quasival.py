@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -221,18 +221,20 @@ class NuTable:
     so a.u > 0 puts u off the semigroup, and a.u = 0 keeps the points off
     the facet out of every representative of u.  F is the set of points on
     every facet tight at u: all for an interior u, one for a vertex multiple.
+    The configuration is full-dimensional, so the facets cut out the cone
+    over P: a point of negative degree fails one, and a point of degree d
+    that passes them all lies in d*P.
 
     Characters.  With lo_k and span_k the least coordinate and the width of
-    the configuration along axis k, the character eta of a point of degree
-    d is in d times the bounding box iff every digit e_k = eta_k - d*lo_k
-    lies in [0, d*span_k]; no other point is in the semigroup.  The code is
-    sum_k e_k W_k in the mixed radix R_k = bound*span_k + 1 (W_0 = 1,
-    W_{k+1} = W_k R_k), so a step by a_j adds s_j = sum_k (a_jk - lo_k) W_k
-    with no carry.  A split needs no box test either: digit k of u - v is
-    e_k - f_k >= -h*span_k, and if some are negative, the least significant
-    one, with no borrow below it, reads e_k - f_k + R_k >= (bound-h)*span_k
-    + 1 > (d-h)*span_k, so a code that borrowed, or a negative one, is
-    never a code of layer d - h.
+    the configuration along axis k, a point of d*P lies in d times the
+    bounding box: every digit e_k = eta_k - d*lo_k lies in [0, d*span_k].
+    The code is sum_k e_k W_k in the mixed radix R_k = bound*span_k + 1
+    (W_0 = 1, W_{k+1} = W_k R_k), so a step by a_j adds
+    s_j = sum_k (a_jk - lo_k) W_k with no carry.  A split needs no box test:
+    digit k of u - v is e_k - f_k >= -h*span_k, and if some are negative,
+    the least significant one, with no borrow below it, reads
+    e_k - f_k + R_k >= (bound-h)*span_k + 1 > (d-h)*span_k, so a code that
+    borrowed, or a negative one, is never a code of layer d - h.
 
     Values and witnesses.  Each row of Psi is scaled by the lcm of its
     denominators, which keeps lex order; row i of Psi.alpha then lies in
@@ -247,12 +249,13 @@ class NuTable:
     exact because the key is linear and every representative of degree d
     is one of degree h plus one of degree d - h.
 
-    Lookups.  ``key(u)`` checks u against the bound and the dimension and
-    returns u's key, or None off the semigroup; ``values(key)`` unpacks the
-    int row of nu(f_u) (row i times the scale of Psi row i, as
-    ``WeightMatrix.integer_rows`` scales it) and ``decode(key)`` turns one
-    key into (nu(f_u), witness alpha).  With the value part V = -(-key // C)
-    a minimum over many points compares ints and decodes only the winner.
+    Lookups.  ``key(u)`` checks u against the bound and the dimension, then
+    against the facets, and returns u's key, or None off the semigroup; no
+    box test is made.  ``values(key)`` unpacks the int row of nu(f_u) (row
+    i times the scale of Psi row i, as ``WeightMatrix.integer_rows`` scales
+    it) and ``decode(key)`` turns one key into (nu(f_u), witness alpha).
+    With the value part V = -(-key // C) a minimum over many points compares
+    ints and decodes only the winner.
 
     Cost.  Layer m of a k-dimensional face holds O(m^k) codes, so a point
     costs O(d^(k+1)) however few points lie below it: O(d) for a vertex
@@ -270,8 +273,8 @@ class NuTable:
         self.bound = bound
         axes = tuple(zip(*cfg.points))
         self._lo = tuple(map(min, axes))
-        self._spans = tuple(max(a) - lo for a, lo in zip(axes, self._lo))
-        radices = (bound * s + 1 for s in self._spans[:-1])
+        spans = (max(a) - lo for a, lo in zip(axes[:-1], self._lo))
+        radices = (bound * s + 1 for s in spans)
         self._places = tuple(itertools.accumulate(radices, mul, initial=1))
         self._scales, rows = psi.integer_rows()
         self._halves = tuple(bound * max(map(abs, row)) for row in rows)
@@ -304,13 +307,6 @@ class NuTable:
             raise DimensionError(
                 f"{u} has a character of length {len(u.eta)}, not {len(self._lo)}"
             )
-        d, code = u.d, 0
-        if d < 0:
-            return None
-        for c, lo, s, w in zip(u.eta, self._lo, self._spans, self._places):
-            if not 0 <= c - d * lo <= d * s:
-                return None
-            code += (c - d * lo) * w
         face, vec = (1 << len(self._steps)) - 1, u.vector
         for a, on in self._facets:
             t = sum(map(mul, a, vec))
@@ -318,6 +314,9 @@ class NuTable:
                 return None
             if t == 0:
                 face &= on
+        d, code = u.d, 0
+        for c, lo, w in zip(u.eta, self._lo, self._places):
+            code += (c - d * lo) * w
         h = d // 2
         layers = self._layers.setdefault(face, [{0: 0}])
         while len(layers) <= d - h:  # a loop: no recursion grows with d
@@ -523,20 +522,22 @@ class TruncatedSemigroup:
 
     @cached_property
     def multiple_limit(self) -> int:
-        """dim! * vol(P), the normalized volume of the configuration."""
-        return int(factorial(self.cfg.dim) * volume(self.cfg.points))
+        """dim! * vol(P), the normalized volume of the configuration
+        (``config.volume``)."""
+        return volume(self.cfg.points)
 
 
 def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     """The least k >= 1 with k*u in some marked submonoid S¹_Q.
 
-    The search stops at dim! * vol(P) (``t.multiple_limit``), which it never
-    reaches when every cell marks its vertices: u lies in the cone over some
-    cell, hence over a simplex of that cell's vertices.  Its barycentric
-    coordinates there are ratios of integer determinants over the simplex's
-    determinant dim! * vol(simplex) <= dim! * vol(P), so that multiple of u
-    is a nonnegative integer combination of marked vertices.  ValueError
-    names u when no multiple up to the limit lands in a marked submonoid."""
+    The search stops at the normalized volume dim! * vol(P)
+    (``t.multiple_limit``), which it never reaches when every cell marks its
+    vertices: u lies in the cone over some cell, hence over a simplex of that
+    cell's vertices.  Its barycentric coordinates there are ratios of integer
+    determinants over the simplex's determinant, its normalized volume, at
+    most that of P, so that multiple of u is a nonnegative integer
+    combination of marked vertices.  ValueError names u when no multiple up
+    to the limit lands in a marked submonoid."""
     for k in range(1, t.multiple_limit + 1):
         if any(in_SQ1(q, u.scaled(k)) for q in t.marked):
             return k

@@ -1,8 +1,11 @@
 """Point configurations, hulls, exact volumes, and subdivision validation."""
 
-from fractions import Fraction
+import itertools
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lexfan.config import (
     MarkedCell,
@@ -16,6 +19,7 @@ from lexfan.config import (
     volume,
 )
 from lexfan.errors import DimensionError, SchemaError
+from lexfan.linalg import dot, rank
 
 
 class TestPointConfig:
@@ -68,20 +72,96 @@ class TestHull:
         assert hull_of(seg_cfg.points).vertices == (0, 4)
 
 
+@st.composite
+def _spanning_points(draw, dim):
+    """dim + 1 to 8 distinct lattice points affinely spanning dim-space."""
+    coord = st.integers(-3, 3)
+    pts = draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=8, unique=True)
+    )
+    assume(rank([(1, *p) for p in pts]) == dim + 1)
+    return tuple(pts)
+
+
+@st.composite
+def _unimodular(draw, dim):
+    """A product of elementary integer matrices (add c times row j to row i,
+    or negate a row): det +-1, so it maps the lattice onto itself."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            c = draw(st.integers(-2, 2))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _convex_hull_2d(pts):
+    """Hull vertices in counter-clockwise order (Andrew's monotone chain)."""
+    pts = sorted(set(pts))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
 class TestVolume:
+    """``volume`` is the normalized volume dim! * vol, an int."""
+
     def test_segment(self, seg_cfg):
         assert volume(seg_cfg.points) == 6
 
     def test_simplex(self, simplex_cfg):
-        assert volume(simplex_cfg.points) == Fraction(9, 2)
+        assert volume(simplex_cfg.points) == 9
 
     def test_square(self, square_cfg):
-        assert volume(square_cfg.points) == 1
+        assert volume(square_cfg.points) == 2
 
     def test_translation_invariance(self):
         a = ((0, 0), (3, 0), (0, 3))
         b = tuple((x + 7, y - 2) for x, y in a)
         assert volume(a) == volume(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lattice_invariance(self, data):
+        dim = data.draw(st.integers(1, 3))
+        pts = data.draw(_spanning_points(dim))
+        m = data.draw(_unimodular(dim))
+        t = data.draw(st.tuples(*[st.integers(-5, 5)] * dim))
+        moved = [tuple(dot(row, p) + c for row, c in zip(m, t)) for p in pts]
+        vol = volume(pts)
+        assert type(vol) is int and vol > 0
+        assert volume(moved) == vol
+
+    @settings(max_examples=30, deadline=None)
+    @given(sides=st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    def test_lattice_box(self, sides):
+        # every lattice point of the box, so most are not vertices
+        box = list(itertools.product(*(range(s + 1) for s in sides)))
+        assert volume(box) == factorial(len(sides)) * prod(sides)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_twice_shoelace_area_in_the_plane(self, data):
+        pts = data.draw(_spanning_points(2))
+        hull = _convex_hull_2d(pts)
+        twice_area = sum(
+            x0 * y1 - x1 * y0
+            for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1])
+        )
+        assert volume(pts) == twice_area
 
 
 class TestValidation:

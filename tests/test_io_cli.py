@@ -599,6 +599,17 @@ class TestSvg:
         assert svg.count("<polygon") == 3
         assert svg.count("<circle") == 4
 
+    def test_zero_dimensional_point(self, tmp_path, capsys):
+        # a 0-dimensional configuration: one cell of its single point, drawn
+        # as one polygon and one marked circle
+        cfg, mat = tmp_path / "point.json", tmp_path / "psi.json"
+        cfg.write_text(json.dumps({"dim": 0, "points": [[]]}))
+        mat.write_text(json.dumps({"Psi": [[1]]}))
+        assert main(["--format", "svg", "subdivide", str(cfg), str(mat)]) == 0
+        svg = capsys.readouterr().out
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert svg.count("<polygon") == 1 and svg.count("<circle") == 1
+
     def test_polygon_vertices_in_convex_order(self):
         # the first vertex lies exactly left of the centroid (2, 0)
         payload = {

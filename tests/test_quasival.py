@@ -486,7 +486,9 @@ class TestOracles:
 # A configuration in 3-space with negative coordinates on every axis, and a
 # line of points in the plane at height 3: PointConfig rejects the line (its
 # points do not span the plane), but NuTable and rep_set read only dim, r
-# and points, so it exercises an axis of span 0, where the radix is 1.
+# and points, so it exercises an axis of span 0, where the radix is 1.  Its
+# facets do not cut out the line, but a point off it has a code that no
+# split reaches.
 _SPACE = PointConfig(
     dim=3, points=((0, 0, 0), (-1, 2, 0), (1, -1, -2), (0, 1, 3), (-2, -1, 1))
 )
@@ -630,6 +632,35 @@ class TestPackedTable:
             for u in order:
                 assert _lookup(table, u) == expected[u]
             _check_box(cfg, table)
+
+    @pytest.mark.parametrize("name", ["seg_cfg", "simplex_cfg", "square_cfg"])
+    def test_facets_reject_negative_degrees_and_steps_past_a_facet(self, name, request):
+        # the facets alone decide membership: the negative of a semigroup
+        # point, and a unit step out of d*P from every point of d*P on a
+        # facet, at every degree up to the bound
+        cfg = request.getfixturevalue(name)
+        bound = 4
+        table = NuTable(cfg, WeightMatrix(rows=(tuple(range(cfg.r)),)), bound)
+        inside = semigroup_up_to(cfg, bound)
+        off = [u.scaled(-1) for u in inside if u.d]
+        units = [
+            tuple(s * (i == k) for i in range(cfg.dim))
+            for k in range(cfg.dim)
+            for s in (1, -1)
+        ]
+        for a in hull_of(cfg.points).facets:
+            off += [
+                GradedPoint(u.d, tuple(map(sum, zip(u.eta, e))))
+                for u in inside
+                if u.d and dot(a, u.vector) == 0
+                for e in units
+                if dot(a[1:], e) > 0
+            ]
+        assert any(u.d < 0 for u in off) and any(u.d == bound for u in off)
+        for u in off:
+            assert table.key(u) is None, u
+            with pytest.raises(SchemaError):
+                nu_point(table, u)
 
     def test_degree_overflow_above_bound(self, seg_cfg, seg_psi, f_running):
         table = NuTable(seg_cfg, seg_psi, 4)
