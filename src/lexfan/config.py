@@ -110,20 +110,20 @@ def _triangulate(points: tuple) -> list[tuple]:
         if dot(a, w0) == 0:
             continue  # v0 lies on this facet
         facet_pts = tuple(p for p in points if dot(a, (1, *p)) == 0)
-        for s in _triangulate(facet_pts):
-            simplices.append((v0,) + s)
+        simplices.extend((v0,) + s for s in _triangulate(facet_pts))
     return simplices
 
 
 def volume(points: Sequence[Sequence]) -> int:
-    """The normalized volume dim! * vol of a full-dimensional lattice
-    polytope, an integer: the sum over the simplices of the pulling
-    triangulation of |det| of their edge vectors, one echelon pass each."""
+    """The normalized volume dim! * vol of a lattice polytope, an integer:
+    the sum over the pulling triangulation's simplices of |det| of their
+    edge vectors, one echelon pass each; 0 if the points span no full space."""
     pts = tuple(map(tuple, points))
     total = 0
     for simplex in _triangulate(pts):
         rows = [tuple(a - b for a, b in zip(v, simplex[0])) for v in simplex[1:]]
-        total += abs(echelon(rows)[2])
+        _, pivots, d = echelon(rows)
+        total += abs(d) if len(pivots) == len(pts[0]) else 0
     return total
 
 

@@ -11,9 +11,9 @@ oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
 Regularity is read off the condition cone (``ConditionCone.witness_height``);
-no LP is solved.  The cover search tests whether two cells meet properly
-against the circuits of the configuration (``circuits``), not by intersecting
-their hulls; ``config.cell_pair_violations`` stays the independent check.
+no LP is solved.  The cover search reads proper meeting off the circuits
+(``circuits``), one clash bitmask per candidate cell (``_clashes``), not by
+intersecting hulls; ``config.cell_pair_violations`` stays the independent check.
 
 A condition cone's relations are read cell by cell (``_cell_relations``, one
 echelon pass per cell) and numbered by the cell's index in the subdivision
@@ -372,17 +372,20 @@ def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
     return cells
 
 
-def meet_properly(circs: Sequence[tuple[int, int]], a: int, b: int) -> bool:
-    """Whether two cells with marking bitmasks a and b meet properly: their
-    hulls meet in a common face F (or not at all) with a & F == b & F, what
-    ``config.cell_pair_violations`` checks.  That holds iff no circuit Z of
-    ``circs``, in either orientation, has Z+ in a, Z- in b and Z not in a & b
-    (De Loera, Rambau & Santos, *Triangulations*, 4.1).
+def _clashes(circs: Sequence[tuple[int, int]], masks: Sequence[int]) -> list[int]:
+    """Bit j of entry i: the cells of markings masks[i] and masks[j] do not
+    meet properly, in a common face F (or not at all) with a & F == b & F,
+    what ``config.cell_pair_violations`` checks.  They do iff no circuit Z
+    of ``circs``, in either orientation (p, q), has p in a, q in b and Z
+    not in a & b (De Loera, Rambau & Santos, *Triangulations*, 4.1).  With
+    held[s] the bitmask of the markings that contain the side s, an a that
+    contains p clashes with every b in held[q], or, when q is in a too, with
+    those not in held[p]; (q, p) is listed too, so the relation is symmetric.
 
-    (=>) Such a Z gives a point x = sum l_i z_i over Z+ = sum m_j z_j over
-    Z-, with positive coefficients, on both hulls, so x lies in F.  F is a
-    face of both hulls and x a positive combination on each side, so Z+ and
-    Z- lie in F: Z+ in a & F = b & F and Z- in b & F = a & F, so Z is in a & b.
+    (=>) Such a Z gives a point x = sum l_i z_i over p = sum m_j z_j over
+    q, with positive coefficients, on both hulls, so x lies in F.  F is a
+    face of both hulls and x a positive combination on each side, so p and
+    q lie in F: p in a & F = b & F and q in b & F = a & F, so Z is in a & b.
 
     (<=) Take x in the relative interior of the intersection, and F_a, F_b
     the smallest faces of the two hulls containing it.  x is a convex
@@ -393,12 +396,18 @@ def meet_properly(circs: Sequence[tuple[int, int]], a: int, b: int) -> bool:
     sum of sign-compatible circuits, and the one through that point breaks
     the rule.  Otherwise F_a = conv(a & F_a) lies in both hulls, so it is
     the intersection; likewise F_b, and a & F = b & F."""
-    both = a & b
-    return not any(
-        (pos | neg) & ~both
-        and (pos & ~a == 0 and neg & ~b == 0 or neg & ~a == 0 and pos & ~b == 0)
-        for pos, neg in circs
-    )
+    sides = [*circs, *((q, p) for p, q in circs)]
+    held = dict.fromkeys(p for p, _ in sides)
+    for side in held:
+        held[side] = sum(1 << j for j, b in enumerate(masks) if side & ~b == 0)
+    out = []
+    for a in masks:
+        bad = 0
+        for p, q in sides:
+            if p & ~a == 0:
+                bad |= held[q] & ~held[p] if q & ~a == 0 else held[q]
+        out.append(bad)
+    return out
 
 
 def enumerate_subdivisions(
@@ -407,8 +416,11 @@ def enumerate_subdivisions(
     """All marked subdivisions by depth-first cover search over candidate
     cells (desk scale).  Full-dimensional cells that pairwise meet in common
     faces with agreeing markings, and whose volumes sum to the whole, form a
-    subdivision, so a cover needs no further validation.  Volumes are the
-    integer normalized volumes of ``config.volume``, once per vertex set."""
+    subdivision, so a cover needs no further validation.  Such cells have
+    disjoint interiors, so a node's volumes never sum past the whole.
+    Volumes are the integer normalized volumes of ``config.volume``, once
+    per vertex set.  A node takes, lowest first, the bits of ``allowed``:
+    the later candidates that meet every chosen cell properly (``_clashes``)."""
     candidates = _candidate_cells(cfg)
     by_vertices = {
         vs: volume(tuple(cfg.points[i] for i in vs))
@@ -416,20 +428,11 @@ def enumerate_subdivisions(
     }
     vols = [by_vertices[c.vertices] for c in candidates]
     target = volume(cfg.points)
-    masks = [sum(1 << i for i in c.marking) for c in candidates]
-    circs = circuits(cfg)
-    compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i
-
-    def compat(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in compatible:
-            compatible[key] = meet_properly(circs, masks[i], masks[j])
-        return compatible[key]
-
+    clashes = _clashes(circuits(cfg), [sum(1 << i for i in c.marking) for c in candidates])
     results = []
     nodes = 0
 
-    def search(start: int, chosen: list[int], vol_acc: int):
+    def search(allowed: int, chosen: tuple, vol_acc: int):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -440,15 +443,12 @@ def enumerate_subdivisions(
         if vol_acc == target:
             results.append(MarkedSubdivision(cells=tuple(candidates[i] for i in chosen)))
             return
-        for i in range(start, len(candidates)):
-            if vol_acc + vols[i] > target:
-                continue
-            if all(compat(i, j) for j in chosen):
-                chosen.append(i)
-                search(i + 1, chosen, vol_acc + vols[i])
-                chosen.pop()
+        while allowed:
+            i = (allowed & -allowed).bit_length() - 1
+            allowed ^= 1 << i
+            search(allowed & ~clashes[i], chosen + (i,), vol_acc + vols[i])
 
-    search(0, [], 0)
+    search((1 << len(candidates)) - 1, (), 0)
     return results
 
 

@@ -3,8 +3,9 @@ against: fiber optima by basic feasible solutions, cell maps by one solve
 per affine basis and the piecewise-linear map evaluated on them in
 Fractions, semigroup membership by an exact knapsack, the Euclidean closure
 of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
-matrix flattened to one row, and the face-lattice invariants of a whole
-``fan`` output.  No command or script uses them.
+matrix flattened to one row, proper meeting of two cells by circuits and
+the cover search that tests it pair by pair, and the face-lattice
+invariants of a whole ``fan`` output.  No command or script uses them.
 
 ``python tests/oracles.py CONFIG FAN_JSON`` checks a ``fan`` output against
 the invariants (``fan_invariant_violations``) and exits 1 if one fails."""
@@ -18,10 +19,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lexfan.cones import MuCone, PolyCone
-from lexfan.config import MarkedSubdivision, PointConfig, hull_of
-from lexfan.errors import InvariantError, SchemaError
+from lexfan.config import MarkedSubdivision, PointConfig, hull_of, volume
+from lexfan.errors import BudgetExceeded, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
-from lexfan.gkzfan import circuits
+from lexfan.gkzfan import _candidate_cells, circuits
 from lexfan.linalg import dot, nullspace, primitive, rank, solve
 from lexfan.quasival import GradedPoint
 
@@ -170,6 +171,65 @@ def pairwise_refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list
         if mi & ~mj == 0 and len(xi) >= len(xj) and i != j
         and all(any(x & ~y == 0 for y in xj) for x in xi)
     ]
+
+
+def meet_properly(circs: Sequence[tuple[int, int]], a: int, b: int) -> bool:
+    """Whether two cells with marking bitmasks a and b meet properly: no
+    circuit Z of ``circs``, in either orientation, has Z+ in a, Z- in b and
+    Z not in a & b (the rule ``gkzfan._clashes`` proves and reads once per
+    candidate), tested circuit by circuit for this one pair."""
+    both = a & b
+    return not any(
+        (pos | neg) & ~both
+        and (pos & ~a == 0 and neg & ~b == 0 or neg & ~a == 0 and pos & ~b == 0)
+        for pos, neg in circs
+    )
+
+
+def pairwise_cover_search(
+    cfg: PointConfig, budget: int = 200_000
+) -> tuple[list[MarkedSubdivision], int]:
+    """The covers of ``gkzfan.enumerate_subdivisions`` and the number of
+    search nodes visited, by a node loop that scans every later candidate
+    and tests it against each chosen cell with ``meet_properly`` (memoised
+    per pair).  It raises the same ``BudgetExceeded`` past ``budget``
+    nodes."""
+    candidates = _candidate_cells(cfg)
+    vols = [volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
+    target = volume(cfg.points)
+    masks = [sum(1 << i for i in c.marking) for c in candidates]
+    circs = circuits(cfg)
+    compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i
+
+    def compat(i: int, j: int) -> bool:
+        if (i, j) not in compatible:
+            compatible[i, j] = meet_properly(circs, masks[i], masks[j])
+        return compatible[i, j]
+
+    results = []
+    nodes = 0
+
+    def search(start: int, chosen: list[int], vol_acc: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"enumeration stopped after visiting {budget} search nodes:"
+                f" {len(results)} subdivisions found among {len(candidates)} candidate cells"
+            )
+        if vol_acc == target:
+            results.append(MarkedSubdivision(cells=tuple(candidates[i] for i in chosen)))
+            return
+        for i in range(start, len(candidates)):
+            if vol_acc + vols[i] > target:
+                continue
+            if all(compat(i, j) for j in chosen):
+                chosen.append(i)
+                search(i + 1, chosen, vol_acc + vols[i])
+                chosen.pop()
+
+    search(0, [], 0)
+    return results, nodes
 
 
 def fan_invariant_violations(r: int, dim: int, payload: dict) -> list[str]:

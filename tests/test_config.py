@@ -128,6 +128,14 @@ class TestVolume:
     def test_square(self, square_cfg):
         assert volume(square_cfg.points) == 2
 
+    def test_segment_in_the_plane(self):
+        # the one edge vector leaves one pivot, short of the plane's two
+        assert volume(((0, 0), (2, 2))) == 0
+
+    def test_points_that_span_no_full_space(self):
+        assert volume(((0, 0), (1, 1), (3, 3))) == 0
+        assert volume(((0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0))) == 0
+
     def test_translation_invariance(self):
         a = ((0, 0), (3, 0), (0, 3))
         b = tuple((x + 7, y - 2) for x, y in a)
@@ -280,6 +288,18 @@ class TestRefinesAndTriangulation:
     def test_running_refines_trivial(self, seg_cfg, seg_sub):
         assert refines(seg_cfg, seg_sub, trivial_subdivision(seg_cfg))
         assert not refines(seg_cfg, trivial_subdivision(seg_cfg), seg_sub)
+
+    def test_flat_cell_adds_no_volume(self, square_cfg):
+        # a triangle and a segment on its edge: not a subdivision, so it
+        # refines nothing, though both markings lie in the trivial cell
+        s = MarkedSubdivision(
+            cells=(
+                MarkedCell(vertices=(0, 1, 2), marking=(0, 1, 2)),
+                MarkedCell(vertices=(1, 2), marking=(1, 2)),
+            )
+        )
+        assert not validate_subdivision(square_cfg, s).ok
+        assert not refines(square_cfg, s, trivial_subdivision(square_cfg))
 
     def test_is_triangulation(self, simplex_cfg, simplex_q0, simplex_q1, simplex_q2):
         assert is_triangulation(simplex_cfg, simplex_q2)

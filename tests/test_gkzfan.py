@@ -30,6 +30,7 @@ from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec
 from lexfan.gkzfan import (
     _candidate_cells,
+    _clashes,
     add_row_multiple,
     circuits,
     closed_member,
@@ -42,7 +43,6 @@ from lexfan.gkzfan import (
     g_eval,
     is_regular,
     linear_extension,
-    meet_properly,
     open_member,
     scale_row,
     shift_row,
@@ -56,6 +56,7 @@ from oracles import (
     fan_invariant_violations,
     fiber_value,
     flattened,
+    pairwise_cover_search,
     pairwise_refinement_poset,
 )
 
@@ -278,6 +279,41 @@ class TestEnumeration:
             psi = random_matrix(rng, rng.randint(1, 3), square_cfg.r)
             s = subdivide(square_cfg, psi)
             assert sum(1 for t in subs if t == s) == 1
+
+
+class TestCoverSearch:
+    """The clash-mask search against the pairwise node loop of
+    ``oracles.pairwise_cover_search``: the same covers in the same order,
+    and the same least budget that completes, one node short of which both
+    stop with the same message."""
+
+    @staticmethod
+    def _check(cfg):
+        expected, nodes = pairwise_cover_search(cfg)
+        assert enumerate_subdivisions(cfg, budget=nodes) == expected
+        with pytest.raises(BudgetExceeded) as ours:
+            enumerate_subdivisions(cfg, budget=nodes - 1)
+        with pytest.raises(BudgetExceeded) as oracle:
+            pairwise_cover_search(cfg, budget=nodes - 1)
+        assert str(ours.value) == str(oracle.value)
+
+    def test_examples(self, seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg):
+        for cfg in (seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg, _config_file("cube")):
+            self._check(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_configurations(self, pinwheel_cfg, data):
+        self._check(data.draw(st.one_of(oracle_configs(pinwheel_cfg), collinear_configs())))
+
+    def test_grid_3x3_budget_pinned(self):
+        cfg = _config_file("grid_3x3")
+        assert len(enumerate_subdivisions(cfg, budget=51776)) == 4079
+        with pytest.raises(BudgetExceeded, match=(
+            "^enumeration stopped after visiting 51775 search nodes:"
+            " 4079 subdivisions found among 458 candidate cells$"
+        )):
+            enumerate_subdivisions(cfg, budget=51775)
 
 
 @pytest.fixture(scope="module")
@@ -536,13 +572,17 @@ class TestCircuits:
 
     @staticmethod
     def _check_every_pair(cfg):
-        circs = circuits(cfg)
-        for ca, cb in itertools.combinations(_candidate_cells(cfg), 2):
-            a = sum(1 << i for i in ca.marking)
-            b = sum(1 << i for i in cb.marking)
-            expected = not cell_pair_violations(cfg, ca, cb)
-            assert meet_properly(circs, a, b) == expected, (ca, cb)
-            assert meet_properly(circs, b, a) == expected, (cb, ca)
+        # bit j of clashes[i] is set iff cells i and j fail the pair
+        # validation, asked in both orders; no cell clashes with itself
+        cells = _candidate_cells(cfg)
+        clashes = _clashes(circuits(cfg), [sum(1 << i for i in c.marking) for c in cells])
+        for i, j in itertools.combinations(range(len(cells)), 2):
+            ca, cb = cells[i], cells[j]
+            clash = bool(clashes[i] >> j & 1)
+            assert bool(clashes[j] >> i & 1) == clash, (ca, cb)  # symmetric
+            assert bool(cell_pair_violations(cfg, ca, cb)) == clash, (ca, cb)
+            assert bool(cell_pair_violations(cfg, cb, ca)) == clash, (cb, ca)
+        assert not any(c >> i & 1 for i, c in enumerate(clashes))
 
     def test_rule_is_pair_validation_on_examples(self, seg_cfg, square_cfg, pinwheel_cfg):
         grid = PointConfig(dim=2, points=((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
