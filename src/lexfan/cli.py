@@ -26,22 +26,35 @@ from lexfan.errors import (
 from lexfan.exactlex import INFINITY, rat_str
 
 
+_BLOCK = 1 << 16  # the least write, so that a small output is one write
+
+
 def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
-    if args.format == "json":
-        rendered = io.dumps(payload)
-    elif args.format == "text":
-        rendered = text_fn(payload) if text_fn else io.dumps(payload)
-    else:  # "svg", the only other format argparse accepts
+    if args.format == "svg":
         if svg_fn is None:
             raise SchemaError("svg output is not available for this command")
-        rendered = svg_fn(payload)
+        pieces = [svg_fn(payload)]
+    elif args.format == "text" and text_fn:
+        pieces = [text_fn(payload)]
+    else:
+        pieces = io.chunks(payload)
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if fh is None:  # stdout closed at start (`>&-`)
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            # print writes text and newline apart: unbuffered, a write cut
-            # short by a closed pipe drops its rest unseen and the next fails
-            print(rendered, file=fh)
+            block, size, wrote = [], 0, False
+            for piece in pieces:
+                block.append(piece)
+                size += len(piece)
+                if size >= _BLOCK:
+                    fh.write("".join(block))
+                    block, size, wrote = [], 0, True
+            # unbuffered, a write cut short by a closed pipe drops its rest
+            # unseen and only the next write fails: after a block, the
+            # newline goes alone
+            fh.write("".join(block) if wrote else "".join(block) + "\n")
+            if wrote:
+                fh.write("\n")
             fh.flush()
     except OSError as exc:
         if not args.out and sys.stdout is not None:
@@ -127,7 +140,7 @@ def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
         "closed_member": ledger.member,
         "condition_signs": [
             {
-                "vector": [rat_str(x) for x in g.vector],
+                "vector": list(map(str, g.vector)),
                 "cell": g.cell,
                 "point": g.point,
                 "two_sided": g.two_sided,
@@ -162,7 +175,8 @@ def _subdivision_text(payload) -> str:
 def cmd_fan(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     ccs = gkzfan.enumerate_regular_subdivisions(cfg, budget=args.budget)
-    entries = [
+    poset = refinement_poset([cc.subdivision for cc in ccs])
+    entries = (
         {
             "cells": io.subdivision_to_json(cc.subdivision)["cells"],
             "condition_cone": io.cone_to_json(cc.cone),
@@ -170,8 +184,7 @@ def cmd_fan(args) -> int:
             "is_triangulation": is_triangulation(cfg, cc.subdivision),
         }
         for cc in ccs
-    ]
-    poset = refinement_poset([cc.subdivision for cc in ccs])
+    )
     payload = {"regular_subdivisions": entries, "refinement_poset": poset}
     _emit(args, payload)
     return 0
@@ -187,17 +200,11 @@ def cmd_valuate(args) -> int:
     v_rep, nu_rep, delta_rep = quasival.valuate(table, plm, f)
     payload = {
         "V": _lexvec_json(v_rep.value),
-        "V_witness_point": None
-        if v_rep.witness_point is None
-        else list(v_rep.witness_point.vector),
+        "V_witness_point": v_rep.witness_point and v_rep.witness_point.vector,
         "V_witness_cell": v_rep.witness_cell,
         "nu": _lexvec_json(nu_rep.value),
-        "nu_witness_point": None
-        if nu_rep.witness_point is None
-        else list(nu_rep.witness_point.vector),
-        "nu_witness_alpha": None
-        if nu_rep.witness_alpha is None
-        else list(nu_rep.witness_alpha),
+        "nu_witness_point": nu_rep.witness_point and nu_rep.witness_point.vector,
+        "nu_witness_alpha": nu_rep.witness_alpha,
     }
     if delta_rep is not None:
         payload["delta"] = _lexvec_json(delta_rep.value)
@@ -209,15 +216,11 @@ def cmd_liminf(args) -> int:
     cfg = io.config_from_json(io.load_json(args.config))
     psi = io.matrix_from_json(io.load_json(args.matrix))
     f = io.expr_from_json(io.load_json(args.expr))
-    seq = quasival.power_seq(
-        quasival.NuTable(cfg, psi, args.degree_bound), f, window=args.window
-    )
+    seq = quasival.power_seq(quasival.NuTable(cfg, psi, args.degree_bound), f, window=args.window)
     acc = quasival.windowed_accumulation(seq)
     payload = {
         "sequence": [{"l": ell, "value": _lexvec_json(v)} for ell, v in seq],
-        "accumulation_candidates": sorted(
-            [_lexvec_json(v) for v in acc.candidates]
-        ),
+        "accumulation_candidates": sorted(map(_lexvec_json, acc.candidates)),
         "liminf": None if acc.liminf is None else _lexvec_json(acc.liminf),
         "windowed": acc.windowed,
     }
@@ -231,35 +234,27 @@ def cmd_degenerate(args) -> int:
     s = gkzfan.subdivide(cfg, psi)
     bound = args.degree_bound
     t = quasival.TruncatedSemigroup(cfg, s, bound)
-    gr_v = degeneration.gr_v_present(t)
-    gr_nu = degeneration.gr_nu_reduced(t)
     payload = {
         "cells": io.subdivision_to_json(s)["cells"],
         "degree_bound": bound,
-        "gr_V": _presentation_payload(gr_v),
-        "gr_nu_reduced": _presentation_payload(gr_nu),
+        "gr_V": _presentation_payload(degeneration.gr_v_present(t)),
+        "gr_nu_reduced": _presentation_payload(degeneration.gr_nu_reduced(t)),
     }
     if is_triangulation(cfg, s):
-        payload["stanley_reisner"] = io.sr_to_json(
-            degeneration.stanley_reisner(cfg, s)
-        )
+        payload["stanley_reisner"] = io.sr_to_json(degeneration.stanley_reisner(cfg, s))
     _emit(args, payload)
     return 0
 
 
 def _presentation_payload(pres) -> dict:
-    """Points as ``u.vector`` tuples, which ``io.dumps`` renders once each."""
+    """Points as ``u.vector`` tuples, which ``io.chunks`` renders once each."""
     return {
         "basis_size": len(pres.basis),
         "components": [[u.vector for u in comp] for comp in pres.components],
         "zero_products": [(u.vector, w.vector) for u, w in pres.table],
-        "nilpotents": [
-            {"point": u.vector, "witness": ell} for u, ell in pres.nilpotents
-        ],
+        "nilpotents": [{"point": u.vector, "witness": ell} for u, ell in pres.nilpotents],
         "equidimensional": pres.equidimensional,
-        "certificates_ok": all(c.ok for c in pres.certificates)
-        if pres.certificates
-        else None,
+        "certificates_ok": all(c.ok for c in pres.certificates) if pres.certificates else None,
     }
 
 

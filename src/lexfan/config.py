@@ -20,7 +20,7 @@ from typing import Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
-from lexfan.linalg import dot, echelon, primitive, rank
+from lexfan.linalg import dot, echelon, primitive
 
 Point = tuple
 
@@ -42,7 +42,8 @@ class PointConfig:
             raise DimensionError("point length != ambient dimension")
         if len(set(pts)) != len(pts):
             raise SchemaError("configuration points must be distinct")
-        if rank([(1,) + p for p in pts]) != self.dim + 1:
+        # the homogenized points span iff their transpose has full row rank
+        if len(echelon([(1,) * len(pts), *zip(*pts)])[1]) != self.dim + 1:
             raise SchemaError("points do not affinely span the ambient space")
 
     @property

@@ -6,16 +6,24 @@ Everything downstream compares values in Q^N under the lexicographic order
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
 from lexfan.errors import DimensionError, SchemaError
 
+# the plain form the CLI writes: ASCII digits, at most one leading "-"
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat(x) -> Fraction:
     """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational;
-    booleans are rejected, though Python counts them as ints."""
+    booleans are rejected, though Python counts them as ints.  A plain
+    string is read with ``int``, any other goes to ``Fraction``: both give
+    the same value, and ``Fraction`` alone decides what else it accepts."""
     if isinstance(x, bool):
         raise SchemaError(f"not a rational: {x!r}")
     if isinstance(x, Fraction):
@@ -24,7 +32,11 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            m = _PLAIN.fullmatch(x)
+            if m is None:
+                return Fraction(x)
+            num, den = m.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"not a rational: {x!r}") from exc
     if isinstance(x, float):
@@ -163,10 +175,11 @@ class WeightMatrix:
     def column(self, j: int) -> LexVec:
         return LexVec(row[j] for row in self.rows)
 
+    @cached_property
     def integer_rows(self) -> tuple[tuple, tuple]:
         """(scales, rows): each row times the lcm of its denominators, as an
-        int tuple, and those lcms.  A positive scale per row keeps the lex
-        order of every value read off the rows."""
+        int tuple, and those lcms, computed once per matrix.  A positive
+        scale per row keeps the lex order of every value read off the rows."""
         scales = tuple(lcm(*(x.denominator for x in row)) for row in self.rows)
         rows = tuple(
             tuple(x.numerator * (s // x.denominator) for x in row)

@@ -201,11 +201,10 @@ def closed_member(
     generator and Psi.u = 0 for every two-sided one."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
-    _, rows = psi.integer_rows()
+    _, rows = psi.integer_rows
     ledger = []
     for g in condition_generators(cfg, s):
-        nz = [(j, x) for j, x in enumerate(g.vector) if x]
-        val = next((v for row in rows if (v := sum(row[j] * x for j, x in nz))), 0)
+        val = next((v for row in rows if (v := dot(row, g.vector))), 0)
         ledger.append((g, (val > 0) - (val < 0)))
     return SignLedger(signs=tuple(ledger))
 
@@ -240,7 +239,7 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
     points where the map equals the height."""
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
-    _, rows = psi.integer_rows()
+    _, rows = psi.integer_rows
 
     def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
         if len(idxs) == cfg.n:
@@ -297,7 +296,7 @@ def linear_extension(
     n + k over d; a pivot past column n - 1 means the heights are not
     affine.  Each cell's columns are then put over D, the lcm of the d."""
     n = cfg.n
-    scales, rows = psi.integer_rows()
+    scales, rows = psi.integer_rows
     heights = tuple(zip(*rows))
     reduced = []
     for cell in s.cells:

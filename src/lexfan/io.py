@@ -1,10 +1,12 @@
 """JSON (de)serialization; every number travels as an exact rational string
-"p/q" (or "p"), so round-trips are exact.  ``dumps`` writes the CLI's
+"p/q" (or "p"), so round-trips are exact.  ``chunks`` streams the CLI's
 output, byte for byte as ``json.dumps(obj, indent=2)``."""
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -69,12 +71,7 @@ def subdivision_from_json(obj: dict) -> MarkedSubdivision:
 
 
 def subdivision_to_json(s: MarkedSubdivision) -> dict:
-    return {
-        "cells": [
-            {"vertices": list(c.vertices), "marking": list(c.marking)}
-            for c in s.cells
-        ]
-    }
+    return {"cells": [{"vertices": list(c.vertices), "marking": list(c.marking)} for c in s.cells]}
 
 
 # -- matrices and expressions ----------------------------------------------
@@ -139,8 +136,8 @@ def sr_to_json(ideal: SRIdeal) -> dict:
 
 def load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode())
     except FileNotFoundError as exc:
         raise SchemaError(f"no such file: {path}") from exc
     except OSError as exc:
@@ -149,74 +146,128 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
-_FLAT = frozenset((int, str))
+_FLAT, _INT, _STR = frozenset((int, str)), frozenset((int,)), frozenset((str,))
+# the item types of a tuple of tuples; as itself (``is``), checked flat ones
+_TUPLES = frozenset((tuple,))
+_BIG = 1024  # a list this long is written item by item
+_HOLE = "\0"  # marks a node written item by item; rendered text escapes NUL
 
 
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, bool, None and float.  A list or tuple of plain
-    ints and strs is rendered with one join; such a tuple, such as a basis
-    vector, is rendered once per depth and reused for every equal tuple at
-    that depth within the call.  Only exact int and str items qualify:
-    ``(1,) == (True,)``, yet they render differently."""
-    parts: list = []
-    put = parts.append
-    # at index k: newline and k indents, the same after a comma, and the
-    # rendered flat tuples met at depth k
-    nl, sep, memo = ["\n"], [",\n"], [{}]
+    """``json.dumps(obj, indent=2)``, as ``chunks`` renders it."""
+    return "".join(chunks(obj))
 
-    def enc(o: Any, depth: int) -> None:
-        if isinstance(o, (list, tuple, dict)):
-            if not o:
-                put("{}" if isinstance(o, dict) else "[]")
-                return
-            if len(nl) == depth + 1:
-                nl.append(nl[depth] + "  ")
-                sep.append(sep[depth] + "  ")
-                memo.append({})
-            inner = nl[depth + 1]
-            kind = type(o)
-            if (kind is tuple or kind is list) and {*map(type, o)} <= _FLAT:
-                text = memo[depth].get(o) if kind is tuple else None
-                if text is None:
-                    items = sep[depth + 1].join(
-                        int.__repr__(x) if type(x) is int else encode_basestring_ascii(x)
-                        for x in o
-                    )
-                    text = "[" + inner + items + nl[depth] + "]"
-                    if kind is tuple:
-                        memo[depth][o] = text
-                put(text)
-            elif isinstance(o, dict):
-                put("{")
-                for i, (k, v) in enumerate(o.items()):
-                    if not isinstance(k, str):
-                        raise TypeError(f"keys must be str, not {type(k).__name__}")
-                    put(sep[depth + 1] if i else inner)
-                    put(encode_basestring_ascii(k))
-                    put(": ")
-                    enc(v, depth + 1)
-                put(nl[depth])
-                put("}")
-            else:
-                put("[")
-                for i, x in enumerate(o):
-                    put(sep[depth + 1] if i else inner)
-                    enc(x, depth + 1)
-                put(nl[depth])
-                put("]")
-        elif isinstance(o, str):
-            put(encode_basestring_ascii(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
+
+def chunks(obj: Any) -> Iterator[str]:
+    """Pieces whose concatenation is ``json.dumps(obj, indent=2)``, byte for
+    byte, for dicts with str keys, lists, tuples, str, int, bool, None and
+    float; any other iterator is written as a list.
+
+    A subtree renders as one string in one recursive pass.  Only iterators,
+    lists of ``_BIG`` items or more, and the containers holding them are
+    yielded item by item.  Within a call each dict key is escaped once, and
+    a tuple of exact ints and strs, or a tuple of such tuples, is rendered
+    once per depth, but not kept for the items of a list written item by item.
+    Only exact leaves qualify: ``(1,) == (True,)``, yet they render
+    differently, and a tuple holding a list is not even hashable."""
+    nl, sep, memo = ["\n"], [",\n"], [{}]  # per depth: indents, rendered tuples
+    keys: dict = {}  # key -> its escaped form and ": "
+    held: list = []  # (node, depth) behind each hole, in document order
+
+    def deeper(depth: int) -> None:
+        nl.append(nl[depth] + "  ")
+        sep.append(sep[depth] + "  ")
+        memo.append({})
+
+    def key(k) -> str:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        keys[k] = rendered = encode_basestring_ascii(k) + ": "
+        return rendered
+
+    def array(o, depth: int, types) -> str:
+        """A non-empty list or tuple at depth whose items have these types."""
+        inner = depth + 1
+        if len(nl) == inner:
+            deeper(depth)
+        if types == _INT:
+            items = sep[inner].join(map(int.__repr__, o))
+        elif types == _STR:
+            items = sep[inner].join(map(encode_basestring_ascii, o))
+        elif types <= _FLAT:
+            items = sep[inner].join(
+                [int.__repr__(x) if type(x) is int else encode_basestring_ascii(x) for x in o]
+            )
+        elif types is _TUPLES:
+            below = memo[inner]
+            items = sep[inner].join([below.get(x) or text(x, inner) for x in o])
         else:
-            put(json.dumps(o))  # float; TypeError for anything else
+            items = sep[inner].join([text(x, inner) for x in o])
+        return f"[{nl[inner]}{items}{nl[depth]}]"
 
-    enc(obj, 0)
-    return "".join(parts)
+    def text(o: Any, depth: int, keep: bool = True) -> str:
+        kind = type(o)
+        if kind is str:
+            return encode_basestring_ascii(o)
+        if kind is int:
+            return int.__repr__(o)
+        if kind is dict:
+            if not o:
+                return "{}"
+            inner = depth + 1
+            if len(nl) == inner:
+                deeper(depth)
+            items = [(keys.get(k) or key(k)) + text(v, inner) for k, v in o.items()]
+            return f"{{{nl[inner]}{sep[inner].join(items)}{nl[depth]}}}"
+        if kind is list:
+            if len(o) < _BIG:
+                return array(o, depth, {*map(type, o)}) if o else "[]"
+            held.append((o, depth))
+            return _HOLE
+        if kind is tuple:
+            if not o:
+                return "[]"
+            types = {*map(type, o)}
+            if types == _TUPLES and {*map(type, chain.from_iterable(o))} <= _FLAT:
+                types = _TUPLES
+            elif not types <= _FLAT:
+                keep = False
+            if not keep:
+                return array(o, depth, types)
+            rendered = memo[depth].get(o)
+            if rendered is None:
+                rendered = memo[depth][o] = array(o, depth, types)
+            return rendered
+        if kind is bool:
+            return "true" if o else "false"
+        if o is None:
+            return "null"
+        if isinstance(o, (dict, list, tuple)):  # a subclass
+            return text(dict(o) if isinstance(o, dict) else list(o), depth)
+        if isinstance(o, Iterator):
+            held.append((o, depth))
+            return _HOLE
+        return json.dumps(o)  # float or a str or int subclass; TypeError for others
+
+    def pieces(rendered: str, start: int) -> Iterator[str]:
+        """rendered, with the nodes held since start streamed into its holes."""
+        nodes = held[start:]
+        del held[start:]
+        parts = rendered.split(_HOLE)
+        yield parts[0]
+        for (node, at), part in zip(nodes, parts[1:]):
+            yield from stream(node, at)
+            yield part
+
+    def stream(o, depth: int) -> Iterator[str]:
+        """A held list in runs of ``_BIG`` items, or an iterator item by item."""
+        inner, start = depth + 1, len(held)
+        if len(nl) == inner:
+            deeper(depth)
+        items, run, lead = iter(o), _BIG if type(o) is list else 1, "[" + nl[inner]
+        while batch := [text(x, inner, False) for x in islice(items, run)]:
+            yield from pieces(lead + sep[inner].join(batch), start)
+            lead = sep[inner]
+        yield nl[depth] + "]" if lead is sep[inner] else "[]"
+
+    return pieces(text(obj, 0), 0)

@@ -276,7 +276,7 @@ class NuTable:
         spans = (max(a) - lo for a, lo in zip(axes[:-1], self._lo))
         radices = (bound * s + 1 for s in spans)
         self._places = tuple(itertools.accumulate(radices, mul, initial=1))
-        self._scales, rows = psi.integer_rows()
+        self._scales, rows = psi.integer_rows
         self._halves = tuple(bound * max(map(abs, row)) for row in rows)
         self._witness_radix = (bound + 1) ** cfg.r
 

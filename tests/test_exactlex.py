@@ -57,6 +57,38 @@ class TestRat:
         with pytest.raises(SchemaError):
             rat("6/-4")
 
+    @pytest.mark.parametrize(
+        "s",
+        ["--3", "3/-1", "3/ 4", "1/0", "-0", "007/014", "+3", " 3 ", "3_0", "1.5", "1e3",
+         "\u0663", "\u0663/\u0664", "\u00b2", "3\n", "-", "/3", "3/", ""],
+    )
+    def test_agrees_with_fraction_on_edge_strings(self, s):
+        _agrees_with_fraction(s)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        s=st.one_of(
+            st.text(max_size=8),
+            st.text(alphabet="0123456789-+/_. e\n\u0663\u00b2", max_size=8),
+            st.from_regex(r"-{0,2}[0-9]{1,5}(/-?[0-9]{1,5})?", fullmatch=True),
+        )
+    )
+    def test_agrees_with_fraction(self, s):
+        # the plain "-?digits(/digits)?" fast path reads the same values,
+        # and accepts and rejects exactly what Fraction does
+        _agrees_with_fraction(s)
+
+
+def _agrees_with_fraction(s: str) -> None:
+    try:
+        expected = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SchemaError, match="not a rational"):
+            rat(s)
+    else:
+        got = rat(s)
+        assert type(got) is Fraction and got == expected
+
 
 def cmp(a, b) -> int:
     return (a > b) - (a < b)

@@ -124,11 +124,51 @@ class TestDumps:
         assert io.dumps(obj) == json.dumps(obj, indent=2)
         assert io.dumps(obj).count("true") == 2
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # equal under ==, yet (True, False) renders as booleans
+            lambda: [((1, 0),), ((True, False),)],
+            # a tuple holding a list is not hashable
+            lambda: ((1, [2]), (1, [2])),
+            # an equal tuple of flat tuples at two depths
+            lambda: {"a": ((1, "x"), (2, 3)), "b": [((1, "x"), (2, 3)), ((1, "x"), (2, 3))]},
+            # iterators are written as lists, the empty one as []
+            lambda: {"empty": iter(()), "full": (x for x in [1, (2, 3), {"i": iter([[]])}])},
+            lambda: iter([]),
+            # long lists go item by item, inside a dict and inside each other
+            lambda: {"n": 1, "big": [((i % 5, -i), (i % 3,)) for i in range(1500)], "z": []},
+            lambda: [list(range(1024)), [True, (1, 0)] * 700, {"k": iter(range(1100))}],
+            # subclasses render as their base types
+            lambda: [type("S", (str,), {})("a"), type("I", (int,), {})(3),
+                     type("L", (list,), {})([1, (2,)]), type("D", (dict,), {})(k=(1,))],
+        ],
+    )
+    def test_chunks_match_json_dumps(self, make):
+        pieces = list(io.chunks(make()))
+        assert all(type(p) is str for p in pieces)
+        assert "".join(pieces) == json.dumps(_materialized(make()), indent=2)
+
+    def test_long_lists_are_streamed(self):
+        assert len(list(io.chunks({"a": [1, 2], "b": (3,)}))) == 1
+        assert len(list(io.chunks({"a": list(range(5000))}))) > 3
+
     def test_non_str_key_raises(self):
         with pytest.raises(TypeError):
             io.dumps({1: 2})
         with pytest.raises(TypeError):
             io.dumps([object()])
+
+
+def _materialized(x):
+    """x with every iterator turned into a list, for ``json.dumps``."""
+    if isinstance(x, dict):
+        return {k: _materialized(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_materialized, x))
+    if hasattr(x, "__next__"):
+        return [_materialized(v) for v in x]
+    return x
 
 
 @pytest.fixture()
@@ -433,18 +473,13 @@ class TestCli:
         out = str(tmp_path / "no_such_dir" / "x.json")
         self._exit_2_one_line(["--out", out, "subdivide", files["config"], files["matrix"]], capsys)
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"])
-    @pytest.mark.parametrize("read", [0, 10])
-    def test_exit_2_stdout_closed_by_reader(self, read, unbuffered):
-        # the output (432 KB) is larger than a pipe buffer, so the write
-        # fails whether it starts before or after the reader closes its end;
-        # after a read, the write blocked on the full pipe ends short
+    @staticmethod
+    def _closed_by_reader(argv, read, unbuffered):
         root = Path(__file__).resolve().parent.parent
         data = root / "scripts" / "data"
         path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "lexfan.cli", "--degree-bound", "8", "degenerate",
-             str(data / "simplex.json"), str(data / "simplex_psi.json")],
+            [sys.executable, "-m", "lexfan.cli", *argv[:-2], *(str(data / a) for a in argv[-2:])],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
@@ -456,6 +491,66 @@ class TestCli:
         assert proc.wait() == 2
         assert err.startswith("schema error: cannot write stdout: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("read", [0, 10])
+    def test_exit_2_stdout_closed_by_reader(self, read, unbuffered):
+        # the output (432 KB) is larger than a pipe buffer, so the write
+        # fails whether it starts before or after the reader closes its end;
+        # after a read, the write blocked on the full pipe ends short
+        argv = ["--degree-bound", "8", "degenerate", "simplex.json", "simplex_psi.json"]
+        self._closed_by_reader(argv, read, unbuffered)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("read", [0, 100_000])
+    def test_exit_2_stdout_closed_by_reader_many_blocks(self, read, unbuffered):
+        # 4.2 MB, written in many 64 KB blocks; the reader may close after
+        # whole blocks have gone through
+        argv = ["--degree-bound", "12", "degenerate", "simplex.json", "simplex_psi_unmarked.json"]
+        self._closed_by_reader(argv, read, unbuffered)
+
+    def test_unwritable_out_exits_2_before_anything_is_written(
+        self, tmp_path, capsys, monkeypatch, simplex_cfg
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(io.config_to_json(simplex_cfg)))
+        built = _count_calls(monkeypatch, io.cone_to_json)
+        out = str(tmp_path / "no_such_dir" / "fan.json")
+        capsys.readouterr()
+        assert main(["--out", out, "fan", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and built == []  # no fan entry was built
+        assert captured.err.startswith(f"schema error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_output_goes_in_blocks(self, files, monkeypatch):
+        class Counting:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        small = Counting()
+        monkeypatch.setattr(sys, "stdout", small)
+        assert main(["subdivide", files["config"], files["matrix"]]) == 0
+        assert len(small.writes) == 1 and small.writes[0].endswith("}\n")
+        assert json.loads(small.writes[0])["closed_member"]
+        # a larger output goes in blocks of 64 KB or more; after a block the
+        # newline goes alone, so a block cut short is seen by the next write
+        large = Counting()
+        monkeypatch.setattr(sys, "stdout", large)
+        data = Path(__file__).resolve().parent.parent / "scripts" / "data"
+        argv = ["--degree-bound", "8", "degenerate", str(data / "simplex.json"),
+                str(data / "simplex_psi.json")]
+        assert main(argv) == 0
+        *blocks, tail, newline = large.writes
+        assert blocks and all(len(b) >= 1 << 16 for b in blocks) and newline == "\n"
+        json.loads("".join(large.writes))
 
     def test_exit_2_stdout_closed_at_start(self, files, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", None)  # as under `>&-`
