@@ -15,7 +15,10 @@ input vectors of ints or Fractions enter the fraction-free DD as primitive
 vectors, rays combine by integer combinations followed by a gcd division,
 and projections return primitive int directions.  Canonical forms (rref
 subspace bases, rays projected off the subspace, primitive integer vectors,
-sorted) make structural equality meaningful.
+sorted) make structural equality meaningful.  Generators known to span the
+kernel of a matrix (``from_generators(span=...)``) are worked in that
+kernel's coordinates: the pass runs in its dimension, the equations are
+given, and the facet normals are lifted rather than projected.
 
 A MuCone is a finite intersection of generalized half-spaces
 {Psi : Psi.v <= 0 lexicographically} in the space of N x r matrices; it is
@@ -30,7 +33,7 @@ from functools import cached_property
 from operator import add
 from typing import Optional, Sequence
 
-from lexfan.errors import DimensionError
+from lexfan.errors import DimensionError, InvariantError
 from lexfan.exactlex import WeightMatrix, lex_sign, mat_vec
 from lexfan.linalg import (
     canonical_subspace_basis,
@@ -158,18 +161,26 @@ class PolyCone:
 
     @staticmethod
     def from_generators(
-        dim: int, rays: Sequence[Sequence] = (), lines: Sequence[Sequence] = ()
+        dim: int,
+        rays: Sequence[Sequence] = (),
+        lines: Sequence[Sequence] = (),
+        span: Optional[tuple] = None,
     ) -> "PolyCone":
+        """The cone generated by rays and lines.  ``span``, if given, is
+        ``linalg.kernel_coordinates(A)`` of a matrix A whose kernel the
+        generators span; the pass then runs in that kernel's coordinates."""
         rays, lines = list(rays), list(lines)
         for g in rays + lines:
             if len(g) != dim:
                 raise DimensionError("generator length != ambient dimension")
         # the H-side is the polar's V-side: the DD of the generators taken as
         # constraints, lines as equalities and rays as inequalities
-        basis, zsets = _dd(dim, lines, rays)
-        return PolyCone(
-            dim, h=_canonical(basis, zsets), given=(lines, rays, tuple(zsets.values()))
-        )
+        if span is None:
+            basis, zsets = _dd(dim, lines, rays)
+            h = _canonical(basis, zsets)
+        else:
+            h, zsets = _dd_in_kernel(span, lines, rays)
+        return PolyCone(dim, h=h, given=(lines, rays, tuple(zsets.values())))
 
     @staticmethod
     def from_normals(
@@ -275,6 +286,26 @@ def _canonical(basis, rays) -> tuple:
     of its side's constraints, so none lies in the subspace or projects to 0."""
     basis = canonical_subspace_basis(basis)
     return basis, tuple(sorted(set(project_off(rays, basis))))
+
+
+def _dd_in_kernel(span: tuple, lines: list, rays: list) -> tuple:
+    """The canonical H-side of the cone generated by lines and rays that
+    span the kernel D of a matrix A, and the pass's zero sets, from one DD
+    pass in D's coordinates ``span = (free, basis, lift)``
+    (``linalg.kernel_coordinates``).  Each generator enters as its entries
+    on ``free``; the generators span D, so the polar there is pointed and
+    the pass ends with no line.  The cone spans D, so its equations are
+    ``basis``, the canonical basis of D's complement; its facet normals lie
+    in D, and a facet h of the pass lifts to the normal primitive(lift h),
+    tight on the same generators: no subspace basis, no projection."""
+    free, basis, lift = span
+    basis_k, zsets = _dd(
+        len(free), [[g[j] for j in free] for g in lines], [[g[j] for j in free] for g in rays]
+    )
+    if basis_k:
+        raise InvariantError("generators do not span the kernel")
+    normals = {primitive([dot(row, h) for row in lift]) for h in zsets}
+    return (basis, tuple(sorted(normals))), zsets
 
 
 def _read_off(base, cands, zsets) -> tuple:

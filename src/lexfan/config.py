@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 from typing import Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
-from lexfan.linalg import dot, echelon, primitive
+from lexfan.linalg import dot, echelon, kernel_coordinates, primitive
 
 Point = tuple
 
@@ -34,8 +34,11 @@ class PointConfig:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(int(c) for c in p) for p in self.points)
+        pts = tuple(map(tuple, self.points))
         object.__setattr__(self, "points", pts)
+        for c in itertools.chain.from_iterable(pts):
+            if type(c) is not int:  # no bool, no Fraction, no string
+                raise SchemaError(f"expected integer, got {c!r}")
         if not pts:
             raise SchemaError("a configuration needs at least one point")
         if any(len(p) != self.dim for p in pts):
@@ -43,7 +46,7 @@ class PointConfig:
         if len(set(pts)) != len(pts):
             raise SchemaError("configuration points must be distinct")
         # the homogenized points span iff their transpose has full row rank
-        if len(echelon([(1,) * len(pts), *zip(*pts)])[1]) != self.dim + 1:
+        if len(echelon(self.matrix)[1]) != self.dim + 1:
             raise SchemaError("points do not affinely span the ambient space")
 
     @property
@@ -57,6 +60,18 @@ class PointConfig:
 
     def homogenized(self, j: int) -> tuple:
         return (1,) + self.points[j]
+
+    @property
+    def matrix(self) -> list[tuple]:
+        """The n x r matrix A whose columns are the homogenized points."""
+        return [(1,) * self.r, *zip(*self.points)]
+
+    @cached_property
+    def kernel_coordinates(self) -> tuple[tuple, tuple, tuple]:
+        """``linalg.kernel_coordinates(A)``, computed once per configuration:
+        every condition cone lies in ker A, the space of affine dependences,
+        and is built there (``gkzfan.condition_cone``)."""
+        return kernel_coordinates(self.matrix)
 
 
 @dataclass(frozen=True)

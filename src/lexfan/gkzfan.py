@@ -167,12 +167,17 @@ def condition_cone(
     """The cone of s's condition generators (``relations`` as in
     ``condition_generators``).  A vector that several cells share enters the
     single DD pass once (Fukuda & Prodon 1996: a repeated constraint changes
-    nothing); ``generators`` keeps every one."""
+    nothing); ``generators`` keeps every one.  Any one cell's relations span
+    the space D of affine dependences, of dimension r - n (the Gale dual; De
+    Loera, Rambau & Santos, *Triangulations*, ch. 5), so the pass runs in
+    D's coordinates (``PointConfig.kernel_coordinates``); a subdivision with
+    no cell raises InvariantError."""
     gens = condition_generators(cfg, s, relations)
     cone = PolyCone.from_generators(
         cfg.r,
         rays=dict.fromkeys(g.vector for g in gens if not g.two_sided),
         lines=dict.fromkeys(g.vector for g in gens if g.two_sided),
+        span=cfg.kernel_coordinates,
     )
     return ConditionCone(subdivision=s, cone=cone, generators=tuple(gens))
 

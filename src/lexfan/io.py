@@ -51,8 +51,8 @@ def config_to_json(cfg: PointConfig, s: MarkedSubdivision | None = None) -> dict
 def config_from_json(obj: dict) -> PointConfig:
     dim = _int(_require(obj, "dim", None))
     points = _require(obj, "points", list)
-    try:
-        return PointConfig(dim=dim, points=tuple(tuple(_int(c) for c in p) for p in points))
+    try:  # PointConfig checks each coordinate
+        return PointConfig(dim=dim, points=points)
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -82,7 +82,9 @@ def matrix_to_json(psi: WeightMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> WeightMatrix:
     rows = _require(obj, "Psi", list)
-    return WeightMatrix(rows=tuple(tuple(_rat_list(row)) for row in rows))
+    if not all(isinstance(row, list) for row in rows):  # WeightMatrix would take "12" as a row
+        raise SchemaError("expected a list of rationals")
+    return WeightMatrix(rows=tuple(rows))  # WeightMatrix decodes each entry
 
 
 def expr_to_json(f: Expr) -> list:

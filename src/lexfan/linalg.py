@@ -2,8 +2,9 @@
 Bareiss's integer-preserving Gauss-Jordan pass ("Sylvester's identity and
 multistep integer-preserving Gaussian elimination", 1968).  ``rank``,
 ``det``, ``canonical_subspace_basis`` and ``project_off`` run it on rows
-scaled to primitive ints; ``rref``, ``solve`` and ``nullspace`` divide its
-result by the pivot once.  Desk-scale sizes only.
+scaled to primitive ints, and ``kernel_coordinates`` on an int matrix;
+``rref``, ``solve`` and ``nullspace`` divide its result by the pivot once.
+Desk-scale sizes only.
 
 Cone and hull vectors are primitive ``int`` tuples (``primitive``, and the
 directions ``project_off`` returns); ``dot``
@@ -121,6 +122,42 @@ def canonical_subspace_basis(rows: Sequence[Sequence]) -> tuple:
     """Canonical basis of the row span: rref rows, primitively scaled."""
     red, _, d = echelon([primitive(r) for r in rows])
     return tuple(primitive(r if d > 0 else [-x for x in r]) for r in red)
+
+
+def kernel_coordinates(mat: Sequence[Sequence[int]]) -> tuple[tuple, tuple, tuple]:
+    """Integer coordinates on the kernel D of an int matrix A with r columns,
+    as ``(free, basis, lift)``, so that a cone inside D can be worked in
+    dimension k = dim D.
+
+    ``free`` are the k free columns of ``echelon(A)``.  The kernel basis K
+    read off the echelon, column f being d e_f - sum_i rows[i][f] e_{p_i},
+    is d I on them, so u -> u[free] maps D onto Q^k one to one.  ``basis``
+    is ``canonical_subspace_basis(A)``, a basis of A's row space, which is
+    D's orthogonal complement.  ``lift`` is the int r x k matrix
+    L = sgn(d d') K (d' G^-1), G = K^T K and d' the echelon determinant of
+    G.  For a functional h on Q^k, L h lies in D and is a positive multiple
+    of d K G^-1 h, the vector of D whose dot product with every u in D is
+    h . u[free]."""
+    r = len(mat[0])
+    red, pivots, d = echelon(mat)
+    free = tuple(c for c in range(r) if c not in pivots)
+    kern = []  # the columns of K
+    for f in free:
+        col = [0] * r
+        col[f] = d
+        for row, p in zip(red, pivots):
+            col[p] = -row[f]
+        kern.append(col)
+    k = len(free)
+    inv, _, dg = echelon(
+        [[dot(a, b) for b in kern] + [int(i == j) for j in range(k)] for i, a in enumerate(kern)]
+    )  # dg [I | G^-1]
+    s = 1 if d * dg > 0 else -1
+    lift = tuple(
+        tuple(s * sum(col[i] * row[k + j] for col, row in zip(kern, inv)) for j in range(k))
+        for i in range(r)
+    )
+    return free, canonical_subspace_basis(mat), lift
 
 
 def project_off(vs: Sequence[Sequence], basis: Sequence[Sequence]) -> list[tuple]:

@@ -18,6 +18,11 @@ def random_cone(rng: random.Random, dim: int, max_gens: int = 6) -> PolyCone:
     return PolyCone.from_generators(dim, rays=rays)
 
 
+def sides(c: PolyCone) -> tuple:
+    """Every field of both descriptions: ``__eq__`` compares only the V-side."""
+    return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
+
+
 def polar(c: PolyCone) -> PolyCone:
     """The ordinary polar {y : y.x <= 0 for all x in C}."""
     gens = c.generators

@@ -27,13 +27,8 @@ from lexfan.exactlex import WeightMatrix
 from lexfan.linalg import canonical_subspace_basis, primitive
 from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions
 
-from helpers import criterion3_cones, polar, random_cone
+from helpers import criterion3_cones, polar, random_cone, sides
 from oracles import euclidean_closure
-
-
-def _sides(c: PolyCone) -> tuple:
-    # __eq__ compares only the V-side, so compare every field
-    return (c.dim, c.lines, c.rays, c.eq_normals, c.ineq_normals)
 
 
 class TestPolyCone:
@@ -68,7 +63,7 @@ class TestPolyCone:
             for c in (a, b):
                 g = PolyCone.from_generators(c.dim, rays=c.rays, lines=c.lines)
                 h = PolyCone.from_normals(c.dim, ineqs=c.ineq_normals, eqs=c.eq_normals)
-                assert _sides(g) == _sides(h) == _sides(c)
+                assert sides(g) == sides(h) == sides(c)
 
     def test_one_dd_pass_per_cone(self, monkeypatch):
         calls = []
@@ -243,13 +238,13 @@ class TestReadOff:
             c = PolyCone.from_normals(dim, ineqs=cands, eqs=base)
         else:
             c = PolyCone.from_generators(dim, rays=cands, lines=base)
-        assert [_sides(f) for f in c.faces()] == [_sides(f) for f in faces_by_dd(c)]
+        assert [sides(f) for f in c.faces()] == [sides(f) for f in faces_by_dd(c)]
 
     def test_faces_of_random_cones_match_dd(self):
         rng = random.Random(11)
         for _ in range(40):
             c = random_cone(rng, rng.randint(2, 5), max_gens=8)
-            assert [_sides(f) for f in c.faces()] == [_sides(f) for f in faces_by_dd(c)]
+            assert [sides(f) for f in c.faces()] == [sides(f) for f in faces_by_dd(c)]
 
 
 class TestFacesAndCofaces:

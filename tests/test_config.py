@@ -1,6 +1,7 @@
 """Point configurations, hulls, exact volumes, and subdivision validation."""
 
 import itertools
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -38,6 +39,12 @@ class TestPointConfig:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             PointConfig(dim=2, points=((0, 0), (1,)))
+
+    @pytest.mark.parametrize("coord", [1.5, Fraction(3, 2), Fraction(2), True, "2", None])
+    def test_non_integer_coordinates_rejected(self, coord):
+        # each of these used to be cast with int() and kept as 1, 2 or 0
+        with pytest.raises(SchemaError, match="expected integer"):
+            PointConfig(dim=1, points=((coord,), (0,)))
 
 
 class TestHull:

@@ -1,6 +1,6 @@
 """Differential tests of the fraction-free paths: the Bareiss ``echelon`` and
-the integer ``rank``, ``det``, ``canonical_subspace_basis`` and
-``project_off`` against Fraction elimination, and the batched relation
+the integer ``rank``, ``det``, ``canonical_subspace_basis``,
+``project_off`` and ``kernel_coordinates`` against Fraction elimination, and the batched relation
 vectors of ``gkzfan``, with their greedy affine bases, against the
 per-subset and per-point constructions they replace."""
 
@@ -18,6 +18,8 @@ from lexfan.linalg import (
     det,
     dot,
     echelon,
+    kernel_coordinates,
+    nullspace,
     primitive,
     project_off,
     rank,
@@ -144,6 +146,29 @@ class TestIntegerLinalg:
             expected = [x - c * y for x, y in zip(expected, b)]
         (p,) = project_off([v], rows)
         assert p == primitive(expected) and all(type(x) is int for x in p)
+
+
+class TestKernelCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(small_ints))
+    def test_lift_against_fraction_nullspace(self, rows):
+        free, basis, lift = kernel_coordinates(rows)
+        _, pivots = fraction_rref(rows)
+        assert free == tuple(c for c in range(len(rows[0])) if c not in pivots)
+        assert basis == canonical_subspace_basis(rows)
+        assert all(type(x) is int for row in lift for x in row)
+        cols = list(zip(*lift))
+        assert len(lift) == len(rows[0]) and len(cols) == len(free)
+        assert all(dot(a, col) == 0 for a in rows for col in cols)  # L's columns lie in D
+        # L^T u is one positive multiple of u[free] for every u in D, so L h
+        # pairs with D as h pairs with the free coordinates
+        kern = nullspace(rows)
+        assert len(kern) == len(free)
+        if kern:
+            c = dot(cols[0], kern[0]) / kern[0][free[0]]
+            assert c > 0
+            for u in kern:
+                assert [dot(col, u) for col in cols] == [c * u[f] for f in free]
 
 
 class TestGeneratorsAgainstSolve:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lexfan import gkzfan, io, lp
+from lexfan import cones, gkzfan, io, lp
 from lexfan.cli import main
 from lexfan.cones import PolyCone
 from lexfan.config import (
@@ -48,9 +48,9 @@ from lexfan.gkzfan import (
     shift_row,
     subdivide,
 )
-from lexfan.linalg import dot, nullspace, primitive, rank, solve
+from lexfan.linalg import canonical_subspace_basis, dot, echelon, nullspace, primitive, rank, solve
 
-from helpers import random_matrix
+from helpers import random_matrix, sides
 from oracles import (
     cell_maps_by_solve,
     fan_invariant_violations,
@@ -522,6 +522,58 @@ class TestWholeFan:
     def test_fan_invariants(self, pinwheel_cfg, data):
         cfg = data.draw(st.one_of(oracle_configs(pinwheel_cfg), collinear_configs()))
         assert fan_invariant_violations(cfg.r, cfg.dim, _fan_payload(cfg)) == []
+
+
+OCTAHEDRON = PointConfig(
+    dim=3, points=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+)
+
+
+class TestKernelPass:
+    """Condition cones are built by one DD pass in the coordinates of the
+    dependence space D (``PointConfig.kernel_coordinates``); the plain pass
+    in Q^r is the oracle."""
+
+    @staticmethod
+    def _check(cfg: PointConfig):
+        for s in enumerate_subdivisions(cfg):  # the non-regular covers too
+            cc = condition_cone(cfg, s)
+            plain = PolyCone.from_generators(
+                cfg.r,
+                rays=dict.fromkeys(g.vector for g in cc.generators if not g.two_sided),
+                lines=dict.fromkeys(g.vector for g in cc.generators if g.two_sided),
+            )
+            assert sides(cc.cone) == sides(plain)
+            assert [sides(f) for f in cc.cone.faces()] == [sides(f) for f in plain.faces()]
+
+    @pytest.mark.parametrize("name", ["cube", "octahedron"])
+    def test_matches_plain_pass_on_examples(self, name):
+        cfg = OCTAHEDRON if name == "octahedron" else _config_file(name)
+        assert echelon(cfg.matrix)[2] < 0  # a negative echelon d: the lift needs its sign factor
+        self._check(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_pass(self, pinwheel_cfg, data):
+        self._check(data.draw(st.one_of(oracle_configs(pinwheel_cfg), collinear_configs())))
+
+    def test_one_pass_and_no_projection(self, monkeypatch):
+        cfg = _config_file("cube")
+        s = enumerate_subdivisions(cfg)[0]
+        cfg.kernel_coordinates  # once per configuration, before counting
+        calls = []
+        for name in ("_dd", "canonical_subspace_basis", "project_off"):
+            f = getattr(cones, name)
+            monkeypatch.setattr(cones, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        cone = condition_cone(cfg, s).cone
+        assert cone.eq_normals == canonical_subspace_basis(cfg.matrix)
+        assert cone.ineq_normals
+        assert calls == ["_dd"]
+
+    def test_no_cells_raise(self):
+        # no relation spans D, so the pass ends with D's lines left over
+        with pytest.raises(InvariantError):
+            condition_cone(_config_file("cube"), MarkedSubdivision(cells=()))
 
 
 def _rank_circuits(cfg) -> list:

@@ -9,13 +9,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexfan import config, gkzfan, io, lp, quasival
+from lexfan import config, exactlex, gkzfan, io, lp, quasival
 from lexfan.cli import main, render_svg
 from lexfan.cones import MuCone, PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig
@@ -66,6 +67,14 @@ class TestJson:
             io.expr_from_json({"not": "a list"})
         with pytest.raises(SchemaError):
             io.config_from_json({"dim": 1, "points": [[0], [0]]})  # duplicate
+
+    def test_matrix_entries_decoded_once(self, monkeypatch):
+        calls = []
+        rat = exactlex.rat
+        monkeypatch.setattr(exactlex, "rat", lambda x: calls.append(x) or rat(x))
+        psi = io.matrix_from_json({"Psi": [["1/2", "3", 0], ["-4/6", 1, "2"]]})
+        assert psi.rows == ((Fraction(1, 2), 3, 0), (Fraction(-2, 3), 1, 2))
+        assert calls == ["1/2", "3", 0, "-4/6", 1, "2"]
 
     def test_load_json_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
