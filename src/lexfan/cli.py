@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: subdivide, fan, valuate, liminf, degenerate.
-Exit codes: 0 ok, 2 schema violation or unwritable output, 3 dimension
-mismatch, 4 enumeration budget exceeded, 5 degree-bound overflow.
+Exit codes: 0 ok; an error of a class in ``errors.EXIT_CODES`` prints one
+stderr line and exits with that class's code.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from lexfan import degeneration, gkzfan, io, quasival
 from lexfan.config import PointConfig, is_triangulation, refinement_poset
-from lexfan.errors import (
-    BudgetExceeded,
-    DegreeOverflow,
-    DimensionError,
-    SchemaError,
-)
+from lexfan.errors import EXIT_CODES, SchemaError
 from lexfan.exactlex import INFINITY, rat_str
 
 
@@ -308,23 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.degree_bound <= 0 or args.window <= 0 or args.budget <= 0:
-        print("error: bounds must be positive", file=sys.stderr)
-        return 2
     try:
+        if args.degree_bound <= 0 or args.window <= 0 or args.budget <= 0:
+            raise SchemaError("bounds must be positive")
         return args.fn(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"dimension error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except DegreeOverflow as exc:
-        print(f"degree bound overflow: {exc}", file=sys.stderr)
-        return 5
+    except tuple(EXIT_CODES) as exc:
+        code, label = EXIT_CODES[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

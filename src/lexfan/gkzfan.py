@@ -245,22 +245,20 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
     if psi.n_cols != cfg.r:
         raise DimensionError("matrix columns != number of configuration points")
     _, rows = psi.integer_rows
-
-    def refine(idxs: Sequence[int], row: int) -> list[MarkedCell]:
+    # a worklist, not a recursion per row: Psi may have thousands of rows
+    cells, work = set(), [(list(range(cfg.r)), 0)]
+    while work:
+        idxs, row = work.pop()
         if len(idxs) == cfg.n:
             # a full-dimensional cell of n points is a simplex: it cannot
             # split, and all its points are vertices
-            return [MarkedCell(vertices=idxs, marking=idxs)]
-        if row == psi.n_rows:
+            cells.add(MarkedCell(vertices=idxs, marking=idxs))
+        elif row == psi.n_rows:
             verts = [idxs[i] for i in hull_of(tuple(cfg.points[i] for i in idxs)).vertices]
-            return [MarkedCell(vertices=verts, marking=idxs)]
-        out = []
-        for part in _rank1_cells(cfg, idxs, rows[row]):
-            out.extend(refine(part, row + 1))
-        return out
-
-    cells = refine(list(range(cfg.r)), 0)
-    return MarkedSubdivision(cells=set(cells))
+            cells.add(MarkedCell(vertices=verts, marking=idxs))
+        else:
+            work.extend((part, row + 1) for part in _rank1_cells(cfg, idxs, rows[row]))
+    return MarkedSubdivision(cells=cells)
 
 
 # ---------------------------------------------------------------------------

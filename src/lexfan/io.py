@@ -51,10 +51,9 @@ def config_to_json(cfg: PointConfig, s: MarkedSubdivision | None = None) -> dict
 def config_from_json(obj: dict) -> PointConfig:
     dim = _int(_require(obj, "dim", None))
     points = _require(obj, "points", list)
-    try:  # PointConfig checks each coordinate
-        return PointConfig(dim=dim, points=points)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    if not all(isinstance(p, list) for p in points):  # PointConfig would take "" as a point
+        raise SchemaError("expected a list of integers")
+    return PointConfig(dim=dim, points=points)  # PointConfig checks each coordinate
 
 
 def subdivision_from_json(obj: dict) -> MarkedSubdivision:
@@ -82,6 +81,8 @@ def matrix_to_json(psi: WeightMatrix) -> dict:
 
 def matrix_from_json(obj: dict) -> WeightMatrix:
     rows = _require(obj, "Psi", list)
+    if not rows:
+        raise SchemaError("a weight matrix needs at least one row")
     if not all(isinstance(row, list) for row in rows):  # WeightMatrix would take "12" as a row
         raise SchemaError("expected a list of rationals")
     return WeightMatrix(rows=tuple(rows))  # WeightMatrix decodes each entry
@@ -144,7 +145,7 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"no such file: {path}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 

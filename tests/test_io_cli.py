@@ -2,7 +2,10 @@
 surface with its exit-code contract."""
 
 import ast
+import codecs
+import contextlib
 import importlib.util
+import io as stdio
 import json
 import os
 import re
@@ -20,7 +23,13 @@ from lexfan import config, exactlex, gkzfan, io, lp, quasival
 from lexfan.cli import main, render_svg
 from lexfan.cones import MuCone, PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig
-from lexfan.errors import SchemaError
+from lexfan.errors import (
+    EXIT_CODES,
+    BudgetExceeded,
+    DegreeOverflow,
+    DimensionError,
+    SchemaError,
+)
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import condition_cone
 from lexfan.quasival import Expr, GradedPoint
@@ -618,6 +627,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "search nodes" not in captured.err
 
+    def test_subdivide_2000_zero_rows(self, tmp_path, capsys):
+        # one pass per row of Psi, not one stack frame: 990 rows used to
+        # overflow the interpreter stack
+        cfg, one, many = (tmp_path / f"{name}.json" for name in ("cfg", "one", "many"))
+        cfg.write_text(json.dumps({"dim": 1, "points": [[0], [1], [2]]}))
+        one.write_text(json.dumps({"Psi": [[0, 0, 0]]}))
+        many.write_text(json.dumps({"Psi": [[0, 0, 0]] * 2000}))
+        assert main(["subdivide", str(cfg), str(one)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["subdivide", str(cfg), str(many)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_exit_5_degree(self, files):
         assert (
             main(
@@ -634,7 +655,228 @@ class TestCli:
         )
 
 
+_SEG = {"dim": 1, "points": [[-2], [-1], [0], [2], [4]]}
+_SEG_PSI = {"Psi": [[1, 0, 2, 0, 1], [0, 1, 1, 0, 1]]}
+_SEG_EXPR = [{"d": 1, "eta": [-1], "coeff": "1"}, {"d": 1, "eta": [2], "coeff": "1"}]
+_TRIANGLE = {"dim": 2, "points": [[0, 0], [3, 0], [0, 3], [1, 1]]}
+
+# One input per clause of the README's exit codes: the error class it exits
+# with, the flags, the command, its input files (a JSON value, raw bytes,
+# None for a missing file or ... for a directory) and how the message after
+# the label starts.  A stdout closed by its reader is left to
+# test_exit_2_stdout_closed_by_reader, which needs a subprocess.
+_EXIT_TABLE = {
+    "missing file": (SchemaError, [], "fan", [None], "no such file: "),
+    "directory": (SchemaError, [], "fan", [...], "cannot read "),
+    "not JSON": (SchemaError, [], "fan", [b"{ not json"], "invalid JSON in "),
+    "not UTF-8": (SchemaError, [], "fan", [b"\xff{}"], "invalid JSON in "),
+    "BOM": (SchemaError, [], "fan", [codecs.BOM_UTF8 + json.dumps(_SEG).encode()],
+            "invalid JSON in "),
+    "int of 5000 digits": (SchemaError, [], "subdivide",
+                           [_SEG, b'{"Psi": [[' + b"1" * 5000 + b"]]}"], "invalid JSON in "),
+    "unwritable out": (SchemaError, ["--out", "{tmp}/no_such_dir/out.json"], "fan", [_SEG],
+                       "cannot write "),
+    "closed stdout": (SchemaError, [], "fan", [_SEG], "cannot write stdout: "),
+    "degree bound 0": (SchemaError, ["--degree-bound", "0"], "fan", [_SEG],
+                       "bounds must be positive"),
+    "window 0": (SchemaError, ["--window", "0"], "fan", [_SEG], "bounds must be positive"),
+    "budget -5": (SchemaError, ["--budget", "-5"], "fan", [_SEG], "bounds must be positive"),
+    "no points": (SchemaError, [], "fan", [{"dim": -1, "points": []}],
+                  "a configuration needs at least one point"),
+    "duplicate points": (SchemaError, [], "fan", [{"dim": 1, "points": [[0], [1], [0]]}],
+                         "configuration points must be distinct"),
+    "points that do not span": (SchemaError, [], "fan",
+                                [{"dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}],
+                                "points do not affinely span the ambient space"),
+    "boolean entry": (SchemaError, [], "subdivide", [_SEG, {"Psi": [[True, 1, 0, 0, 1]]}],
+                      "not a rational: True"),
+    "float entry": (SchemaError, [], "subdivide", [_SEG, {"Psi": [[0.5, 1, 0, 0, 1]]}],
+                    "floating point input rejected: 0.5"),
+    "points 3": (SchemaError, [], "fan", [{"dim": 1, "points": 3}], "key 'points': expected list"),
+    "coordinate 1.5": (SchemaError, [], "fan", [{"dim": 1, "points": [[0], [1.5]]}],
+                       "expected integer, got 1.5"),
+    "point not a list": (SchemaError, [], "fan", [{"dim": 1, "points": [1, 2]}],
+                         "expected a list of integers"),
+    "row not a list": (SchemaError, [], "subdivide", [_SEG, {"Psi": [[0, 1, 0, 0, 1], "1"]}],
+                       "expected a list of rationals"),
+    "empty Psi": (SchemaError, [], "subdivide", [_SEG, {"Psi": []}],
+                  "a weight matrix needs at least one row"),
+    "svg for fan": (SchemaError, ["--format", "svg"], "fan", [_SEG],
+                    "svg output is not available for this command"),
+    "term outside the semigroup": (SchemaError, [], "valuate",
+                                   [_SEG, _SEG_PSI, [{"d": 1, "eta": [1], "coeff": "1"}]],
+                                   "GradedPoint(d=1, eta=(1,)) is not in the semigroup"),
+    "liminf of zero": (SchemaError, [], "liminf", [_SEG, _SEG_PSI, []],
+                       "power sequence of the zero expression"),
+    "point of the wrong length": (DimensionError, [], "fan",
+                                  [{"dim": 2, "points": [[0, 0], [1]]}],
+                                  "point length != ambient dimension"),
+    "dim -1": (DimensionError, [], "fan", [{"dim": -1, "points": [[]]}],
+               "point length != ambient dimension"),
+    "Psi of the wrong width": (DimensionError, [], "subdivide", [_SEG, {"Psi": [[1, 2, 3]]}],
+                               "matrix columns != number of configuration points"),
+    "Psi of one empty row": (DimensionError, [], "subdivide", [_SEG, {"Psi": [[]]}],
+                             "matrix columns != number of configuration points"),
+    "ragged Psi": (DimensionError, [], "subdivide", [_SEG, {"Psi": [[1, 2, 3, 4, 5], [1]]}],
+                   "ragged weight matrix"),
+    "eta of the wrong length": (DimensionError, [], "liminf",
+                                [_SEG, _SEG_PSI, [{"d": 1, "eta": [-1, 5], "coeff": "1"}]],
+                                "GradedPoint(d=1, eta=(-1, 5)) has a character of length 2"),
+    "budget": (BudgetExceeded, ["--budget", "1"], "fan", [_TRIANGLE],
+               "enumeration stopped after visiting 1 search nodes"),
+    "degree bound": (DegreeOverflow, ["--degree-bound", "3"], "liminf",
+                     [_SEG, _SEG_PSI, _SEG_EXPR], "power 8 needs degree 8 > bound 3"),
+}
+
+_COMMANDS = ("subdivide", "fan", "valuate", "liminf", "degenerate")
+# small fixed bounds, so that every drawn input runs in milliseconds
+_FUZZ_FLAGS = ["--degree-bound", "6", "--window", "3", "--budget", "2000"]
+_HUGE = st.sampled_from([10**30, -(10**30), 10**100])
+# a malformed value put in place of any node; it holds no huge int: in a
+# coordinate, one makes degenerate's least_multiple search a long one
+_JUNK = st.one_of(
+    st.sampled_from([None, True, False, -1, 0.5, "", "x", "1/0", [], [[]], {}, [1, [2]]]),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def _paths(obj, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(v, (*path, k))
+
+
+@st.composite
+def _spoiled(draw, obj):
+    """obj, or, one time in four, a copy with one node replaced by junk,
+    dropped or doubled."""
+    how = draw(st.sampled_from(["keep"] * 9 + ["junk", "drop", "double"]))
+    if how == "keep":
+        return obj
+    path = draw(st.sampled_from(list(_paths(obj))))
+    if not path:
+        return draw(_JUNK)
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    parent = obj
+    for k in head:
+        parent = parent[k]
+    if how == "drop":
+        del parent[last]
+    elif how == "double" and isinstance(parent, list):
+        parent.insert(last, parent[last])
+    else:
+        parent[last] = draw(_JUNK)
+    return obj
+
+
+@st.composite
+def _encoded(draw, obj):
+    """obj as JSON bytes, one time in four spoiled: behind a BOM, with a
+    byte that is not UTF-8, cut short, or with a digit grown to 5000."""
+    text = json.dumps(obj).encode()
+    how = draw(st.sampled_from(["plain"] * 12 + ["bom", "byte", "cut", "digits"]))
+    at = draw(st.integers(0, len(text)))
+    if how == "bom":
+        return codecs.BOM_UTF8 + text
+    if how == "byte":
+        return text[:at] + b"\xff" + text[at:]
+    if how == "cut":
+        return text[:at]
+    if how == "digits":
+        return re.sub(rb"\d", b"1" * 5000, text, count=1)
+    return text
+
+
+@st.composite
+def _inputs(draw):
+    """Config, Psi and expression files over one drawn configuration of at
+    most 6 distinct points, each file valid or spoiled.  Huge ints appear
+    only in Psi and the terms' d and eta."""
+    dim = draw(st.integers(0, 3))
+    # |x| <= 3 in 1 dimension, but only a 3x3 square or a unit cube beyond:
+    # larger ones hold triangulations on which degenerate's least_multiple
+    # search runs for seconds at degree 6
+    low, high = ((-3, 3), (-3, 3), (-1, 1), (0, 1))[dim]
+    coords = st.lists(st.integers(low, high), min_size=dim, max_size=dim)
+    points = draw(st.lists(coords, min_size=dim + 1, max_size=6, unique_by=tuple))
+    r = len(points)
+    entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).map(str), _HUGE)
+    psi = {"Psi": draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=3))}
+    # a term at a sum of points lies in the semigroup; its d and eta may
+    # also be drawn, small or huge
+    sums = st.lists(st.integers(0, r - 1), max_size=3).map(
+        lambda idx: (len(idx), [sum(points[i][k] for i in idx) for k in range(dim)])
+    )
+    small = st.one_of(st.integers(-3, 6), _HUGE)
+    drawn = st.tuples(small, st.lists(small, min_size=dim, max_size=dim))
+    terms = [
+        {"d": d, "eta": eta, "coeff": draw(st.sampled_from([1, -2, "1/3"]))}
+        for d, eta in draw(st.lists(st.one_of(sums, sums, drawn), min_size=1, max_size=3))
+    ]
+    return [
+        draw(_encoded(draw(_spoiled(obj))))
+        for obj in ({"dim": dim, "points": points}, psi, terms)
+    ]
+
+
+class TestExitCodes:
+    """Every error leaves by ``errors.EXIT_CODES``: one stderr line that
+    opens with its class's label, and its class's exit code."""
+
+    @pytest.mark.parametrize("clause", _EXIT_TABLE)
+    def test_exit_code_table(self, clause, tmp_path, capsys, monkeypatch):
+        cls, flags, command, inputs, message = _EXIT_TABLE[clause]
+        paths = []
+        for i, content in enumerate(inputs):
+            path = tmp_path / f"in{i}.json"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif content is ...:
+                path = tmp_path
+            elif content is not None:
+                path.write_text(json.dumps(content))
+            paths.append(str(path))
+        if clause == "closed stdout":
+            monkeypatch.setattr(sys, "stdout", None)  # as under `>&-`
+        argv = [f.format(tmp=tmp_path) for f in flags] + [command, *paths]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        expected, label = EXIT_CODES[cls]
+        assert (code, out) == (expected, "")
+        assert err.startswith(f"{label}: {message}") and err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(_COMMANDS), inputs=_inputs())
+    def test_exit_codes_fuzzed(self, tmp_path_factory, command, inputs):
+        folder = tmp_path_factory.getbasetemp()
+        paths = [folder / f"fuzz{i}.json" for i in range(3)]
+        for path, content in zip(paths, inputs):
+            path.write_bytes(content)
+        arity = {"fan": 1, "subdivide": 2, "degenerate": 2}.get(command, 3)
+        out, err = stdio.StringIO(), stdio.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*_FUZZ_FLAGS, command, *map(str, paths[:arity])])
+        out, err = out.getvalue(), err.getvalue()
+        labels = dict(EXIT_CODES.values())  # code -> label
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert code in labels
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+            assert err.startswith(f"{labels[code]}: ")
+
+
 class TestReadme:
+    def test_exit_codes_listed(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for cls, (code, label) in EXIT_CODES.items():
+            assert f"| `{code}` | `{label}` | `{cls.__name__}` |" in text
+
     def test_command_line_examples_run(self, capsys, monkeypatch):
         root = Path(__file__).resolve().parent.parent
         text = (root / "README.md").read_text()
