@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from operator import and_, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
@@ -108,39 +108,61 @@ def hull_of(points: tuple) -> Hull:
 
 
 # ---------------------------------------------------------------------------
-# volume and triangulation helpers (exact, used by the covering check)
+# volumes (exact, used by the covering check)
 # ---------------------------------------------------------------------------
 
-def _triangulate(points: tuple) -> list[tuple]:
-    """Pulling triangulation of conv(points) into simplices (vertex tuples),
-    valid in any intrinsic dimension."""
-    h = hull_of(points)
-    verts = [points[i] for i in h.vertices]
-    k = h.intrinsic_dim
-    if len(verts) == k + 1:
-        return [tuple(verts)]
-    v0 = min(verts)
-    w0 = (1, *v0)
-    simplices = []
-    for a in h.facets:
-        if dot(a, w0) == 0:
-            continue  # v0 lies on this facet
-        facet_pts = tuple(p for p in points if dot(a, (1, *p)) == 0)
-        simplices.extend((v0,) + s for s in _triangulate(facet_pts))
-    return simplices
+def placing_volume(start: Sequence[int], idxs: Iterable[int], det) -> int:
+    """The normalized volume of the convex hull of the points idxs, by a
+    placing triangulation read off determinant signs alone (De Loera,
+    Rambau & Santos, *Triangulations*, 4.3).  ``start`` is a basis among
+    them and ``det(mask)`` the determinant of the homogenized points of a
+    bitmask of n indices, as ascending columns, 0 if they are dependent.
+
+    The boundary is kept as facets, bitmasks of n - 1 points, each with the
+    sign of its simplex's inner side.  Each later point p is joined to every
+    facet F it lies strictly beyond, where det(F, p) has the opposite sign;
+    the ridges in exactly one such F, the horizon, span the new facets with
+    p.  The volume is the sum of |det| over the simplices, so a point on a
+    facet's hyperplane, beyond none, adds nothing."""
+    def side(facet: int, p: int) -> int:  # det of facet's points ascending, then p
+        d = det(facet | 1 << p)
+        return -d if (facet >> p).bit_count() & 1 else d
+
+    full = sum(1 << i for i in start)
+    total = abs(det(full))
+    boundary = {full ^ 1 << q: side(full ^ 1 << q, q) for q in start}
+    for p in (i for i in idxs if i not in start):
+        horizon: dict[int, int] = {}
+        for facet, inner in list(boundary.items()):
+            d = side(facet, p)
+            if d * inner >= 0:
+                continue  # p is not strictly beyond this facet
+            total += abs(d)
+            del boundary[facet]
+            for q in range(facet.bit_length()):
+                ridge = facet ^ 1 << q
+                if facet >> q & 1 and horizon.pop(ridge, None) is None:
+                    horizon[ridge] = q  # the point of facet off the ridge
+        for ridge, q in horizon.items():
+            boundary[ridge | 1 << p] = side(ridge | 1 << p, q)
+    return total
 
 
 def volume(points: Sequence[Sequence]) -> int:
-    """The normalized volume dim! * vol of a lattice polytope, an integer:
-    the sum over the pulling triangulation's simplices of |det| of their
-    edge vectors, one echelon pass each; 0 if the points span no full space."""
-    pts = tuple(map(tuple, points))
-    total = 0
-    for simplex in _triangulate(pts):
-        rows = [tuple(a - b for a, b in zip(v, simplex[0])) for v in simplex[1:]]
-        _, pivots, d = echelon(rows)
-        total += abs(d) if len(pivots) == len(pts[0]) else 0
-    return total
+    """The normalized volume dim! * vol of a lattice polytope, an integer,
+    by ``placing_volume`` from the lex-first basis, the greedy pivots of one
+    echelon pass, with one more pass per determinant it reads; 0 if the
+    points span no full space."""
+    cols = [(1, *p) for p in points]
+    n = len(cols[0])
+
+    @cache
+    def det(mask: int) -> int:
+        _, pivots, d = echelon(list(zip(*(c for i, c in enumerate(cols) if mask >> i & 1))))
+        return d if len(pivots) == n else 0
+
+    _, start, _ = echelon(list(zip(*cols)))
+    return placing_volume(start, range(len(cols)), det) if len(start) == n else 0
 
 
 def _intersection_vertices(pa: tuple, pb: tuple) -> list[tuple]:

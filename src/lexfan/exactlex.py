@@ -22,8 +22,10 @@ _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def rat(x) -> Fraction:
     """Coerce ints, strings "p/q" or "p", and Fractions to an exact rational;
     booleans are rejected, though Python counts them as ints.  A plain
-    string is read with ``int``, any other goes to ``Fraction``: both give
-    the same value, and ``Fraction`` alone decides what else it accepts."""
+    string is read with ``int``; a string with an exponent is rejected, as
+    ``Fraction`` would expand "1e100000000" to all its digits; any other
+    goes to ``Fraction``: both give the same value, and ``Fraction`` alone
+    decides what else it accepts."""
     if isinstance(x, bool):
         raise SchemaError(f"not a rational: {x!r}")
     if isinstance(x, Fraction):
@@ -31,8 +33,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _PLAIN.fullmatch(x)
+        if m is None and ("e" in x or "E" in x):
+            raise SchemaError(f"not a rational: {x!r}")
         try:
-            m = _PLAIN.fullmatch(x)
             if m is None:
                 return Fraction(x)
             num, den = m.groups()

@@ -11,9 +11,10 @@ oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
 Regularity is read off the condition cone (``ConditionCone.witness_height``);
-no LP is solved.  The cover search reads proper meeting off the circuits
-(``circuits``), one clash bitmask per candidate cell (``_clashes``), not by
-intersecting hulls; ``config.cell_pair_violations`` stays the independent check.
+no LP is solved.  The cover search builds no hull: its candidates, volumes
+and clash bitmasks are read off the circuits and determinants of one pass
+(``enumerate_subdivisions``); ``config.cell_pair_violations`` stays the
+independent check.
 
 A condition cone's relations are read cell by cell (``_cell_relations``, one
 echelon pass per cell) and numbered by the cell's index in the subdivision
@@ -36,7 +37,7 @@ from lexfan.config import (
     MarkedSubdivision,
     PointConfig,
     hull_of,
-    volume,
+    placing_volume,
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, rat
@@ -90,16 +91,22 @@ def _point_columns(cfg: PointConfig, idxs: Sequence[int]) -> list[list[int]]:
     return [[1] * len(idxs)] + [[cfg.points[i][k] for i in idxs] for k in range(cfg.dim)]
 
 
-def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
+def circuits(cfg: PointConfig) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """Every circuit (minimal affine dependence) of the points, once, as a
-    ``(positive, negative)`` pair of index bitmasks.  A subset of k points is
-    a circuit iff one echelon pass over its columns leaves k - 1 pivots and
-    the kernel vector, d at the free column f and -row[f] at each pivot,
-    has full support.  Circuits have at most n + 1 points."""
-    out = []
+    ``(positive, negative)`` pair of index bitmasks, and the determinant of
+    every ascending n-subset of the homogenized points, as columns, keyed by
+    its bitmask.  A subset of k points is a circuit iff one echelon pass over
+    its columns leaves k - 1 pivots and the kernel vector, d at the free
+    column f and -row[f] at each pivot, has full support.  Circuits have at
+    most n + 1 points; an n-subset's determinant is the pass's d, or 0 if it
+    leaves fewer than n pivots.  For n = 1 the loop visits no 1-subset: the
+    configuration is a single point, the basis, of determinant 1."""
+    out, dets = [], {1: 1} if cfg.n == 1 else {}
     for k in range(2, cfg.n + 2):
         for idxs in itertools.combinations(range(cfg.r), k):
             red, pivots, d = echelon(_point_columns(cfg, idxs))
+            if k == cfg.n:
+                dets[sum(1 << i for i in idxs)] = d if len(pivots) == k else 0
             if len(pivots) != k - 1:
                 continue
             f = next(c for c in range(k) if c not in pivots)
@@ -109,7 +116,7 @@ def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
             pos = sum(1 << i for i, c in coeffs if c > 0)
             neg = sum(1 << i for i, c in coeffs if c < 0)
             out.append((pos, neg))
-    return out
+    return out, dets
 
 
 def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
@@ -349,22 +356,32 @@ def is_regular(cfg: PointConfig, s: MarkedSubdivision) -> bool:
     return condition_cone(cfg, s).witness_height is not None
 
 
-def _candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
+def _candidate_cells(
+    cfg: PointConfig, circs: Sequence[tuple[int, int]], dets: dict[int, int]
+) -> list[MarkedCell]:
     """Every full-dimensional marked cell: a vertex set in convex position
-    together with any marking between the vertices and all points inside."""
+    together with any marking between the vertices and all points inside,
+    read off ``circuits``.  A set S is full-dimensional iff it holds a basis,
+    an n-subset of nonzero det.  A point i lies in conv(S) iff an affine
+    dependence has positive part {i} and negative part in S, and then, by
+    conformal decomposition, a circuit does too (De Loera, Rambau & Santos,
+    *Triangulations*, 4.1).  So S is in convex position iff no such circuit
+    has i in S, and the points inside are the i outside S with one."""
+    bases = [b for b, d in dets.items() if d]
+    lone = [(p, q) for p, q in (*circs, *((q, p) for p, q in circs)) if p & (p - 1) == 0]
     cells = []
-    idxs = range(cfg.r)
-    for size in range(cfg.dim + 1, cfg.r + 1):
-        for combo in itertools.combinations(idxs, size):
-            pts = tuple(cfg.points[i] for i in combo)
-            h = hull_of(pts)
-            if h.intrinsic_dim != cfg.dim:
+    for size in range(cfg.n, cfg.r + 1):
+        for combo in itertools.combinations(range(cfg.r), size):
+            s = sum(1 << i for i in combo)
+            if all(b & ~s for b in bases):
                 continue
-            if len(h.vertices) != size:
+            within = 0  # the points of conv(S) that are not its vertices
+            for p, q in lone:
+                if q & ~s == 0:
+                    within |= p
+            if within & s:
                 continue  # some listed point is not a vertex
-            inside = [
-                i for i in idxs if i not in combo and h.cone.contains(cfg.homogenized(i))
-            ]
+            inside = [i for i in range(cfg.r) if within >> i & 1]
             for extra in itertools.chain.from_iterable(
                 itertools.combinations(inside, k) for k in range(len(inside) + 1)
             ):
@@ -420,17 +437,24 @@ def enumerate_subdivisions(
     faces with agreeing markings, and whose volumes sum to the whole, form a
     subdivision, so a cover needs no further validation.  Such cells have
     disjoint interiors, so a node's volumes never sum past the whole.
-    Volumes are the integer normalized volumes of ``config.volume``, once
-    per vertex set.  A node takes, lowest first, the bits of ``allowed``:
-    the later candidates that meet every chosen cell properly (``_clashes``)."""
-    candidates = _candidate_cells(cfg)
-    by_vertices = {
-        vs: volume(tuple(cfg.points[i] for i in vs))
-        for vs in {c.vertices for c in candidates}
-    }
+
+    Everything the search needs is read off one pass, ``circuits``: the
+    candidates (``_candidate_cells``), their normalized volumes by
+    ``config.placing_volume`` on its determinants, once per vertex set, and
+    the clash bitmasks (``_clashes``).  A node takes, lowest first, the bits
+    of ``allowed``: the later candidates that meet every chosen cell
+    properly."""
+    circs, dets = circuits(cfg)
+    candidates = _candidate_cells(cfg, circs, dets)
+
+    def vol(idxs: Sequence[int]) -> int:  # from the lex-first basis among idxs
+        bases = (c for c in itertools.combinations(idxs, cfg.n) if dets[sum(1 << i for i in c)])
+        return placing_volume(next(bases), idxs, dets.__getitem__)
+
+    by_vertices = {vs: vol(vs) for vs in {c.vertices for c in candidates}}
     vols = [by_vertices[c.vertices] for c in candidates]
-    target = volume(cfg.points)
-    clashes = _clashes(circuits(cfg), [sum(1 << i for i in c.marking) for c in candidates])
+    target = vol(range(cfg.r))
+    clashes = _clashes(circs, [sum(1 << i for i in c.marking) for c in candidates])
     results = []
     nodes = 0
 

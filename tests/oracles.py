@@ -3,9 +3,9 @@ against: fiber optima by basic feasible solutions, cell maps by one solve
 per affine basis and the piecewise-linear map evaluated on them in
 Fractions, semigroup membership by an exact knapsack, the Euclidean closure
 of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
-matrix flattened to one row, proper meeting of two cells by circuits and
-the cover search that tests it pair by pair, and the face-lattice
-invariants of a whole ``fan`` output.  No command or script uses them.
+matrix flattened to one row, candidate cells and volumes by hulls, proper
+meeting of two cells by circuits and the cover search that tests it pair by
+pair, and the face-lattice invariants of a whole ``fan`` output.  No command or script uses them.
 
 ``python tests/oracles.py CONFIG FAN_JSON`` checks a ``fan`` output against
 the invariants (``fan_invariant_violations``) and exits 1 if one fails."""
@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lexfan.cones import MuCone, PolyCone
-from lexfan.config import MarkedSubdivision, PointConfig, hull_of, volume
+from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
 from lexfan.errors import BudgetExceeded, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
-from lexfan.gkzfan import _candidate_cells, circuits
-from lexfan.linalg import dot, nullspace, primitive, rank, solve
+from lexfan.gkzfan import circuits
+from lexfan.linalg import dot, echelon, nullspace, primitive, rank, solve
 from lexfan.quasival import GradedPoint
 
 
@@ -145,7 +145,7 @@ def flattened(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:
     h as for Psi."""
     rows = [primitive(r) for r in psi.rows]
     m = 0
-    for pos, neg in circuits(cfg):
+    for pos, neg in circuits(cfg)[0]:
         idxs = [i for i in range(cfg.r) if (pos | neg) >> i & 1]
         (kernel,) = nullspace([[cfg.homogenized(i)[c] for i in idxs] for c in range(cfg.n)])
         z = [0] * cfg.r
@@ -173,6 +173,63 @@ def pairwise_refinement_poset(subdivisions: Sequence[MarkedSubdivision]) -> list
     ]
 
 
+def pulling_triangulation(points: tuple) -> list[tuple]:
+    """Pulling triangulation of conv(points) into simplices (vertex tuples),
+    valid in any intrinsic dimension: the lex-least vertex joined to the
+    triangulation of every facet off it, recursively, by ``hull_of``."""
+    h = hull_of(points)
+    verts = [points[i] for i in h.vertices]
+    k = h.intrinsic_dim
+    if len(verts) == k + 1:
+        return [tuple(verts)]
+    v0 = min(verts)
+    w0 = (1, *v0)
+    simplices = []
+    for a in h.facets:
+        if dot(a, w0) == 0:
+            continue  # v0 lies on this facet
+        facet_pts = tuple(p for p in points if dot(a, (1, *p)) == 0)
+        simplices.extend((v0,) + s for s in pulling_triangulation(facet_pts))
+    return simplices
+
+
+def pulling_volume(points: Sequence[Sequence]) -> int:
+    """The normalized volume of ``config.volume``: the sum over the pulling
+    triangulation's simplices of |det| of their edge vectors, one echelon
+    pass each; 0 if the points span no full space."""
+    pts = tuple(map(tuple, points))
+    total = 0
+    for simplex in pulling_triangulation(pts):
+        rows = [tuple(a - b for a, b in zip(v, simplex[0])) for v in simplex[1:]]
+        _, pivots, d = echelon(rows)
+        total += abs(d) if len(pivots) == len(pts[0]) else 0
+    return total
+
+
+def hull_candidate_cells(cfg: PointConfig) -> list[MarkedCell]:
+    """The candidates of ``gkzfan._candidate_cells``, in its order, by one
+    hull per subset: each full-dimensional subset whose points are all
+    vertices of its hull, with every marking between those vertices and all
+    the points the hull contains."""
+    cells = []
+    idxs = range(cfg.r)
+    for size in range(cfg.dim + 1, cfg.r + 1):
+        for combo in itertools.combinations(idxs, size):
+            h = hull_of(tuple(cfg.points[i] for i in combo))
+            if h.intrinsic_dim != cfg.dim or len(h.vertices) != size:
+                continue
+            inside = [
+                i for i in idxs if i not in combo and h.cone.contains(cfg.homogenized(i))
+            ]
+            for extra in itertools.chain.from_iterable(
+                itertools.combinations(inside, k) for k in range(len(inside) + 1)
+            ):
+                cells.append(
+                    MarkedCell(vertices=combo, marking=tuple(sorted(combo + extra)))
+                )
+    return cells
+
+
 def meet_properly(circs: Sequence[tuple[int, int]], a: int, b: int) -> bool:
     """Whether two cells with marking bitmasks a and b meet properly: no
     circuit Z of ``circs``, in either orientation, has Z+ in a, Z- in b and
@@ -192,13 +249,14 @@ def pairwise_cover_search(
     """The covers of ``gkzfan.enumerate_subdivisions`` and the number of
     search nodes visited, by a node loop that scans every later candidate
     and tests it against each chosen cell with ``meet_properly`` (memoised
-    per pair).  It raises the same ``BudgetExceeded`` past ``budget``
-    nodes."""
-    candidates = _candidate_cells(cfg)
-    vols = [volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
-    target = volume(cfg.points)
+    per pair), on the hull-built candidates and volumes of
+    ``hull_candidate_cells`` and ``pulling_volume``.  It raises the same
+    ``BudgetExceeded`` past ``budget`` nodes."""
+    candidates = hull_candidate_cells(cfg)
+    vols = [pulling_volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
+    target = pulling_volume(cfg.points)
     masks = [sum(1 << i for i in c.marking) for c in candidates]
-    circs = circuits(cfg)
+    circs, _ = circuits(cfg)
     compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i
 
     def compat(i: int, j: int) -> bool:

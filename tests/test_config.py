@@ -22,6 +22,8 @@ from lexfan.config import (
 from lexfan.errors import DimensionError, SchemaError
 from lexfan.linalg import dot, rank
 
+from oracles import pulling_volume
+
 
 class TestPointConfig:
     def test_basic(self, seg_cfg, simplex_cfg):
@@ -177,6 +179,29 @@ class TestVolume:
             for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1])
         )
         assert volume(pts) == twice_area
+
+    def test_point_in_dimension_zero(self):
+        assert volume(((),)) == pulling_volume(((),)) == 1
+
+    @pytest.mark.parametrize("pts", [
+        ((0, 0), (1, 1), (2, 2), (3, 3)),  # collinear in the plane
+        ((0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0)),  # coplanar in space
+        ((0, 0), (4, 0), (1, 0), (2, 0), (0, 2), (0, 1), (2, 2), (1, 1)),  # on edges
+        ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 2, 2)),
+    ])
+    def test_coplanar_points_match_pulling_oracle(self, pts):
+        assert volume(pts) == pulling_volume(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_volume_matches_pulling_oracle(self, data):
+        # on a small grid, so non-spanning, collinear and coplanar sets
+        # are common; points need not be vertices
+        dim = data.draw(st.integers(0, 3))
+        pts = data.draw(
+            st.lists(st.tuples(*[st.integers(0, 2)] * dim), min_size=1, max_size=9, unique=True)
+        )
+        assert volume(pts) == pulling_volume(pts)
 
 
 class TestValidation:

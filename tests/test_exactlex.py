@@ -74,13 +74,26 @@ class TestRat:
         )
     )
     def test_agrees_with_fraction(self, s):
-        # the plain "-?digits(/digits)?" fast path reads the same values,
-        # and accepts and rejects exactly what Fraction does
+        # on strings without an exponent, the plain "-?digits(/digits)?"
+        # fast path reads the same values, and rat accepts and rejects
+        # exactly what Fraction does; strings with one are rejected
         _agrees_with_fraction(s)
+
+    def test_exponent_rejected_at_once(self):
+        # Fraction expands the exponent: "1e100000000" ran for over a minute
+        with pytest.raises(SchemaError, match="^not a rational: '1e100000000'$"):
+            rat("1e100000000")
+        with pytest.raises(SchemaError, match="not a rational"):
+            rat("-2.5E-7")
+        assert rat("1.5") == Fraction(3, 2)
 
 
 def _agrees_with_fraction(s: str) -> None:
+    """rat(s) is Fraction(s) if s has no exponent and Fraction reads it;
+    otherwise rat raises SchemaError."""
     try:
+        if "e" in s or "E" in s:
+            raise ValueError("exponent")
         expected = Fraction(s)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(SchemaError, match="not a rational"):

@@ -48,7 +48,16 @@ from lexfan.gkzfan import (
     shift_row,
     subdivide,
 )
-from lexfan.linalg import canonical_subspace_basis, dot, echelon, nullspace, primitive, rank, solve
+from lexfan.linalg import (
+    canonical_subspace_basis,
+    det,
+    dot,
+    echelon,
+    nullspace,
+    primitive,
+    rank,
+    solve,
+)
 
 from helpers import random_matrix, sides
 from oracles import (
@@ -56,6 +65,7 @@ from oracles import (
     fan_invariant_violations,
     fiber_value,
     flattened,
+    hull_candidate_cells,
     pairwise_cover_search,
     pairwise_refinement_poset,
 )
@@ -603,16 +613,16 @@ def _unoriented(circs) -> list:
 class TestCircuits:
     def test_unit_square(self, square_cfg):
         # (0,0) + (1,1) = (1,0) + (0,1)
-        assert _unoriented(circuits(square_cfg)) == [(0b0110, 0b1001)]
+        assert _unoriented(circuits(square_cfg)[0]) == [(0b0110, 0b1001)]
 
     def test_pentagon(self):
         cfg = PointConfig(dim=2, points=((0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)))
-        circs = circuits(cfg)
+        circs, _ = circuits(cfg)
         assert len(circs) == 5
         assert all(bin(pos | neg).count("1") == 4 for pos, neg in circs)
 
     def test_line5(self, seg_cfg):
-        circs = circuits(seg_cfg)
+        circs, _ = circuits(seg_cfg)
         assert len(circs) == 10
         assert all(bin(pos | neg).count("1") == 3 for pos, neg in circs)
         assert all(pos & neg == 0 and pos and neg for pos, neg in circs)
@@ -620,14 +630,15 @@ class TestCircuits:
     @settings(max_examples=60, deadline=None)
     @given(collinear_configs())
     def test_matches_rank_oracle(self, cfg):
-        assert _unoriented(circuits(cfg)) == _unoriented(_rank_circuits(cfg))
+        assert _unoriented(circuits(cfg)[0]) == _unoriented(_rank_circuits(cfg))
 
     @staticmethod
     def _check_every_pair(cfg):
         # bit j of clashes[i] is set iff cells i and j fail the pair
         # validation, asked in both orders; no cell clashes with itself
-        cells = _candidate_cells(cfg)
-        clashes = _clashes(circuits(cfg), [sum(1 << i for i in c.marking) for c in cells])
+        circs, dets = circuits(cfg)
+        cells = _candidate_cells(cfg, circs, dets)
+        clashes = _clashes(circs, [sum(1 << i for i in c.marking) for c in cells])
         for i, j in itertools.combinations(range(len(cells)), 2):
             ca, cb = cells[i], cells[j]
             clash = bool(clashes[i] >> j & 1)
@@ -648,6 +659,64 @@ class TestCircuits:
     @given(collinear_configs())
     def test_rule_is_pair_validation(self, cfg):
         self._check_every_pair(cfg)
+
+
+@st.composite
+def lattice_configs(draw):
+    """Lattice configurations in dimension 1-3 with r <= 7, coordinates in
+    -2..3, so interior, collinear and coplanar points all occur."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 3)] * dim)
+    pts = draw(st.lists(point, min_size=dim + 1, max_size=7, unique=True))
+    assume(rank([(1,) + p for p in pts]) == dim + 1)
+    return PointConfig(dim=dim, points=tuple(pts))
+
+
+GRID_2X4 = PointConfig(dim=2, points=tuple((x, y) for y in range(2) for x in range(4)))
+
+
+class TestCandidateCells:
+    """Candidate cells read off the circuits and determinants of
+    ``circuits``, against the hull-built candidates of
+    ``oracles.hull_candidate_cells``: the same list, in the same order."""
+
+    @staticmethod
+    def _check(cfg):
+        assert _candidate_cells(cfg, *circuits(cfg)) == hull_candidate_cells(cfg)
+
+    def test_candidates_on_examples(self, seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg):
+        for cfg in (seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg, PRISM, OCTAHEDRON, GRID_2X4):
+            self._check(cfg)
+        for name in ("cube", "grid_3x3", "grid_2x5"):
+            self._check(_config_file(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_configs())
+    def test_candidates_on_drawn_configurations(self, cfg):
+        self._check(cfg)
+
+    def test_candidates_of_a_point(self):
+        cfg = PointConfig(dim=0, points=((),))
+        assert circuits(cfg) == ([], {1: 1})
+        assert _candidate_cells(cfg, *circuits(cfg)) == [MarkedCell((0,), (0,))]
+
+    def test_determinants_are_the_bases(self, pinwheel_cfg):
+        # every n-subset once, keyed by its bitmask, nonzero iff independent
+        _, dets = circuits(pinwheel_cfg)
+        combos = list(itertools.combinations(range(pinwheel_cfg.r), pinwheel_cfg.n))
+        assert sorted(dets) == sorted(sum(1 << i for i in c) for c in combos)
+        for c in combos:
+            d = dets[sum(1 << i for i in c)]
+            assert d == det([pinwheel_cfg.homogenized(i) for i in c])
+
+    def test_candidate_search_builds_no_hull(self, monkeypatch, pinwheel_cfg):
+        hull_of.cache_clear()  # cold: a hull would be built, not looked up
+        calls = []
+        monkeypatch.setattr(cones, "_dd", lambda *a, f=cones._dd: calls.append(a) or f(*a))
+        for cfg in (pinwheel_cfg, PRISM, _config_file("cube")):
+            assert enumerate_subdivisions(cfg)
+        info = hull_of.cache_info()
+        assert (info.hits, info.misses, calls) == (0, 0, [])
 
 
 def _rank1_cells_by_cone(cfg, idxs, heights) -> list:

@@ -4,6 +4,7 @@ surface with its exit-code contract."""
 import ast
 import codecs
 import contextlib
+import hashlib
 import importlib.util
 import io as stdio
 import json
@@ -271,6 +272,19 @@ class TestCli:
         assert len(payload["regular_subdivisions"]) == 3
         # both refinements of the trivial subdivision are recorded
         assert len(payload["refinement_poset"]) == 2
+
+    @pytest.mark.parametrize("cfg, digest", [
+        # a single point: the cover search's determinant loop visits no subset
+        ({"dim": 0, "points": [[]]},
+         "177b5c8ed060d9dd2353e8c54822d87f4e7807f69df62774e885435acc708d97"),
+        ({"dim": 1, "points": [[0], [1]]},
+         "d26f13f42c19b3df4c2911109395a0912321436ee99697d3a428e675d91c73c5"),
+    ])
+    def test_fan_pinned_on_the_smallest_configurations(self, capsys, tmp_path, cfg, digest):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fan", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_subdivide_runs_subdivide_once(self, files, capsys, monkeypatch):
         calls = _count_calls(monkeypatch, gkzfan.subdivide)
@@ -692,6 +706,9 @@ _EXIT_TABLE = {
                       "not a rational: True"),
     "float entry": (SchemaError, [], "subdivide", [_SEG, {"Psi": [[0.5, 1, 0, 0, 1]]}],
                     "floating point input rejected: 0.5"),
+    "exponent entry": (SchemaError, [], "subdivide",
+                       [_SEG, {"Psi": [["1e100000000", 1, 0, 0, 1]]}],
+                       "not a rational: '1e100000000'"),
     "points 3": (SchemaError, [], "fan", [{"dim": 1, "points": 3}], "key 'points': expected list"),
     "coordinate 1.5": (SchemaError, [], "fan", [{"dim": 1, "points": [[0], [1.5]]}],
                        "expected integer, got 1.5"),
