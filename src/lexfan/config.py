@@ -66,6 +66,37 @@ class PointConfig:
         """The n x r matrix A whose columns are the homogenized points."""
         return [(1,) * self.r, *zip(*self.points)]
 
+    def columns(self, idxs: Sequence[int]) -> list[list[int]]:
+        """The columns idxs of ``matrix``, the homogenized points idxs."""
+        return [[1] * len(idxs)] + [[self.points[i][k] for i in idxs] for k in range(self.dim)]
+
+    @cached_property
+    def det_table(self) -> tuple[dict[int, int], dict[int, tuple]]:
+        """``(dets, cramer)``, computed once per configuration and read by
+        the cover search and the condition cones of an enumeration
+        (``gkzfan.circuits``, ``gkzfan.enumerate_regular_subdivisions``).
+
+        ``dets`` maps the bitmask of every ascending n-subset to the
+        determinant of its ``columns``, one echelon pass each: the pass's d,
+        or 0 if it leaves fewer than n pivots.  ``cramer`` maps the bitmask
+        of every (n + 1)-subset S = (s_0 < ... < s_n) to its Cramer vector,
+        as an r-tuple: (-1)^j det(S minus s_j) at s_j, 0 off S.  Expanding
+        a determinant with a repeated row shows A u = 0, and u is nonzero
+        iff S has rank n, when it spans the kernel of S's columns: S's one
+        affine dependence."""
+        dets, cramer = {}, {}
+        for idxs in itertools.combinations(range(self.r), self.n):
+            _, pivots, d = echelon(self.columns(idxs))
+            dets[sum(1 << i for i in idxs)] = d if len(pivots) == self.n else 0
+        for idxs in itertools.combinations(range(self.r), self.n + 1):
+            mask = sum(1 << i for i in idxs)
+            u = [0] * self.r
+            for j, i in enumerate(idxs):
+                d = dets[mask ^ 1 << i]
+                u[i] = -d if j & 1 else d
+            cramer[mask] = tuple(u)
+        return dets, cramer
+
     @cached_property
     def kernel_coordinates(self) -> tuple[tuple, tuple, tuple]:
         """``linalg.kernel_coordinates(A)``, computed once per configuration:

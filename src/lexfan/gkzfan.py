@@ -11,16 +11,23 @@ oracle (lex-max over basic feasible solutions) certifies the construction in
 the test suite.
 
 Regularity is read off the condition cone (``ConditionCone.witness_height``);
-no LP is solved.  The cover search builds no hull: its candidates, volumes
-and clash bitmasks are read off the circuits and determinants of one pass
+no LP is solved.  An enumeration reads everything off one determinant table
+per configuration (``PointConfig.det_table``): the determinant of every
+n-subset and the Cramer vector of every (n + 1)-subset, its one affine
+dependence when it has rank n.  The cover search builds no hull: its
+circuits, the distinct signed supports of those vectors, give the candidates
+and clash bitmasks, and the determinants the volumes
 (``enumerate_subdivisions``); ``config.cell_pair_violations`` stays the
 independent check.
 
-A condition cone's relations are read cell by cell (``_cell_relations``, one
-echelon pass per cell) and numbered by the cell's index in the subdivision
-(``condition_generators``).  The covers of one enumeration share most of
-their cells, so ``enumerate_regular_subdivisions`` computes each distinct
-cell's relations once and builds one cone per cover from them.
+A condition cone's relations are read cell by cell and numbered by the
+cell's index in the subdivision (``condition_generators``).  The covers of
+one enumeration share most of their cells, so
+``enumerate_regular_subdivisions`` reads each distinct cell's relations off
+the table once (``_table_relations``) and builds one cone per cover from
+them.  A single subdivision's cone (``closed_member``, ``condition_cone``)
+runs one echelon pass per cell instead (``_cell_relations``), which costs
+less than the table for a few cells.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.config import (
@@ -86,37 +94,21 @@ class ConditionCone:
         return None
 
 
-def _point_columns(cfg: PointConfig, idxs: Sequence[int]) -> list[list[int]]:
-    """The homogenized points idxs as the columns of an integer matrix."""
-    return [[1] * len(idxs)] + [[cfg.points[i][k] for i in idxs] for k in range(cfg.dim)]
-
-
-def circuits(cfg: PointConfig) -> tuple[list[tuple[int, int]], dict[int, int]]:
+def circuits(cfg: PointConfig) -> list[tuple[int, int]]:
     """Every circuit (minimal affine dependence) of the points, once, as a
-    ``(positive, negative)`` pair of index bitmasks, and the determinant of
-    every ascending n-subset of the homogenized points, as columns, keyed by
-    its bitmask.  A subset of k points is a circuit iff one echelon pass over
-    its columns leaves k - 1 pivots and the kernel vector, d at the free
-    column f and -row[f] at each pivot, has full support.  Circuits have at
-    most n + 1 points; an n-subset's determinant is the pass's d, or 0 if it
-    leaves fewer than n pivots.  For n = 1 the loop visits no 1-subset: the
-    configuration is a single point, the basis, of determinant 1."""
-    out, dets = [], {1: 1} if cfg.n == 1 else {}
-    for k in range(2, cfg.n + 2):
-        for idxs in itertools.combinations(range(cfg.r), k):
-            red, pivots, d = echelon(_point_columns(cfg, idxs))
-            if k == cfg.n:
-                dets[sum(1 << i for i in idxs)] = d if len(pivots) == k else 0
-            if len(pivots) != k - 1:
-                continue
-            f = next(c for c in range(k) if c not in pivots)
-            coeffs = [(idxs[f], d), *((idxs[p], -row[f]) for p, row in zip(pivots, red))]
-            if any(c == 0 for _, c in coeffs):
-                continue
-            pos = sum(1 << i for i, c in coeffs if c > 0)
-            neg = sum(1 << i for i, c in coeffs if c < 0)
-            out.append((pos, neg))
-    return out, dets
+    ``(positive, negative)`` pair of index bitmasks with its lowest point
+    positive: the distinct signed supports of the nonzero Cramer vectors of
+    ``PointConfig.det_table``.  A nonzero Cramer vector spans the kernel of
+    its (n + 1)-subset's columns, so its support is a circuit.  Conversely
+    a circuit Z, less one point, extends by points of the configuration to
+    a basis B, and the one dependence of B plus that point is Z's."""
+    out = {}
+    for u in cfg.det_table[1].values():
+        pos = sum(1 << i for i, x in enumerate(u) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(u) if x < 0)
+        if pos:
+            out[(neg, pos) if neg & -neg < pos & -pos else (pos, neg)] = None
+    return list(out)
 
 
 def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
@@ -127,10 +119,14 @@ def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
     primitive(|d| e_v - sgn(d) column_v).  Returned as ``(basis, points,
     vectors, m)``: the relation of ``points[k]`` is ``vectors[k]``, two-sided
     iff k < m (the point is marked).  The per-relation lists keep
-    ``condition_generators`` from building a tuple per relation."""
+    ``condition_generators`` from building a tuple per relation.
+
+    A single subdivision's few cells cost less this way than a whole
+    ``PointConfig.det_table``; an enumeration reads the table instead
+    (``_table_relations``)."""
     # marked points first (two-sided), then unmarked ones (one-sided)
     idxs = list(cell.marking) + [v for v in range(cfg.r) if v not in cell.marking]
-    red, pivots, d = echelon(_point_columns(cfg, idxs))
+    red, pivots, d = echelon(cfg.columns(idxs))
     if len(pivots) < cfg.n or pivots[-1] >= len(cell.marking):
         raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
     basis = tuple(idxs[p] for p in pivots)
@@ -148,30 +144,58 @@ def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
     return basis, points, vectors, len(cell.marking) - cfg.n
 
 
+def _first_basis(cfg: PointConfig, idxs: Sequence[int]) -> Optional[tuple]:
+    """The lex-first n-subset of the ascending idxs with a nonzero
+    determinant in ``PointConfig.det_table``, the set echelon's greedy
+    pivots pick, or None if they span no full space."""
+    dets = cfg.det_table[0]
+    bases = (b for b in itertools.combinations(idxs, cfg.n) if dets[sum(1 << i for i in b)])
+    return next(bases, None)
+
+
+def _table_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
+    """``_cell_relations`` read off ``PointConfig.det_table``, with no
+    elimination.  The basis is the marking's ``_first_basis``.  The
+    relation of each other point v is the Cramer vector of the basis plus
+    v, which spans the kernel of those n + 1 columns as the echelon's
+    relation does: negated if its entry at v is negative, then primitive."""
+    cramer = cfg.det_table[1]
+    basis = _first_basis(cfg, cell.marking)
+    if basis is None:
+        raise InvariantError(f"cell {cell.vertices}: marking contains no affine basis")
+    mask = sum(1 << i for i in basis)
+    points = [v for v in cell.marking if v not in basis]
+    points += [v for v in range(cfg.r) if v not in cell.marking]
+    vectors = []
+    for v in points:
+        u = cramer[mask | 1 << v]
+        vectors.append(primitive(u if u[v] > 0 else [-x for x in u]))
+    return basis, points, vectors, len(cell.marking) - cfg.n
+
+
 def condition_generators(
-    cfg: PointConfig, s: MarkedSubdivision, relations: Optional[dict] = None
+    cfg: PointConfig, s: MarkedSubdivision, relate: Optional[Callable] = None
 ) -> list[ConditionGenerator]:
-    """The reduced generator set: the ``_cell_relations`` of each cell, one
-    fixed affine basis per cell, numbered by the cell's index in s.
-    ``relations``, if given, maps each ``MarkedCell`` to its
-    ``_cell_relations`` and is read and filled, so that a caller assembling
-    many subdivisions runs one echelon pass per distinct cell."""
-    if relations is None:
-        relations = {}
+    """The reduced generator set: the relations of each cell, one fixed
+    affine basis per cell, numbered by the cell's index in s.  ``relate``
+    maps a ``MarkedCell`` to its relations as ``_cell_relations`` returns
+    them, which it defaults to; a caller assembling many subdivisions
+    passes one that reads the determinant table and remembers each
+    distinct cell (``enumerate_regular_subdivisions``)."""
+    if relate is None:
+        relate = partial(_cell_relations, cfg)
     out = []
     for ci, cell in enumerate(s.cells):
-        if (rel := relations.get(cell)) is None:
-            rel = relations[cell] = _cell_relations(cfg, cell)
-        basis, points, vectors, m = rel
+        basis, points, vectors, m = relate(cell)
         for k, v in enumerate(points):
             out.append(ConditionGenerator(vectors[k], ci, basis, v, k < m))
     return out
 
 
 def condition_cone(
-    cfg: PointConfig, s: MarkedSubdivision, relations: Optional[dict] = None
+    cfg: PointConfig, s: MarkedSubdivision, relate: Optional[Callable] = None
 ) -> ConditionCone:
-    """The cone of s's condition generators (``relations`` as in
+    """The cone of s's condition generators (``relate`` as in
     ``condition_generators``).  A vector that several cells share enters the
     single DD pass once (Fukuda & Prodon 1996: a repeated constraint changes
     nothing); ``generators`` keeps every one.  Any one cell's relations span
@@ -179,7 +203,7 @@ def condition_cone(
     Loera, Rambau & Santos, *Triangulations*, ch. 5), so the pass runs in
     D's coordinates (``PointConfig.kernel_coordinates``); a subdivision with
     no cell raises InvariantError."""
-    gens = condition_generators(cfg, s, relations)
+    gens = condition_generators(cfg, s, relate)
     cone = PolyCone.from_generators(
         cfg.r,
         rays=dict.fromkeys(g.vector for g in gens if not g.two_sided),
@@ -356,18 +380,17 @@ def is_regular(cfg: PointConfig, s: MarkedSubdivision) -> bool:
     return condition_cone(cfg, s).witness_height is not None
 
 
-def _candidate_cells(
-    cfg: PointConfig, circs: Sequence[tuple[int, int]], dets: dict[int, int]
-) -> list[MarkedCell]:
+def _candidate_cells(cfg: PointConfig, circs: Sequence[tuple[int, int]]) -> list[MarkedCell]:
     """Every full-dimensional marked cell: a vertex set in convex position
     together with any marking between the vertices and all points inside,
-    read off ``circuits``.  A set S is full-dimensional iff it holds a basis,
-    an n-subset of nonzero det.  A point i lies in conv(S) iff an affine
-    dependence has positive part {i} and negative part in S, and then, by
-    conformal decomposition, a circuit does too (De Loera, Rambau & Santos,
-    *Triangulations*, 4.1).  So S is in convex position iff no such circuit
-    has i in S, and the points inside are the i outside S with one."""
-    bases = [b for b, d in dets.items() if d]
+    read off the ``circuits`` circs and ``PointConfig.det_table``.  A set S
+    is full-dimensional iff it holds a basis, an n-subset of nonzero det.  A
+    point i lies in conv(S) iff an affine dependence has positive part {i}
+    and negative part in S, and then, by conformal decomposition, a circuit
+    does too (De Loera, Rambau & Santos, *Triangulations*, 4.1).  So S is
+    in convex position iff no such circuit has i in S, and the points inside
+    are the i outside S with one."""
+    bases = [b for b, d in cfg.det_table[0].items() if d]
     lone = [(p, q) for p, q in (*circs, *((q, p) for p, q in circs)) if p & (p - 1) == 0]
     cells = []
     for size in range(cfg.n, cfg.r + 1):
@@ -438,18 +461,17 @@ def enumerate_subdivisions(
     subdivision, so a cover needs no further validation.  Such cells have
     disjoint interiors, so a node's volumes never sum past the whole.
 
-    Everything the search needs is read off one pass, ``circuits``: the
-    candidates (``_candidate_cells``), their normalized volumes by
-    ``config.placing_volume`` on its determinants, once per vertex set, and
-    the clash bitmasks (``_clashes``).  A node takes, lowest first, the bits
-    of ``allowed``: the later candidates that meet every chosen cell
-    properly."""
-    circs, dets = circuits(cfg)
-    candidates = _candidate_cells(cfg, circs, dets)
+    Everything the search needs is read off ``PointConfig.det_table``: the
+    ``circuits``, the candidates (``_candidate_cells``), their normalized
+    volumes by ``config.placing_volume`` on its determinants, once per
+    vertex set, and the clash bitmasks (``_clashes``).  A node takes, lowest
+    first, the bits of ``allowed``: the later candidates that meet every
+    chosen cell properly."""
+    circs = circuits(cfg)
+    candidates = _candidate_cells(cfg, circs)
 
-    def vol(idxs: Sequence[int]) -> int:  # from the lex-first basis among idxs
-        bases = (c for c in itertools.combinations(idxs, cfg.n) if dets[sum(1 << i for i in c)])
-        return placing_volume(next(bases), idxs, dets.__getitem__)
+    def vol(idxs: Sequence[int]) -> int:
+        return placing_volume(_first_basis(cfg, idxs), idxs, cfg.det_table[0].__getitem__)
 
     by_vertices = {vs: vol(vs) for vs in {c.vertices for c in candidates}}
     vols = [by_vertices[c.vertices] for c in candidates]
@@ -483,10 +505,12 @@ def enumerate_regular_subdivisions(
 ) -> list[ConditionCone]:
     """The condition cones of all regular subdivisions (desk scale), in the
     order of the cover search: one cone is built per cover, and the cover is
-    kept iff the cone has a witness height.  Covers share most of their
-    cells, so each distinct cell's relations are computed once per call."""
-    relations: dict = {}
-    ccs = (condition_cone(cfg, s, relations) for s in enumerate_subdivisions(cfg, budget))
+    kept iff the cone has a witness height.  The relations are read off the
+    determinant table the search has built (``_table_relations``), and
+    covers share most of their cells, so each distinct cell's are read once
+    per call."""
+    relate = cache(partial(_table_relations, cfg))
+    ccs = (condition_cone(cfg, s, relate) for s in enumerate_subdivisions(cfg, budget))
     return [cc for cc in ccs if cc.witness_height is not None]
 
 

@@ -145,7 +145,7 @@ def flattened(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:
     h as for Psi."""
     rows = [primitive(r) for r in psi.rows]
     m = 0
-    for pos, neg in circuits(cfg)[0]:
+    for pos, neg in circuits(cfg):
         idxs = [i for i in range(cfg.r) if (pos | neg) >> i & 1]
         (kernel,) = nullspace([[cfg.homogenized(i)[c] for i in idxs] for c in range(cfg.n)])
         z = [0] * cfg.r
@@ -256,7 +256,7 @@ def pairwise_cover_search(
     vols = [pulling_volume(tuple(cfg.points[i] for i in c.vertices)) for c in candidates]
     target = pulling_volume(cfg.points)
     masks = [sum(1 << i for i in c.marking) for c in candidates]
-    circs, _ = circuits(cfg)
+    circs = circuits(cfg)
     compatible: dict[tuple[int, int], bool] = {}  # (i, j), j < i
 
     def compat(i: int, j: int) -> bool:

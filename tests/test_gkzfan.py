@@ -3,6 +3,7 @@ regularity, enumeration, and the elementary row moves."""
 
 import itertools
 import json
+import math
 import random
 import tempfile
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lexfan import cones, gkzfan, io, lp
+from lexfan import config, cones, gkzfan, io, lp
 from lexfan.cli import main
 from lexfan.cones import PolyCone
 from lexfan.config import (
@@ -30,7 +31,9 @@ from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
 from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec
 from lexfan.gkzfan import (
     _candidate_cells,
+    _cell_relations,
     _clashes,
+    _table_relations,
     add_row_multiple,
     circuits,
     closed_member,
@@ -586,6 +589,17 @@ class TestKernelPass:
             condition_cone(_config_file("cube"), MarkedSubdivision(cells=()))
 
 
+@st.composite
+def lattice_configs(draw):
+    """Lattice configurations in dimension 1-3 with r <= 7, coordinates in
+    -2..3, so interior, collinear and coplanar points all occur."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 3)] * dim)
+    pts = draw(st.lists(point, min_size=dim + 1, max_size=7, unique=True))
+    assume(rank([(1,) + p for p in pts]) == dim + 1)
+    return PointConfig(dim=dim, points=tuple(pts))
+
+
 def _rank_circuits(cfg) -> list:
     """Oracle: the dependent subsets whose every one-point-smaller subset is
     independent (by rank), signed by their kernel vector."""
@@ -613,31 +627,53 @@ def _unoriented(circs) -> list:
 class TestCircuits:
     def test_unit_square(self, square_cfg):
         # (0,0) + (1,1) = (1,0) + (0,1)
-        assert _unoriented(circuits(square_cfg)[0]) == [(0b0110, 0b1001)]
+        assert _unoriented(circuits(square_cfg)) == [(0b0110, 0b1001)]
 
     def test_pentagon(self):
         cfg = PointConfig(dim=2, points=((0, 0), (2, 0), (3, 1), (1, 3), (-1, 1)))
-        circs, _ = circuits(cfg)
+        circs = circuits(cfg)
         assert len(circs) == 5
         assert all(bin(pos | neg).count("1") == 4 for pos, neg in circs)
 
     def test_line5(self, seg_cfg):
-        circs, _ = circuits(seg_cfg)
+        circs = circuits(seg_cfg)
         assert len(circs) == 10
         assert all(bin(pos | neg).count("1") == 3 for pos, neg in circs)
         assert all(pos & neg == 0 and pos and neg for pos, neg in circs)
 
     @settings(max_examples=60, deadline=None)
-    @given(collinear_configs())
+    @given(
+        st.one_of(
+            collinear_configs(),
+            lattice_configs(),
+            st.sampled_from(["cube", "grid_3x3", "grid_2x5"]).map(_config_file),
+        )
+    )
     def test_matches_rank_oracle(self, cfg):
-        assert _unoriented(circuits(cfg)[0]) == _unoriented(_rank_circuits(cfg))
+        assert _unoriented(circuits(cfg)) == _unoriented(_rank_circuits(cfg))
+        # every stored Cramer vector is an affine dependence of its
+        # (n + 1)-subset, nonzero iff the subset has rank n
+        _, cramer = cfg.det_table
+        assert len(cramer) == math.comb(cfg.r, cfg.n + 1)
+        for mask, u in cramer.items():
+            assert all(dot(row, u) == 0 for row in cfg.matrix)
+            assert not any(x for i, x in enumerate(u) if not mask >> i & 1)
+            idxs = [i for i in range(cfg.r) if mask >> i & 1]
+            assert any(u) == (rank([cfg.homogenized(i) for i in idxs]) == cfg.n)
+
+    def test_circuits_oriented_once(self, pinwheel_cfg):
+        # each circuit once, its lowest point on the positive side
+        circs = circuits(pinwheel_cfg)
+        assert len(set(circs)) == len(circs)
+        assert len(_unoriented(circs)) == len(set(_unoriented(circs)))
+        assert all(pos & -pos < neg & -neg for pos, neg in circs)
 
     @staticmethod
     def _check_every_pair(cfg):
         # bit j of clashes[i] is set iff cells i and j fail the pair
         # validation, asked in both orders; no cell clashes with itself
-        circs, dets = circuits(cfg)
-        cells = _candidate_cells(cfg, circs, dets)
+        circs = circuits(cfg)
+        cells = _candidate_cells(cfg, circs)
         clashes = _clashes(circs, [sum(1 << i for i in c.marking) for c in cells])
         for i, j in itertools.combinations(range(len(cells)), 2):
             ca, cb = cells[i], cells[j]
@@ -661,28 +697,17 @@ class TestCircuits:
         self._check_every_pair(cfg)
 
 
-@st.composite
-def lattice_configs(draw):
-    """Lattice configurations in dimension 1-3 with r <= 7, coordinates in
-    -2..3, so interior, collinear and coplanar points all occur."""
-    dim = draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(-2, 3)] * dim)
-    pts = draw(st.lists(point, min_size=dim + 1, max_size=7, unique=True))
-    assume(rank([(1,) + p for p in pts]) == dim + 1)
-    return PointConfig(dim=dim, points=tuple(pts))
-
-
 GRID_2X4 = PointConfig(dim=2, points=tuple((x, y) for y in range(2) for x in range(4)))
 
 
 class TestCandidateCells:
-    """Candidate cells read off the circuits and determinants of
-    ``circuits``, against the hull-built candidates of
+    """Candidate cells read off the ``circuits`` and the determinants of
+    ``PointConfig.det_table``, against the hull-built candidates of
     ``oracles.hull_candidate_cells``: the same list, in the same order."""
 
     @staticmethod
     def _check(cfg):
-        assert _candidate_cells(cfg, *circuits(cfg)) == hull_candidate_cells(cfg)
+        assert _candidate_cells(cfg, circuits(cfg)) == hull_candidate_cells(cfg)
 
     def test_candidates_on_examples(self, seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg):
         for cfg in (seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg, PRISM, OCTAHEDRON, GRID_2X4):
@@ -697,12 +722,13 @@ class TestCandidateCells:
 
     def test_candidates_of_a_point(self):
         cfg = PointConfig(dim=0, points=((),))
-        assert circuits(cfg) == ([], {1: 1})
-        assert _candidate_cells(cfg, *circuits(cfg)) == [MarkedCell((0,), (0,))]
+        assert cfg.det_table == ({1: 1}, {})
+        assert circuits(cfg) == []
+        assert _candidate_cells(cfg, circuits(cfg)) == [MarkedCell((0,), (0,))]
 
     def test_determinants_are_the_bases(self, pinwheel_cfg):
         # every n-subset once, keyed by its bitmask, nonzero iff independent
-        _, dets = circuits(pinwheel_cfg)
+        dets, _ = pinwheel_cfg.det_table
         combos = list(itertools.combinations(range(pinwheel_cfg.r), pinwheel_cfg.n))
         assert sorted(dets) == sorted(sum(1 << i for i in c) for c in combos)
         for c in combos:
@@ -845,3 +871,45 @@ class TestRowMoves:
     def test_shift_row(self, seg_psi):
         shifted = shift_row(seg_psi, 1, Fraction(3))
         assert shifted.rows[1] == tuple(x + 3 for x in seg_psi.rows[1])
+
+
+class TestTableRelations:
+    """The cell relations ``enumerate_regular_subdivisions`` reads off the
+    determinant table (``_table_relations``), against the echelon pass of
+    ``_cell_relations``: the same basis, points, vectors and marked count
+    for every distinct cell of every cover."""
+
+    @staticmethod
+    def _check(cfg):
+        for cell in {c for s in enumerate_subdivisions(cfg) for c in s.cells}:
+            assert _table_relations(cfg, cell) == _cell_relations(cfg, cell), cell
+
+    def test_relations_on_examples(self, seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg):
+        for cfg in (seg_cfg, simplex_cfg, square_cfg, pinwheel_cfg, PRISM, OCTAHEDRON, GRID_2X4):
+            self._check(cfg)
+        for name in ("cube", "grid_3x3", "grid_2x5"):
+            self._check(_config_file(name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_configs())
+    def test_relations_on_drawn_configurations(self, cfg):
+        self._check(cfg)
+
+    def test_relations_of_a_marking_without_basis_raise(self, simplex_cfg):
+        # two points, and four collinear ones, span no triangle
+        for cfg, marking in ((simplex_cfg, (0, 3)), (GRID_2X4, (0, 1, 2, 3))):
+            cell = MarkedCell(vertices=(marking[0], marking[-1]), marking=marking)
+            for relate in (_table_relations, _cell_relations):
+                with pytest.raises(InvariantError):
+                    relate(cfg, cell)
+
+    def test_relations_run_no_elimination(self, monkeypatch):
+        # one echelon pass per n-subset, for the table, and none per cell
+        cfg = PointConfig(dim=2, points=GRID_2X4.points)
+        cfg.kernel_coordinates  # once per configuration, before counting
+        calls = []
+        for mod in (config, gkzfan):
+            f = mod.echelon
+            monkeypatch.setattr(mod, "echelon", lambda m, f=f, mod=mod: calls.append(mod) or f(m))
+        assert enumerate_regular_subdivisions(cfg)
+        assert calls == [config] * math.comb(cfg.r, cfg.n)
