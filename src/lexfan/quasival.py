@@ -369,18 +369,13 @@ def nu_point(table: NuTable, u: GradedPoint) -> tuple[LexVec, tuple]:
     return table.decode(_semigroup_key(table, u))
 
 
-def _least_value(table: NuTable, keys: list) -> int:
-    """The index of the first key whose value is least.  A key's value part
-    is -(-key // C), C = (bound+1)^r; whole keys are not compared, since
-    among equal values they order the witnesses and would pick a later
-    point on a tie."""
-    radix = table._witness_radix
-    return _first_least([-(-key // radix) for key in keys])
-
-
 def _nu_report(table: NuTable, support: tuple, keys: list) -> ValuationReport:
-    """nu(f) from the key of every support point; one key is decoded."""
-    i = _least_value(table, keys)
+    """nu(f) from the key of every support point, the first whose value part
+    -(-key // C), C = (bound+1)^r, is least; one key is decoded.  Whole keys
+    are not compared, since among equal values they order the witnesses and
+    would pick a later point on a tie."""
+    radix = table._witness_radix
+    i = _first_least([-(-key // radix) for key in keys])
     value, alpha = table.decode(keys[i])
     return ValuationReport(value, support[i], alpha, None)
 
@@ -530,16 +525,19 @@ class TruncatedSemigroup:
 def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     """The least k >= 1 with k*u in some marked submonoid S¹_Q.
 
-    The search stops at the normalized volume dim! * vol(P)
-    (``t.multiple_limit``), which it never reaches when every cell marks its
-    vertices: u lies in the cone over some cell, hence over a simplex of that
-    cell's vertices.  Its barycentric coordinates there are ratios of integer
-    determinants over the simplex's determinant, its normalized volume, at
-    most that of P, so that multiple of u is a nonnegative integer
-    combination of marked vertices.  ValueError names u when no multiple up
-    to the limit lands in a marked submonoid."""
+    Only the cells whose cone holds u are searched: S¹_Q lies in the cone
+    over Q, and k*u lies there only if u does.  The search stops at the
+    normalized volume dim! * vol(P) (``t.multiple_limit``), which it never
+    reaches when every cell marks its vertices: u lies in the cone over some
+    cell, hence over a simplex of that cell's vertices.  Its barycentric
+    coordinates there are ratios of integer determinants over the simplex's
+    determinant, its normalized volume, at most that of P, so that multiple
+    of u is a nonnegative integer combination of marked vertices.
+    ValueError names u when no multiple up to the limit lands in a marked
+    submonoid."""
+    marked = [q for q, cell in zip(t.marked, t.s.cells) if in_cell_cone(t.cfg, u, cell)]
     for k in range(1, t.multiple_limit + 1):
-        if any(in_SQ1(q, u.scaled(k)) for q in t.marked):
+        if any(in_SQ1(q, u.scaled(k)) for q in marked):
             return k
     raise ValueError(
         f"no multiple k*u with k <= {t.multiple_limit} of u = {u} lies in a marked"
@@ -561,7 +559,16 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
 def power_seq(
     table: NuTable, f: Expr, window: int = 8, start: int = 1
 ) -> list[tuple[int, LexVec]]:
-    """The exact sequence nu(f^l)/l for l = start..window."""
+    """The exact sequence nu(f^l)/l for l = start..window, by branch and
+    bound (Land & Doig 1960) on nu(fg) >= nu(f) + nu(g).  A key is linear in
+    alpha, so each point p of f^l has as lower bound the largest bound of q
+    plus key of w over the products q + w that make it, the key of one of
+    its representatives; its exact key, once read, replaces the bound.  The
+    terms of f are keyed once, and the points of f^l are read in increasing
+    bound order until the next bound's value part is no less than the least
+    value found.  Points with no bound, from terms off the semigroup or of
+    the wrong length, are read first in sorted order; no bounded point
+    raises, so an error names the point nu_quasi(table, f.power(l)) would."""
     if f.is_zero():
         raise SchemaError("power sequence of the zero expression")
     max_deg = max(u.d for u in f.support)
@@ -569,26 +576,48 @@ def power_seq(
         raise DegreeOverflow(
             f"power {window} needs degree {window * max_deg} > bound {table.bound}"
         )
+    radix = table._witness_radix
     # f^l as {point vector: int coefficient}: f's coefficients times the
     # lcm of their denominators, a positive scaling that keeps the support
-    # and makes every cancellation an exact int sum
+    # and makes every cancellation an exact int sum; each term with its key
     scale = lcm(*(c.denominator for _, c in f.terms))
-    base = [(u.vector, c.numerator * (scale // c.denominator)) for u, c in f.terms]
-    current = dict(base)
+    base = []
+    for u, c in f.terms:
+        try:
+            key = table.key(u)
+        except (DimensionError, DegreeOverflow):  # overflow only when window < 1
+            key = None
+        base.append((u.vector, c.numerator * (scale // c.denominator), key))
+    current = {v: c for v, c, _ in base}
+    # point -> a lower bound on its key, the key of one of its representatives
+    lower = {v: k for v, _, k in base if k is not None}
     out = []
     for ell in range(1, window + 1):
         if ell > 1:
-            product = defaultdict(int)
+            product, bound = defaultdict(int), {}
             for v, c in current.items():
-                for w, e in base:
-                    product[tuple(map(add, v, w))] += c * e
+                kv = lower.get(v)
+                for w, e, kw in base:
+                    p = tuple(map(add, v, w))
+                    product[p] += c * e
+                    if kv is not None and kw is not None:
+                        b = kv + kw
+                        if bound.get(p, b - 1) < b:
+                            bound[p] = b
             current = {v: c for v, c in product.items() if c}
+            lower = {v: bound[v] for v in current if v in bound}
         if ell >= start:
-            # in sorted order, as in Expr.support, so an error names the
-            # same point as nu_quasi(table, f.power(ell)) would
-            keys = [_semigroup_key(table, GradedPoint(v[0], v[1:])) for v in sorted(current)]
+            # the points with no bound first, in sorted order, then by bound
+            least = INFINITY
+            unbounded = sorted(v for v in current if v not in lower)
+            for v in unbounded + sorted(lower, key=lower.get):
+                if v in lower and -(-lower[v] // radix) >= least:
+                    break
+                if ell > 1 or v not in lower:  # at l = 1 a bound is f's own key
+                    lower[v] = _semigroup_key(table, GradedPoint(v[0], v[1:]))
+                least = min(least, -(-lower[v] // radix))
             # l * v_l = nu(f^l) as its int row; one LexVec per l
-            row = table.values(keys[_least_value(table, keys)])
+            row = table.values(least * radix)
             out.append((ell, LexVec(Fraction(x, ell * s) for x, s in zip(row, table._scales))))
     return out
 

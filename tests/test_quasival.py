@@ -3,13 +3,14 @@ sequences, accumulation, elementarity, and full-rank checks."""
 
 import re
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexfan import quasival
+from lexfan import io, quasival
 from lexfan.config import (
     MarkedCell,
     MarkedSubdivision,
@@ -18,7 +19,7 @@ from lexfan.config import (
     trivial_subdivision,
 )
 from lexfan.degeneration import gr_nu_reduced
-from lexfan.errors import DegreeOverflow, InvariantError, SchemaError
+from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
 from lexfan.gkzfan import linear_extension, subdivide
 from lexfan.linalg import dot
@@ -53,6 +54,9 @@ from lexfan.quasival import (
 )
 
 from oracles import bounded_combination, cell_maps_by_solve, value_by_cells
+
+
+DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
 
 
 def gp(d, e):
@@ -309,6 +313,19 @@ class TestCellMonoids:
         for u, witness in gr_nu_reduced(t).nilpotents:
             assert witness == least_multiple(t, u) > 1
             assert stretch % witness == 0
+
+    def test_least_multiple_searches_only_cells_holding_u(self, square_cfg):
+        # Psi = (1, 0, 0, 1) cuts the square along its 0-3 diagonal, and each
+        # of the points 1 and 2 lies in one cell, the second cell for one of
+        # them: no other cell's submonoid grows a layer
+        s = subdivide(square_cfg, WeightMatrix(rows=((1, 0, 0, 1),)))
+        assert len(s.cells) == 2
+        for u in (GradedPoint(1, (1, 0)), GradedPoint(1, (0, 1))):
+            t = TruncatedSemigroup(square_cfg, s, 4)
+            assert least_multiple(t, u) == 1
+            grown = [len(q._layers) > 1 for q in t.marked]
+            assert grown == [in_cell_cone(square_cfg, u, cell) for cell in s.cells]
+            assert grown.count(True) == 1
 
     @pytest.mark.parametrize("build", [stretch_factor, gr_nu_reduced])
     def test_unmarked_vertex_raises(self, seg_cfg, build):
@@ -719,11 +736,12 @@ def _fit_accumulation(seq):
 
 
 def _outcome(fn, *args):
-    """What a call returns, or the message of the SchemaError it raises."""
+    """What a call returns, or the class and message of the SchemaError or
+    DimensionError it raises."""
     try:
         return fn(*args)
-    except SchemaError as exc:
-        return ("SchemaError", str(exc))
+    except (SchemaError, DimensionError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 _COEFFS = st.sampled_from([Fraction(c) for c in ("1", "-1", "1/2", "-1/2", "2/3", "-3/2")])
@@ -735,6 +753,42 @@ def _exprs(draw, cfg, max_degree):
     some cancelling."""
     points = st.lists(_graded_points(cfg, max_degree), min_size=1, max_size=4)
     return Expr.from_terms([(u, draw(_COEFFS)) for u in draw(points)])
+
+
+@st.composite
+def _power_exprs(draw, cfg, max_degree):
+    """An expression of 1-4 terms for power_seq: vertex multiples, points
+    inside d*P, sums of points a unit step off the semigroup or not,
+    characters one entry too long or too short, and at times a cancelling
+    triple u1 = 2p + s, u2 = 2q + s, u3 = p + q + s with coefficients x,
+    -x/2 and x, whose 2*u3 has coefficient 0 in f^2 unless another product
+    meets it."""
+    facets = hull_of(cfg.points).facets
+    vertices = [cfg.points[i] for i in hull_of(cfg.points).vertices]
+    inside = [
+        u for u in semigroup_up_to(cfg, max_degree)
+        if u.d and all(dot(a, u.vector) < 0 for a in facets)
+    ]
+    degrees = st.integers(0, max_degree)
+    point = st.one_of(
+        st.builds(lambda d, v: GradedPoint(d, tuple(d * c for c in v)), degrees,
+                  st.sampled_from(vertices)),
+        st.sampled_from(inside),
+        _graded_points(cfg, max_degree),
+        st.builds(lambda u, longer: GradedPoint(u.d, u.eta + (0,) if longer else u.eta[:-1]),
+                  _graded_points(cfg, max_degree), st.booleans()),
+    )
+    terms = [(u, draw(_COEFFS)) for u in draw(st.lists(point, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        p, q = draw(st.sampled_from(cfg.points)), draw(st.sampled_from(cfg.points))
+        s = draw(_graded_points(cfg, max_degree - 2))
+        x = draw(_COEFFS)
+        terms += [
+            (GradedPoint(s.d + 2, tuple(e + a + b for e, a, b in zip(s.eta, p, q))), x),
+            (GradedPoint(s.d + 2, tuple(e + 2 * a for e, a in zip(s.eta, p))), x),
+            (GradedPoint(s.d + 2, tuple(e + 2 * b for e, b in zip(s.eta, q))), -x / 2),
+        ]
+    return Expr.from_terms(terms)
 
 
 @st.composite
@@ -781,9 +835,9 @@ class TestKeyedValuations:
     ):
         cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
         psi = data.draw(st.one_of(_matrices(cfg), _tie_matrices(cfg)))
-        table = NuTable(cfg, psi, 8)
-        f = data.draw(_exprs(cfg, 2))
-        window = data.draw(st.integers(1, 4))
+        table = NuTable(cfg, psi, 16)
+        f = data.draw(_power_exprs(cfg, 2))
+        window = data.draw(st.integers(1, 8))
         start = data.draw(st.integers(1, window))
         if f.is_zero():
             with pytest.raises(SchemaError, match="zero expression"):
@@ -792,6 +846,19 @@ class TestKeyedValuations:
             assert _outcome(power_seq, table, f, window, start) == _outcome(
                 _power_seq_by_algebra, table, f, window, start
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_power_seq_on_unit_rows(self, seg_cfg, simplex_cfg, square_cfg, data):
+        # one row of -1, 0 and 1 puts the values of f^l's points one apart,
+        # where a bound one too high or a stop one point early shows
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg]))
+        row = data.draw(st.lists(st.integers(-1, 1), min_size=cfg.r, max_size=cfg.r))
+        table = NuTable(cfg, WeightMatrix(rows=(tuple(row),)), 16)
+        points = st.sampled_from(semigroup_up_to(cfg, 2)[1:])
+        f = Expr.from_terms(data.draw(st.lists(st.tuples(points, _COEFFS), min_size=1, max_size=4)))
+        if not f.is_zero():
+            assert power_seq(table, f, 8) == _power_seq_by_algebra(table, f, 8, 1)
 
     def test_power_seq_cancelling_term(self, seg_cfg):
         # u1 + u2 = 2*u3: the 2*u3 term of f^2 is 1 - 2*(1/2) = 0, and it
@@ -817,6 +884,35 @@ class TestKeyedValuations:
             power_seq(table, far, window=2, start=2)
         with pytest.raises(DegreeOverflow, match="power 3 needs degree 6 > bound 4"):
             power_seq(table, Expr.from_terms([(gp(2, 0), "2/3")]), window=3, start=2)
+
+    @pytest.mark.parametrize(
+        "config, matrix, expr, window, bound",
+        [
+            ("segment", "segment_psi", "segment_expr", 8, 16),
+            ("segment", "segment_psi", "segment_expr", 20, 20),
+            ("segment", "segment_psi", "segment_expr", 40, 40),
+            ("simplex", "simplex_psi", "simplex_expr", 12, 12),
+            ("simplex", "simplex_psi_frac", "simplex_expr", 12, 12),
+            ("simplex", "simplex_psi_frac_unmarked", "simplex_expr_frac", 8, 24),
+        ],
+    )
+    def test_power_seq_reads_few_keys(self, monkeypatch, config, matrix, expr, window, bound):
+        # the README's liminf examples: the bounds leave at most half the
+        # support points of f, f^2, ..., f^window to be keyed
+        cfg, psi, f = (
+            read(io.load_json(str(DATA / f"{name}.json")))
+            for read, name in (
+                (io.config_from_json, config),
+                (io.matrix_from_json, matrix),
+                (io.expr_from_json, expr),
+            )
+        )
+        expected = _power_seq_by_algebra(NuTable(cfg, psi, bound), f, window, 1)
+        points = sum(len(f.power(ell).support) for ell in range(1, window + 1))
+        keyed, key = [], NuTable.key
+        monkeypatch.setattr(NuTable, "key", lambda table, u: keyed.append(u) or key(table, u))
+        assert power_seq(NuTable(cfg, psi, bound), f, window) == expected
+        assert 2 * len(keyed) <= points
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
