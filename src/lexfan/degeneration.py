@@ -23,6 +23,7 @@ from lexfan.quasival import (
     GradedPoint,
     Submonoid,
     TruncatedSemigroup,
+    class_masks,
     in_cell_cone,
     in_SQ1,
     least_multiple,
@@ -84,15 +85,6 @@ def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:
     )
 
 
-def _masks(basis, comps) -> dict:
-    """The component bitmask of every basis class."""
-    masks = dict.fromkeys(basis, 0)
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            masks[u] |= 1 << ci
-    return masks
-
-
 def _zero_products(basis, bound, masks) -> tuple:
     """Pairs (u, w) of positive-degree basis classes, u before w, with
     d_u + d_w <= bound and no component holding both.  The basis is sorted by
@@ -110,12 +102,14 @@ def _zero_products(basis, bound, masks) -> tuple:
     return tuple(zeros)
 
 
-def _presentation(t: TruncatedSemigroup, comps, certificates=()) -> FanAlgebraPresentation:
-    """The presentation of t's basis with these components.  A positive-degree
-    class in no component is nilpotent, witnessed by its least multiple in a
-    marked submonoid; gr_V has none, as the cell semigroups cover the basis."""
+def _presentation(
+    t: TruncatedSemigroup, comps, masks, certificates=()
+) -> FanAlgebraPresentation:
+    """The presentation of t's basis with these components and the
+    ``class_masks`` of the basis over them.  A positive-degree class in no
+    component is nilpotent, witnessed by its least multiple in a marked
+    submonoid; gr_V has none, as the cell semigroups cover the basis."""
     basis = t.basis
-    masks = _masks(basis, comps)
     return FanAlgebraPresentation(
         subdivision=t.s,
         bound=t.bound,
@@ -149,16 +143,15 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
             if cj != ci
         )
         certs.append(ComponentCertificate(ci, witness, in_own, outside))
-    return _presentation(t, t.cell_semigroups, tuple(certs))
+    return _presentation(t, t.cell_semigroups, t.cell_masks, tuple(certs))
 
 
 def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
     nilpotent, witnessed by their least multiple that lands in one."""
-    return _presentation(
-        t, tuple(tuple(u for u in t.basis if in_SQ1(q, u)) for q in t.marked)
-    )
+    comps = tuple(tuple(u for u in t.basis if in_SQ1(q, u)) for q in t.marked)
+    return _presentation(t, comps, class_masks(t.basis, comps))
 
 
 @dataclass(frozen=True)
@@ -207,7 +200,7 @@ class KhovanskiiReport:
 def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
     cfg, s = t.cfg, t.s
     generated_by = [Submonoid(cfg, _inside(cfg, cell)) for cell in s.cells]
-    masks = _masks(t.basis, t.cell_semigroups)
+    masks = t.cell_masks
     generated, extra = [], []
     for u in t.basis:
         if u.d == 0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -152,6 +153,7 @@ def load_json(path: str) -> Any:
 _FLAT, _INT, _STR = frozenset((int, str)), frozenset((int,)), frozenset((str,))
 # the item types of a tuple of tuples; as itself (``is``), checked flat ones
 _TUPLES = frozenset((tuple,))
+_ROWS = frozenset((list, tuple))
 _BIG = 1024  # a list this long is written item by item
 _HOLE = "\0"  # marks a node written item by item; rendered text escapes NUL
 
@@ -169,10 +171,18 @@ def chunks(obj: Any) -> Iterator[str]:
     A subtree renders as one string in one recursive pass.  Only iterators,
     lists of ``_BIG`` items or more, and the containers holding them are
     yielded item by item.  Within a call each dict key is escaped once, and
-    a tuple of exact ints and strs, or a tuple of such tuples, is rendered
-    once per depth, but not kept for the items of a list written item by item.
-    Only exact leaves qualify: ``(1,) == (True,)``, yet they render
-    differently, and a tuple holding a list is not even hashable."""
+    a flat tuple, of exact ints and strs, or a tuple of such tuples, is
+    rendered once per depth, but not kept for the items of a list written
+    item by item.  Only exact leaves qualify: ``(1,) == (True,)``, yet they
+    render differently, and a tuple holding a list is not even hashable.
+
+    A list or tuple whose items are all rows, non-empty lists or tuples
+    shorter than ``_BIG`` of exact ints, of exact strs or of non-empty flat
+    tuples, is rendered with one join, and so is each run of a list written
+    item by item: no Python frame runs per row, and each distinct flat
+    tuple in the rows is rendered once through the memo.  Any other node
+    (bools, floats, subclasses, empty or mixed rows) is rendered item by
+    item."""
     nl, sep, memo = ["\n"], [",\n"], [{}]  # per depth: indents, rendered tuples
     keys: dict = {}  # key -> its escaped form and ": "
     held: list = []  # (node, depth) behind each hole, in document order
@@ -187,6 +197,35 @@ def chunks(obj: Any) -> Iterator[str]:
             raise TypeError(f"keys must be str, not {type(k).__name__}")
         keys[k] = rendered = encode_basestring_ascii(k) + ": "
         return rendered
+
+    def rows(o, depth: int):
+        """The items of a list or tuple at depth, all lists or tuples, joined
+        by ``sep`` when each is a row; None when one is not."""
+        if not all(o) or max(map(len, o)) >= _BIG:
+            return None
+        inner, low = depth + 1, depth + 2
+        if len(nl) == low:
+            deeper(inner)
+        leaves = {*map(type, chain.from_iterable(o))}
+        if leaves == _INT:
+            render = int.__repr__
+        elif leaves == _STR:
+            render = encode_basestring_ascii
+        elif (
+            leaves == _TUPLES
+            and all(chain.from_iterable(o))
+            and {*map(type, chain.from_iterable(chain.from_iterable(o)))} <= _FLAT
+        ):
+            below = memo[low]
+            for x in {*chain.from_iterable(o)}.difference(below):
+                text(x, low)
+            render = below.__getitem__
+        else:
+            return None
+        # one separator closes a row and opens the next
+        between = nl[inner] + "]" + sep[inner] + "[" + nl[low]
+        items = between.join(map(sep[low].join, map(partial(map, render), o)))
+        return "[" + nl[low] + items + nl[inner] + "]"
 
     def array(o, depth: int, types) -> str:
         """A non-empty list or tuple at depth whose items have these types."""
@@ -204,7 +243,7 @@ def chunks(obj: Any) -> Iterator[str]:
         elif types is _TUPLES:
             below = memo[inner]
             items = sep[inner].join([below.get(x) or text(x, inner) for x in o])
-        else:
+        elif not types <= _ROWS or (items := rows(o, depth)) is None:
             items = sep[inner].join([text(x, inner) for x in o])
         return f"[{nl[inner]}{items}{nl[depth]}]"
 
@@ -268,8 +307,10 @@ def chunks(obj: Any) -> Iterator[str]:
         if len(nl) == inner:
             deeper(depth)
         items, run, lead = iter(o), _BIG if type(o) is list else 1, "[" + nl[inner]
-        while batch := [text(x, inner, False) for x in islice(items, run)]:
-            yield from pieces(lead + sep[inner].join(batch), start)
+        while batch := list(islice(items, run)):
+            if not {*map(type, batch)} <= _ROWS or (part := rows(batch, depth)) is None:
+                part = sep[inner].join([text(x, inner, False) for x in batch])
+            yield from pieces(lead + part, start)
             lead = sep[inner]
         yield nl[depth] + "]" if lead is sep[inner] else "[]"
 

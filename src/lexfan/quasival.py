@@ -18,9 +18,9 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
-from operator import add, mul, sub
+from operator import add, eq, ge, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from lexfan.config import (
@@ -443,26 +443,21 @@ def delta_image(
     bound: int,
     reverse: bool = False,
 ) -> DeltaImage:
-    """The image of delta on semigroup elements of degree <= bound; the
+    """The image of delta on semigroup elements of degree <= bound, and per
+    cell the values on its positive-degree ``cell_semigroup``; the
     enumeration order is switchable so stability can be tested."""
     elems = semigroup_up_to(cfg, bound)
     if reverse:
         elems = list(reversed(elems))
-    values = set()
-    per_cell: list[set] = [set() for _ in plm.subdivision.cells]
-    hulls = [
-        hull_of(tuple(cfg.points[i] for i in c.vertices))
-        for c in plm.subdivision.cells
-    ]
     table = NuTable(cfg, psi, bound)
-    for u in elems:
-        val = delta_point(table, plm, u)
-        values.add(val)
-        for ci, h in enumerate(hulls):
-            if u.d > 0 and h.cone.contains(u.vector):
-                per_cell[ci].add(val)
+    image = {u: delta_point(table, plm, u) for u in elems}
+    positive = [u for u in elems if u.d > 0]
     return DeltaImage(
-        values=frozenset(values), per_cell=tuple(frozenset(s) for s in per_cell)
+        values=frozenset(image.values()),
+        per_cell=tuple(
+            frozenset(image[u] for u in cell_semigroup(cfg, cell, positive))
+            for cell in plm.subdivision.cells
+        ),
     )
 
 
@@ -484,18 +479,40 @@ def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:
 def cell_semigroup(
     cfg: PointConfig, cell: MarkedCell, elems: Iterable[GradedPoint]
 ) -> list[GradedPoint]:
-    """S_Q among the given semigroup elements: those in the cone over Q,
-    whose hull is taken once for all of them."""
-    contains = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains
-    return [u for u in elems if contains(u.vector)]
+    """S_Q among the given semigroup elements: those in the cone over Q, in
+    their order.  The hull is taken once, and each of its cone's equation
+    and facet normals n is tested on all elements still kept in one pass:
+    n.u on exact ints, as ``PolyCone.contains`` computes it, must be 0 for
+    an equation and <= 0 for a facet."""
+    cone = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone
+    elems = list(elems)
+    vectors = [u.vector for u in elems]
+    if any(len(v) != cone.dim for v in vectors):
+        raise DimensionError("point length != ambient dimension")
+    tests = [(n, partial(eq, 0)) for n in cone.eq_normals]
+    tests += [(n, partial(ge, 0)) for n in cone.ineq_normals]
+    for n, holds in tests:
+        keep = list(map(holds, map(sum, map(partial(map, mul, n), vectors))))
+        elems = list(itertools.compress(elems, keep))
+        vectors = list(itertools.compress(vectors, keep))
+    return elems
+
+
+def class_masks(basis, comps) -> dict:
+    """The bitmask of each basis class: bit ci set when comps[ci] holds it."""
+    masks = dict.fromkeys(basis, 0)
+    for ci, comp in enumerate(comps):
+        for u in comp:
+            masks[u] |= 1 << ci
+    return masks
 
 
 class TruncatedSemigroup:
     """The semigroup of a configuration up to a degree bound, with the pieces
     that the presentations of one subdivision read: the basis, the cell
-    semigroups S_Q, the marked submonoids S¹_Q and the search limit of
-    ``least_multiple``.  Each is computed once, on first read; create one per
-    computation and pass it around."""
+    semigroups S_Q and the cells of each class, the marked submonoids S¹_Q
+    and the search limit of ``least_multiple``.  Each is computed once, on
+    first read; create one per computation and pass it around."""
 
     def __init__(self, cfg: PointConfig, s: MarkedSubdivision, bound: int):
         self.cfg, self.s, self.bound = cfg, s, bound
@@ -509,6 +526,11 @@ class TruncatedSemigroup:
         return tuple(
             tuple(cell_semigroup(self.cfg, cell, self.basis)) for cell in self.s.cells
         )
+
+    @cached_property
+    def cell_masks(self) -> dict:
+        """The cells whose cone holds each basis class, as a bitmask."""
+        return class_masks(self.basis, self.cell_semigroups)
 
     @cached_property
     def marked(self) -> tuple:
@@ -526,8 +548,10 @@ def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     """The least k >= 1 with k*u in some marked submonoid S¹_Q.
 
     Only the cells whose cone holds u are searched: S¹_Q lies in the cone
-    over Q, and k*u lies there only if u does.  The search stops at the
-    normalized volume dim! * vol(P) (``t.multiple_limit``), which it never
+    over Q, and k*u lies there only if u does.  For a basis class they are
+    read off ``t.cell_masks``; any other u is tested with ``in_cell_cone``
+    cell by cell.  The search stops at the normalized volume dim! * vol(P)
+    (``t.multiple_limit``), which it never
     reaches when every cell marks its vertices: u lies in the cone over some
     cell, hence over a simplex of that cell's vertices.  Its barycentric
     coordinates there are ratios of integer determinants over the simplex's
@@ -535,7 +559,10 @@ def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     of u is a nonnegative integer combination of marked vertices.
     ValueError names u when no multiple up to the limit lands in a marked
     submonoid."""
-    marked = [q for q, cell in zip(t.marked, t.s.cells) if in_cell_cone(t.cfg, u, cell)]
+    mask = t.cell_masks.get(u)
+    if mask is None:
+        mask = sum(1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(t.cfg, u, cell))
+    marked = [q for ci, q in enumerate(t.marked) if mask >> ci & 1]
     for k in range(1, t.multiple_limit + 1):
         if any(in_SQ1(q, u.scaled(k)) for q in marked):
             return k

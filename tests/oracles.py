@@ -1,8 +1,9 @@
 """Brute-force oracles that the tests check the library's fast paths
 against: fiber optima by basic feasible solutions, cell maps by one solve
 per affine basis and the piecewise-linear map evaluated on them in
-Fractions, semigroup membership by an exact knapsack, the Euclidean closure
-of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
+Fractions, semigroup membership by an exact knapsack, cell-cone
+membership and the cells searched by a least multiple point by point, the
+Euclidean closure of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
 matrix flattened to one row, candidate cells and volumes by hulls, proper
 meeting of two cells by circuits and the cover search that tests it pair by
 pair, and the face-lattice invariants of a whole ``fan`` output.  No command or script uses them.
@@ -24,7 +25,7 @@ from lexfan.errors import BudgetExceeded, InvariantError, SchemaError
 from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
 from lexfan.gkzfan import circuits
 from lexfan.linalg import dot, echelon, nullspace, primitive, rank, solve
-from lexfan.quasival import GradedPoint
+from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_cell_cone, in_SQ1
 
 
 def combination_basis(cfg: PointConfig, indices) -> Optional[tuple]:
@@ -112,6 +113,25 @@ def bounded_combination(
         return None
 
     return walk(0, u.d, u.eta)
+
+
+def cell_semigroup_by_contains(
+    cfg: PointConfig, cell: MarkedCell, elems: Sequence[GradedPoint]
+) -> list[GradedPoint]:
+    """``quasival.cell_semigroup`` point by point: the elements whose vector
+    ``PolyCone.contains`` puts in the cone over the cell."""
+    cone = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone
+    return [u for u in elems if cone.contains(u.vector)]
+
+
+def least_multiple_by_cones(t: TruncatedSemigroup, u: GradedPoint) -> int:
+    """``quasival.least_multiple`` with the cells whose cone holds u found
+    by ``in_cell_cone``, cell by cell."""
+    marked = [q for q, cell in zip(t.marked, t.s.cells) if in_cell_cone(t.cfg, u, cell)]
+    for k in range(1, t.multiple_limit + 1):
+        if any(in_SQ1(q, u.scaled(k)) for q in marked):
+            return k
+    raise ValueError(f"no multiple k*u with k <= {t.multiple_limit} of u = {u}")
 
 
 def euclidean_closure(mu: MuCone) -> PolyCone:

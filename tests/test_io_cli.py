@@ -111,6 +111,31 @@ _SCALARS = st.one_of(
 _FLAT_TUPLES = st.lists(
     st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2)), min_size=1, max_size=3
 ).map(tuple)
+_EXACT_FLAT_TUPLES = st.lists(
+    st.one_of(st.integers(-3, 3), st.text(max_size=2)), min_size=1, max_size=3
+).map(tuple)
+
+
+def _rows(leaves):
+    """Non-empty lists and tuples of the given leaves."""
+    row = st.lists(leaves, min_size=1, max_size=4)
+    return st.one_of(row, row.map(tuple))
+
+
+# uniform row lists, the row path's input, with now and then a row it must
+# refuse: empty, of bools or floats, or mixed
+_ROW_LISTS = st.one_of(
+    *(
+        st.lists(_rows(leaves), min_size=1, max_size=6)
+        for leaves in (st.integers(), st.text(max_size=3), _EXACT_FLAT_TUPLES)
+    )
+).flatmap(
+    lambda rows: st.one_of(
+        st.just(rows),
+        st.just(tuple(rows)),
+        st.sampled_from([[], (True,), [0.5], [1, "a"], [(1,), 2]]).map(lambda bad: rows + [bad]),
+    )
+)
 _JSON = st.recursive(
     st.one_of(_SCALARS, _FLAT_TUPLES),
     lambda kids: st.one_of(
@@ -167,6 +192,87 @@ class TestDumps:
         pieces = list(io.chunks(make()))
         assert all(type(p) is str for p in pieces)
         assert "".join(pieces) == json.dumps(_materialized(make()), indent=2)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, -2, 3], [4, 5, 6]],
+            ([10**30, 0], (-1,)),
+            [["a", "\u00e9"], ("\n", ""), ["\x00"]],
+            [[(1, "x"), (2, 3)], ((2, 3),), [(1, "x"), (1, "x"), (4,)]],
+            [((0, 0), (1, 2)), ((1, 2), (3, 4)), ((0, 0), (3, 4))],
+            # one empty row, rows of different lengths
+            [[1, 2], [], [3]],
+            [[1], [2, 3, 4], [5, 6]],
+            # equal under ==, yet each renders its own way
+            [(1, 0), (True, False), (1.0, 0.0)],
+            [[(1, 0)], [(True, False)], [(1.0, 0.0)]],
+            [[(True, False)], [(1, 0)], [(1, 0), (True, False)]],
+            # a flat tuple holding a list, an empty flat tuple, a subclass
+            [[(1, [2])], [(3, 4)]],
+            [[(1, 2)], [()]],
+            [[1, type("I", (int,), {})(2)], [3, 4]],
+            # mixed leaves and mixed rows
+            [[1, "a"], [2, "b"]],
+            [[1, 2], ["a"]],
+            [[1, 2], (3, [4])],
+            [[[1]], [[2]]],
+        ],
+    )
+    def test_row_lists_match_json_dumps(self, rows):
+        # at several depths, as a tuple, and as the items of a held list
+        obj = {"rows": rows, "deeper": [rows, {"r": rows, "t": tuple(rows)}], "again": rows}
+        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        held = [list(rows)] * 1100 + [rows]
+        assert "".join(io.chunks(held)) == json.dumps(held, indent=2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [(i, -i) for i in range(1500)],
+            lambda: {"z": [((i % 7, -i), (i % 3,)) for i in range(1500)]},
+            lambda: [[str(i), "x"] for i in range(1024)] + [[1, 2]] * 476,
+            # a run that is not rows between two that are
+            lambda: [[i] for i in range(1024)] + [[True]] + [[i] for i in range(1100)],
+            # a row of 1024 items or more is held, not joined with the others
+            lambda: [[1, 2], list(range(1500)), (3,)],
+        ],
+    )
+    def test_held_row_lists_are_streamed(self, make):
+        pieces = list(io.chunks(make()))
+        assert len(pieces) > 1
+        assert "".join(pieces) == json.dumps(make(), indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROW_LISTS, depth=st.integers(0, 3))
+    def test_drawn_row_lists_match_json_dumps(self, rows, depth):
+        obj = rows
+        for _ in range(depth):
+            obj = {"k": [obj, rows]}
+        assert io.dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_row_lists_run_no_frame_per_row(self):
+        # a frame per row, or per item, would show as thousands of calls;
+        # the held list's runs of 1024 rows are each of one kind
+        rows = {
+            "i": [[i, -i] for i in range(600)],
+            "s": [("a", str(i)) for i in range(600)],
+            "t": [((i % 9, 1), (i % 4, -1)) for i in range(600)],
+            "held": [[str(i), "b"] for i in range(2048)] + [[(i % 5, 0)] for i in range(2500)],
+        }
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == io.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            rendered = io.dumps(rows)
+        finally:
+            sys.setprofile(None)
+        assert rendered == json.dumps(rows, indent=2)
+        assert len(calls) < 100
 
     def test_long_lists_are_streamed(self):
         assert len(list(io.chunks({"a": [1, 2], "b": (3,)}))) == 1

@@ -53,7 +53,13 @@ from lexfan.quasival import (
     windowed_accumulation,
 )
 
-from oracles import bounded_combination, cell_maps_by_solve, value_by_cells
+from oracles import (
+    bounded_combination,
+    cell_maps_by_solve,
+    cell_semigroup_by_contains,
+    least_multiple_by_cones,
+    value_by_cells,
+)
 
 
 DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
@@ -65,6 +71,15 @@ def gp(d, e):
 
 # Three points on a line with a gap: 3 is a vertex, 1 may be left unmarked.
 _SHORT = PointConfig(dim=1, points=((0,), (1,), (3,)))
+_CUBE = PointConfig(
+    dim=3, points=tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+)
+
+
+def _lattice_points(dim: int):
+    """Graded points in a box, most off the semigroup, some of negative degree."""
+    eta = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim).map(tuple)
+    return st.builds(GradedPoint, st.integers(-2, 4), eta)
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +291,60 @@ class TestCellMonoids:
             assert cell_semigroup(seg_cfg, cell, basis) == [
                 u for u in basis if in_cell_cone(seg_cfg, u, cell)
             ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cell_semigroup_matches_per_point_filter(
+        self, seg_cfg, simplex_cfg, square_cfg, data
+    ):
+        cfg = data.draw(st.sampled_from([seg_cfg, simplex_cfg, square_cfg, _CUBE]))
+        row = st.lists(st.integers(-4, 4), min_size=cfg.r, max_size=cfg.r).map(tuple)
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=2))))
+        elems = semigroup_up_to(cfg, data.draw(st.integers(0, 3)))
+        elems += data.draw(st.lists(_lattice_points(cfg.dim), max_size=10))
+        elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
+        for cell in subdivide(cfg, psi).cells:
+            assert cell_semigroup(cfg, cell, elems) == cell_semigroup_by_contains(
+                cfg, cell, elems
+            )
+
+    @pytest.mark.parametrize(
+        "name, vertices",
+        [("square", (0, 3)), ("square", (1,)), ("cube", (0, 1, 2, 3)), ("cube", (0, 7))],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_cell_semigroup_on_flat_cells(self, square_cfg, name, vertices, data):
+        # hulls that are not full-dimensional: their cones have equations
+        cfg = square_cfg if name == "square" else _CUBE
+        cell = MarkedCell(vertices=vertices, marking=vertices)
+        assert hull_of(tuple(cfg.points[i] for i in vertices)).cone.eq_normals
+        elems = semigroup_up_to(cfg, 3) + data.draw(st.lists(_lattice_points(cfg.dim)))
+        elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
+        kept = cell_semigroup(cfg, cell, elems)
+        assert kept == cell_semigroup_by_contains(cfg, cell, elems)
+        assert any(u.d == 3 for u in kept)
+        with pytest.raises(DimensionError):
+            cell_semigroup(cfg, cell, [GradedPoint(1, (0,) * (cfg.dim + 1))])
+
+    def test_least_multiple_reads_cells_off_masks(self):
+        # every nilpotent of the interior-unmarked simplex, and twice each
+        # of degree 7 or more, which lies outside the basis
+        cfg = io.config_from_json(io.load_json(DATA / "simplex.json"))
+        psi = io.matrix_from_json(io.load_json(DATA / "simplex_psi_unmarked.json"))
+        t = TruncatedSemigroup(cfg, subdivide(cfg, psi), 12)
+        oracle = TruncatedSemigroup(cfg, t.s, 12)
+        nilpotents = gr_nu_reduced(t).nilpotents
+        assert len(nilpotents) == 650
+        for u, witness in nilpotents:
+            assert t.cell_masks[u] == sum(
+                1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(cfg, u, cell)
+            )
+            assert witness == least_multiple_by_cones(oracle, u)
+        outside = [u.scaled(2) for u, _ in nilpotents if u.d > 6]
+        assert outside and not any(u in t.cell_masks for u in outside)
+        for u in outside:
+            assert least_multiple(t, u) == least_multiple_by_cones(oracle, u)
 
     def test_stretch_factors(self, seg_cfg, seg_sub, simplex_cfg, simplex_q2):
         assert stretch_factor(TruncatedSemigroup(seg_cfg, seg_sub, 12)) == 4
