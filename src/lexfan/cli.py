@@ -25,14 +25,13 @@ _BLOCK = 1 << 16  # the least write, so that a small output is one write
 
 
 def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
-    if args.format == "svg":
-        if svg_fn is None:
-            raise SchemaError("svg output is not available for this command")
-        pieces = [svg_fn(payload)]
-    elif args.format == "text" and text_fn:
-        pieces = [text_fn(payload)]
-    else:
+    if args.format == "json":
         pieces = io.chunks(payload)
+    else:
+        render = text_fn if args.format == "text" else svg_fn
+        if render is None:
+            raise SchemaError(f"{args.format} output is not available for this command")
+        pieces = [render(payload)]
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if fh is None:  # stdout closed at start (`>&-`)

@@ -1,5 +1,4 @@
-"""Exact polyhedral cones in Q^r and their lexicographic counterparts in
-matrix space.
+"""Exact polyhedral cones in Q^r.
 
 A PolyCone has two descriptions:
   V-description: lineality basis (lines) + extreme rays (rays),
@@ -19,22 +18,16 @@ sorted) make structural equality meaningful.  Generators known to span the
 kernel of a matrix (``from_generators(span=...)``) are worked in that
 kernel's coordinates: the pass runs in its dimension, the equations are
 given, and the facet normals are lifted rather than projected.
-
-A MuCone is a finite intersection of generalized half-spaces
-{Psi : Psi.v <= 0 lexicographically} in the space of N x r matrices; it is
-stored canonically through the generating vectors v of its co-polar cone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Optional, Sequence
 
 from lexfan.errors import DimensionError, InvariantError
-from lexfan.exactlex import WeightMatrix, lex_sign, mat_vec
 from lexfan.linalg import (
     canonical_subspace_basis,
     dot,
@@ -332,118 +325,3 @@ def _read_off(base, cands, zsets) -> tuple:
     masks = {m for _, m in rest}
     kept = [c for c, m in rest if not any(n != m and n & m == m for n in masks)]
     return _canonical(span, kept)
-
-
-# ---------------------------------------------------------------------------
-# cone operations
-# ---------------------------------------------------------------------------
-
-def cone_sum(a: PolyCone, b: PolyCone) -> PolyCone:
-    return PolyCone.from_generators(
-        a.dim, rays=list(a.rays) + list(b.rays), lines=list(a.lines) + list(b.lines)
-    )
-
-
-def cone_intersection(a: PolyCone, b: PolyCone) -> PolyCone:
-    return PolyCone.from_normals(
-        a.dim,
-        ineqs=list(a.ineq_normals) + list(b.ineq_normals),
-        eqs=list(a.eq_normals) + list(b.eq_normals),
-    )
-
-
-def coface(cone: PolyCone, u: Sequence) -> PolyCone:
-    """The cone C + R.u for u in C, computed as the intersection of the
-    half-spaces of C whose normals vanish on u."""
-    if not cone.contains(u):
-        raise ValueError("point is not in the cone")
-    tight = [n for n in cone.ineq_normals if dot(n, u) == 0]
-    return PolyCone.from_normals(cone.dim, ineqs=tight, eqs=cone.eq_normals)
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """Faces of a cone, each paired with the co-face taken at a relative
-    interior point, plus the inclusion relation between faces."""
-
-    entries: tuple  # of (face, relint_point, coface)
-    incidence: frozenset  # pairs (i, j) with face_i a subset of face_j
-
-    @property
-    def faces(self) -> list[PolyCone]:
-        return [e[0] for e in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def cofaces(cone: PolyCone) -> FaceLattice:
-    """One co-face per face; the counts agree."""
-    fs = cone.faces()
-    entries = []
-    for f in fs:
-        p = f.relative_interior_point()
-        entries.append((f, p, coface(cone, p)))
-    inc = frozenset(
-        (i, j)
-        for i, fi in enumerate(fs)
-        for j, fj in enumerate(fs)
-        if i != j and fi <= fj
-    )
-    return FaceLattice(entries=tuple(entries), incidence=inc)
-
-
-# ---------------------------------------------------------------------------
-# MuCone: lexicographic half-space intersections in matrix space
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MuCone:
-    """Intersection of {Psi : Psi.v <= 0 lex} over the generators v of the
-    stored co-polar cone; this representation is canonical and faithful."""
-
-    n_rank: int  # N, number of matrix rows
-    copolar_cone: PolyCone
-
-    @property
-    def r(self) -> int:
-        return self.copolar_cone.dim
-
-    @property
-    def copolar_generators(self) -> tuple:
-        return self.copolar_cone.generators
-
-
-@dataclass(frozen=True)
-class MuMembership:
-    member: bool
-    signs: tuple  # lex sign of Psi.v per co-polar generator, aligned
-    face: Optional[MuCone]  # the face whose relative interior holds Psi
-
-
-def mu_member(mu: MuCone, psi: WeightMatrix) -> MuMembership:
-    """Membership with the per-generator lex sign ledger; the equality subset
-    identifies the face containing Psi."""
-    if psi.n_cols != mu.r:
-        raise DimensionError("matrix columns != co-polar ambient dimension")
-    gens = mu.copolar_generators
-    signs = tuple(lex_sign(mat_vec(psi, v)) for v in gens)
-    if any(s > 0 for s in signs):
-        return MuMembership(member=False, signs=signs, face=None)
-    tightsum = (0,) * mu.r
-    for v, s in zip(gens, signs):
-        if s == 0:
-            tightsum = tuple(map(add, tightsum, v))
-    return MuMembership(member=True, signs=signs, face=mu_face(mu, tightsum))
-
-
-def mu_face(mu: MuCone, u: Sequence) -> MuCone:
-    """The face of the mu-cone cut out by {Psi : Psi.u = 0}; dual to the
-    co-face of the co-polar at u."""
-    return MuCone(n_rank=mu.n_rank, copolar_cone=coface(mu.copolar_cone, u))
-
-
-def mu_dim(mu: MuCone) -> int:
-    """N times the codimension of the lineality space of the co-polar."""
-    c = mu.copolar_cone
-    return mu.n_rank * (c.dim - len(c.lines))

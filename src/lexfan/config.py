@@ -260,13 +260,6 @@ class MarkedSubdivision:
         return tuple(sorted(out))
 
 
-def trivial_subdivision(cfg: PointConfig) -> MarkedSubdivision:
-    h = hull_of(cfg.points)
-    return MarkedSubdivision(
-        cells=(MarkedCell(vertices=h.vertices, marking=tuple(range(cfg.r))),)
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool

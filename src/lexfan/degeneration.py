@@ -1,6 +1,6 @@
 """Associated graded algebras of the two quasi-valuations on a
 degree-truncated basis, plus the Stanley-Reisner ideal in the triangulation
-case and a Khovanskii-basis report.
+case.
 
 Both algebras are reduced unions of toric pieces, one per cell, so two basis
 classes multiply to zero exactly when no component holds both: the structure
@@ -21,7 +21,6 @@ from lexfan.config import (
 )
 from lexfan.quasival import (
     GradedPoint,
-    Submonoid,
     TruncatedSemigroup,
     class_masks,
     in_cell_cone,
@@ -184,37 +183,3 @@ def stanley_reisner(cfg: PointConfig, t: MarkedSubdivision) -> SRIdeal:
                 nonfaces.append(tuple(sorted(combo)))
     nilpotent = tuple(i for i in range(cfg.r) if i not in variables)
     return SRIdeal(variables=variables, nonfaces=tuple(nonfaces), nilpotent=nilpotent)
-
-
-@dataclass(frozen=True)
-class KhovanskiiReport:
-    """Whether the degree-1 classes generate the graded algebra of the
-    piecewise-linear valuation up to the bound."""
-
-    bound: int
-    generated: tuple  # points expressible inside a common cell
-    extra_generators: tuple  # points requiring new generators, with cells
-    per_cell_extras: tuple  # per cell: S_Q elements not generated by A cap Q
-
-
-def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
-    cfg, s = t.cfg, t.s
-    generated_by = [Submonoid(cfg, _inside(cfg, cell)) for cell in s.cells]
-    masks = t.cell_masks
-    generated, extra = [], []
-    for u in t.basis:
-        if u.d == 0:
-            continue
-        cells_holding = [ci for ci in range(len(s.cells)) if masks[u] >> ci & 1]
-        ok = any(in_SQ1(generated_by[ci], u) for ci in cells_holding)
-        (generated if ok else extra).append((u, tuple(cells_holding)))
-    per_cell = tuple(
-        tuple(u for u in comp if u.d > 0 and not in_SQ1(q, u))
-        for q, comp in zip(generated_by, t.cell_semigroups)
-    )
-    return KhovanskiiReport(
-        bound=t.bound,
-        generated=tuple(u for u, _ in generated),
-        extra_generators=tuple(extra),
-        per_cell_extras=per_cell,
-    )

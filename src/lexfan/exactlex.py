@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from lexfan.errors import DimensionError, SchemaError
 
@@ -93,10 +93,6 @@ class LexVec(tuple):
         return "LexVec(" + ", ".join(str(c) for c in self) + ")"
 
 
-def zero_vec(n: int) -> LexVec:
-    return LexVec([0] * n)
-
-
 class Infinity:
     """The distinguished top element: greater than every LexVec, absorbing
     under addition.  A tagged alternative, never a numeric sentinel."""
@@ -145,16 +141,6 @@ class Infinity:
 INFINITY = Infinity()
 
 
-def lex_sign(a: Sequence[Fraction]) -> int:
-    """Sign of a vector under the lexicographic order: -1, 0 or +1."""
-    for x in a:
-        if x < 0:
-            return -1
-        if x > 0:
-            return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """An N x r matrix over Q; column j is the height vector of the j-th
@@ -194,13 +180,3 @@ class WeightMatrix:
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
         return f"WeightMatrix({body})"
-
-
-def mat_vec(psi: WeightMatrix, u: Sequence) -> LexVec:
-    """Psi . u as a LexVec (the bilinear pairing of matrix space with Q^r)."""
-    if len(u) != psi.n_cols:
-        raise DimensionError(f"matrix has {psi.n_cols} columns, vector length {len(u)}")
-    # ints multiply the Fraction rows as they are; zero entries drop out
-    uu = [(j, x if type(x) is int else rat(x)) for j, x in enumerate(u)]
-    uu = [(j, x) for j, x in uu if x]
-    return LexVec(sum(row[j] * x for j, x in uu) for row in psi.rows)

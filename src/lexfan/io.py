@@ -1,6 +1,7 @@
-"""JSON (de)serialization; every number travels as an exact rational string
-"p/q" (or "p"), so round-trips are exact.  ``chunks`` streams the CLI's
-output, byte for byte as ``json.dumps(obj, indent=2)``."""
+"""The CLI's JSON: its inputs read, with schema checks, into exact objects,
+and its outputs written with every number as an exact rational string
+"p/q" (or "p"), which ``exactlex.rat`` reads back exactly.  ``chunks``
+streams an output, byte for byte as ``json.dumps(obj, indent=2)``."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from lexfan.cones import MuCone, PolyCone
-from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig
+from lexfan.cones import PolyCone
+from lexfan.config import MarkedSubdivision, PointConfig
 from lexfan.degeneration import SRIdeal
 from lexfan.errors import SchemaError
 from lexfan.exactlex import WeightMatrix, rat, rat_str
@@ -34,12 +35,6 @@ def _int(x) -> int:
     return x
 
 
-def _rat_list(xs) -> list:
-    if not isinstance(xs, list):
-        raise SchemaError("expected a list of rationals")
-    return [rat(x) for x in xs]
-
-
 # -- configurations ---------------------------------------------------------
 
 def config_to_json(cfg: PointConfig, s: MarkedSubdivision | None = None) -> dict:
@@ -57,28 +52,11 @@ def config_from_json(obj: dict) -> PointConfig:
     return PointConfig(dim=dim, points=points)  # PointConfig checks each coordinate
 
 
-def subdivision_from_json(obj: dict) -> MarkedSubdivision:
-    cells = _require(obj, "cells", list)
-    out = []
-    for c in cells:
-        out.append(
-            MarkedCell(
-                vertices=tuple(_int(i) for i in _require(c, "vertices", list)),
-                marking=tuple(_int(i) for i in _require(c, "marking", list)),
-            )
-        )
-    return MarkedSubdivision(cells=tuple(out))
-
-
 def subdivision_to_json(s: MarkedSubdivision) -> dict:
     return {"cells": [{"vertices": list(c.vertices), "marking": list(c.marking)} for c in s.cells]}
 
 
 # -- matrices and expressions ----------------------------------------------
-
-def matrix_to_json(psi: WeightMatrix) -> dict:
-    return {"Psi": [[rat_str(x) for x in row] for row in psi.rows]}
-
 
 def matrix_from_json(obj: dict) -> WeightMatrix:
     rows = _require(obj, "Psi", list)
@@ -87,12 +65,6 @@ def matrix_from_json(obj: dict) -> WeightMatrix:
     if not all(isinstance(row, list) for row in rows):  # WeightMatrix would take "12" as a row
         raise SchemaError("expected a list of rationals")
     return WeightMatrix(rows=tuple(rows))  # WeightMatrix decodes each entry
-
-
-def expr_to_json(f: Expr) -> list:
-    return [
-        {"d": u.d, "eta": list(u.eta), "coeff": rat_str(c)} for u, c in f.terms
-    ]
 
 
 def expr_from_json(obj) -> Expr:
@@ -113,20 +85,6 @@ def cone_to_json(cone: PolyCone) -> dict:
     return {
         "generators": [[rat_str(x) for x in g] for g in cone.generators],
         "normals": [[rat_str(x) for x in n] for n in cone.normals],
-    }
-
-
-def cone_from_json(obj: dict, dim: int) -> PolyCone:
-    gens = _require(obj, "generators", list)
-    return PolyCone.from_generators(dim, rays=[_rat_list(g) for g in gens])
-
-
-def mucone_to_json(mu: MuCone) -> dict:
-    return {
-        "N": mu.n_rank,
-        "copolar_generators": [
-            [rat_str(x) for x in v] for v in mu.copolar_generators
-        ],
     }
 
 
@@ -156,11 +114,6 @@ _TUPLES = frozenset((tuple,))
 _ROWS = frozenset((list, tuple))
 _BIG = 1024  # a list this long is written item by item
 _HOLE = "\0"  # marks a node written item by item; rendered text escapes NUL
-
-
-def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2)``, as ``chunks`` renders it."""
-    return "".join(chunks(obj))
 
 
 def chunks(obj: Any) -> Iterator[str]:

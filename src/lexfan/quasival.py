@@ -33,7 +33,7 @@ from lexfan.config import (
 from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
 from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat
 from lexfan.gkzfan import PiecewiseLinearMap, subdivide, value_row
-from lexfan.linalg import dot, rank
+from lexfan.linalg import dot
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +580,7 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# power sequences, accumulation, elementarity, full rank
+# power sequences and accumulation
 # ---------------------------------------------------------------------------
 
 def power_seq(
@@ -688,58 +688,6 @@ def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationRepo
     return AccumulationReport(
         candidates=frozenset(candidates), liminf=liminf, windowed=True
     )
-
-
-def is_elementary(plm: PiecewiseLinearMap, psi: WeightMatrix, f: Expr) -> bool:
-    """A unique support point strictly minimizes the first-nonzero-row
-    component of V."""
-    k = next((i for i, row in enumerate(psi.rows) if any(x != 0 for x in row)), None)
-    if k is None:
-        raise ValueError("zero weight matrix has no leading row")
-    if f.is_zero():
-        raise ValueError("elementarity of the zero expression")
-    # the int rows compare as the values do
-    vals = [value_row(plm, u.vector)[0][k] for u in f.support]
-    m = min(vals)
-    return vals.count(m) == 1
-
-
-@dataclass(frozen=True)
-class FullRankResult:
-    full_rank: bool
-    collision: Optional[tuple]  # (u, w) with equal map values
-
-
-def is_full_rank(
-    cfg: PointConfig, plm: PiecewiseLinearMap, bound: int
-) -> FullRankResult:
-    """Search the semigroup up to the bound for map-value collisions; full
-    rank up to the bound means the map is injective there."""
-    seen: dict[tuple, GradedPoint] = {}
-    for u in semigroup_up_to(cfg, bound):
-        val = value_row(plm, u.vector)[0]
-        if val in seen:
-            return FullRankResult(False, (seen[val], u))
-        seen[val] = u
-    return FullRankResult(True, None)
-
-
-def geometric_full_rank(
-    cfg: PointConfig, psi: WeightMatrix, s: MarkedSubdivision
-) -> bool:
-    """Sufficient full-rank test for triangulations: over every union of two
-    cells the matrix columns of the involved points are linearly
-    independent."""
-    from lexfan.config import is_triangulation
-
-    if not is_triangulation(cfg, s):
-        raise ValueError("geometric full-rank test requires a triangulation")
-    for ca, cb in itertools.combinations_with_replacement(s.cells, 2):
-        idxs = sorted(set(ca.marking) | set(cb.marking))
-        cols = [[psi.rows[k][i] for i in idxs] for k in range(psi.n_rows)]
-        if rank(cols) != len(idxs):
-            return False
-    return True
 
 
 def stack(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:

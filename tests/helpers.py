@@ -7,7 +7,9 @@ import random
 from fractions import Fraction
 
 from lexfan.cones import PolyCone
-from lexfan.exactlex import WeightMatrix
+from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
+from lexfan.exactlex import WeightMatrix, rat_str
+from lexfan.quasival import Expr
 
 
 def random_cone(rng: random.Random, dim: int, max_gens: int = 6) -> PolyCone:
@@ -29,6 +31,20 @@ def polar(c: PolyCone) -> PolyCone:
     if not gens:
         return PolyCone.from_normals(c.dim)
     return PolyCone.from_normals(c.dim, ineqs=gens)
+
+
+def trivial_subdivision(cfg: PointConfig) -> MarkedSubdivision:
+    """One cell, the hull of the configuration, marking every point."""
+    h = hull_of(cfg.points)
+    return MarkedSubdivision(cells=(MarkedCell(vertices=h.vertices, marking=tuple(range(cfg.r))),))
+
+
+def matrix_to_json(psi: WeightMatrix) -> dict:
+    return {"Psi": [[rat_str(x) for x in row] for row in psi.rows]}
+
+
+def expr_to_json(f: Expr) -> list:
+    return [{"d": u.d, "eta": list(u.eta), "coeff": rat_str(c)} for u, c in f.terms]
 
 
 def random_matrix(rng: random.Random, n: int, r: int) -> WeightMatrix:

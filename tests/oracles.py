@@ -3,10 +3,12 @@ against: fiber optima by basic feasible solutions, cell maps by one solve
 per affine basis and the piecewise-linear map evaluated on them in
 Fractions, semigroup membership by an exact knapsack, cell-cone
 membership and the cells searched by a least multiple point by point, the
-Euclidean closure of a lex-matrix cone, the refinement poset pair by pair, a rank-k weight
-matrix flattened to one row, candidate cells and volumes by hulls, proper
-meeting of two cells by circuits and the cover search that tests it pair by
-pair, and the face-lattice invariants of a whole ``fan`` output.  No command or script uses them.
+Euclidean closure of a lex-matrix cone, the lex sign of Psi . u that
+``gkzfan.closed_member``'s sign ledger reads off int rows, the refinement
+poset pair by pair, a rank-k weight matrix flattened to one row, candidate
+cells and volumes by hulls, proper meeting of two cells by circuits and the
+cover search that tests it pair by pair, and the face-lattice invariants of
+a whole ``fan`` output.  No command or script uses them.
 
 ``python tests/oracles.py CONFIG FAN_JSON`` checks a ``fan`` output against
 the invariants (``fan_invariant_violations``) and exits 1 if one fails."""
@@ -19,10 +21,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from lexfan.cones import MuCone, PolyCone
+from lexfan.cones import PolyCone
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
-from lexfan.errors import BudgetExceeded, InvariantError, SchemaError
-from lexfan.exactlex import LexVec, WeightMatrix, mat_vec, zero_vec
+from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, SchemaError
+from lexfan.exactlex import LexVec, WeightMatrix, rat
 from lexfan.gkzfan import circuits
 from lexfan.linalg import dot, echelon, nullspace, primitive, rank, solve
 from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_cell_cone, in_SQ1
@@ -75,7 +77,7 @@ def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[Le
     {lambda >= 0 : sum lambda_j (1, chi_j) = w}, by enumerating its vertices
     as basic feasible solutions.  None if the fiber is empty."""
     if all(x == 0 for x in w):
-        return zero_vec(psi.n_rows)
+        return LexVec([0] * psi.n_rows)
     cols = [cfg.homogenized(j) for j in range(cfg.r)]
     n = cfg.n
     best = None
@@ -134,11 +136,31 @@ def least_multiple_by_cones(t: TruncatedSemigroup, u: GradedPoint) -> int:
     raise ValueError(f"no multiple k*u with k <= {t.multiple_limit} of u = {u}")
 
 
-def euclidean_closure(mu: MuCone) -> PolyCone:
-    """The topological closure of the mu-cone as an ordinary polyhedral cone
-    in Q^(N*r): rows constrained to the span of the co-polar's normals, the
-    most-significant row obeying the co-polar's inequalities.  Its dimension
-    independently recomputes mu_dim."""
+def lex_sign(a: Sequence[Fraction]) -> int:
+    """Sign of a vector under the lexicographic order: -1, 0 or +1."""
+    for x in a:
+        if x < 0:
+            return -1
+        if x > 0:
+            return 1
+    return 0
+
+
+def mat_vec(psi: WeightMatrix, u: Sequence) -> LexVec:
+    """Psi . u as a LexVec (the bilinear pairing of matrix space with Q^r)."""
+    if len(u) != psi.n_cols:
+        raise DimensionError(f"matrix has {psi.n_cols} columns, vector length {len(u)}")
+    # ints multiply the Fraction rows as they are; zero entries drop out
+    uu = [(j, x if type(x) is int else rat(x)) for j, x in enumerate(u)]
+    uu = [(j, x) for j, x in uu if x]
+    return LexVec(sum(row[j] * x for j, x in uu) for row in psi.rows)
+
+
+def euclidean_closure(mu) -> PolyCone:
+    """The topological closure of a ``paper.MuCone`` as an ordinary
+    polyhedral cone in Q^(N*r): rows constrained to the span of the
+    co-polar's normals, the most-significant row obeying the co-polar's
+    inequalities.  Its dimension independently recomputes mu_dim."""
     c = mu.copolar_cone
     n, r = mu.n_rank, c.dim
     eqs = []

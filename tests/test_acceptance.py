@@ -5,14 +5,7 @@ import random
 import time
 from fractions import Fraction
 
-from lexfan.cones import (
-    MuCone,
-    PolyCone,
-    cofaces,
-    cone_intersection,
-    cone_sum,
-    mu_dim,
-)
+from lexfan.cones import PolyCone
 from lexfan.config import MarkedCell, MarkedSubdivision, is_triangulation
 from lexfan.exactlex import LexVec, WeightMatrix
 from lexfan.gkzfan import (
@@ -31,7 +24,6 @@ from lexfan.quasival import (
     TruncatedSemigroup,
     delta_image,
     in_SQ1,
-    is_full_rank,
     nu_quasi,
     power_seq,
     semigroup_up_to,
@@ -43,6 +35,7 @@ from lexfan.degeneration import gr_nu_reduced, gr_v_present, stanley_reisner
 
 from helpers import criterion3_cones, polar, random_matrix
 from oracles import euclidean_closure
+from paper import MuCone, cofaces, cone_intersection, cone_sum, is_full_rank, mu_dim
 
 
 def _report(capsys, n, message):

@@ -10,17 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexfan import cones
-from lexfan.cones import (
-    MuCone,
-    PolyCone,
-    coface,
-    cofaces,
-    cone_intersection,
-    cone_sum,
-    mu_dim,
-    mu_face,
-    mu_member,
-)
+from lexfan.cones import PolyCone
 from lexfan.config import hull_of, refinement_poset
 from lexfan.errors import DimensionError
 from lexfan.exactlex import WeightMatrix
@@ -29,6 +19,16 @@ from lexfan.gkzfan import condition_cone, enumerate_regular_subdivisions
 
 from helpers import criterion3_cones, polar, random_cone, sides
 from oracles import euclidean_closure
+from paper import (
+    MuCone,
+    coface,
+    cofaces,
+    cone_intersection,
+    cone_sum,
+    mu_dim,
+    mu_face,
+    mu_member,
+)
 
 
 class TestPolyCone:

@@ -15,13 +15,13 @@ from lexfan.config import (
     hull_of,
     is_triangulation,
     refines,
-    trivial_subdivision,
     validate_subdivision,
     volume,
 )
 from lexfan.errors import DimensionError, SchemaError
 from lexfan.linalg import dot, rank
 
+from helpers import trivial_subdivision
 from oracles import pulling_volume
 
 

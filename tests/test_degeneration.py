@@ -3,16 +3,17 @@ reports."""
 
 import pytest
 
-from lexfan.config import trivial_subdivision
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import shift_row, subdivide
 from lexfan.degeneration import (
     gr_nu_reduced,
     gr_v_present,
-    khovanskii_report,
     stanley_reisner,
 )
 from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_SQ1
+
+from helpers import trivial_subdivision
+from paper import khovanskii_report
 
 
 def gp(d, e):

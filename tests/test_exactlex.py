@@ -12,16 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexfan.errors import DimensionError, SchemaError
-from lexfan.exactlex import (
-    INFINITY,
-    LexVec,
-    WeightMatrix,
-    lex_sign,
-    mat_vec,
-    rat,
-    rat_str,
-    zero_vec,
-)
+from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, rat, rat_str
+
+from oracles import lex_sign, mat_vec
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=12
@@ -196,7 +189,8 @@ class TestWeightMatrix:
             mat_vec(seg_psi, [1, 2, 3])
 
     def test_zero_vec(self):
-        assert zero_vec(3) == LexVec([0, 0, 0])
+        zero, u = LexVec([0] * 3), LexVec([1, "-1/2", 2])
+        assert zero == LexVec([0, 0, 0]) and -zero == zero and u + zero == u
 
 
 class TestReimport:

@@ -24,11 +24,10 @@ from lexfan.config import (
     hull_of,
     refinement_poset,
     refines,
-    trivial_subdivision,
     validate_subdivision,
 )
 from lexfan.errors import BudgetExceeded, DimensionError, InvariantError
-from lexfan.exactlex import LexVec, WeightMatrix, lex_sign, mat_vec
+from lexfan.exactlex import LexVec, WeightMatrix
 from lexfan.gkzfan import (
     _candidate_cells,
     _cell_relations,
@@ -62,13 +61,15 @@ from lexfan.linalg import (
     solve,
 )
 
-from helpers import random_matrix, sides
+from helpers import random_matrix, sides, trivial_subdivision
 from oracles import (
     cell_maps_by_solve,
     fan_invariant_violations,
     fiber_value,
     flattened,
     hull_candidate_cells,
+    lex_sign,
+    mat_vec,
     pairwise_cover_search,
     pairwise_refinement_poset,
 )

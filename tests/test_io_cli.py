@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from lexfan import config, exactlex, gkzfan, io, lp, quasival
 from lexfan.cli import main, render_svg
-from lexfan.cones import MuCone, PolyCone
-from lexfan.config import MarkedSubdivision, PointConfig
+from lexfan.cones import PolyCone
+from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig
 from lexfan.errors import (
     EXIT_CODES,
     BudgetExceeded,
@@ -31,20 +31,24 @@ from lexfan.errors import (
     DimensionError,
     SchemaError,
 )
-from lexfan.exactlex import WeightMatrix
+from lexfan.exactlex import WeightMatrix, rat, rat_str
 from lexfan.gkzfan import condition_cone
 from lexfan.quasival import Expr, GradedPoint
+
+from helpers import expr_to_json, matrix_to_json
+from paper import MuCone
 
 
 class TestJson:
     def test_config_roundtrip(self, seg_cfg, seg_sub):
         obj = io.config_to_json(seg_cfg, seg_sub)
         assert io.config_from_json(obj) == seg_cfg
-        assert io.subdivision_from_json(obj) == seg_sub
+        cells = [MarkedCell(tuple(c["vertices"]), tuple(c["marking"])) for c in obj["cells"]]
+        assert MarkedSubdivision(cells=tuple(cells)) == seg_sub
 
     def test_matrix_roundtrip_exact_rationals(self):
         psi = WeightMatrix(rows=(("1/3", "-7/2", 0), (2, "5", "-1/9")))
-        obj = io.matrix_to_json(psi)
+        obj = matrix_to_json(psi)
         assert obj["Psi"][0][0] == "1/3"
         assert io.matrix_from_json(json.loads(json.dumps(obj))) == psi
 
@@ -52,19 +56,22 @@ class TestJson:
         f = Expr.from_terms(
             [(GradedPoint(1, (-1,)), "2/3"), (GradedPoint(2, (4,)), -1)]
         )
-        assert io.expr_from_json(io.expr_to_json(f)) == f
+        assert io.expr_from_json(expr_to_json(f)) == f
 
     def test_cone_json(self, seg_cfg, seg_sub):
         cone = condition_cone(seg_cfg, seg_sub).cone
         obj = io.cone_to_json(cone)
         assert set(obj) == {"generators", "normals"}
-        assert io.cone_from_json(obj, seg_cfg.r) == cone
+        rays = [[rat(x) for x in g] for g in obj["generators"]]
+        assert PolyCone.from_generators(seg_cfg.r, rays=rays) == cone
 
     def test_mucone_json(self):
         cone = PolyCone.from_generators(2, rays=[(1, 0), (1, 2)])
-        obj = io.mucone_to_json(MuCone(n_rank=3, copolar_cone=cone))
-        assert obj["N"] == 3
-        assert len(obj["copolar_generators"]) == 2
+        # the co-polar generators, written as rationals, rebuild the cone
+        gens = MuCone(n_rank=3, copolar_cone=cone).copolar_generators
+        obj = json.loads(json.dumps([[rat_str(x) for x in v] for v in gens]))
+        assert len(obj) == 2
+        assert PolyCone.from_generators(2, rays=[[rat(x) for x in v] for v in obj]) == cone
 
     def test_schema_errors(self):
         with pytest.raises(SchemaError):
@@ -148,25 +155,25 @@ _JSON = st.recursive(
 
 
 class TestDumps:
-    """``io.dumps`` against ``json.dumps(indent=2)``."""
+    """``io.chunks``, joined, against ``json.dumps(indent=2)``."""
 
     @settings(max_examples=200, deadline=None)
     @given(x=_JSON, t=_FLAT_TUPLES)
     def test_matches_json_dumps(self, x, t):
         # the same tuple at several depths, and a tuple holding a list
         obj = {"x": x, "t": t, "deeper": [t, {"t": t, "x": x}], "holds": (t, [x], t)}
-        assert io.dumps(obj) == json.dumps(obj, indent=2)
-        assert io.dumps(x) == json.dumps(x, indent=2)
+        assert "".join(io.chunks(obj)) == json.dumps(obj, indent=2)
+        assert "".join(io.chunks(x)) == json.dumps(x, indent=2)
 
     def test_equal_tuples_of_other_types(self):
         # (1,) == (True,) == (1.0,) but each renders its own way
         obj = [(1, 0), (True, False), (1.0, 0.0), [(1, 0), (True, False)]]
-        assert io.dumps(obj) == json.dumps(obj, indent=2)
-        assert "true" in io.dumps(obj)
+        assert "".join(io.chunks(obj)) == json.dumps(obj, indent=2)
+        assert "true" in "".join(io.chunks(obj))
         # the same for lists, which are joined whole but never memoised
         obj = [[1, 0], [True, False], [1.0, 0.0], [[1, "0"], [True, "0"]], (1, 0)]
-        assert io.dumps(obj) == json.dumps(obj, indent=2)
-        assert io.dumps(obj).count("true") == 2
+        assert "".join(io.chunks(obj)) == json.dumps(obj, indent=2)
+        assert "".join(io.chunks(obj)).count("true") == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -222,7 +229,7 @@ class TestDumps:
     def test_row_lists_match_json_dumps(self, rows):
         # at several depths, as a tuple, and as the items of a held list
         obj = {"rows": rows, "deeper": [rows, {"r": rows, "t": tuple(rows)}], "again": rows}
-        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        assert "".join(io.chunks(obj)) == json.dumps(obj, indent=2)
         held = [list(rows)] * 1100 + [rows]
         assert "".join(io.chunks(held)) == json.dumps(held, indent=2)
 
@@ -249,7 +256,7 @@ class TestDumps:
         obj = rows
         for _ in range(depth):
             obj = {"k": [obj, rows]}
-        assert io.dumps(obj) == json.dumps(obj, indent=2)
+        assert "".join(io.chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_row_lists_run_no_frame_per_row(self):
         # a frame per row, or per item, would show as thousands of calls;
@@ -268,7 +275,7 @@ class TestDumps:
 
         sys.setprofile(count)
         try:
-            rendered = io.dumps(rows)
+            rendered = "".join(io.chunks(rows))
         finally:
             sys.setprofile(None)
         assert rendered == json.dumps(rows, indent=2)
@@ -280,9 +287,9 @@ class TestDumps:
 
     def test_non_str_key_raises(self):
         with pytest.raises(TypeError):
-            io.dumps({1: 2})
+            "".join(io.chunks({1: 2}))
         with pytest.raises(TypeError):
-            io.dumps([object()])
+            "".join(io.chunks([object()]))
 
 
 def _materialized(x):
@@ -301,12 +308,12 @@ def files(tmp_path, seg_cfg, seg_psi):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(io.config_to_json(seg_cfg)))
     mat = tmp_path / "psi.json"
-    mat.write_text(json.dumps(io.matrix_to_json(seg_psi)))
+    mat.write_text(json.dumps(matrix_to_json(seg_psi)))
     expr = tmp_path / "f.json"
     f = Expr.from_terms(
         [(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)]
     )
-    expr.write_text(json.dumps(io.expr_to_json(f)))
+    expr.write_text(json.dumps(expr_to_json(f)))
     return {"config": str(cfg), "matrix": str(mat), "expr": str(expr), "dir": tmp_path}
 
 
@@ -444,7 +451,7 @@ class TestCli:
         data = Path(__file__).resolve().parent.parent / "scripts" / "data"
         expr = tmp_path / "f.json"
         f = Expr.from_terms([(GradedPoint(13, (0,)), 1), (GradedPoint(20, (100,)), 1)])
-        expr.write_text(json.dumps(io.expr_to_json(f)))
+        expr.write_text(json.dumps(expr_to_json(f)))
         inputs = [str(data / "segment.json"), str(data / "segment_psi.json"), str(expr)]
         assert main(["--degree-bound", "12", "valuate", *inputs]) == 2
         out, err = capsys.readouterr()
@@ -510,7 +517,7 @@ class TestCli:
         f = Expr.from_terms(
             [(GradedPoint(2000, (8000,)), 1), (GradedPoint(2000, (-4000,)), "1/2")]
         )
-        far.write_text(json.dumps(io.expr_to_json(f)))
+        far.write_text(json.dumps(expr_to_json(f)))
         return str(far)
 
     def test_degree_bound_2000_needs_no_recursion(self, files, capsys, tmp_path):
@@ -826,6 +833,8 @@ _EXIT_TABLE = {
                   "a weight matrix needs at least one row"),
     "svg for fan": (SchemaError, ["--format", "svg"], "fan", [_SEG],
                     "svg output is not available for this command"),
+    "text for fan": (SchemaError, ["--format", "text"], "fan", [_SEG],
+                     "text output is not available for this command"),
     "term outside the semigroup": (SchemaError, [], "valuate",
                                    [_SEG, _SEG_PSI, [{"d": 1, "eta": [1], "coeff": "1"}]],
                                    "GradedPoint(d=1, eta=(1,)) is not in the semigroup"),

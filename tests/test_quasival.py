@@ -16,11 +16,10 @@ from lexfan.config import (
     MarkedSubdivision,
     PointConfig,
     hull_of,
-    trivial_subdivision,
 )
 from lexfan.degeneration import gr_nu_reduced
 from lexfan.errors import DegreeOverflow, DimensionError, InvariantError, SchemaError
-from lexfan.exactlex import INFINITY, LexVec, WeightMatrix, mat_vec
+from lexfan.exactlex import INFINITY, LexVec, WeightMatrix
 from lexfan.gkzfan import linear_extension, subdivide
 from lexfan.linalg import dot
 from lexfan.quasival import (
@@ -35,11 +34,8 @@ from lexfan.quasival import (
     delta,
     delta_image,
     delta_point,
-    geometric_full_rank,
     in_cell_cone,
     in_SQ1,
-    is_elementary,
-    is_full_rank,
     least_multiple,
     nu_point,
     nu_quasi,
@@ -53,13 +49,16 @@ from lexfan.quasival import (
     windowed_accumulation,
 )
 
+from helpers import trivial_subdivision
 from oracles import (
     bounded_combination,
     cell_maps_by_solve,
     cell_semigroup_by_contains,
     least_multiple_by_cones,
+    mat_vec,
     value_by_cells,
 )
+from paper import geometric_full_rank, is_elementary, is_full_rank
 
 
 DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
