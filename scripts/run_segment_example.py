@@ -79,7 +79,7 @@ def main() -> None:
     pres_nu = gr_nu_reduced(truncated)
     print(
         "reduced gr_nu nilpotent classes:",
-        [(u.vector, w) for u, w in pres_nu.nilpotents[:4]],
+        [(pres_nu.basis[i], w) for i, w in pres_nu.nilpotents[:4]],
         "...",
     )
     print("Stanley-Reisner ideal:", stanley_reisner(cfg, s))

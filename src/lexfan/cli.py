@@ -241,12 +241,12 @@ def cmd_degenerate(args) -> int:
 
 
 def _presentation_payload(pres) -> dict:
-    """Points as ``u.vector`` tuples, which ``io.chunks`` renders once each."""
+    """Classes by index: ``io.chunks`` renders each class's one tuple once."""
     return {
         "basis_size": len(pres.basis),
-        "components": [[u.vector for u in comp] for comp in pres.components],
-        "zero_products": [(u.vector, w.vector) for u, w in pres.table],
-        "nilpotents": [{"point": u.vector, "witness": ell} for u, ell in pres.nilpotents],
+        "components": io.Rows(pres.basis, pres.components),
+        "zero_products": io.Rows(pres.basis, pres.table),
+        "nilpotents": [{"point": pres.basis[i], "witness": ell} for i, ell in pres.nilpotents],
         "equidimensional": pres.equidimensional,
         "certificates_ok": all(c.ok for c in pres.certificates) if pres.certificates else None,
     }

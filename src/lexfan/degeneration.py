@@ -10,7 +10,9 @@ Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 8-10)."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import not_
 from typing import Optional
 
 from lexfan.config import (
@@ -24,7 +26,6 @@ from lexfan.quasival import (
     TruncatedSemigroup,
     class_masks,
     in_cell_cone,
-    in_SQ1,
     least_multiple,
 )
 
@@ -47,18 +48,18 @@ class ComponentCertificate:
 
 @dataclass(frozen=True)
 class FanAlgebraPresentation:
-    """Degree-truncated presentation: basis classes, per-cell component
-    monoids, the component bitmask of each basis class (bit ci set when
-    component ci holds it), the zero products, nilpotent classes (empty for
-    the piecewise-linear valuation), and per-cell certificates."""
+    """Degree-truncated presentation, each class its index in ``basis``:
+    per-cell component monoids, the component bitmask of each class (bit ci
+    set when component ci holds it), the zero products, nilpotent classes
+    (none for the piecewise-linear valuation), and per-cell certificates."""
 
-    subdivision: MarkedSubdivision
+    semigroup: TruncatedSemigroup
     bound: int
-    basis: tuple  # of GradedPoint
-    components: tuple  # per cell: tuple of GradedPoint in its monoid
-    masks: dict  # GradedPoint -> component bitmask, for every basis class
-    table: tuple  # zero products (u, w), sorted by (u.vector, w.vector)
-    nilpotents: tuple  # of (GradedPoint, exponent witness)
+    basis: tuple  # per class: its vector (d, *eta), sorted
+    components: tuple  # per cell: the sorted classes of its monoid
+    masks: list  # per class: its component bitmask
+    table: tuple  # zero products (i, j), i <= j, sorted
+    nilpotents: tuple  # of (class, exponent witness)
     certificates: tuple  # of ComponentCertificate
     equidimensional: bool
 
@@ -68,7 +69,8 @@ class FanAlgebraPresentation:
         classes with d_u + d_w within the bound."""
         if u.d <= 0 or w.d <= 0 or u.d + w.d > self.bound:
             raise KeyError((u, w))
-        return u + w if self.masks[u] & self.masks[w] else None
+        index = self.semigroup.index
+        return u + w if self.masks[index[u.vector]] & self.masks[index[w.vector]] else None
 
 
 def _inside(cfg: PointConfig, cell) -> tuple:
@@ -77,27 +79,15 @@ def _inside(cfg: PointConfig, cell) -> tuple:
     return tuple(i for i in range(cfg.r) if h.cone.contains(cfg.homogenized(i)))
 
 
-def _equidimensional(cfg: PointConfig, s: MarkedSubdivision) -> bool:
-    return all(
-        hull_of(tuple(cfg.points[i] for i in c.vertices)).intrinsic_dim == cfg.dim
-        for c in s.cells
-    )
-
-
 def _zero_products(basis, bound, masks) -> tuple:
-    """Pairs (u, w) of positive-degree basis classes, u before w, with
-    d_u + d_w <= bound and no component holding both.  The basis is sorted by
-    (d, eta), so the pairs come out sorted by (u.vector, w.vector) and the
-    inner loop stops at the first w past the bound."""
-    pos = [(u, masks[u]) for u in basis if u.d > 0]
+    """Pairs (i, j) of positive-degree classes, i <= j, with d_i + d_j <=
+    bound and no component holding both, sorted by (basis[i], basis[j]) as
+    the basis is sorted: the classes of degree <= e precede (e + 1,)."""
     zeros = []
-    for i, (u, mask) in enumerate(pos):
-        room = bound - u.d
-        for w, other in pos[i:]:
-            if w.d > room:
-                break
-            if not mask & other:
-                zeros.append((u, w))
+    for i in range(1, bisect_left(basis, (bound,))):  # d_i from 1 to bound - 1
+        mask, end = masks[i], bisect_left(basis, (bound - basis[i][0] + 1,))
+        disjoint = map(not_, map(mask.__and__, masks[i:end]))
+        zeros += zip(itertools.repeat(i), itertools.compress(range(i, end), disjoint))
     return tuple(zeros)
 
 
@@ -110,17 +100,18 @@ def _presentation(
     submonoid; gr_V has none, as the cell semigroups cover the basis."""
     basis = t.basis
     return FanAlgebraPresentation(
-        subdivision=t.s,
+        semigroup=t,
         bound=t.bound,
         basis=basis,
         components=comps,
         masks=masks,
         table=_zero_products(basis, t.bound, masks),
         nilpotents=tuple(
-            (u, least_multiple(t, u)) for u in basis if u.d > 0 and not masks[u]
+            (i, least_multiple(t, GradedPoint(v[0], v[1:])))
+            for i, v in enumerate(basis) if v[0] > 0 and not masks[i]
         ),
         certificates=certificates,
-        equidimensional=_equidimensional(t.cfg, t.s),
+        equidimensional=t.equidimensional,
     )
 
 
@@ -149,8 +140,10 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
     nilpotent, witnessed by their least multiple that lands in one."""
-    comps = tuple(tuple(u for u in t.basis if in_SQ1(q, u)) for q in t.marked)
-    return _presentation(t, comps, class_masks(t.basis, comps))
+    comps = tuple(
+        tuple(i for i, v in enumerate(t.basis) if v[1:] in q.layer(v[0])) for q in t.marked
+    )
+    return _presentation(t, comps, class_masks(len(t.basis), comps))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ streams an output, byte for byte as ``json.dumps(obj, indent=2)``."""
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -108,42 +108,41 @@ def load_json(path: str) -> Any:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
-_FLAT, _INT, _STR = frozenset((int, str)), frozenset((int,)), frozenset((str,))
-# the item types of a tuple of tuples; as itself (``is``), checked flat ones
-_TUPLES = frozenset((tuple,))
-_ROWS = frozenset((list, tuple))
-_BIG = 1024  # a list this long is written item by item
+_INT, _STR, _ROWS = frozenset((int,)), frozenset((str,)), frozenset((list, tuple))
+_BIG = 1024  # a list, or rows of a Rows, this many are written in runs
 _HOLE = "\0"  # marks a node written item by item; rendered text escapes NUL
+
+
+class Rows:
+    """Rows by index, which ``chunks`` writes as ``[[items[i] for i in row]
+    for row in rows]``; no item holds an iterator or a list of ``_BIG``.
+    A plain class: a dataclass would cost every import about 0.5 ms."""
+
+    def __init__(self, items: Sequence, rows: Sequence):
+        self.items, self.rows = items, rows
 
 
 def chunks(obj: Any) -> Iterator[str]:
     """Pieces whose concatenation is ``json.dumps(obj, indent=2)``, byte for
     byte, for dicts with str keys, lists, tuples, str, int, bool, None and
-    float; any other iterator is written as a list.
+    float; any other iterator is written as a list, a ``Rows`` as its rows.
 
-    A subtree renders as one string in one recursive pass.  Only iterators,
-    lists of ``_BIG`` items or more, and the containers holding them are
-    yielded item by item.  Within a call each dict key is escaped once, and
-    a flat tuple, of exact ints and strs, or a tuple of such tuples, is
-    rendered once per depth, but not kept for the items of a list written
-    item by item.  Only exact leaves qualify: ``(1,) == (True,)``, yet they
-    render differently, and a tuple holding a list is not even hashable.
-
-    A list or tuple whose items are all rows, non-empty lists or tuples
-    shorter than ``_BIG`` of exact ints, of exact strs or of non-empty flat
-    tuples, is rendered with one join, and so is each run of a list written
-    item by item: no Python frame runs per row, and each distinct flat
-    tuple in the rows is rendered once through the memo.  Any other node
-    (bools, floats, subclasses, empty or mixed rows) is rendered item by
-    item."""
-    nl, sep, memo = ["\n"], [",\n"], [{}]  # per depth: indents, rendered tuples
+    A subtree renders as one string in one recursive pass; only iterators,
+    lists and ``Rows`` of ``_BIG`` items or more and their containers are
+    yielded in runs.  Each dict key is escaped once per call, and the items
+    of a ``Rows`` once per depth.  Rows are joined at once, with no Python
+    frame per row: those of a list or tuple whose items are all non-empty
+    lists or tuples shorter than ``_BIG`` of exact ints or of exact strs
+    (exact, since ``(1,) == (True,)`` renders otherwise), and each run of a
+    ``Rows`` with no empty row.  Any other node is rendered item by item."""
+    nl, sep = ["\n"], [",\n"]  # per depth: indents
     keys: dict = {}  # key -> its escaped form and ": "
     held: list = []  # (node, depth) behind each hole, in document order
+    texts: dict = {}  # (id of a Rows' items, depth) -> (the items, their texts)
 
     def deeper(depth: int) -> None:
         nl.append(nl[depth] + "  ")
         sep.append(sep[depth] + "  ")
-        memo.append({})
 
     def key(k) -> str:
         if not isinstance(k, str):
@@ -151,34 +150,41 @@ def chunks(obj: Any) -> Iterator[str]:
         keys[k] = rendered = encode_basestring_ascii(k) + ": "
         return rendered
 
+    def joined(o, depth: int, render) -> str:
+        """Non-empty rows at depth + 1 in one join, each item by render."""
+        inner, low = depth + 1, depth + 2
+        if len(nl) == low:
+            deeper(inner)
+        between = nl[inner] + "]" + sep[inner] + "[" + nl[low]
+        items = between.join(map(sep[low].join, map(partial(map, render), o)))
+        return "[" + nl[low] + items + nl[inner] + "]"
+
     def rows(o, depth: int):
         """The items of a list or tuple at depth, all lists or tuples, joined
         by ``sep`` when each is a row; None when one is not."""
         if not all(o) or max(map(len, o)) >= _BIG:
             return None
-        inner, low = depth + 1, depth + 2
-        if len(nl) == low:
-            deeper(inner)
         leaves = {*map(type, chain.from_iterable(o))}
         if leaves == _INT:
-            render = int.__repr__
-        elif leaves == _STR:
-            render = encode_basestring_ascii
-        elif (
-            leaves == _TUPLES
-            and all(chain.from_iterable(o))
-            and {*map(type, chain.from_iterable(chain.from_iterable(o)))} <= _FLAT
-        ):
-            below = memo[low]
-            for x in {*chain.from_iterable(o)}.difference(below):
-                text(x, low)
-            render = below.__getitem__
-        else:
-            return None
-        # one separator closes a row and opens the next
-        between = nl[inner] + "]" + sep[inner] + "[" + nl[low]
-        items = between.join(map(sep[low].join, map(partial(map, render), o)))
-        return "[" + nl[low] + items + nl[inner] + "]"
+            return joined(o, depth, int.__repr__)
+        if leaves == _STR:
+            return joined(o, depth, encode_basestring_ascii)
+        return None
+
+    def indexed(o: Rows, batch, depth: int) -> str:
+        """A run of o's rows, o at depth, each index as its item's text.  Items
+        that are all rows are rendered as one list, cut where a row starts."""
+        low = depth + 2
+        while len(nl) <= low:
+            deeper(len(nl) - 1)
+        if (id(o.items), low) not in texts:
+            whole = rows(o.items, low - 1) if {*map(type, o.items)} <= _ROWS else None
+            cut = ["[" + t for t in whole[1:].split(sep[low] + "[")] if whole else None
+            texts[id(o.items), low] = o.items, cut or [text(x, low) for x in o.items]
+        render = texts[id(o.items), low][1].__getitem__
+        if all(batch):
+            return joined(batch, depth, render)
+        return sep[depth + 1].join([joined([r], depth, render) if r else "[]" for r in batch])
 
     def array(o, depth: int, types) -> str:
         """A non-empty list or tuple at depth whose items have these types."""
@@ -189,18 +195,11 @@ def chunks(obj: Any) -> Iterator[str]:
             items = sep[inner].join(map(int.__repr__, o))
         elif types == _STR:
             items = sep[inner].join(map(encode_basestring_ascii, o))
-        elif types <= _FLAT:
-            items = sep[inner].join(
-                [int.__repr__(x) if type(x) is int else encode_basestring_ascii(x) for x in o]
-            )
-        elif types is _TUPLES:
-            below = memo[inner]
-            items = sep[inner].join([below.get(x) or text(x, inner) for x in o])
         elif not types <= _ROWS or (items := rows(o, depth)) is None:
             items = sep[inner].join([text(x, inner) for x in o])
         return f"[{nl[inner]}{items}{nl[depth]}]"
 
-    def text(o: Any, depth: int, keep: bool = True) -> str:
+    def text(o: Any, depth: int) -> str:
         kind = type(o)
         if kind is str:
             return encode_basestring_ascii(o)
@@ -214,32 +213,21 @@ def chunks(obj: Any) -> Iterator[str]:
                 deeper(depth)
             items = [(keys.get(k) or key(k)) + text(v, inner) for k, v in o.items()]
             return f"{{{nl[inner]}{sep[inner].join(items)}{nl[depth]}}}"
-        if kind is list:
-            if len(o) < _BIG:
-                return array(o, depth, {*map(type, o)}) if o else "[]"
+        if kind is list and len(o) >= _BIG:
             held.append((o, depth))
             return _HOLE
-        if kind is tuple:
-            if not o:
-                return "[]"
-            types = {*map(type, o)}
-            if types == _TUPLES and {*map(type, chain.from_iterable(o))} <= _FLAT:
-                types = _TUPLES
-            elif not types <= _FLAT:
-                keep = False
-            if not keep:
-                return array(o, depth, types)
-            rendered = memo[depth].get(o)
-            if rendered is None:
-                rendered = memo[depth][o] = array(o, depth, types)
-            return rendered
+        if kind is list or kind is tuple:
+            return array(o, depth, {*map(type, o)}) if o else "[]"
         if kind is bool:
             return "true" if o else "false"
         if o is None:
             return "null"
         if isinstance(o, (dict, list, tuple)):  # a subclass
             return text(dict(o) if isinstance(o, dict) else list(o), depth)
-        if isinstance(o, Iterator):
+        if kind is Rows and 0 < len(o.rows) < _BIG:
+            rendered = indexed(o, o.rows, depth)
+            return f"[{nl[depth + 1]}{rendered}{nl[depth]}]"
+        if kind is Rows or isinstance(o, Iterator):
             held.append((o, depth))
             return _HOLE
         return json.dumps(o)  # float or a str or int subclass; TypeError for others
@@ -255,14 +243,17 @@ def chunks(obj: Any) -> Iterator[str]:
             yield part
 
     def stream(o, depth: int) -> Iterator[str]:
-        """A held list in runs of ``_BIG`` items, or an iterator item by item."""
+        """A held list or ``Rows`` in runs of ``_BIG``, or an iterator item by item."""
         inner, start = depth + 1, len(held)
         if len(nl) == inner:
             deeper(depth)
-        items, run, lead = iter(o), _BIG if type(o) is list else 1, "[" + nl[inner]
+        by_index, lead = type(o) is Rows, "[" + nl[inner]
+        items, run = iter(o.rows if by_index else o), _BIG if type(o) in (list, Rows) else 1
         while batch := list(islice(items, run)):
-            if not {*map(type, batch)} <= _ROWS or (part := rows(batch, depth)) is None:
-                part = sep[inner].join([text(x, inner, False) for x in batch])
+            if by_index:
+                part = indexed(o, batch, depth)
+            elif not {*map(type, batch)} <= _ROWS or (part := rows(batch, depth)) is None:
+                part = sep[inner].join([text(x, inner) for x in batch])
             yield from pieces(lead + part, start)
             lead = sep[inner]
         yield nl[depth] + "]" if lead is sep[inner] else "[]"

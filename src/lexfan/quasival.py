@@ -452,10 +452,11 @@ def delta_image(
     table = NuTable(cfg, psi, bound)
     image = {u: delta_point(table, plm, u) for u in elems}
     positive = [u for u in elems if u.d > 0]
+    vectors = [u.vector for u in positive]
     return DeltaImage(
         values=frozenset(image.values()),
         per_cell=tuple(
-            frozenset(image[u] for u in cell_semigroup(cfg, cell, positive))
+            frozenset(image[positive[i]] for i in cell_semigroup(cfg, cell, vectors))
             for cell in plm.subdivision.cells
         ),
     )
@@ -476,34 +477,31 @@ def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:
     return u.d >= 0 and u.eta in q.layer(u.d)
 
 
-def cell_semigroup(
-    cfg: PointConfig, cell: MarkedCell, elems: Iterable[GradedPoint]
-) -> list[GradedPoint]:
-    """S_Q among the given semigroup elements: those in the cone over Q, in
-    their order.  The hull is taken once, and each of its cone's equation
-    and facet normals n is tested on all elements still kept in one pass:
-    n.u on exact ints, as ``PolyCone.contains`` computes it, must be 0 for
-    an equation and <= 0 for a facet."""
+def cell_semigroup(cfg: PointConfig, cell: MarkedCell, vectors: Sequence[tuple]) -> list[int]:
+    """S_Q among the given points, each a vector (d, *eta): the indices of
+    those in the cone over Q, in order.  The hull is taken once, and each of
+    its cone's equation and facet normals n is tested on all points still
+    kept in one pass: n.u on exact ints, as ``PolyCone.contains`` computes
+    it, must be 0 for an equation and <= 0 for a facet."""
     cone = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone
-    elems = list(elems)
-    vectors = [u.vector for u in elems]
     if any(len(v) != cone.dim for v in vectors):
         raise DimensionError("point length != ambient dimension")
     tests = [(n, partial(eq, 0)) for n in cone.eq_normals]
     tests += [(n, partial(ge, 0)) for n in cone.ineq_normals]
+    kept = range(len(vectors))
     for n, holds in tests:
         keep = list(map(holds, map(sum, map(partial(map, mul, n), vectors))))
-        elems = list(itertools.compress(elems, keep))
+        kept = list(itertools.compress(kept, keep))
         vectors = list(itertools.compress(vectors, keep))
-    return elems
+    return list(kept)
 
 
-def class_masks(basis, comps) -> dict:
-    """The bitmask of each basis class: bit ci set when comps[ci] holds it."""
-    masks = dict.fromkeys(basis, 0)
+def class_masks(n: int, comps) -> list:
+    """The bitmask of each of n classes: bit ci set when comps[ci] holds it."""
+    masks = [0] * n
     for ci, comp in enumerate(comps):
-        for u in comp:
-            masks[u] |= 1 << ci
+        for i in comp:
+            masks[i] |= 1 << ci
     return masks
 
 
@@ -511,15 +509,22 @@ class TruncatedSemigroup:
     """The semigroup of a configuration up to a degree bound, with the pieces
     that the presentations of one subdivision read: the basis, the cell
     semigroups S_Q and the cells of each class, the marked submonoids S¹_Q
-    and the search limit of ``least_multiple``.  Each is computed once, on
-    first read; create one per computation and pass it around."""
+    and the search limit of ``least_multiple``, each class by its index in
+    the basis.  Each is computed once, on first read; create one per
+    computation and pass it around."""
 
     def __init__(self, cfg: PointConfig, s: MarkedSubdivision, bound: int):
         self.cfg, self.s, self.bound = cfg, s, bound
 
     @cached_property
     def basis(self) -> tuple:
-        return tuple(semigroup_up_to(self.cfg, self.bound))
+        """Each class of degree <= bound as its vector (d, *eta), sorted."""
+        return tuple(u.vector for u in semigroup_up_to(self.cfg, self.bound))
+
+    @cached_property
+    def index(self) -> dict:
+        """The class of each basis vector, for points given as GradedPoints."""
+        return {v: i for i, v in enumerate(self.basis)}
 
     @cached_property
     def cell_semigroups(self) -> tuple:
@@ -528,9 +533,9 @@ class TruncatedSemigroup:
         )
 
     @cached_property
-    def cell_masks(self) -> dict:
-        """The cells whose cone holds each basis class, as a bitmask."""
-        return class_masks(self.basis, self.cell_semigroups)
+    def cell_masks(self) -> list:
+        """The cells whose cone holds each class, as a bitmask."""
+        return class_masks(len(self.basis), self.cell_semigroups)
 
     @cached_property
     def marked(self) -> tuple:
@@ -542,6 +547,12 @@ class TruncatedSemigroup:
         """dim! * vol(P), the normalized volume of the configuration
         (``config.volume``)."""
         return volume(self.cfg.points)
+
+    @cached_property
+    def equidimensional(self) -> bool:
+        """Whether every cell spans the dimension of the configuration."""
+        hulls = (hull_of(tuple(self.cfg.points[i] for i in c.vertices)) for c in self.s.cells)
+        return all(h.intrinsic_dim == self.cfg.dim for h in hulls)
 
 
 def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
@@ -559,12 +570,15 @@ def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
     of u is a nonnegative integer combination of marked vertices.
     ValueError names u when no multiple up to the limit lands in a marked
     submonoid."""
-    mask = t.cell_masks.get(u)
-    if mask is None:
+    i = t.index.get(u.vector)
+    if i is None:
         mask = sum(1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(t.cfg, u, cell))
-    marked = [q for ci, q in enumerate(t.marked) if mask >> ci & 1]
+    else:
+        mask = t.cell_masks[i]
+    layers = [q.layer for ci, q in enumerate(t.marked) if mask >> ci & 1]
     for k in range(1, t.multiple_limit + 1):
-        if any(in_SQ1(q, u.scaled(k)) for q in marked):
+        scaled = tuple(k * c for c in u.eta)
+        if any(scaled in layer(k * u.d) for layer in layers):
             return k
     raise ValueError(
         f"no multiple k*u with k <= {t.multiple_limit} of u = {u} lies in a marked"
@@ -576,7 +590,7 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
     """A positive integer l, not always the least, with l*u in some marked
     submonoid for every basis class u up to the bound: the lcm of their least
     multiples, which every nilpotent witness of ``gr_nu_reduced`` divides."""
-    return lcm(*(least_multiple(t, u) for u in t.basis))
+    return lcm(*(least_multiple(t, GradedPoint(v[0], v[1:])) for v in t.basis))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 from lexfan.cones import PolyCone
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
 from lexfan.exactlex import WeightMatrix, rat_str
-from lexfan.quasival import Expr
+from lexfan.quasival import Expr, GradedPoint
 
 
 def random_cone(rng: random.Random, dim: int, max_gens: int = 6) -> PolyCone:
@@ -68,3 +68,8 @@ def criterion3_cones(count: int = 200, seed: int = 202):
         n = rng.randint(1, 3)
         out.append((a, b, n))
     return out
+
+
+def basis_points(basis) -> list:
+    """The classes of a basis of vectors (d, *eta), as GradedPoints."""
+    return [GradedPoint(v[0], v[1:]) for v in basis]

@@ -136,6 +136,32 @@ def least_multiple_by_cones(t: TruncatedSemigroup, u: GradedPoint) -> int:
     raise ValueError(f"no multiple k*u with k <= {t.multiple_limit} of u = {u}")
 
 
+def class_masks_by_points(basis: Sequence[GradedPoint], comps) -> dict:
+    """``quasival.class_masks`` keyed by point: each class's bitmask, bit ci
+    set when comps[ci], a sequence of points, holds it."""
+    masks = dict.fromkeys(basis, 0)
+    for ci, comp in enumerate(comps):
+        for u in comp:
+            masks[u] |= 1 << ci
+    return masks
+
+
+def zero_products_by_points(basis: Sequence[GradedPoint], bound: int, masks: dict) -> tuple:
+    """``degeneration._zero_products`` on points: the pairs (u, w) of
+    positive-degree classes, u before w in the sorted basis, with
+    d_u + d_w <= bound and no component holding both."""
+    pos = [(u, masks[u]) for u in basis if u.d > 0]
+    zeros = []
+    for i, (u, mask) in enumerate(pos):
+        room = bound - u.d
+        for w, other in pos[i:]:
+            if w.d > room:
+                break
+            if not mask & other:
+                zeros.append((u, w))
+    return tuple(zeros)
+
+
 def lex_sign(a: Sequence[Fraction]) -> int:
     """Sign of a vector under the lexicographic order: -1, 0 or +1."""
     for x in a:

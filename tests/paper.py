@@ -216,16 +216,16 @@ class KhovanskiiReport:
 def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
     cfg, s = t.cfg, t.s
     generated_by = [Submonoid(cfg, degeneration._inside(cfg, cell)) for cell in s.cells]
-    masks = t.cell_masks
+    masks, points = t.cell_masks, [GradedPoint(v[0], v[1:]) for v in t.basis]
     generated, extra = [], []
-    for u in t.basis:
+    for u, mask in zip(points, masks):
         if u.d == 0:
             continue
-        cells_holding = [ci for ci in range(len(s.cells)) if masks[u] >> ci & 1]
+        cells_holding = [ci for ci in range(len(s.cells)) if mask >> ci & 1]
         ok = any(in_SQ1(generated_by[ci], u) for ci in cells_holding)
         (generated if ok else extra).append((u, tuple(cells_holding)))
     per_cell = tuple(
-        tuple(u for u in comp if u.d > 0 and not in_SQ1(q, u))
+        tuple(points[i] for i in comp if points[i].d > 0 and not in_SQ1(q, points[i]))
         for q, comp in zip(generated_by, t.cell_semigroups)
     )
     return KhovanskiiReport(

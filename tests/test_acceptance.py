@@ -33,7 +33,7 @@ from lexfan.quasival import (
 )
 from lexfan.degeneration import gr_nu_reduced, gr_v_present, stanley_reisner
 
-from helpers import criterion3_cones, polar, random_matrix
+from helpers import basis_points, criterion3_cones, polar, random_matrix
 from oracles import euclidean_closure
 from paper import MuCone, cofaces, cone_intersection, cone_sum, is_full_rank, mu_dim
 
@@ -223,8 +223,8 @@ def test_criterion_7_degeneration(seg_cfg, seg_psi, seg_sub, simplex_cfg, simple
     for build in (gr_v_present, gr_nu_reduced):
         a = build(TruncatedSemigroup(seg_cfg, seg_sub, 5))
         b = build(TruncatedSemigroup(seg_cfg, s_other, 5))
-        assert a.table == b.table
-        pos = [u for u in a.basis if u.d > 0]
+        assert a.basis == b.basis and a.table == b.table
+        pos = [u for u in basis_points(a.basis) if u.d > 0]
         assert all(
             a.product(u, w) == b.product(u, w)
             for u in pos

@@ -1,8 +1,14 @@
 """Graded-algebra presentations, Stanley-Reisner ideals, Khovanskii
 reports."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexfan import io
+from lexfan.config import PointConfig
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import shift_row, subdivide
 from lexfan.degeneration import (
@@ -10,9 +16,15 @@ from lexfan.degeneration import (
     gr_v_present,
     stanley_reisner,
 )
-from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_SQ1
+from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_SQ1, semigroup_up_to
 
-from helpers import trivial_subdivision
+from helpers import basis_points, trivial_subdivision
+from oracles import (
+    cell_semigroup_by_contains,
+    class_masks_by_points,
+    least_multiple_by_cones,
+    zero_products_by_points,
+)
 from paper import khovanskii_report
 
 
@@ -45,7 +57,7 @@ class TestGrV:
 
     def test_associativity_sampled(self, seg_cfg, seg_sub):
         pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
-        deg1 = [u for u in pres.basis if u.d == 1]
+        deg1 = [u for u in basis_points(pres.basis) if u.d == 1]
         for a in deg1:
             for b in deg1:
                 for c in deg1:
@@ -85,18 +97,18 @@ class TestGrV:
 class TestGrNuReduced:
     def test_nilpotents_pinned(self, seg_cfg, seg_sub, seg_marked):
         pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
-        nil = {u.vector: w for u, w in pres.nilpotents}
+        nil = {pres.basis[i]: w for i, w in pres.nilpotents}
         assert nil[(1, -1)] == 2
         assert nil[(1, 2)] == 2
         # exactly the classes outside every marked submonoid are nilpotent
-        for u in pres.basis:
+        for u in basis_points(pres.basis):
             if u.d == 0:
                 continue
             assert ((u.vector in nil)) == (not any(in_SQ1(q, u) for q in seg_marked))
 
     def test_marked_degree_one_never_nilpotent(self, seg_cfg, seg_sub):
         pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
-        nil_vecs = {u.vector for u, _ in pres.nilpotents}
+        nil_vecs = {pres.basis[i] for i, _ in pres.nilpotents}
         for i in seg_sub.marked_points:
             assert (1,) + (seg_cfg.points[i]) not in nil_vecs
 
@@ -134,8 +146,9 @@ def _old_table(pres) -> dict:
     """The full product table, rebuilt from the components alone: u + w when
     some component holds both classes, else None (zero), for positive-degree
     basis classes u before w with d_u + d_w within the bound."""
-    comps = [set(comp) for comp in pres.components]
-    pos = [u for u in pres.basis if u.d > 0]
+    points = basis_points(pres.basis)
+    comps = [{points[i] for i in comp} for comp in pres.components]
+    pos = [u for u in points if u.d > 0]
     return {
         (u, w): u + w if any(u in c and w in c for c in comps) else None
         for i, u in enumerate(pos)
@@ -173,11 +186,13 @@ class TestMaskRule:
             (k for k, v in old.items() if v is None),
             key=lambda k: (k[0].vector, k[1].vector),
         )
-        assert pres.table == tuple(zeros)
+        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == [
+            (u.vector, w.vector) for u, w in zeros
+        ]
 
     def test_out_of_range_raises(self, seg_cfg, seg_sub):
         pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 4))
-        zero, top = pres.basis[0], pres.basis[-1]
+        zero, top = basis_points(pres.basis[::len(pres.basis) - 1])
         assert zero.d == 0 and top.d == 4
         outside = gp(1, 1)  # 1 is no point of the segment
         pairs = [(zero, gp(1, 0)), (gp(1, 0), zero), (top, gp(1, 0)), (outside, gp(1, 0))]
@@ -185,6 +200,75 @@ class TestMaskRule:
             with pytest.raises(KeyError):
                 pres.product(u, w)
         assert pres.product(gp(3, 0), gp(1, 0)) == gp(4, 0)
+
+
+DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
+# the origin is interior to each: a height above the lower hull leaves it
+# unmarked, and its classes nilpotent in the reduced algebra of nu
+_LINE = PointConfig(dim=1, points=((-2,), (-1,), (0,), (2,), (4,)))
+_TRIANGLE = PointConfig(dim=2, points=((-1, -1), (2, -1), (-1, 2), (0, 0)))
+_PINWHEEL = PointConfig(dim=2, points=((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)))
+_TETRAHEDRON = PointConfig(
+    dim=3, points=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0))
+)
+
+
+def _check_index_form(cfg, s, bound):
+    """Both presentations by class index against the same ones on points:
+    the components, the cells of each class keyed by point, the pairs loop
+    on points, the least multiple found cell cone by cell cone, and
+    ``product`` on every pair of positive-degree classes within the bound."""
+    points = semigroup_up_to(cfg, bound)
+    fresh = TruncatedSemigroup(cfg, s, bound)
+    by_points = {
+        gr_v_present: [cell_semigroup_by_contains(cfg, cell, points) for cell in s.cells],
+        gr_nu_reduced: [[u for u in points if in_SQ1(q, u)] for q in fresh.marked],
+    }
+    t = TruncatedSemigroup(cfg, s, bound)
+    for build, comps in by_points.items():
+        pres = build(t)
+        assert pres.basis == tuple(u.vector for u in points)
+        assert [[pres.basis[i] for i in comp] for comp in pres.components] == [
+            [u.vector for u in comp] for comp in comps
+        ]
+        masks = class_masks_by_points(points, comps)
+        assert pres.masks == [masks[u] for u in points]
+        zeros = zero_products_by_points(points, bound, masks)
+        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == [
+            (u.vector, w.vector) for u, w in zeros
+        ]
+        assert [(pres.basis[i], w) for i, w in pres.nilpotents] == [
+            (u.vector, least_multiple_by_cones(fresh, u))
+            for u in points
+            if u.d > 0 and not masks[u]
+        ]
+        pos = [u for u in points if u.d > 0]
+        for u in pos:
+            for w in pos:
+                if u.d + w.d <= bound:
+                    assert pres.product(u, w) == (u + w if masks[u] & masks[w] else None)
+
+
+class TestIndexForm:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_point_form(self, data):
+        cfg = data.draw(st.sampled_from([_LINE, _TRIANGLE, _PINWHEEL, _TETRAHEDRON]))
+        # small integer heights leave the interior points unmarked often
+        row = st.lists(st.integers(-3, 3), min_size=cfg.r, max_size=cfg.r).map(tuple)
+        psi = WeightMatrix(rows=tuple(data.draw(st.lists(row, min_size=1, max_size=2))))
+        _check_index_form(cfg, subdivide(cfg, psi), data.draw(st.integers(2, 6)))
+
+    @pytest.mark.parametrize(
+        "config, matrix, bound",
+        # the cube at bound 3, and the simplex with its interior point
+        # unmarked, where every class off the vertices' monoid is nilpotent
+        [("cube", "cube_psi", 3), ("simplex", "simplex_psi_unmarked", 5)],
+    )
+    def test_pinned_cases(self, config, matrix, bound):
+        cfg = io.config_from_json(io.load_json(DATA / f"{config}.json"))
+        psi = io.matrix_from_json(io.load_json(DATA / f"{matrix}.json"))
+        _check_index_form(cfg, subdivide(cfg, psi), bound)
 
 
 class TestStanleyReisner:

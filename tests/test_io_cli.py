@@ -260,12 +260,15 @@ class TestDumps:
 
     def test_row_lists_run_no_frame_per_row(self):
         # a frame per row, or per item, would show as thousands of calls;
-        # the held list's runs of 1024 rows are each of one kind
+        # the held list's runs of 1024 rows are each of one kind, and rows
+        # of tuples are written by index, each tuple rendered once
+        pairs = [(k, 1) for k in range(9)] + [(k, -1) for k in range(4)]
         rows = {
             "i": [[i, -i] for i in range(600)],
             "s": [("a", str(i)) for i in range(600)],
-            "t": [((i % 9, 1), (i % 4, -1)) for i in range(600)],
-            "held": [[str(i), "b"] for i in range(2048)] + [[(i % 5, 0)] for i in range(2500)],
+            "t": io.Rows(pairs, [(i % 9, 9 + i % 4) for i in range(600)]),
+            "held": [[str(i), "b"] for i in range(2048)],
+            "held_t": io.Rows([(k, 0) for k in range(5)], [[i % 5] for i in range(2500)]),
         }
         calls = []
 
@@ -278,8 +281,44 @@ class TestDumps:
             rendered = "".join(io.chunks(rows))
         finally:
             sys.setprofile(None)
-        assert rendered == json.dumps(rows, indent=2)
+        assert rendered == json.dumps(_materialized(rows), indent=2)
         assert len(calls) < 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), depth=st.integers(0, 3))
+    def test_rows_by_index_match_json_dumps(self, data, depth):
+        # rows of unequal length, empty ones, and now and then more than
+        # 1024 rows, written in runs; two nodes share their items
+        items = data.draw(st.lists(st.one_of(_JSON, _FLAT_TUPLES), min_size=1, max_size=6))
+        row = st.lists(st.integers(0, len(items) - 1), max_size=5)
+        rows = data.draw(st.lists(row, max_size=8))
+        rows = rows * data.draw(st.sampled_from([1, 1, 1, 200]))
+        obj = {"a": io.Rows(items, rows), "b": [io.Rows(items, rows[:3]), items]}
+        for _ in range(depth):
+            obj = {"k": [obj, 1]}
+        pieces = list(io.chunks(obj))
+        assert "".join(pieces) == json.dumps(_materialized(obj), indent=2)
+        if len(rows) >= 1024:
+            assert len(pieces) > 1  # written in runs
+
+    @pytest.mark.parametrize(
+        "items, rows",
+        [
+            # equal under ==, yet each renders its own way
+            ([(1,), (True,), (1.0,)], [[0, 1, 2], [1], [2, 0]]),
+            ([(1, 0), (True, False)], [[1, 0]] * 1100 + [[0]]),
+            # unequal and empty rows, inside and across runs of 1024
+            ([(0, 1), "x", [2, (3,)], {"k": None}], [[0], [], [1, 2, 3], [3, 3]]),
+            ([(i, -i) for i in range(5)], [[i % 5] * (i % 3) for i in range(2500)]),
+            ([7], []),
+        ],
+    )
+    def test_rows_by_index_pinned(self, items, rows):
+        obj = {"rows": io.Rows(items, rows), "again": [io.Rows(items, rows), items]}
+        assert "".join(io.chunks(obj)) == json.dumps(_materialized(obj), indent=2)
+        assert "".join(io.chunks(io.Rows(items, rows))) == json.dumps(
+            _materialized(io.Rows(items, rows)), indent=2
+        )
 
     def test_long_lists_are_streamed(self):
         assert len(list(io.chunks({"a": [1, 2], "b": (3,)}))) == 1
@@ -293,7 +332,10 @@ class TestDumps:
 
 
 def _materialized(x):
-    """x with every iterator turned into a list, for ``json.dumps``."""
+    """x with every iterator turned into a list and every ``io.Rows`` into
+    its list of rows of items, for ``json.dumps``."""
+    if isinstance(x, io.Rows):
+        return [[_materialized(x.items[i]) for i in row] for row in x.rows]
     if isinstance(x, dict):
         return {k: _materialized(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -49,7 +49,7 @@ from lexfan.quasival import (
     windowed_accumulation,
 )
 
-from helpers import trivial_subdivision
+from helpers import basis_points, trivial_subdivision
 from oracles import (
     bounded_combination,
     cell_maps_by_solve,
@@ -283,11 +283,13 @@ class TestCellMonoids:
 
     def test_cell_semigroup(self, seg_cfg, seg_sub):
         right = seg_sub.cells[1]
-        elems = cell_semigroup(seg_cfg, right, semigroup_up_to(seg_cfg, 1))
-        assert {u.vector for u in elems} == {(0, 0), (1, 0), (1, 2), (1, 4)}
+        elems = [u.vector for u in semigroup_up_to(seg_cfg, 1)]
+        kept = cell_semigroup(seg_cfg, right, elems)
+        assert {elems[i] for i in kept} == {(0, 0), (1, 0), (1, 2), (1, 4)}
         basis = semigroup_up_to(seg_cfg, 4)
+        vectors = [u.vector for u in basis]
         for cell in seg_sub.cells:  # one hull per cell, as in_cell_cone per element
-            assert cell_semigroup(seg_cfg, cell, basis) == [
+            assert [basis[i] for i in cell_semigroup(seg_cfg, cell, vectors)] == [
                 u for u in basis if in_cell_cone(seg_cfg, u, cell)
             ]
 
@@ -302,10 +304,10 @@ class TestCellMonoids:
         elems = semigroup_up_to(cfg, data.draw(st.integers(0, 3)))
         elems += data.draw(st.lists(_lattice_points(cfg.dim), max_size=10))
         elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
+        vectors = [u.vector for u in elems]
         for cell in subdivide(cfg, psi).cells:
-            assert cell_semigroup(cfg, cell, elems) == cell_semigroup_by_contains(
-                cfg, cell, elems
-            )
+            kept = cell_semigroup(cfg, cell, vectors)
+            assert [elems[i] for i in kept] == cell_semigroup_by_contains(cfg, cell, elems)
 
     @pytest.mark.parametrize(
         "name, vertices",
@@ -320,11 +322,11 @@ class TestCellMonoids:
         assert hull_of(tuple(cfg.points[i] for i in vertices)).cone.eq_normals
         elems = semigroup_up_to(cfg, 3) + data.draw(st.lists(_lattice_points(cfg.dim)))
         elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
-        kept = cell_semigroup(cfg, cell, elems)
+        kept = [elems[i] for i in cell_semigroup(cfg, cell, [u.vector for u in elems])]
         assert kept == cell_semigroup_by_contains(cfg, cell, elems)
         assert any(u.d == 3 for u in kept)
         with pytest.raises(DimensionError):
-            cell_semigroup(cfg, cell, [GradedPoint(1, (0,) * (cfg.dim + 1))])
+            cell_semigroup(cfg, cell, [GradedPoint(1, (0,) * (cfg.dim + 1)).vector])
 
     def test_least_multiple_reads_cells_off_masks(self):
         # every nilpotent of the interior-unmarked simplex, and twice each
@@ -335,13 +337,14 @@ class TestCellMonoids:
         oracle = TruncatedSemigroup(cfg, t.s, 12)
         nilpotents = gr_nu_reduced(t).nilpotents
         assert len(nilpotents) == 650
-        for u, witness in nilpotents:
-            assert t.cell_masks[u] == sum(
-                1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(cfg, u, cell)
+        points = basis_points(t.basis)
+        for i, witness in nilpotents:
+            assert t.cell_masks[i] == sum(
+                1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(cfg, points[i], cell)
             )
-            assert witness == least_multiple_by_cones(oracle, u)
-        outside = [u.scaled(2) for u, _ in nilpotents if u.d > 6]
-        assert outside and not any(u in t.cell_masks for u in outside)
+            assert witness == least_multiple_by_cones(oracle, points[i])
+        outside = [points[i].scaled(2) for i, _ in nilpotents if points[i].d > 6]
+        assert outside and not any(u.vector in t.index for u in outside)
         for u in outside:
             assert least_multiple(t, u) == least_multiple_by_cones(oracle, u)
 
@@ -373,13 +376,14 @@ class TestCellMonoids:
             return any(bounded_combination(cfg, u, c.marking) is not None for c in s.cells)
 
         stretch = stretch_factor(t)
-        for u in t.basis:
+        points = basis_points(t.basis)
+        for u in points:
             k = least_multiple(t, u)
             assert lands(u.scaled(k))
             assert not any(lands(u.scaled(j)) for j in range(1, k))
             assert lands(u.scaled(stretch))
-        for u, witness in gr_nu_reduced(t).nilpotents:
-            assert witness == least_multiple(t, u) > 1
+        for i, witness in gr_nu_reduced(t).nilpotents:
+            assert witness == least_multiple(t, points[i]) > 1
             assert stretch % witness == 0
 
     def test_least_multiple_searches_only_cells_holding_u(self, square_cfg):
