@@ -24,7 +24,6 @@ from lexfan.gkzfan import (
 )
 from lexfan.quasival import (
     Expr,
-    GradedPoint,
     NuTable,
     TruncatedSemigroup,
     delta_image,
@@ -56,7 +55,7 @@ def main() -> None:
     for w in [(1, -1), (1, 2), (2, -3), (3, Fraction(5, 2))]:
         print(f"g{w} =", g_eval(plm, w))
 
-    f = Expr.from_terms([(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)])
+    f = Expr.from_terms([((1, -1), 1), ((1, 2), 1)])
     print("V(f)  =", v_quasi(plm, f).value)
     table = NuTable(cfg, psi, 16)
     print("nu(f) =", nu_quasi(table, f).value)

@@ -194,10 +194,10 @@ def cmd_valuate(args) -> int:
     v_rep, nu_rep, delta_rep = quasival.valuate(table, plm, f)
     payload = {
         "V": _lexvec_json(v_rep.value),
-        "V_witness_point": v_rep.witness_point and v_rep.witness_point.vector,
+        "V_witness_point": v_rep.witness_point,
         "V_witness_cell": v_rep.witness_cell,
         "nu": _lexvec_json(nu_rep.value),
-        "nu_witness_point": nu_rep.witness_point and nu_rep.witness_point.vector,
+        "nu_witness_point": nu_rep.witness_point,
         "nu_witness_alpha": nu_rep.witness_alpha,
     }
     if delta_rep is not None:

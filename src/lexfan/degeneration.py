@@ -12,18 +12,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import not_
+from operator import add, not_
 from typing import Optional
 
-from lexfan.config import (
-    MarkedSubdivision,
-    PointConfig,
-    hull_of,
-    is_triangulation,
-)
+from lexfan.config import MarkedSubdivision, PointConfig, is_triangulation
 from lexfan.quasival import (
-    GradedPoint,
     TruncatedSemigroup,
+    cell_semigroup,
     class_masks,
     in_cell_cone,
     least_multiple,
@@ -37,7 +32,7 @@ class ComponentCertificate:
     annihilates every other component while remaining nonzero."""
 
     cell: int
-    witness: GradedPoint
+    witness: tuple  # a vector (d, *eta)
     in_own_cell: bool
     outside_others: bool
 
@@ -63,20 +58,14 @@ class FanAlgebraPresentation:
     certificates: tuple  # of ComponentCertificate
     equidimensional: bool
 
-    def product(self, u: GradedPoint, w: GradedPoint) -> Optional[GradedPoint]:
+    def product(self, u: tuple, w: tuple) -> Optional[tuple]:
         """u + w when some component holds both classes, None when the
         product is zero.  KeyError unless both are positive-degree basis
         classes with d_u + d_w within the bound."""
-        if u.d <= 0 or w.d <= 0 or u.d + w.d > self.bound:
+        if u[0] <= 0 or w[0] <= 0 or u[0] + w[0] > self.bound:
             raise KeyError((u, w))
         index = self.semigroup.index
-        return u + w if self.masks[index[u.vector]] & self.masks[index[w.vector]] else None
-
-
-def _inside(cfg: PointConfig, cell) -> tuple:
-    """Indices of the configuration points lying in the cell."""
-    h = hull_of(tuple(cfg.points[i] for i in cell.vertices))
-    return tuple(i for i in range(cfg.r) if h.cone.contains(cfg.homogenized(i)))
+        return tuple(map(add, u, w)) if self.masks[index[u]] & self.masks[index[w]] else None
 
 
 def _zero_products(basis, bound, masks) -> tuple:
@@ -107,8 +96,7 @@ def _presentation(
         masks=masks,
         table=_zero_products(basis, t.bound, masks),
         nilpotents=tuple(
-            (i, least_multiple(t, GradedPoint(v[0], v[1:])))
-            for i, v in enumerate(basis) if v[0] > 0 and not masks[i]
+            (i, least_multiple(t, i)) for i, v in enumerate(basis) if v[0] > 0 and not masks[i]
         ),
         certificates=certificates,
         equidimensional=t.equidimensional,
@@ -120,12 +108,11 @@ def gr_v_present(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     classes multiply through when they share a cell cone, otherwise to zero.
     Reduced, with one irreducible component per cell."""
     cfg, s = t.cfg, t.s
+    points = [cfg.homogenized(i) for i in range(cfg.r)]
     certs = []
     for ci, cell in enumerate(s.cells):
-        inside = _inside(cfg, cell)
-        witness = GradedPoint(len(inside), tuple(
-            sum(cfg.points[i][k] for i in inside) for k in range(cfg.dim)
-        ))
+        inside = [points[i] for i in cell_semigroup(cfg, cell, points)]
+        witness = tuple(map(sum, zip(*inside)))
         in_own = in_cell_cone(cfg, witness, cell)
         outside = all(
             not in_cell_cone(cfg, witness, other)
@@ -140,10 +127,16 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     """The reduced graded algebra of the weighting valuation: components are
     the marked submonoids; classes outside every marked submonoid are
     nilpotent, witnessed by their least multiple that lands in one."""
-    comps = tuple(
-        tuple(i for i, v in enumerate(t.basis) if v[1:] in q.layer(v[0])) for q in t.marked
-    )
-    return _presentation(t, comps, class_masks(len(t.basis), comps))
+    basis = t.basis
+    starts = [bisect_left(basis, (d,)) for d in range(t.bound + 2)]
+    comps = []
+    for q in t.marked:  # one layer per degree, for the classes of that degree
+        comp = []
+        for d in range(t.bound + 1):
+            layer = q.layer(d)
+            comp += (i for i in range(starts[d], starts[d + 1]) if basis[i][1:] in layer)
+        comps.append(tuple(comp))
+    return _presentation(t, tuple(comps), class_masks(len(basis), comps))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from lexfan.config import MarkedSubdivision, PointConfig
 from lexfan.degeneration import SRIdeal
 from lexfan.errors import SchemaError
 from lexfan.exactlex import WeightMatrix, rat, rat_str
-from lexfan.quasival import Expr, GradedPoint
+from lexfan.quasival import Expr
 
 
 def _require(obj: Any, key: str, typ) -> Any:
@@ -73,9 +73,8 @@ def expr_from_json(obj) -> Expr:
     pairs = []
     for term in obj:
         d = _int(_require(term, "d", None))
-        eta = tuple(_int(c) for c in _require(term, "eta", list))
-        coeff = rat(_require(term, "coeff", None))
-        pairs.append((GradedPoint(d, eta), coeff))
+        point = (d, *(_int(c) for c in _require(term, "eta", list)))
+        pairs.append((point, rat(_require(term, "coeff", None))))
     return Expr.from_terms(pairs)
 
 

@@ -37,50 +37,30 @@ from lexfan.linalg import dot
 
 
 # ---------------------------------------------------------------------------
-# graded points and expressions
+# expressions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GradedPoint:
-    """An element u = (degree, character) of the semigroup generated by the
-    homogenized configuration points."""
-
-    d: int
-    eta: tuple  # of int
-
-    def __add__(self, other: "GradedPoint") -> "GradedPoint":
-        return GradedPoint(self.d + other.d, tuple(a + b for a, b in zip(self.eta, other.eta)))
-
-    def scaled(self, k: int) -> "GradedPoint":
-        return GradedPoint(self.d * k, tuple(k * c for c in self.eta))
-
-    @property
-    def vector(self) -> tuple:
-        return (self.d,) + self.eta
-
-
-@dataclass(frozen=True)
 class Expr:
-    """A finite rational combination of basis functions f_u; zero
-    coefficients are never stored."""
+    """A finite rational combination of basis functions f_u.  Each u is a
+    graded point of the semigroup generated by the homogenized
+    configuration points, given as its vector (d, *eta): the degree, then
+    the character.  Zero coefficients are never stored."""
 
-    terms: tuple  # of (GradedPoint, Fraction), sorted
+    terms: tuple  # of (vector, Fraction), sorted
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple]) -> "Expr":
-        acc: dict[GradedPoint, Fraction] = {}
+        acc: dict[tuple, Fraction] = {}
         for u, c in pairs:
             c = rat(c)
             if c == 0:
                 continue
             acc[u] = acc.get(u, Fraction(0)) + c
-        items = tuple(
-            sorted(((u, c) for u, c in acc.items() if c != 0), key=lambda t: t[0].vector)
-        )
-        return Expr(terms=items)
+        return Expr(terms=tuple(sorted((u, c) for u, c in acc.items() if c != 0)))
 
     @staticmethod
-    def basis(u: GradedPoint) -> "Expr":
+    def basis(u: tuple) -> "Expr":
         return Expr.from_terms([(u, 1)])
 
     @property
@@ -94,7 +74,7 @@ class Expr:
         pairs = []
         for u, cu in self.terms:
             for w, cw in other.terms:
-                pairs.append((u + w, cu * cw))
+                pairs.append((tuple(map(add, u, w)), cu * cw))
         return Expr.from_terms(pairs)
 
     def power(self, k: int) -> "Expr":
@@ -127,16 +107,16 @@ class Submonoid:
         return layers[d]
 
 
-def semigroup_up_to(cfg: PointConfig, bound: int) -> list[GradedPoint]:
-    """All semigroup elements of degree <= bound, by layered sums, sorted by
-    (degree, character)."""
+def semigroup_up_to(cfg: PointConfig, bound: int) -> list[tuple]:
+    """All semigroup elements of degree <= bound, each its vector (d, *eta),
+    by layered sums, sorted."""
     if bound < 0:
         raise ValueError("degree bound must be nonnegative")
     whole = Submonoid(cfg, range(cfg.r))
-    return [GradedPoint(d, eta) for d in range(bound + 1) for eta in sorted(whole.layer(d))]
+    return [(d, *eta) for d in range(bound + 1) for eta in sorted(whole.layer(d))]
 
 
-def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
+def rep_set(cfg: PointConfig, u: tuple) -> list[tuple]:
     """All exponent vectors alpha in N^r with sum alpha = d_u and
     sum alpha_j chi_j = eta_u (depth-first bounded knapsack), in lex order.
     The fibre oracle that tests check ``NuTable`` against."""
@@ -168,7 +148,7 @@ def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
             )
             alpha.pop()
 
-    walk(0, u.d, u.eta, [])
+    walk(0, u[0], u[1:], [])
     return out
 
 
@@ -179,7 +159,7 @@ def rep_set(cfg: PointConfig, u: GradedPoint) -> list[tuple]:
 @dataclass(frozen=True)
 class ValuationReport:
     value: object  # LexVec or INFINITY
-    witness_point: Optional[GradedPoint]
+    witness_point: Optional[tuple]  # a vector (d, *eta)
     witness_alpha: Optional[tuple]  # for nu: maximizing exponent vector
     witness_cell: Optional[int]  # for V: a cell where g attains the value
 
@@ -202,7 +182,7 @@ def v_quasi(plm: PiecewiseLinearMap, f: Expr) -> ValuationReport:
     support, the first minimal support point its witness."""
     if f.is_zero():
         return ValuationReport(INFINITY, None, None, None)
-    return _v_report(plm, f.support, [value_row(plm, u.vector) for u in f.support])
+    return _v_report(plm, f.support, [value_row(plm, u) for u in f.support])
 
 
 class NuTable:
@@ -299,23 +279,25 @@ class NuTable:
         # face bitmask -> its complete layers 0..m, each {code: key}
         self._layers: dict[int, list] = {}
 
-    def key(self, u: GradedPoint) -> Optional[int]:
-        """The max-plus key of u, or None when u is not in the semigroup."""
-        if u.d > self.bound:
-            raise DegreeOverflow(f"degree {u.d} exceeds bound {self.bound}")
-        if len(u.eta) != len(self._lo):
+    def key(self, u: tuple) -> Optional[int]:
+        """The max-plus key of u = (d, *eta), or None when u is not in the
+        semigroup."""
+        d, eta = u[0], u[1:]
+        if d > self.bound:
+            raise DegreeOverflow(f"degree {d} exceeds bound {self.bound}")
+        if len(eta) != len(self._lo):
             raise DimensionError(
-                f"{u} has a character of length {len(u.eta)}, not {len(self._lo)}"
+                f"point {u} has a character of length {len(eta)}, not {len(self._lo)}"
             )
-        face, vec = (1 << len(self._steps)) - 1, u.vector
+        face = (1 << len(self._steps)) - 1
         for a, on in self._facets:
-            t = sum(map(mul, a, vec))
+            t = sum(map(mul, a, u))
             if t > 0:
                 return None
             if t == 0:
                 face &= on
-        d, code = u.d, 0
-        for c, lo, w in zip(u.eta, self._lo, self._places):
+        code = 0
+        for c, lo, w in zip(eta, self._lo, self._places):
             code += (c - d * lo) * w
         h = d // 2
         layers = self._layers.setdefault(face, [{0: 0}])
@@ -355,15 +337,15 @@ class NuTable:
         )
 
 
-def _semigroup_key(table: NuTable, u: GradedPoint) -> int:
+def _semigroup_key(table: NuTable, u: tuple) -> int:
     """u's key in the table; SchemaError off the semigroup."""
     key = table.key(u)
     if key is None:
-        raise SchemaError(f"{u} is not in the semigroup")
+        raise SchemaError(f"point {u} is not in the semigroup")
     return key
 
 
-def nu_point(table: NuTable, u: GradedPoint) -> tuple[LexVec, tuple]:
+def nu_point(table: NuTable, u: tuple) -> tuple[LexVec, tuple]:
     """nu(f_u) = max over representatives alpha of Psi.alpha, with witness;
     DegreeOverflow above the table's bound."""
     return table.decode(_semigroup_key(table, u))
@@ -394,8 +376,8 @@ def _gap(table: NuTable, plm: PiecewiseLinearMap, row: tuple, key: int) -> tuple
     return tuple(plm.denominator * a - b for a, b in zip(table.values(key), row))
 
 
-def delta_point(table: NuTable, plm: PiecewiseLinearMap, u: GradedPoint) -> LexVec:
-    row, _ = value_row(plm, u.vector)
+def delta_point(table: NuTable, plm: PiecewiseLinearMap, u: tuple) -> LexVec:
+    row, _ = value_row(plm, u)
     return plm.value(_gap(table, plm, row, _semigroup_key(table, u)))
 
 
@@ -412,7 +394,7 @@ def valuate(table: NuTable, plm: PiecewiseLinearMap, f: Expr) -> tuple:
         none = ValuationReport(INFINITY, None, None, None)
         return none, none, None
     support = f.support
-    rows = [value_row(plm, u.vector) for u in support]
+    rows = [value_row(plm, u) for u in support]
     keys = [_semigroup_key(table, u) for u in support]
     gaps = [_gap(table, plm, row, key) for (row, _), key in zip(rows, keys)]
     i = _first_least(gaps)
@@ -451,12 +433,11 @@ def delta_image(
         elems = list(reversed(elems))
     table = NuTable(cfg, psi, bound)
     image = {u: delta_point(table, plm, u) for u in elems}
-    positive = [u for u in elems if u.d > 0]
-    vectors = [u.vector for u in positive]
+    positive = [u for u in elems if u[0] > 0]
     return DeltaImage(
         values=frozenset(image.values()),
         per_cell=tuple(
-            frozenset(image[positive[i]] for i in cell_semigroup(cfg, cell, vectors))
+            frozenset(image[positive[i]] for i in cell_semigroup(cfg, cell, positive))
             for cell in plm.subdivision.cells
         ),
     )
@@ -466,15 +447,15 @@ def delta_image(
 # cell monoids and the stretch factor
 # ---------------------------------------------------------------------------
 
-def in_cell_cone(cfg: PointConfig, u: GradedPoint, cell: MarkedCell) -> bool:
-    """Whether u lies in the cone over the cell."""
-    return hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains(u.vector)
+def in_cell_cone(cfg: PointConfig, u: tuple, cell: MarkedCell) -> bool:
+    """Whether u = (d, *eta) lies in the cone over the cell."""
+    return hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone.contains(u)
 
 
-def in_SQ1(q: Submonoid, u: GradedPoint) -> bool:
-    """Membership in a layered submonoid, such as the marked submonoid S¹_Q
-    generated by a cell's marked points."""
-    return u.d >= 0 and u.eta in q.layer(u.d)
+def in_SQ1(q: Submonoid, u: tuple) -> bool:
+    """Membership of u = (d, *eta) in a layered submonoid, such as the
+    marked submonoid S¹_Q generated by a cell's marked points."""
+    return u[0] >= 0 and u[1:] in q.layer(u[0])
 
 
 def cell_semigroup(cfg: PointConfig, cell: MarkedCell, vectors: Sequence[tuple]) -> list[int]:
@@ -519,11 +500,11 @@ class TruncatedSemigroup:
     @cached_property
     def basis(self) -> tuple:
         """Each class of degree <= bound as its vector (d, *eta), sorted."""
-        return tuple(u.vector for u in semigroup_up_to(self.cfg, self.bound))
+        return tuple(semigroup_up_to(self.cfg, self.bound))
 
     @cached_property
     def index(self) -> dict:
-        """The class of each basis vector, for points given as GradedPoints."""
+        """The class of each basis vector."""
         return {v: i for i, v in enumerate(self.basis)}
 
     @cached_property
@@ -555,33 +536,28 @@ class TruncatedSemigroup:
         return all(h.intrinsic_dim == self.cfg.dim for h in hulls)
 
 
-def least_multiple(t: TruncatedSemigroup, u: GradedPoint) -> int:
-    """The least k >= 1 with k*u in some marked submonoid S¹_Q.
+def least_multiple(t: TruncatedSemigroup, i: int) -> int:
+    """The least k >= 1 with k*u in some marked submonoid S¹_Q, for the basis
+    class u of index i.
 
-    Only the cells whose cone holds u are searched: S¹_Q lies in the cone
-    over Q, and k*u lies there only if u does.  For a basis class they are
-    read off ``t.cell_masks``; any other u is tested with ``in_cell_cone``
-    cell by cell.  The search stops at the normalized volume dim! * vol(P)
-    (``t.multiple_limit``), which it never
-    reaches when every cell marks its vertices: u lies in the cone over some
-    cell, hence over a simplex of that cell's vertices.  Its barycentric
-    coordinates there are ratios of integer determinants over the simplex's
-    determinant, its normalized volume, at most that of P, so that multiple
-    of u is a nonnegative integer combination of marked vertices.
-    ValueError names u when no multiple up to the limit lands in a marked
-    submonoid."""
-    i = t.index.get(u.vector)
-    if i is None:
-        mask = sum(1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(t.cfg, u, cell))
-    else:
-        mask = t.cell_masks[i]
+    Only the cells whose cone holds u are searched, read off
+    ``t.cell_masks``: S¹_Q lies in the cone over Q, and k*u lies there only
+    if u does.  The search stops at the normalized volume dim! * vol(P)
+    (``t.multiple_limit``), which it never reaches when every cell marks its
+    vertices: u lies in the cone over some cell, hence over a simplex of
+    that cell's vertices.  Its barycentric coordinates there are ratios of
+    integer determinants over the simplex's determinant, its normalized
+    volume, at most that of P, so that multiple of u is a nonnegative
+    integer combination of marked vertices.  ValueError names u when no
+    multiple up to the limit lands in a marked submonoid."""
+    u, mask = t.basis[i], t.cell_masks[i]
     layers = [q.layer for ci, q in enumerate(t.marked) if mask >> ci & 1]
     for k in range(1, t.multiple_limit + 1):
-        scaled = tuple(k * c for c in u.eta)
-        if any(scaled in layer(k * u.d) for layer in layers):
+        scaled = tuple(k * c for c in u[1:])
+        if any(scaled in layer(k * u[0]) for layer in layers):
             return k
     raise ValueError(
-        f"no multiple k*u with k <= {t.multiple_limit} of u = {u} lies in a marked"
+        f"no multiple k*u, k <= {t.multiple_limit}, of point {u} lies in a marked"
         " submonoid; does every cell mark its vertices?"
     )
 
@@ -590,7 +566,7 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
     """A positive integer l, not always the least, with l*u in some marked
     submonoid for every basis class u up to the bound: the lcm of their least
     multiples, which every nilpotent witness of ``gr_nu_reduced`` divides."""
-    return lcm(*(least_multiple(t, GradedPoint(v[0], v[1:])) for v in t.basis))
+    return lcm(*(least_multiple(t, i) for i in range(len(t.basis))))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +588,7 @@ def power_seq(
     raises, so an error names the point nu_quasi(table, f.power(l)) would."""
     if f.is_zero():
         raise SchemaError("power sequence of the zero expression")
-    max_deg = max(u.d for u in f.support)
+    max_deg = max(u[0] for u in f.support)
     if window * max_deg > table.bound:
         raise DegreeOverflow(
             f"power {window} needs degree {window * max_deg} > bound {table.bound}"
@@ -628,7 +604,7 @@ def power_seq(
             key = table.key(u)
         except (DimensionError, DegreeOverflow):  # overflow only when window < 1
             key = None
-        base.append((u.vector, c.numerator * (scale // c.denominator), key))
+        base.append((u, c.numerator * (scale // c.denominator), key))
     current = {v: c for v, c, _ in base}
     # point -> a lower bound on its key, the key of one of its representatives
     lower = {v: k for v, _, k in base if k is not None}
@@ -655,7 +631,7 @@ def power_seq(
                 if v in lower and -(-lower[v] // radix) >= least:
                     break
                 if ell > 1 or v not in lower:  # at l = 1 a bound is f's own key
-                    lower[v] = _semigroup_key(table, GradedPoint(v[0], v[1:]))
+                    lower[v] = _semigroup_key(table, v)
                 least = min(least, -(-lower[v] // radix))
             # l * v_l = nu(f^l) as its int row; one LexVec per l
             row = table.values(least * radix)

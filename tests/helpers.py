@@ -9,7 +9,7 @@ from fractions import Fraction
 from lexfan.cones import PolyCone
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
 from lexfan.exactlex import WeightMatrix, rat_str
-from lexfan.quasival import Expr, GradedPoint
+from lexfan.quasival import Expr
 
 
 def random_cone(rng: random.Random, dim: int, max_gens: int = 6) -> PolyCone:
@@ -44,7 +44,7 @@ def matrix_to_json(psi: WeightMatrix) -> dict:
 
 
 def expr_to_json(f: Expr) -> list:
-    return [{"d": u.d, "eta": list(u.eta), "coeff": rat_str(c)} for u, c in f.terms]
+    return [{"d": u[0], "eta": list(u[1:]), "coeff": rat_str(c)} for u, c in f.terms]
 
 
 def random_matrix(rng: random.Random, n: int, r: int) -> WeightMatrix:
@@ -70,6 +70,6 @@ def criterion3_cones(count: int = 200, seed: int = 202):
     return out
 
 
-def basis_points(basis) -> list:
-    """The classes of a basis of vectors (d, *eta), as GradedPoints."""
-    return [GradedPoint(v[0], v[1:]) for v in basis]
+def scaled(u: tuple, k: int) -> tuple:
+    """k times the point u = (d, *eta)."""
+    return tuple(k * c for c in u)

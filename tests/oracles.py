@@ -27,7 +27,7 @@ from lexfan.errors import BudgetExceeded, DimensionError, InvariantError, Schema
 from lexfan.exactlex import LexVec, WeightMatrix, rat
 from lexfan.gkzfan import circuits
 from lexfan.linalg import dot, echelon, nullspace, primitive, rank, solve
-from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_cell_cone, in_SQ1
+from lexfan.quasival import TruncatedSemigroup, in_cell_cone, in_SQ1
 
 
 def combination_basis(cfg: PointConfig, indices) -> Optional[tuple]:
@@ -98,10 +98,10 @@ def fiber_value(cfg: PointConfig, psi: WeightMatrix, w: Sequence) -> Optional[Le
 
 
 def bounded_combination(
-    cfg: PointConfig, u: GradedPoint, indices: Sequence[int]
+    cfg: PointConfig, u: tuple, indices: Sequence[int]
 ) -> Optional[tuple]:
     """A nonnegative-integer combination of the homogenized points at the
-    given indices equal to u, if one exists (exact degree knapsack): the
+    given indices equal to u = (d, *eta), if one exists (exact degree knapsack): the
     membership oracle for ``quasival.Submonoid``."""
     pts = [cfg.points[i] for i in indices]
 
@@ -114,29 +114,30 @@ def bounded_combination(
                 return (take,) + rest
         return None
 
-    return walk(0, u.d, u.eta)
+    return walk(0, u[0], u[1:])
 
 
 def cell_semigroup_by_contains(
-    cfg: PointConfig, cell: MarkedCell, elems: Sequence[GradedPoint]
-) -> list[GradedPoint]:
-    """``quasival.cell_semigroup`` point by point: the elements whose vector
-    ``PolyCone.contains`` puts in the cone over the cell."""
+    cfg: PointConfig, cell: MarkedCell, elems: Sequence[tuple]
+) -> list[tuple]:
+    """``quasival.cell_semigroup`` point by point: the elements, each a
+    vector (d, *eta), that ``PolyCone.contains`` puts in the cone over the
+    cell."""
     cone = hull_of(tuple(cfg.points[i] for i in cell.vertices)).cone
-    return [u for u in elems if cone.contains(u.vector)]
+    return [u for u in elems if cone.contains(u)]
 
 
-def least_multiple_by_cones(t: TruncatedSemigroup, u: GradedPoint) -> int:
-    """``quasival.least_multiple`` with the cells whose cone holds u found
-    by ``in_cell_cone``, cell by cell."""
+def least_multiple_by_cones(t: TruncatedSemigroup, u: tuple) -> int:
+    """``quasival.least_multiple`` of the point u = (d, *eta), with the
+    cells whose cone holds u found by ``in_cell_cone``, cell by cell."""
     marked = [q for q, cell in zip(t.marked, t.s.cells) if in_cell_cone(t.cfg, u, cell)]
     for k in range(1, t.multiple_limit + 1):
-        if any(in_SQ1(q, u.scaled(k)) for q in marked):
+        if any(in_SQ1(q, tuple(k * c for c in u)) for q in marked):
             return k
-    raise ValueError(f"no multiple k*u with k <= {t.multiple_limit} of u = {u}")
+    raise ValueError(f"no multiple k*u, k <= {t.multiple_limit}, of point {u}")
 
 
-def class_masks_by_points(basis: Sequence[GradedPoint], comps) -> dict:
+def class_masks_by_points(basis: Sequence[tuple], comps) -> dict:
     """``quasival.class_masks`` keyed by point: each class's bitmask, bit ci
     set when comps[ci], a sequence of points, holds it."""
     masks = dict.fromkeys(basis, 0)
@@ -146,16 +147,16 @@ def class_masks_by_points(basis: Sequence[GradedPoint], comps) -> dict:
     return masks
 
 
-def zero_products_by_points(basis: Sequence[GradedPoint], bound: int, masks: dict) -> tuple:
+def zero_products_by_points(basis: Sequence[tuple], bound: int, masks: dict) -> tuple:
     """``degeneration._zero_products`` on points: the pairs (u, w) of
     positive-degree classes, u before w in the sorted basis, with
     d_u + d_w <= bound and no component holding both."""
-    pos = [(u, masks[u]) for u in basis if u.d > 0]
+    pos = [(u, masks[u]) for u in basis if u[0] > 0]
     zeros = []
     for i, (u, mask) in enumerate(pos):
-        room = bound - u.d
+        room = bound - u[0]
         for w, other in pos[i:]:
-            if w.d > room:
+            if w[0] > room:
                 break
             if not mask & other:
                 zeros.append((u, w))

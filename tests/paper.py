@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from lexfan import degeneration
 from lexfan.cones import PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig, is_triangulation
 from lexfan.errors import DimensionError
@@ -19,9 +18,9 @@ from lexfan.gkzfan import PiecewiseLinearMap, value_row
 from lexfan.linalg import dot, rank
 from lexfan.quasival import (
     Expr,
-    GradedPoint,
     Submonoid,
     TruncatedSemigroup,
+    cell_semigroup,
     in_SQ1,
     semigroup_up_to,
 )
@@ -157,7 +156,7 @@ def is_elementary(plm: PiecewiseLinearMap, psi: WeightMatrix, f: Expr) -> bool:
     if f.is_zero():
         raise ValueError("elementarity of the zero expression")
     # the int rows compare as the values do
-    vals = [value_row(plm, u.vector)[0][k] for u in f.support]
+    vals = [value_row(plm, u)[0][k] for u in f.support]
     m = min(vals)
     return vals.count(m) == 1
 
@@ -173,9 +172,9 @@ def is_full_rank(
 ) -> FullRankResult:
     """Search the semigroup up to the bound for map-value collisions; full
     rank up to the bound means the map is injective there."""
-    seen: dict[tuple, GradedPoint] = {}
+    seen: dict[tuple, tuple] = {}
     for u in semigroup_up_to(cfg, bound):
-        val = value_row(plm, u.vector)[0]
+        val = value_row(plm, u)[0]
         if val in seen:
             return FullRankResult(False, (seen[val], u))
         seen[val] = u
@@ -215,17 +214,20 @@ class KhovanskiiReport:
 
 def khovanskii_report(t: TruncatedSemigroup) -> KhovanskiiReport:
     cfg, s = t.cfg, t.s
-    generated_by = [Submonoid(cfg, degeneration._inside(cfg, cell)) for cell in s.cells]
-    masks, points = t.cell_masks, [GradedPoint(v[0], v[1:]) for v in t.basis]
+    homogenized = [cfg.homogenized(i) for i in range(cfg.r)]
+    generated_by = [
+        Submonoid(cfg, cell_semigroup(cfg, cell, homogenized)) for cell in s.cells
+    ]
+    basis = t.basis
     generated, extra = [], []
-    for u, mask in zip(points, masks):
-        if u.d == 0:
+    for u, mask in zip(basis, t.cell_masks):
+        if u[0] == 0:
             continue
         cells_holding = [ci for ci in range(len(s.cells)) if mask >> ci & 1]
         ok = any(in_SQ1(generated_by[ci], u) for ci in cells_holding)
         (generated if ok else extra).append((u, tuple(cells_holding)))
     per_cell = tuple(
-        tuple(points[i] for i in comp if points[i].d > 0 and not in_SQ1(q, points[i]))
+        tuple(basis[i] for i in comp if basis[i][0] > 0 and not in_SQ1(q, basis[i]))
         for q, comp in zip(generated_by, t.cell_semigroups)
     )
     return KhovanskiiReport(

@@ -19,7 +19,6 @@ from lexfan.gkzfan import (
 )
 from lexfan.quasival import (
     Expr,
-    GradedPoint,
     NuTable,
     TruncatedSemigroup,
     delta_image,
@@ -33,7 +32,7 @@ from lexfan.quasival import (
 )
 from lexfan.degeneration import gr_nu_reduced, gr_v_present, stanley_reisner
 
-from helpers import basis_points, criterion3_cones, polar, random_matrix
+from helpers import criterion3_cones, polar, random_matrix
 from oracles import euclidean_closure
 from paper import MuCone, cofaces, cone_intersection, cone_sum, is_full_rank, mu_dim
 
@@ -101,9 +100,7 @@ def test_criterion_2_running_example(seg_cfg, seg_psi, capsys):
     for c, a in right_samples:  # a in [0, 4c]
         assert g_eval(plm, (c, a)) == LexVec([2 * c - a / 4, c])
     # (c) power sequence against the closed formulas for l = 2..8
-    f = Expr.from_terms(
-        [(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)]
-    )
+    f = Expr.from_terms([((1, -1), 1), ((1, 2), 1)])
     seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f, window=8)
     tail = [(ell, v) for ell, v in seq if ell >= 2]
     even_c, even_b = LexVec(["3/2", "1"]), LexVec([3, 1])
@@ -224,12 +221,12 @@ def test_criterion_7_degeneration(seg_cfg, seg_psi, seg_sub, simplex_cfg, simple
         a = build(TruncatedSemigroup(seg_cfg, seg_sub, 5))
         b = build(TruncatedSemigroup(seg_cfg, s_other, 5))
         assert a.basis == b.basis and a.table == b.table
-        pos = [u for u in basis_points(a.basis) if u.d > 0]
+        pos = [u for u in a.basis if u[0] > 0]
         assert all(
             a.product(u, w) == b.product(u, w)
             for u in pos
             for w in pos
-            if u.d + w.d <= a.bound
+            if u[0] + w[0] <= a.bound
         )
         assert a.components == b.components
         assert a.nilpotents == b.nilpotents

@@ -1,13 +1,14 @@
 """Graded-algebra presentations, Stanley-Reisner ideals, Khovanskii
 reports."""
 
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexfan import io
+from lexfan import degeneration, io
 from lexfan.config import PointConfig
 from lexfan.exactlex import WeightMatrix
 from lexfan.gkzfan import shift_row, subdivide
@@ -16,9 +17,9 @@ from lexfan.degeneration import (
     gr_v_present,
     stanley_reisner,
 )
-from lexfan.quasival import GradedPoint, TruncatedSemigroup, in_SQ1, semigroup_up_to
+from lexfan.quasival import Submonoid, TruncatedSemigroup, in_SQ1, semigroup_up_to
 
-from helpers import basis_points, trivial_subdivision
+from helpers import scaled, trivial_subdivision
 from oracles import (
     cell_semigroup_by_contains,
     class_masks_by_points,
@@ -28,19 +29,15 @@ from oracles import (
 from paper import khovanskii_report
 
 
-def gp(d, e):
-    return GradedPoint(d, (e,))
-
-
 class TestGrV:
     def test_running_example_products(self, seg_cfg, seg_sub):
         pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         # no common cell: [-2, 0] vs [0, 4] interiors
-        assert pres.product(gp(1, -2), gp(1, 4)) is None
+        assert pres.product((1, -2), (1, 4)) is None
         # common cell [-2, 0]
-        assert pres.product(gp(1, -2), gp(1, 0)) == gp(2, -2)
+        assert pres.product((1, -2), (1, 0)) == (2, -2)
         # symmetric lookup
-        assert pres.product(gp(1, 0), gp(1, -2)) == gp(2, -2)
+        assert pres.product((1, 0), (1, -2)) == (2, -2)
         assert pres.nilpotents == ()
         assert len(pres.components) == len(seg_sub.cells)
         assert all(c.ok for c in pres.certificates)
@@ -49,15 +46,15 @@ class TestGrV:
     def test_radical_powers(self, seg_cfg, seg_sub):
         pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
         # powers inside a single cell never vanish
-        for u in (gp(1, -1), gp(1, 2), gp(2, -3)):
+        for u in ((1, -1), (1, 2), (2, -3)):
             for ell in (2, 3):
-                if u.d * ell > 6:
+                if u[0] * ell > 6:
                     continue
-                assert pres.product(u.scaled(ell - 1), u) == u.scaled(ell)
+                assert pres.product(scaled(u, ell - 1), u) == scaled(u, ell)
 
     def test_associativity_sampled(self, seg_cfg, seg_sub):
         pres = gr_v_present(TruncatedSemigroup(seg_cfg, seg_sub, 6))
-        deg1 = [u for u in basis_points(pres.basis) if u.d == 1]
+        deg1 = [u for u in pres.basis if u[0] == 1]
         for a in deg1:
             for b in deg1:
                 for c in deg1:
@@ -79,10 +76,10 @@ class TestGrV:
 
     def test_simplex_disjoint_triangles(self, simplex_cfg, simplex_q2):
         pres = gr_v_present(TruncatedSemigroup(simplex_cfg, simplex_q2, 6))
-        u = GradedPoint(3, (4, 1))  # interior to the cone over (0, 1, 3)
-        w = GradedPoint(3, (1, 4))  # interior to the cone over (0, 2, 3)
+        u = (3, 4, 1)  # interior to the cone over (0, 1, 3)
+        w = (3, 1, 4)  # interior to the cone over (0, 2, 3)
         assert pres.product(u, w) is None
-        assert pres.product(u, GradedPoint(1, (0, 0))) == GradedPoint(4, (4, 1))
+        assert pres.product(u, (1, 0, 0)) == (4, 4, 1)
         assert all(c.ok for c in pres.certificates)
 
     def test_depends_only_on_subdivision(self, seg_cfg, seg_psi, seg_sub):
@@ -101,10 +98,10 @@ class TestGrNuReduced:
         assert nil[(1, -1)] == 2
         assert nil[(1, 2)] == 2
         # exactly the classes outside every marked submonoid are nilpotent
-        for u in basis_points(pres.basis):
-            if u.d == 0:
+        for u in pres.basis:
+            if u[0] == 0:
                 continue
-            assert ((u.vector in nil)) == (not any(in_SQ1(q, u) for q in seg_marked))
+            assert (u in nil) == (not any(in_SQ1(q, u) for q in seg_marked))
 
     def test_marked_degree_one_never_nilpotent(self, seg_cfg, seg_sub):
         pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 6))
@@ -121,6 +118,20 @@ class TestGrNuReduced:
         assert len(pres.components) == len(seg_sub.cells)
         assert pres.equidimensional
 
+    def test_component_test_reads_one_layer_per_degree(self, monkeypatch):
+        # the simplex with its interior point unmarked; the least multiples
+        # of the nilpotent classes are stubbed, so only the component test
+        # reads the marked submonoids' layers
+        cfg = io.config_from_json(io.load_json(DATA / "simplex.json"))
+        psi = io.matrix_from_json(io.load_json(DATA / "simplex_psi_unmarked.json"))
+        t = TruncatedSemigroup(cfg, subdivide(cfg, psi), 12)
+        assert t.basis  # its layered sums are not the component test's
+        calls, layer = [], Submonoid.layer
+        monkeypatch.setattr(Submonoid, "layer", lambda q, d: calls.append(d) or layer(q, d))
+        monkeypatch.setattr(degeneration, "least_multiple", lambda t, i: 1)
+        assert gr_nu_reduced(t).nilpotents
+        assert 0 < len(calls) <= len(t.s.cells) * (t.bound + 1)
+
     def test_sr_quotient_agreement_on_triangulation(self, simplex_cfg, simplex_q2):
         # the structure rule of the reduced algebra mirrors face membership
         # in the simplicial complex: pairwise products of variable classes
@@ -128,7 +139,7 @@ class TestGrNuReduced:
         pres = gr_nu_reduced(TruncatedSemigroup(simplex_cfg, simplex_q2, 4))
         ideal = stanley_reisner(simplex_cfg, simplex_q2)
         facets = [set(c.vertices) for c in simplex_q2.cells]
-        cls = {i: GradedPoint(1, simplex_cfg.points[i]) for i in ideal.variables}
+        cls = {i: (1, *simplex_cfg.points[i]) for i in ideal.variables}
         for i in ideal.variables:
             for j in ideal.variables:
                 if i >= j:
@@ -146,14 +157,13 @@ def _old_table(pres) -> dict:
     """The full product table, rebuilt from the components alone: u + w when
     some component holds both classes, else None (zero), for positive-degree
     basis classes u before w with d_u + d_w within the bound."""
-    points = basis_points(pres.basis)
-    comps = [{points[i] for i in comp} for comp in pres.components]
-    pos = [u for u in points if u.d > 0]
+    comps = [{pres.basis[i] for i in comp} for comp in pres.components]
+    pos = [u for u in pres.basis if u[0] > 0]
     return {
-        (u, w): u + w if any(u in c and w in c for c in comps) else None
+        (u, w): tuple(map(add, u, w)) if any(u in c and w in c for c in comps) else None
         for i, u in enumerate(pos)
         for w in pos[i:]
-        if u.d + w.d <= pres.bound
+        if u[0] + w[0] <= pres.bound
     }
 
 
@@ -182,24 +192,19 @@ class TestMaskRule:
         for (u, w), prod in old.items():
             assert pres.product(u, w) == prod
             assert pres.product(w, u) == prod
-        zeros = sorted(
-            (k for k, v in old.items() if v is None),
-            key=lambda k: (k[0].vector, k[1].vector),
-        )
-        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == [
-            (u.vector, w.vector) for u, w in zeros
-        ]
+        zeros = sorted(k for k, v in old.items() if v is None)
+        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == zeros
 
     def test_out_of_range_raises(self, seg_cfg, seg_sub):
         pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 4))
-        zero, top = basis_points(pres.basis[::len(pres.basis) - 1])
-        assert zero.d == 0 and top.d == 4
-        outside = gp(1, 1)  # 1 is no point of the segment
-        pairs = [(zero, gp(1, 0)), (gp(1, 0), zero), (top, gp(1, 0)), (outside, gp(1, 0))]
+        zero, top = pres.basis[::len(pres.basis) - 1]
+        assert zero[0] == 0 and top[0] == 4
+        outside = (1, 1)  # 1 is no point of the segment
+        pairs = [(zero, (1, 0)), ((1, 0), zero), (top, (1, 0)), (outside, (1, 0))]
         for u, w in pairs:
             with pytest.raises(KeyError):
                 pres.product(u, w)
-        assert pres.product(gp(3, 0), gp(1, 0)) == gp(4, 0)
+        assert pres.product((3, 0), (1, 0)) == (4, 0)
 
 
 DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
@@ -227,26 +232,21 @@ def _check_index_form(cfg, s, bound):
     t = TruncatedSemigroup(cfg, s, bound)
     for build, comps in by_points.items():
         pres = build(t)
-        assert pres.basis == tuple(u.vector for u in points)
-        assert [[pres.basis[i] for i in comp] for comp in pres.components] == [
-            [u.vector for u in comp] for comp in comps
-        ]
+        assert pres.basis == tuple(points)
+        assert [[pres.basis[i] for i in comp] for comp in pres.components] == comps
         masks = class_masks_by_points(points, comps)
         assert pres.masks == [masks[u] for u in points]
         zeros = zero_products_by_points(points, bound, masks)
-        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == [
-            (u.vector, w.vector) for u, w in zeros
-        ]
+        assert [(pres.basis[i], pres.basis[j]) for i, j in pres.table] == list(zeros)
         assert [(pres.basis[i], w) for i, w in pres.nilpotents] == [
-            (u.vector, least_multiple_by_cones(fresh, u))
-            for u in points
-            if u.d > 0 and not masks[u]
+            (u, least_multiple_by_cones(fresh, u)) for u in points if u[0] > 0 and not masks[u]
         ]
-        pos = [u for u in points if u.d > 0]
+        pos = [u for u in points if u[0] > 0]
         for u in pos:
             for w in pos:
-                if u.d + w.d <= bound:
-                    assert pres.product(u, w) == (u + w if masks[u] & masks[w] else None)
+                if u[0] + w[0] <= bound:
+                    product = tuple(map(add, u, w)) if masks[u] & masks[w] else None
+                    assert pres.product(u, w) == product
 
 
 class TestIndexForm:
@@ -300,16 +300,14 @@ class TestKhovanskii:
         # the marked monoid of [-2, 0] is generated in degree 1
         assert rep.per_cell_extras[0] == ()
         # odd characters in the cone over [0, 4] need new generators
-        extras = {u.vector for u in rep.per_cell_extras[1]}
+        extras = set(rep.per_cell_extras[1])
         assert (2, 1) in extras and (3, 1) in extras
         assert all(e % 2 == 1 for _, e in extras)
         # generated + extra partitions the positive-degree semigroup
         from lexfan.quasival import semigroup_up_to
 
-        total = {u.vector for u in semigroup_up_to(seg_cfg, 4) if u.d > 0}
-        got = {u.vector for u in rep.generated} | {
-            u.vector for u, _ in rep.extra_generators
-        }
+        total = {u for u in semigroup_up_to(seg_cfg, 4) if u[0] > 0}
+        got = set(rep.generated) | {u for u, _ in rep.extra_generators}
         assert got == total
 
     def test_trivial_normal_segment(self):

@@ -33,7 +33,7 @@ from lexfan.errors import (
 )
 from lexfan.exactlex import WeightMatrix, rat, rat_str
 from lexfan.gkzfan import condition_cone
-from lexfan.quasival import Expr, GradedPoint
+from lexfan.quasival import Expr
 
 from helpers import expr_to_json, matrix_to_json
 from paper import MuCone
@@ -53,9 +53,7 @@ class TestJson:
         assert io.matrix_from_json(json.loads(json.dumps(obj))) == psi
 
     def test_expr_roundtrip(self):
-        f = Expr.from_terms(
-            [(GradedPoint(1, (-1,)), "2/3"), (GradedPoint(2, (4,)), -1)]
-        )
+        f = Expr.from_terms([((1, -1), "2/3"), ((2, 4), -1)])
         assert io.expr_from_json(expr_to_json(f)) == f
 
     def test_cone_json(self, seg_cfg, seg_sub):
@@ -352,9 +350,7 @@ def files(tmp_path, seg_cfg, seg_psi):
     mat = tmp_path / "psi.json"
     mat.write_text(json.dumps(matrix_to_json(seg_psi)))
     expr = tmp_path / "f.json"
-    f = Expr.from_terms(
-        [(GradedPoint(1, (-1,)), 1), (GradedPoint(1, (2,)), 1)]
-    )
+    f = Expr.from_terms([((1, -1), 1), ((1, 2), 1)])
     expr.write_text(json.dumps(expr_to_json(f)))
     return {"config": str(cfg), "matrix": str(mat), "expr": str(expr), "dir": tmp_path}
 
@@ -492,7 +488,7 @@ class TestCli:
         # any nu key is read, so the schema error wins over the overflow
         data = Path(__file__).resolve().parent.parent / "scripts" / "data"
         expr = tmp_path / "f.json"
-        f = Expr.from_terms([(GradedPoint(13, (0,)), 1), (GradedPoint(20, (100,)), 1)])
+        f = Expr.from_terms([((13, 0), 1), ((20, 100), 1)])
         expr.write_text(json.dumps(expr_to_json(f)))
         inputs = [str(data / "segment.json"), str(data / "segment_psi.json"), str(expr)]
         assert main(["--degree-bound", "12", "valuate", *inputs]) == 2
@@ -537,7 +533,7 @@ class TestCli:
         assert payload["gr_nu_reduced"]["nilpotents"]
 
     def test_valuation_commands_skip_oracles_and_enumerate_once(
-        self, files, capsys, monkeypatch, seg_sub
+        self, files, capsys, monkeypatch, seg_cfg, seg_sub
     ):
         reps = _count_calls(monkeypatch, quasival.rep_set)
         semigroups = _count_calls(monkeypatch, quasival.semigroup_up_to)
@@ -549,16 +545,19 @@ class TestCli:
         assert main(["--degree-bound", "6", "degenerate", *inputs]) == 0
         assert not reps
         assert len(semigroups) == 1
-        assert [args[1] for args in cell_semigroups] == list(seg_sub.cells)
+        # S_Q once per cell on the basis, and once per cell on the
+        # configuration's points for gr_V's component certificates
+        homogenized = [(1, *p) for p in seg_cfg.points]
+        on_points = [cell for _, cell, points in cell_semigroups if list(points) == homogenized]
+        on_basis = [cell for _, cell, points in cell_semigroups if list(points) != homogenized]
+        assert on_basis == on_points == list(seg_sub.cells)
 
     @staticmethod
     def _vertex_multiples(tmp_path) -> str:
         """An expression file with two degree-2000 terms, 2000 times each
         vertex of the segment."""
         far = tmp_path / "far.json"
-        f = Expr.from_terms(
-            [(GradedPoint(2000, (8000,)), 1), (GradedPoint(2000, (-4000,)), "1/2")]
-        )
+        f = Expr.from_terms([((2000, 8000), 1), ((2000, -4000), "1/2")])
         far.write_text(json.dumps(expr_to_json(f)))
         return str(far)
 
@@ -879,7 +878,7 @@ _EXIT_TABLE = {
                      "text output is not available for this command"),
     "term outside the semigroup": (SchemaError, [], "valuate",
                                    [_SEG, _SEG_PSI, [{"d": 1, "eta": [1], "coeff": "1"}]],
-                                   "GradedPoint(d=1, eta=(1,)) is not in the semigroup"),
+                                   "point (1, 1) is not in the semigroup"),
     "liminf of zero": (SchemaError, [], "liminf", [_SEG, _SEG_PSI, []],
                        "power sequence of the zero expression"),
     "point of the wrong length": (DimensionError, [], "fan",
@@ -895,7 +894,7 @@ _EXIT_TABLE = {
                    "ragged weight matrix"),
     "eta of the wrong length": (DimensionError, [], "liminf",
                                 [_SEG, _SEG_PSI, [{"d": 1, "eta": [-1, 5], "coeff": "1"}]],
-                                "GradedPoint(d=1, eta=(-1, 5)) has a character of length 2"),
+                                "point (1, -1, 5) has a character of length 2"),
     "budget": (BudgetExceeded, ["--budget", "1"], "fan", [_TRIANGLE],
                "enumeration stopped after visiting 1 search nodes"),
     "degree bound": (DegreeOverflow, ["--degree-bound", "3"], "liminf",

@@ -25,7 +25,6 @@ from lexfan.linalg import dot
 from lexfan.quasival import (
     AccumulationReport,
     Expr,
-    GradedPoint,
     NuTable,
     Submonoid,
     TruncatedSemigroup,
@@ -49,7 +48,7 @@ from lexfan.quasival import (
     windowed_accumulation,
 )
 
-from helpers import basis_points, trivial_subdivision
+from helpers import scaled, trivial_subdivision
 from oracles import (
     bounded_combination,
     cell_maps_by_solve,
@@ -64,10 +63,6 @@ from paper import geometric_full_rank, is_elementary, is_full_rank
 DATA = Path(__file__).resolve().parents[1] / "scripts" / "data"
 
 
-def gp(d, e):
-    return GradedPoint(d, (e,))
-
-
 # Three points on a line with a gap: 3 is a vertex, 1 may be left unmarked.
 _SHORT = PointConfig(dim=1, points=((0,), (1,), (3,)))
 _CUBE = PointConfig(
@@ -78,27 +73,29 @@ _CUBE = PointConfig(
 def _lattice_points(dim: int):
     """Graded points in a box, most off the semigroup, some of negative degree."""
     eta = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim).map(tuple)
-    return st.builds(GradedPoint, st.integers(-2, 4), eta)
+    return st.builds(lambda d, eta: (d, *eta), st.integers(-2, 4), eta)
 
 
 @pytest.fixture(scope="module")
 def f_running():
-    return Expr.from_terms([(gp(1, -1), 1), (gp(1, 2), 1)])
+    return Expr.from_terms([((1, -1), 1), ((1, 2), 1)])
 
 
 class TestGradedPoint:
-    def test_coordinates_stay_int(self, seg_cfg):
-        # no constructor re-casts: sums, multiples, the basis and parsed
-        # points are int tuples because their inputs are
+    def test_coordinates_stay_int(self, seg_cfg, seg_sub):
+        # a graded point is its vector (d, *eta), an int tuple wherever it is
+        # built: parsed, enumerated, in a product of expressions and as the
+        # product of two basis classes
         from lexfan.io import expr_from_json
 
-        u, w = GradedPoint(2, (-3,)), GradedPoint(1, (4,))
         parsed = expr_from_json([{"d": 2, "eta": [5], "coeff": "1/2"}]).terms[0][0]
-        points = [u + w, u.scaled(3), parsed, *semigroup_up_to(seg_cfg, 2)]
-        assert (u + w, u.scaled(3), parsed) == (gp(3, 1), gp(6, -9), gp(2, 5))
-        for p in points:
-            assert type(p.d) is int and type(p.eta) is tuple
-            assert all(type(c) is int for c in p.eta)
+        f = Expr.from_terms([((2, -3), 1), ((1, 4), "1/2")])
+        square = (f * f).support
+        pres = gr_nu_reduced(TruncatedSemigroup(seg_cfg, seg_sub, 4))
+        product = pres.product((1, -2), (1, 0))
+        assert (parsed, square, product) == ((2, 5), ((2, 8), (3, 1), (4, -6)), (2, -2))
+        for p in [parsed, *square, product, *semigroup_up_to(seg_cfg, 2)]:
+            assert type(p) is tuple and all(type(c) is int for c in p)
 
 
 class TestSemigroup:
@@ -108,23 +105,23 @@ class TestSemigroup:
         chars = [-2, -1, 0, 2, 4]
         expected |= {(1, c) for c in chars}
         expected |= {(2, a + b) for a in chars for b in chars}
-        assert {u.vector for u in elems} == expected
+        assert set(elems) == expected
         assert len(elems) == 17
 
     def test_membership(self, seg_cfg):
-        assert rep_set(seg_cfg, gp(2, 1))  # -1 + 2
-        assert not rep_set(seg_cfg, gp(1, 1))
-        assert not rep_set(seg_cfg, gp(2, 7))
+        assert rep_set(seg_cfg, (2, 1))  # -1 + 2
+        assert not rep_set(seg_cfg, (1, 1))
+        assert not rep_set(seg_cfg, (2, 7))
 
     def test_rep_set_pinned(self, seg_cfg):
-        assert sorted(rep_set(seg_cfg, gp(2, -2))) == [
+        assert sorted(rep_set(seg_cfg, (2, -2))) == [
             (0, 2, 0, 0, 0),
             (1, 0, 1, 0, 0),
         ]
 
     def test_rep_set_counts_degree(self, seg_cfg):
         # representatives of (3, 0)
-        reps = rep_set(seg_cfg, gp(3, 0))
+        reps = rep_set(seg_cfg, (3, 0))
         assert all(sum(a) == 3 for a in reps)
         assert all(
             sum(c * x for c, x in zip(a, [-2, -1, 0, 2, 4])) == 0 for a in reps
@@ -133,12 +130,12 @@ class TestSemigroup:
 
 class TestExpr:
     def test_cancellation(self):
-        f = Expr.from_terms([(gp(1, 0), 1), (gp(1, 0), -1)])
+        f = Expr.from_terms([((1, 0), 1), ((1, 0), -1)])
         assert f.is_zero()
 
     def test_product_support(self, f_running):
         sq = f_running * f_running
-        assert {u.vector for u in sq.support} == {(2, -2), (2, 1), (2, 4)}
+        assert set(sq.support) == {(2, -2), (2, 1), (2, 4)}
 
     def test_power_matches_repeated_product(self, f_running):
         assert f_running.power(3) == f_running * f_running * f_running
@@ -159,27 +156,27 @@ class TestValuations:
         assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), Expr.from_terms([])).value is INFINITY
 
     def test_nu_point_pinned(self, seg_cfg, seg_psi):
-        val, alpha = nu_point(NuTable(seg_cfg, seg_psi, 12), gp(2, -2))
+        val, alpha = nu_point(NuTable(seg_cfg, seg_psi, 12), (2, -2))
         assert val == LexVec([3, 1])
         assert alpha == (1, 0, 1, 0, 0)
 
     def test_nu_degree_overflow(self, seg_cfg, seg_psi):
         with pytest.raises(DegreeOverflow):
-            nu_point(NuTable(seg_cfg, seg_psi, 12), gp(13, 0))
+            nu_point(NuTable(seg_cfg, seg_psi, 12), (13, 0))
 
     def test_marked_point_equality(self, seg_cfg, seg_psi, seg_plm):
         # f_(1,0): the height of a marked point is both V and nu
-        f = Expr.basis(gp(1, 0))
+        f = Expr.basis((1, 0))
         assert v_quasi(seg_plm, f).value == seg_psi.column(2)
         assert nu_quasi(NuTable(seg_cfg, seg_psi, 12), f).value == seg_psi.column(2)
 
     def test_axioms_sampled(self, seg_cfg, seg_psi, seg_plm):
         nu = NuTable(seg_cfg, seg_psi, 12)
         fs = [
-            Expr.basis(gp(1, -1)),
-            Expr.basis(gp(1, 2)),
-            Expr.from_terms([(gp(1, -2), 1), (gp(1, 0), "2/3")]),
-            Expr.from_terms([(gp(2, -2), 1), (gp(1, 4), -3)]),
+            Expr.basis((1, -1)),
+            Expr.basis((1, 2)),
+            Expr.from_terms([((1, -2), 1), ((1, 0), "2/3")]),
+            Expr.from_terms([((2, -2), 1), ((1, 4), -3)]),
         ]
         for f in fs:
             vf = v_quasi(seg_plm, f).value
@@ -220,13 +217,13 @@ class TestValuations:
 
 class TestDelta:
     def test_pinned_values(self, seg_cfg, seg_psi, seg_plm):
-        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(1, -1)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, (1, -1)) == LexVec(
             ["-3/2", "1/2"]
         )
-        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(1, 2)) == LexVec(
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, (1, 2)) == LexVec(
             ["-3/2", "-1"]
         )
-        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, gp(2, -2)) == LexVec([0, 0])
+        assert delta_point(NuTable(seg_cfg, seg_psi, 12), seg_plm, (2, -2)) == LexVec([0, 0])
 
     def test_nonpositive_and_marked_zero(self, seg_cfg, seg_psi, seg_plm, seg_marked):
         zero = LexVec([0, 0])
@@ -237,7 +234,7 @@ class TestDelta:
             assert (val == zero) == any(in_SQ1(q, u) for q in seg_marked)
 
     def test_delta_of_expression(self, seg_cfg, seg_psi, seg_plm):
-        f = Expr.from_terms([(gp(1, -1), 1), (gp(2, -2), 1)])
+        f = Expr.from_terms([((1, -1), 1), ((2, -2), 1)])
         assert delta(NuTable(seg_cfg, seg_psi, 12), seg_plm, f) == LexVec(["-3/2", "1/2"])
         with pytest.raises(ValueError):
             delta(NuTable(seg_cfg, seg_psi, 12), seg_plm, Expr.from_terms([]))
@@ -262,34 +259,33 @@ class TestDelta:
 class TestCellMonoids:
     def test_in_cell_cone(self, seg_cfg, seg_sub):
         c1, c2 = seg_sub.cells
-        assert in_cell_cone(seg_cfg, gp(1, -1), c1)
-        assert not in_cell_cone(seg_cfg, gp(1, 2), c1)
-        assert in_cell_cone(seg_cfg, gp(1, 2), c2)
-        assert in_cell_cone(seg_cfg, gp(0, 0), c1)
-        assert not in_cell_cone(seg_cfg, gp(0, 1), c1)
+        assert in_cell_cone(seg_cfg, (1, -1), c1)
+        assert not in_cell_cone(seg_cfg, (1, 2), c1)
+        assert in_cell_cone(seg_cfg, (1, 2), c2)
+        assert in_cell_cone(seg_cfg, (0, 0), c1)
+        assert not in_cell_cone(seg_cfg, (0, 1), c1)
         # a negative degree is outside every cell cone, even where eta / d
         # would lie in the cell
-        assert not in_cell_cone(seg_cfg, gp(-1, 1), c1)
+        assert not in_cell_cone(seg_cfg, (-1, 1), c1)
 
     def test_in_SQ1_pinned(self, seg_cfg, seg_sub, seg_marked):
         c1 = Submonoid(seg_cfg, seg_sub.cells[0].marking)
-        assert in_SQ1(c1, gp(2, -2))
-        assert not in_SQ1(c1, gp(1, -1))
-        assert not any(in_SQ1(q, gp(1, -1)) for q in seg_marked)
-        assert not any(in_SQ1(q, gp(1, 2)) for q in seg_marked)
+        assert in_SQ1(c1, (2, -2))
+        assert not in_SQ1(c1, (1, -1))
+        assert not any(in_SQ1(q, (1, -1)) for q in seg_marked)
+        assert not any(in_SQ1(q, (1, 2)) for q in seg_marked)
         # (2, 2) = -2 + 4 needs points from both cells, so it is in no S¹_Q
-        assert not any(in_SQ1(q, gp(2, 2)) for q in seg_marked)
-        assert any(in_SQ1(q, gp(2, 4)) for q in seg_marked)  # 0 + 4 inside [0, 4]
+        assert not any(in_SQ1(q, (2, 2)) for q in seg_marked)
+        assert any(in_SQ1(q, (2, 4)) for q in seg_marked)  # 0 + 4 inside [0, 4]
 
     def test_cell_semigroup(self, seg_cfg, seg_sub):
         right = seg_sub.cells[1]
-        elems = [u.vector for u in semigroup_up_to(seg_cfg, 1)]
+        elems = semigroup_up_to(seg_cfg, 1)
         kept = cell_semigroup(seg_cfg, right, elems)
         assert {elems[i] for i in kept} == {(0, 0), (1, 0), (1, 2), (1, 4)}
         basis = semigroup_up_to(seg_cfg, 4)
-        vectors = [u.vector for u in basis]
         for cell in seg_sub.cells:  # one hull per cell, as in_cell_cone per element
-            assert [basis[i] for i in cell_semigroup(seg_cfg, cell, vectors)] == [
+            assert [basis[i] for i in cell_semigroup(seg_cfg, cell, basis)] == [
                 u for u in basis if in_cell_cone(seg_cfg, u, cell)
             ]
 
@@ -304,9 +300,8 @@ class TestCellMonoids:
         elems = semigroup_up_to(cfg, data.draw(st.integers(0, 3)))
         elems += data.draw(st.lists(_lattice_points(cfg.dim), max_size=10))
         elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
-        vectors = [u.vector for u in elems]
         for cell in subdivide(cfg, psi).cells:
-            kept = cell_semigroup(cfg, cell, vectors)
+            kept = cell_semigroup(cfg, cell, elems)
             assert [elems[i] for i in kept] == cell_semigroup_by_contains(cfg, cell, elems)
 
     @pytest.mark.parametrize(
@@ -322,31 +317,26 @@ class TestCellMonoids:
         assert hull_of(tuple(cfg.points[i] for i in vertices)).cone.eq_normals
         elems = semigroup_up_to(cfg, 3) + data.draw(st.lists(_lattice_points(cfg.dim)))
         elems += data.draw(st.lists(_graded_points(cfg, 4), max_size=10))
-        kept = [elems[i] for i in cell_semigroup(cfg, cell, [u.vector for u in elems])]
+        kept = [elems[i] for i in cell_semigroup(cfg, cell, elems)]
         assert kept == cell_semigroup_by_contains(cfg, cell, elems)
-        assert any(u.d == 3 for u in kept)
+        assert any(u[0] == 3 for u in kept)
         with pytest.raises(DimensionError):
-            cell_semigroup(cfg, cell, [GradedPoint(1, (0,) * (cfg.dim + 1)).vector])
+            cell_semigroup(cfg, cell, [(1,) + (0,) * (cfg.dim + 1)])
 
     def test_least_multiple_reads_cells_off_masks(self):
-        # every nilpotent of the interior-unmarked simplex, and twice each
-        # of degree 7 or more, which lies outside the basis
+        # every nilpotent of the interior-unmarked simplex
         cfg = io.config_from_json(io.load_json(DATA / "simplex.json"))
         psi = io.matrix_from_json(io.load_json(DATA / "simplex_psi_unmarked.json"))
         t = TruncatedSemigroup(cfg, subdivide(cfg, psi), 12)
         oracle = TruncatedSemigroup(cfg, t.s, 12)
         nilpotents = gr_nu_reduced(t).nilpotents
         assert len(nilpotents) == 650
-        points = basis_points(t.basis)
         for i, witness in nilpotents:
+            u = t.basis[i]
             assert t.cell_masks[i] == sum(
-                1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(cfg, points[i], cell)
+                1 << ci for ci, cell in enumerate(t.s.cells) if in_cell_cone(cfg, u, cell)
             )
-            assert witness == least_multiple_by_cones(oracle, points[i])
-        outside = [points[i].scaled(2) for i, _ in nilpotents if points[i].d > 6]
-        assert outside and not any(u.vector in t.index for u in outside)
-        for u in outside:
-            assert least_multiple(t, u) == least_multiple_by_cones(oracle, u)
+            assert witness == least_multiple(t, i) == least_multiple_by_cones(oracle, u)
 
     def test_stretch_factors(self, seg_cfg, seg_sub, simplex_cfg, simplex_q2):
         assert stretch_factor(TruncatedSemigroup(seg_cfg, seg_sub, 12)) == 4
@@ -356,10 +346,10 @@ class TestCellMonoids:
         ell = stretch_factor(TruncatedSemigroup(seg_cfg, seg_plm.subdivision, 12))
         nu = NuTable(seg_cfg, seg_psi, 12)
         for u in semigroup_up_to(seg_cfg, 2):
-            if u.d == 0:
+            if u[0] == 0:
                 continue
             v_val = v_quasi(seg_plm, Expr.basis(u)).value
-            nu_val, _ = nu_point(nu, u.scaled(ell))
+            nu_val, _ = nu_point(nu, scaled(u, ell))
             assert nu_val == v_val * ell
 
     @settings(max_examples=60, deadline=None)
@@ -376,14 +366,13 @@ class TestCellMonoids:
             return any(bounded_combination(cfg, u, c.marking) is not None for c in s.cells)
 
         stretch = stretch_factor(t)
-        points = basis_points(t.basis)
-        for u in points:
-            k = least_multiple(t, u)
-            assert lands(u.scaled(k))
-            assert not any(lands(u.scaled(j)) for j in range(1, k))
-            assert lands(u.scaled(stretch))
+        for i, u in enumerate(t.basis):
+            k = least_multiple(t, i)
+            assert lands(scaled(u, k))
+            assert not any(lands(scaled(u, j)) for j in range(1, k))
+            assert lands(scaled(u, stretch))
         for i, witness in gr_nu_reduced(t).nilpotents:
-            assert witness == least_multiple(t, points[i]) > 1
+            assert witness == least_multiple(t, i) > 1
             assert stretch % witness == 0
 
     def test_least_multiple_searches_only_cells_holding_u(self, square_cfg):
@@ -392,9 +381,9 @@ class TestCellMonoids:
         # them: no other cell's submonoid grows a layer
         s = subdivide(square_cfg, WeightMatrix(rows=((1, 0, 0, 1),)))
         assert len(s.cells) == 2
-        for u in (GradedPoint(1, (1, 0)), GradedPoint(1, (0, 1))):
+        for u in ((1, 1, 0), (1, 0, 1)):
             t = TruncatedSemigroup(square_cfg, s, 4)
-            assert least_multiple(t, u) == 1
+            assert least_multiple(t, t.index[u]) == 1
             grown = [len(q._layers) > 1 for q in t.marked]
             assert grown == [in_cell_cone(square_cfg, u, cell) for cell in s.cells]
             assert grown.count(True) == 1
@@ -404,7 +393,7 @@ class TestCellMonoids:
         # the marking -1, 0, 2 leaves the vertices -2 and 4 unmarked, so no
         # multiple of (1, -2) is a combination of it
         s = MarkedSubdivision(cells=(MarkedCell(vertices=(0, 4), marking=(1, 2, 3)),))
-        with pytest.raises(ValueError, match=re.escape(str(gp(1, -2)))):
+        with pytest.raises(ValueError, match=re.escape("point (1, -2)")):
             build(TruncatedSemigroup(seg_cfg, s, 6))
 
 
@@ -450,13 +439,13 @@ class TestPowerSequences:
 class TestElementarity:
     def test_pinned(self, seg_psi, seg_plm, f_running):
         assert not is_elementary(seg_plm, seg_psi, f_running)
-        f13 = Expr.from_terms([(gp(1, -2), 1), (gp(1, 0), 1)])
+        f13 = Expr.from_terms([((1, -2), 1), ((1, 0), 1)])
         assert is_elementary(seg_plm, seg_psi, f13)
 
     def test_zero_matrix_rejected(self, seg_cfg, seg_plm):
         zero = WeightMatrix(rows=((0, 0, 0, 0, 0),))
         with pytest.raises(ValueError):
-            is_elementary(seg_plm, zero, Expr.basis(gp(1, 0)))
+            is_elementary(seg_plm, zero, Expr.basis((1, 0)))
 
 
 class TestFullRank:
@@ -527,7 +516,7 @@ def _graded_points(draw, cfg, max_degree):
     eta = [sum(p[k] for p in picks) for k in range(cfg.dim)]
     if draw(st.booleans()):
         eta = [e + draw(st.integers(-1, 1)) for e in eta]
-    return GradedPoint(d, tuple(eta))
+    return (d, *eta)
 
 
 class TestOracles:
@@ -625,9 +614,9 @@ def _box_neighbours(draw, cfg, d):
     k = draw(st.integers(0, cfg.dim - 1))
     step = draw(st.sampled_from([-1, 1]))
     eta[k] = d * (lo[k] if step < 0 else hi[k])
-    inside = GradedPoint(d, tuple(eta))
+    inside = (d, *eta)
     eta[k] += step
-    return inside, GradedPoint(d, tuple(eta))
+    return inside, (d, *eta)
 
 
 @st.composite
@@ -642,7 +631,7 @@ def _face_points(draw, cfg, d):
         cut = draw(st.sets(st.sampled_from(hull.facets)))
         on = [p for p in cfg.points if all(dot(a, (1, *p)) == 0 for a in cut)]
     picks = draw(st.lists(st.sampled_from(on or cfg.points), min_size=d, max_size=d))
-    return GradedPoint(d, tuple(sum(p[k] for p in picks) for k in range(cfg.dim)))
+    return (d, *(sum(p[k] for p in picks) for k in range(cfg.dim)))
 
 
 class TestPackedTable:
@@ -672,7 +661,7 @@ class TestPackedTable:
         mixed = st.lists(st.sampled_from(cfg.points), min_size=bound, max_size=bound)
         sums = st.lists(st.one_of(extreme, mixed), min_size=1, max_size=4)
         for picks in data.draw(sums):
-            u = GradedPoint(bound, tuple(map(sum, zip(*picks))))
+            u = (bound, *map(sum, zip(*picks)))
             assert _lookup(table, u) == _fibre_max(cfg, psi, u)
         _check_box(cfg, table)
 
@@ -714,7 +703,7 @@ class TestPackedTable:
         point = st.one_of(on_faces, on_faces, outside.map(lambda pair: pair[1]))
         points = data.draw(st.lists(point, min_size=1, max_size=5))
         expected = {u: _fibre_max(cfg, psi, u) for u in points}
-        ascending = sorted(points, key=lambda u: u.d)
+        ascending = sorted(points, key=lambda u: u[0])
         drawn = data.draw(st.permutations(points))
         for order in (ascending, ascending[::-1], drawn):
             table = NuTable(cfg, psi, bound)
@@ -731,7 +720,7 @@ class TestPackedTable:
         bound = 4
         table = NuTable(cfg, WeightMatrix(rows=(tuple(range(cfg.r)),)), bound)
         inside = semigroup_up_to(cfg, bound)
-        off = [u.scaled(-1) for u in inside if u.d]
+        off = [scaled(u, -1) for u in inside if u[0]]
         units = [
             tuple(s * (i == k) for i in range(cfg.dim))
             for k in range(cfg.dim)
@@ -739,13 +728,13 @@ class TestPackedTable:
         ]
         for a in hull_of(cfg.points).facets:
             off += [
-                GradedPoint(u.d, tuple(map(sum, zip(u.eta, e))))
+                (u[0], *map(sum, zip(u[1:], e)))
                 for u in inside
-                if u.d and dot(a, u.vector) == 0
+                if u[0] and dot(a, u) == 0
                 for e in units
                 if dot(a[1:], e) > 0
             ]
-        assert any(u.d < 0 for u in off) and any(u.d == bound for u in off)
+        assert any(u[0] < 0 for u in off) and any(u[0] == bound for u in off)
         for u in off:
             assert table.key(u) is None, u
             with pytest.raises(SchemaError):
@@ -753,11 +742,11 @@ class TestPackedTable:
 
     def test_degree_overflow_above_bound(self, seg_cfg, seg_psi, f_running):
         table = NuTable(seg_cfg, seg_psi, 4)
-        assert nu_point(table, gp(4, 16))[1] == (0, 0, 0, 0, 4)
+        assert nu_point(table, (4, 16))[1] == (0, 0, 0, 0, 4)
         with pytest.raises(DegreeOverflow, match="degree 5 exceeds bound 4"):
-            nu_point(table, gp(5, 0))
+            nu_point(table, (5, 0))
         with pytest.raises(DegreeOverflow, match="degree 5 exceeds bound 4"):
-            nu_quasi(table, Expr.from_terms([(gp(1, 0), 1), (gp(5, 0), 1)]))
+            nu_quasi(table, Expr.from_terms([((1, 0), 1), ((5, 0), 1)]))
         with pytest.raises(DegreeOverflow, match="power 5 needs degree 5 > bound 4"):
             power_seq(table, f_running, window=5)
 
@@ -839,15 +828,14 @@ def _power_exprs(draw, cfg, max_degree):
     vertices = [cfg.points[i] for i in hull_of(cfg.points).vertices]
     inside = [
         u for u in semigroup_up_to(cfg, max_degree)
-        if u.d and all(dot(a, u.vector) < 0 for a in facets)
+        if u[0] and all(dot(a, u) < 0 for a in facets)
     ]
     degrees = st.integers(0, max_degree)
     point = st.one_of(
-        st.builds(lambda d, v: GradedPoint(d, tuple(d * c for c in v)), degrees,
-                  st.sampled_from(vertices)),
+        st.builds(lambda d, v: (d, *(d * c for c in v)), degrees, st.sampled_from(vertices)),
         st.sampled_from(inside),
         _graded_points(cfg, max_degree),
-        st.builds(lambda u, longer: GradedPoint(u.d, u.eta + (0,) if longer else u.eta[:-1]),
+        st.builds(lambda u, longer: u + (0,) if longer else u[:-1],
                   _graded_points(cfg, max_degree), st.booleans()),
     )
     terms = [(u, draw(_COEFFS)) for u in draw(st.lists(point, min_size=1, max_size=4))]
@@ -856,9 +844,9 @@ def _power_exprs(draw, cfg, max_degree):
         s = draw(_graded_points(cfg, max_degree - 2))
         x = draw(_COEFFS)
         terms += [
-            (GradedPoint(s.d + 2, tuple(e + a + b for e, a, b in zip(s.eta, p, q))), x),
-            (GradedPoint(s.d + 2, tuple(e + 2 * a for e, a in zip(s.eta, p))), x),
-            (GradedPoint(s.d + 2, tuple(e + 2 * b for e, b in zip(s.eta, q))), -x / 2),
+            ((s[0] + 2, *(e + a + b for e, a, b in zip(s[1:], p, q))), x),
+            ((s[0] + 2, *(e + 2 * a for e, a in zip(s[1:], p))), x),
+            ((s[0] + 2, *(e + 2 * b for e, b in zip(s[1:], q))), -x / 2),
         ]
     return Expr.from_terms(terms)
 
@@ -891,12 +879,12 @@ class TestKeyedValuations:
         # under a zero matrix every value is 0; the whole key -w(alpha) of
         # (2,-4) is below that of (1,4), which comes first in the support
         table = NuTable(seg_cfg, WeightMatrix(rows=((0,) * 5,)), 4)
-        f = Expr.from_terms([(gp(2, -4), 1), (gp(1, 4), 1)])
+        f = Expr.from_terms([((2, -4), 1), ((1, 4), 1)])
         rep = nu_quasi(table, f)
         assert rep == _nu_quasi_per_point(table, f)
         assert (rep.value, rep.witness_point, rep.witness_alpha) == (
             LexVec([0]),
-            gp(1, 4),
+            (1, 4),
             (0, 0, 0, 0, 1),
         )
 
@@ -935,27 +923,27 @@ class TestKeyedValuations:
     def test_power_seq_cancelling_term(self, seg_cfg):
         # u1 + u2 = 2*u3: the 2*u3 term of f^2 is 1 - 2*(1/2) = 0, and it
         # would be the least point of the support if it stayed
-        u1, u2, u3 = gp(1, -2), gp(1, 2), gp(1, 0)
+        u1, u2, u3 = (1, -2), (1, 2), (1, 0)
         f = Expr.from_terms([(u1, 1), (u2, "-1/2"), (u3, 1)])
         table = NuTable(seg_cfg, WeightMatrix(rows=((2, 9, -9, 0, 30),)), 8)
-        assert u3.scaled(2) not in f.power(2).support
-        assert nu_point(table, u3.scaled(2))[0] == LexVec([2])
+        assert scaled(u3, 2) not in f.power(2).support
+        assert nu_point(table, scaled(u3, 2))[0] == LexVec([2])
         seq = power_seq(table, f, window=3, start=2)
         assert seq == _power_seq_by_algebra(table, f, 3, 2)
         assert seq[0] == (2, LexVec([2]))
 
     def test_power_seq_error_messages(self, seg_cfg, seg_psi):
         table = NuTable(seg_cfg, seg_psi, 4)
-        off = Expr.from_terms([(gp(1, 3), "1/2"), (gp(1, 1), 1)])
-        with pytest.raises(SchemaError, match=re.escape(f"{gp(1, 1)} is not in the semigroup")):
+        off = Expr.from_terms([((1, 3), "1/2"), ((1, 1), 1)])
+        with pytest.raises(SchemaError, match=re.escape("point (1, 1) is not in the semigroup")):
             power_seq(table, off, window=2)
         # f^2 lists 1+10 before 5+5, both off the semigroup; the message
         # names the least, as nu_quasi(table, f.power(2)) does
-        far = Expr.from_terms([(gp(1, 1), 1), (gp(1, 5), "1/2"), (gp(1, 10), 1)])
-        with pytest.raises(SchemaError, match=re.escape(f"{gp(2, 10)} is not in the semigroup")):
+        far = Expr.from_terms([((1, 1), 1), ((1, 5), "1/2"), ((1, 10), 1)])
+        with pytest.raises(SchemaError, match=re.escape("point (2, 10) is not in the semigroup")):
             power_seq(table, far, window=2, start=2)
         with pytest.raises(DegreeOverflow, match="power 3 needs degree 6 > bound 4"):
-            power_seq(table, Expr.from_terms([(gp(2, 0), "2/3")]), window=3, start=2)
+            power_seq(table, Expr.from_terms([((2, 0), "2/3")]), window=3, start=2)
 
     @pytest.mark.parametrize(
         "config, matrix, expr, window, bound",
@@ -1012,7 +1000,7 @@ def _valuate_by_fractions(cfg, s, psi, table, f):
         none = ValuationReport(INFINITY, None, None, None)
         return none, none, None
     maps = cell_maps_by_solve(cfg, s, psi)
-    vs = [value_by_cells(cfg, maps, u.vector) for u in f.support]
+    vs = [value_by_cells(cfg, maps, u) for u in f.support]
     nu_rep = _nu_quasi_per_point(table, f)
     gaps = [nu_point(table, u)[0] - v for u, (v, _) in zip(f.support, vs)]
     i = [v for v, _ in vs].index(min(v for v, _ in vs))
