@@ -13,10 +13,9 @@ division anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.errors import DimensionError, SchemaError
@@ -25,29 +24,43 @@ from lexfan.linalg import dot, echelon, kernel_coordinates, primitive
 Point = tuple
 
 
-@dataclass(frozen=True)
 class PointConfig:
     """A configuration (P, A): distinct integer points whose affine span is
-    the full ambient space; P is their convex hull."""
+    the full ambient space; P is their convex hull.  Immutable; equal and
+    hashed by (dim, points)."""
 
-    dim: int
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(map(tuple, self.points))
+    def __init__(self, dim: int, points: Iterable):
+        pts = tuple(map(tuple, points))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", pts)
         for c in itertools.chain.from_iterable(pts):
             if type(c) is not int:  # no bool, no Fraction, no string
                 raise SchemaError(f"expected integer, got {c!r}")
         if not pts:
             raise SchemaError("a configuration needs at least one point")
-        if any(len(p) != self.dim for p in pts):
+        if any(len(p) != dim for p in pts):
             raise DimensionError("point length != ambient dimension")
         if len(set(pts)) != len(pts):
             raise SchemaError("configuration points must be distinct")
         # the homogenized points span iff their transpose has full row rank
-        if len(echelon(self.matrix)[1]) != self.dim + 1:
+        if len(echelon(self.matrix)[1]) != dim + 1:
             raise SchemaError("points do not affinely span the ambient space")
+
+    def __setattr__(self, *_):
+        raise AttributeError("PointConfig is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not PointConfig:
+            return NotImplemented
+        return (self.dim, self.points) == (other.dim, other.points)
+
+    def __hash__(self):
+        return hash((self.dim, self.points))
+
+    def __repr__(self):
+        return f"PointConfig(dim={self.dim!r}, points={self.points!r})"
 
     @property
     def r(self) -> int:
@@ -105,8 +118,7 @@ class PointConfig:
         return kernel_coordinates(self.matrix)
 
 
-@dataclass(frozen=True)
-class Hull:
+class Hull(NamedTuple):
     """Exact hull data of a point list: the cone over the homogenized points
     (1, x), whose normals are the facet inequalities and affine-hull
     equations, and the vertex indices.  A homogeneous vector (d, y) lies in
@@ -227,30 +239,26 @@ def _face_to_face(pa: tuple, pb: tuple) -> bool:
 # marked cells and subdivisions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkedCell:
+class MarkedCell(NamedTuple("MarkedCell", [("vertices", tuple), ("marking", tuple)])):
     """A full-dimensional cell given by its vertex indices into A, together
-    with its marking (a subset of A in the cell containing all vertices)."""
+    with its marking (a subset of A in the cell containing all vertices),
+    each stored sorted and without repeats."""
 
-    vertices: tuple
-    marking: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted(set(self.vertices))))
-        object.__setattr__(self, "marking", tuple(sorted(set(self.marking))))
+    def __new__(cls, vertices: Iterable[int], marking: Iterable[int]):
+        return tuple.__new__(cls, (tuple(sorted(set(vertices))), tuple(sorted(set(marking)))))
 
 
-@dataclass(frozen=True)
-class MarkedSubdivision:
+class MarkedSubdivision(NamedTuple("MarkedSubdivision", [("cells", tuple)])):
     """A set of marked cells; canonical form sorts cells by (vertices,
-    marking), making structural equality the right notion of sameness."""
+    marking), a cell's tuple order, making structural equality the right
+    notion of sameness."""
 
-    cells: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(sorted(self.cells, key=lambda c: (c.vertices, c.marking)))
-        )
+    def __new__(cls, cells: Iterable[MarkedCell]):
+        return tuple.__new__(cls, (tuple(sorted(cells)),))
 
     @property
     def marked_points(self) -> tuple:
@@ -260,8 +268,7 @@ class MarkedSubdivision:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple  # of (code, message)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import add, not_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from lexfan.config import MarkedSubdivision, PointConfig, is_triangulation
 from lexfan.quasival import (
@@ -25,8 +24,7 @@ from lexfan.quasival import (
 )
 
 
-@dataclass(frozen=True)
-class ComponentCertificate:
+class ComponentCertificate(NamedTuple):
     """Irredundancy witness for one cell: the sum of its degree-1 classes
     lies in that cell's monoid and in no other cell's cone, so its class
     annihilates every other component while remaining nonzero."""
@@ -41,8 +39,7 @@ class ComponentCertificate:
         return self.in_own_cell and self.outside_others
 
 
-@dataclass(frozen=True)
-class FanAlgebraPresentation:
+class FanAlgebraPresentation(NamedTuple):
     """Degree-truncated presentation, each class its index in ``basis``:
     per-cell component monoids, the component bitmask of each class (bit ci
     set when component ci holds it), the zero products, nilpotent classes
@@ -139,8 +136,7 @@ def gr_nu_reduced(t: TruncatedSemigroup) -> FanAlgebraPresentation:
     return _presentation(t, tuple(comps), class_masks(len(basis), comps))
 
 
-@dataclass(frozen=True)
-class SRIdeal:
+class SRIdeal(NamedTuple):
     """Stanley-Reisner data of a triangulation: squarefree monomial
     generators (minimal non-faces) on the marked variables, plus the
     variables of unmarked points, which become nilpotent."""

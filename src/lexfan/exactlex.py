@@ -7,7 +7,6 @@ Everything downstream compares values in Q^N under the lexicographic order
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -141,18 +140,27 @@ class Infinity:
 INFINITY = Infinity()
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
     """An N x r matrix over Q; column j is the height vector of the j-th
-    configuration point.  Rows are ordered most-significant first."""
+    configuration point.  Rows are ordered most-significant first.
+    Immutable; equal and hashed by its rows."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(rat(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Iterable):
+        rows = tuple(tuple(rat(x) for x in row) for row in rows)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise DimensionError("ragged weight matrix")
         object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, *_):
+        raise AttributeError("WeightMatrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is WeightMatrix else NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def n_rows(self) -> int:

@@ -33,11 +33,10 @@ less than the table for a few cells.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from lexfan.cones import PolyCone
 from lexfan.config import (
@@ -59,8 +58,7 @@ from lexfan import lp  # noqa: F401
 # condition cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionGenerator:
+class ConditionGenerator(NamedTuple):
     """One affine-relation generator: the primitive vector of
     e_v - sum_i a_i e_{w_i} where v = sum a_i w_i over the affine basis
     delta of the cell's marking.  two_sided generators (marked v) enter the
@@ -73,8 +71,7 @@ class ConditionGenerator:
     two_sided: bool
 
 
-@dataclass(frozen=True)
-class ConditionCone:
+class ConditionCone(NamedTuple):
     subdivision: MarkedSubdivision
     cone: PolyCone
     generators: tuple  # of ConditionGenerator
@@ -213,8 +210,7 @@ def condition_cone(
     return ConditionCone(subdivision=s, cone=cone, generators=tuple(gens))
 
 
-@dataclass(frozen=True)
-class SignLedger:
+class SignLedger(NamedTuple):
     signs: tuple  # of (ConditionGenerator, lex sign of Psi.u)
 
     @property
@@ -296,8 +292,7 @@ def subdivide(cfg: PointConfig, psi: WeightMatrix) -> MarkedSubdivision:
 # piecewise-linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(NamedTuple):
     """Per-cell linear maps Q^n -> Q^N; the global convex-upward map is the
     lexicographic minimum over the cells.
 

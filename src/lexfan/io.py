@@ -114,8 +114,7 @@ _HOLE = "\0"  # marks a node written item by item; rendered text escapes NUL
 
 class Rows:
     """Rows by index, which ``chunks`` writes as ``[[items[i] for i in row]
-    for row in rows]``; no item holds an iterator or a list of ``_BIG``.
-    A plain class: a dataclass would cost every import about 0.5 ms."""
+    for row in rows]``; no item holds an iterator or a list of ``_BIG``."""
 
     def __init__(self, items: Sequence, rows: Sequence):
         self.items, self.rows = items, rows

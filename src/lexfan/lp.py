@@ -7,9 +7,8 @@ free.  Free variables are split into positive and negative parts internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from lexfan.errors import InvariantError
 
@@ -18,8 +17,7 @@ INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     x: Optional[tuple]
     value: Optional[Fraction]

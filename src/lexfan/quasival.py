@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
 from operator import add, eq, ge, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from lexfan.config import (
     MarkedCell,
@@ -40,14 +39,31 @@ from lexfan.linalg import dot
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Expr:
     """A finite rational combination of basis functions f_u.  Each u is a
     graded point of the semigroup generated by the homogenized
     configuration points, given as its vector (d, *eta): the degree, then
-    the character.  Zero coefficients are never stored."""
+    the character.  Zero coefficients are never stored.  Immutable; equal
+    and hashed by its terms.  Not a tuple, so that + and len raise."""
 
-    terms: tuple  # of (vector, Fraction), sorted
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):  # of (vector, Fraction), sorted
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Expr is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.terms == other.terms if type(other) is Expr else NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return f"Expr(terms={self.terms!r})"
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple]) -> "Expr":
@@ -156,8 +172,7 @@ def rep_set(cfg: PointConfig, u: tuple) -> list[tuple]:
 # valuations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     value: object  # LexVec or INFINITY
     witness_point: Optional[tuple]  # a vector (d, *eta)
     witness_alpha: Optional[tuple]  # for nu: maximizing exponent vector
@@ -412,8 +427,7 @@ def delta(table: NuTable, plm: PiecewiseLinearMap, f: Expr) -> LexVec:
     return valuate(table, plm, f)[2].value
 
 
-@dataclass(frozen=True)
-class DeltaImage:
+class DeltaImage(NamedTuple):
     values: frozenset  # of LexVec
     per_cell: tuple  # per cell: frozenset of values of points in that cone
 
@@ -639,8 +653,7 @@ def power_seq(
     return out
 
 
-@dataclass(frozen=True)
-class AccumulationReport:
+class AccumulationReport(NamedTuple):
     candidates: frozenset  # of LexVec (limits of exact affine-in-1/l fits)
     liminf: Optional[LexVec]  # lex-min candidate
     windowed: bool  # always True: no claim beyond the window
