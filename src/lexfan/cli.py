@@ -18,7 +18,7 @@ from fractions import Fraction
 from lexfan import degeneration, gkzfan, io, quasival
 from lexfan.config import PointConfig, is_triangulation, refinement_poset
 from lexfan.errors import EXIT_CODES, SchemaError
-from lexfan.exactlex import INFINITY, rat_str
+from lexfan.exactlex import INFINITY
 
 
 _BLOCK = 1 << 16  # the least write, so that a small output is one write
@@ -63,7 +63,7 @@ def _emit(args, payload, text_fn=None, svg_fn=None) -> None:
 def _lexvec_json(v):
     if v is INFINITY:
         return "infinity"
-    return [rat_str(x) for x in v]
+    return list(map(str, v))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,8 @@ def _angle_key(dx: Fraction, dy: Fraction):
 def _subdivision_payload(cfg: PointConfig, psi, s) -> dict:
     ledger = gkzfan.closed_member(cfg, psi, s)
     return {
-        **io.config_to_json(cfg, s),
+        **io.config_to_json(cfg),
+        **io.subdivision_to_json(s),
         "open_member": ledger.open_member,
         "closed_member": ledger.member,
         "condition_signs": [
@@ -216,7 +217,7 @@ def cmd_liminf(args) -> int:
         "sequence": [{"l": ell, "value": _lexvec_json(v)} for ell, v in seq],
         "accumulation_candidates": sorted(map(_lexvec_json, acc.candidates)),
         "liminf": None if acc.liminf is None else _lexvec_json(acc.liminf),
-        "windowed": acc.windowed,
+        "windowed": True,
     }
     _emit(args, payload)
     return 0

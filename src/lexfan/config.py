@@ -269,8 +269,13 @@ class MarkedSubdivision(NamedTuple("MarkedSubdivision", [("cells", tuple)])):
 
 
 class ValidationReport(NamedTuple):
-    ok: bool
+    """The violations of a subdivision; ``ok`` when there are none."""
+
     violations: tuple  # of (code, message)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _cell_points(cfg: PointConfig, cell: MarkedCell) -> tuple:
@@ -299,7 +304,7 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
         for i in c.vertices + c.marking:
             if not 0 <= i < cfg.r:
                 v.append(("index-range", f"index {i} out of range"))
-                return ValidationReport(False, tuple(v))
+                return ValidationReport(tuple(v))
 
     if len(set(s.cells)) != len(s.cells):
         v.append(("duplicate-cell", "a cell is listed twice"))
@@ -320,7 +325,7 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
                 v.append(("marking-outside-cell", f"point {i} not in cell {c.vertices}"))
 
     if v:
-        return ValidationReport(False, tuple(v))
+        return ValidationReport(tuple(v))
 
     for ca, cb in itertools.combinations(s.cells, 2):
         v.extend(cell_pair_violations(cfg, ca, cb))
@@ -329,7 +334,7 @@ def validate_subdivision(cfg: PointConfig, s: MarkedSubdivision) -> ValidationRe
     if total != volume(cfg.points):
         v.append(("not-covering", f"cell volumes sum to {total}"))
 
-    return ValidationReport(not v, tuple(v))
+    return ValidationReport(tuple(v))
 
 
 def refines(cfg: PointConfig, s: MarkedSubdivision, coarse: MarkedSubdivision) -> bool:

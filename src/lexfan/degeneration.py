@@ -43,17 +43,28 @@ class FanAlgebraPresentation(NamedTuple):
     """Degree-truncated presentation, each class its index in ``basis``:
     per-cell component monoids, the component bitmask of each class (bit ci
     set when component ci holds it), the zero products, nilpotent classes
-    (none for the piecewise-linear valuation), and per-cell certificates."""
+    (none for the piecewise-linear valuation), and per-cell certificates.
+    ``bound``, ``basis`` and ``equidimensional`` are read off the
+    semigroup."""
 
     semigroup: TruncatedSemigroup
-    bound: int
-    basis: tuple  # per class: its vector (d, *eta), sorted
     components: tuple  # per cell: the sorted classes of its monoid
     masks: list  # per class: its component bitmask
     table: tuple  # zero products (i, j), i <= j, sorted
     nilpotents: tuple  # of (class, exponent witness)
     certificates: tuple  # of ComponentCertificate
-    equidimensional: bool
+
+    @property
+    def bound(self) -> int:
+        return self.semigroup.bound
+
+    @property
+    def basis(self) -> tuple:  # per class: its vector (d, *eta), sorted
+        return self.semigroup.basis
+
+    @property
+    def equidimensional(self) -> bool:
+        return self.semigroup.equidimensional
 
     def product(self, u: tuple, w: tuple) -> Optional[tuple]:
         """u + w when some component holds both classes, None when the
@@ -87,8 +98,6 @@ def _presentation(
     basis = t.basis
     return FanAlgebraPresentation(
         semigroup=t,
-        bound=t.bound,
-        basis=basis,
         components=comps,
         masks=masks,
         table=_zero_products(basis, t.bound, masks),
@@ -96,7 +105,6 @@ def _presentation(
             (i, least_multiple(t, i)) for i, v in enumerate(basis) if v[0] > 0 and not masks[i]
         ),
         certificates=certificates,
-        equidimensional=t.equidimensional,
     )
 
 

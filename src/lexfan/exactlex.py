@@ -47,11 +47,6 @@ def rat(x) -> Fraction:
     raise SchemaError(f"not a rational: {x!r}")
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q" (or "p" when integral); exact round-trip."""
-    return str(x)
-
-
 class LexVec(tuple):
     """A point of Q^N, compared lexicographically most-significant first.
 

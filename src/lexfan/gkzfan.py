@@ -20,9 +20,12 @@ and clash bitmasks, and the determinants the volumes
 (``enumerate_subdivisions``); ``config.cell_pair_violations`` stays the
 independent check.
 
-A condition cone's relations are read cell by cell and numbered by the
-cell's index in the subdivision (``condition_generators``).  The covers of
-one enumeration share most of their cells, so
+A condition cone's relations are read cell by cell.  ``condition_cone``
+keeps only their distinct vectors, the one-sided ones as
+``ConditionCone.one_sided``, which ``witness_height`` reads; only
+``closed_member`` builds a ``ConditionGenerator`` record per relation,
+numbered by its cell's index in the subdivision (``condition_generators``).
+The covers of one enumeration share most of their cells, so
 ``enumerate_regular_subdivisions`` reads each distinct cell's relations off
 the table once (``_table_relations``) and builds one cone per cover from
 them.  A single subdivision's cone (``closed_member``, ``condition_cone``)
@@ -72,9 +75,13 @@ class ConditionGenerator(NamedTuple):
 
 
 class ConditionCone(NamedTuple):
+    """The condition cone of a subdivision, with ``one_sided``: the distinct
+    relation vectors of its unmarked points, in order of first appearance,
+    the rays that ``witness_height`` tests."""
+
     subdivision: MarkedSubdivision
     cone: PolyCone
-    generators: tuple  # of ConditionGenerator
+    one_sided: tuple  # of int vectors
 
     @property
     def witness_height(self) -> Optional[tuple]:
@@ -86,7 +93,7 @@ class ConditionCone(NamedTuple):
         Rambau & Santos, *Triangulations*, ch. 5): the subdivision is
         regular iff h.u < 0 for every one-sided generator u."""
         h = [sum(c) for c in zip((0,) * self.cone.dim, *self.cone.ineq_normals)]
-        if all(dot(h, g.vector) < 0 for g in self.generators if not g.two_sided):
+        if all(dot(h, u) < 0 for u in self.one_sided):
             return primitive(h)
         return None
 
@@ -116,7 +123,7 @@ def _cell_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
     primitive(|d| e_v - sgn(d) column_v).  Returned as ``(basis, points,
     vectors, m)``: the relation of ``points[k]`` is ``vectors[k]``, two-sided
     iff k < m (the point is marked).  The per-relation lists keep
-    ``condition_generators`` from building a tuple per relation.
+    ``condition_cone`` from building a tuple per relation.
 
     A single subdivision's few cells cost less this way than a whole
     ``PointConfig.det_table``; an enumeration reads the table instead
@@ -170,20 +177,12 @@ def _table_relations(cfg: PointConfig, cell: MarkedCell) -> tuple:
     return basis, points, vectors, len(cell.marking) - cfg.n
 
 
-def condition_generators(
-    cfg: PointConfig, s: MarkedSubdivision, relate: Optional[Callable] = None
-) -> list[ConditionGenerator]:
-    """The reduced generator set: the relations of each cell, one fixed
-    affine basis per cell, numbered by the cell's index in s.  ``relate``
-    maps a ``MarkedCell`` to its relations as ``_cell_relations`` returns
-    them, which it defaults to; a caller assembling many subdivisions
-    passes one that reads the determinant table and remembers each
-    distinct cell (``enumerate_regular_subdivisions``)."""
-    if relate is None:
-        relate = partial(_cell_relations, cfg)
+def condition_generators(cfg: PointConfig, s: MarkedSubdivision) -> list[ConditionGenerator]:
+    """The reduced generator set: the ``_cell_relations`` of each cell, one
+    fixed affine basis per cell, numbered by the cell's index in s."""
     out = []
     for ci, cell in enumerate(s.cells):
-        basis, points, vectors, m = relate(cell)
+        basis, points, vectors, m = _cell_relations(cfg, cell)
         for k, v in enumerate(points):
             out.append(ConditionGenerator(vectors[k], ci, basis, v, k < m))
     return out
@@ -192,22 +191,27 @@ def condition_generators(
 def condition_cone(
     cfg: PointConfig, s: MarkedSubdivision, relate: Optional[Callable] = None
 ) -> ConditionCone:
-    """The cone of s's condition generators (``relate`` as in
-    ``condition_generators``).  A vector that several cells share enters the
-    single DD pass once (Fukuda & Prodon 1996: a repeated constraint changes
-    nothing); ``generators`` keeps every one.  Any one cell's relations span
-    the space D of affine dependences, of dimension r - n (the Gale dual; De
-    Loera, Rambau & Santos, *Triangulations*, ch. 5), so the pass runs in
-    D's coordinates (``PointConfig.kernel_coordinates``); a subdivision with
-    no cell raises InvariantError."""
-    gens = condition_generators(cfg, s, relate)
+    """The cone of s's condition generators, each cell's relations read by
+    ``relate``: ``_cell_relations`` by default, or, for a caller assembling
+    many subdivisions, one that reads the determinant table and remembers
+    each distinct cell (``enumerate_regular_subdivisions``).  A vector that
+    several cells share enters the single DD pass once (Fukuda & Prodon
+    1996: a repeated constraint changes nothing).  Any one cell's relations
+    span the space D of affine dependences, of dimension r - n (the Gale
+    dual; De Loera, Rambau & Santos, *Triangulations*, ch. 5), so the pass
+    runs in D's coordinates (``PointConfig.kernel_coordinates``); a
+    subdivision with no cell raises InvariantError."""
+    if relate is None:
+        relate = partial(_cell_relations, cfg)
+    relations = [relate(cell)[2:] for cell in s.cells]
+    rays = dict.fromkeys(v for vectors, m in relations for v in vectors[m:])
     cone = PolyCone.from_generators(
         cfg.r,
-        rays=dict.fromkeys(g.vector for g in gens if not g.two_sided),
-        lines=dict.fromkeys(g.vector for g in gens if g.two_sided),
+        rays=rays,
+        lines=dict.fromkeys(v for vectors, m in relations for v in vectors[:m]),
         span=cfg.kernel_coordinates,
     )
-    return ConditionCone(subdivision=s, cone=cone, generators=tuple(gens))
+    return ConditionCone(subdivision=s, cone=cone, one_sided=tuple(rays))
 
 
 class SignLedger(NamedTuple):

@@ -16,7 +16,7 @@ from lexfan.cones import PolyCone
 from lexfan.config import MarkedSubdivision, PointConfig
 from lexfan.degeneration import SRIdeal
 from lexfan.errors import SchemaError
-from lexfan.exactlex import WeightMatrix, rat, rat_str
+from lexfan.exactlex import WeightMatrix, rat
 from lexfan.quasival import Expr
 
 
@@ -37,11 +37,8 @@ def _int(x) -> int:
 
 # -- configurations ---------------------------------------------------------
 
-def config_to_json(cfg: PointConfig, s: MarkedSubdivision | None = None) -> dict:
-    out = {"dim": cfg.dim, "points": [list(p) for p in cfg.points]}
-    if s is not None:
-        out.update(subdivision_to_json(s))
-    return out
+def config_to_json(cfg: PointConfig) -> dict:
+    return {"dim": cfg.dim, "points": [list(p) for p in cfg.points]}
 
 
 def config_from_json(obj: dict) -> PointConfig:
@@ -82,8 +79,8 @@ def expr_from_json(obj) -> Expr:
 
 def cone_to_json(cone: PolyCone) -> dict:
     return {
-        "generators": [[rat_str(x) for x in g] for g in cone.generators],
-        "normals": [[rat_str(x) for x in n] for n in cone.normals],
+        "generators": [list(map(str, g)) for g in cone.generators],
+        "normals": [list(map(str, n)) for n in cone.normals],
     }
 
 

@@ -87,6 +87,8 @@ class Expr:
         return not self.terms
 
     def __mul__(self, other: "Expr") -> "Expr":
+        if type(other) is not Expr:
+            return NotImplemented
         pairs = []
         for u, cu in self.terms:
             for w, cw in other.terms:
@@ -433,18 +435,11 @@ class DeltaImage(NamedTuple):
 
 
 def delta_image(
-    cfg: PointConfig,
-    psi: WeightMatrix,
-    plm: PiecewiseLinearMap,
-    bound: int,
-    reverse: bool = False,
+    cfg: PointConfig, psi: WeightMatrix, plm: PiecewiseLinearMap, bound: int
 ) -> DeltaImage:
     """The image of delta on semigroup elements of degree <= bound, and per
-    cell the values on its positive-degree ``cell_semigroup``; the
-    enumeration order is switchable so stability can be tested."""
+    cell the values on its positive-degree ``cell_semigroup``."""
     elems = semigroup_up_to(cfg, bound)
-    if reverse:
-        elems = list(reversed(elems))
     table = NuTable(cfg, psi, bound)
     image = {u: delta_point(table, plm, u) for u in elems}
     positive = [u for u in elems if u[0] > 0]
@@ -587,19 +582,16 @@ def stretch_factor(t: TruncatedSemigroup) -> int:
 # power sequences and accumulation
 # ---------------------------------------------------------------------------
 
-def power_seq(
-    table: NuTable, f: Expr, window: int = 8, start: int = 1
-) -> list[tuple[int, LexVec]]:
-    """The exact sequence nu(f^l)/l for l = start..window, by branch and
-    bound (Land & Doig 1960) on nu(fg) >= nu(f) + nu(g).  A key is linear in
+def power_seq(table: NuTable, f: Expr, window: int = 8) -> list[tuple[int, LexVec]]:
+    """The exact sequence nu(f^l)/l for l = 1..window, by branch and bound
+    (Land & Doig 1960) on nu(fg) >= nu(f) + nu(g).  A key is linear in
     alpha, so each point p of f^l has as lower bound the largest bound of q
     plus key of w over the products q + w that make it, the key of one of
     its representatives; its exact key, once read, replaces the bound.  The
-    terms of f are keyed once, and the points of f^l are read in increasing
-    bound order until the next bound's value part is no less than the least
-    value found.  Points with no bound, from terms off the semigroup or of
-    the wrong length, are read first in sorted order; no bounded point
-    raises, so an error names the point nu_quasi(table, f.power(l)) would."""
+    terms of f are keyed once, at l = 1, in sorted order, so an error names
+    the point nu_quasi(table, f) would; every later point has a bound.  The
+    points of f^l are read in increasing bound order until the next bound's
+    value part is no less than the least value found."""
     if f.is_zero():
         raise SchemaError("power sequence of the zero expression")
     max_deg = max(u[0] for u in f.support)
@@ -612,51 +604,49 @@ def power_seq(
     # lcm of their denominators, a positive scaling that keeps the support
     # and makes every cancellation an exact int sum; each term with its key
     scale = lcm(*(c.denominator for _, c in f.terms))
-    base = []
-    for u, c in f.terms:
-        try:
-            key = table.key(u)
-        except (DimensionError, DegreeOverflow):  # overflow only when window < 1
-            key = None
-        base.append((u, c.numerator * (scale // c.denominator), key))
+    base = [
+        (u, c.numerator * (scale // c.denominator), _semigroup_key(table, u))
+        for u, c in f.terms
+    ]
     current = {v: c for v, c, _ in base}
     # point -> a lower bound on its key, the key of one of its representatives
-    lower = {v: k for v, _, k in base if k is not None}
+    lower = {v: k for v, _, k in base}
     out = []
     for ell in range(1, window + 1):
         if ell > 1:
             product, bound = defaultdict(int), {}
             for v, c in current.items():
-                kv = lower.get(v)
+                kv = lower[v]
                 for w, e, kw in base:
                     p = tuple(map(add, v, w))
                     product[p] += c * e
-                    if kv is not None and kw is not None:
-                        b = kv + kw
-                        if bound.get(p, b - 1) < b:
-                            bound[p] = b
+                    b = kv + kw
+                    if bound.get(p, b - 1) < b:
+                        bound[p] = b
             current = {v: c for v, c in product.items() if c}
-            lower = {v: bound[v] for v in current if v in bound}
-        if ell >= start:
-            # the points with no bound first, in sorted order, then by bound
-            least = INFINITY
-            unbounded = sorted(v for v in current if v not in lower)
-            for v in unbounded + sorted(lower, key=lower.get):
-                if v in lower and -(-lower[v] // radix) >= least:
-                    break
-                if ell > 1 or v not in lower:  # at l = 1 a bound is f's own key
-                    lower[v] = _semigroup_key(table, v)
-                least = min(least, -(-lower[v] // radix))
-            # l * v_l = nu(f^l) as its int row; one LexVec per l
-            row = table.values(least * radix)
-            out.append((ell, LexVec(Fraction(x, ell * s) for x, s in zip(row, table._scales))))
+            lower = {v: bound[v] for v in current}
+        least = INFINITY
+        for v in sorted(lower, key=lower.get):
+            if -(-lower[v] // radix) >= least:
+                break
+            if ell > 1:  # at l = 1 a bound is f's own key
+                lower[v] = _semigroup_key(table, v)
+            least = min(least, -(-lower[v] // radix))
+        # l * v_l = nu(f^l) as its int row; one LexVec per l
+        row = table.values(least * radix)
+        out.append((ell, LexVec(Fraction(x, ell * s) for x, s in zip(row, table._scales))))
     return out
 
 
 class AccumulationReport(NamedTuple):
+    """The accumulation candidates of a finite window, with no claim beyond
+    it; ``liminf`` is the lex-least of them, None when there is none."""
+
     candidates: frozenset  # of LexVec (limits of exact affine-in-1/l fits)
-    liminf: Optional[LexVec]  # lex-min candidate
-    windowed: bool  # always True: no claim beyond the window
+
+    @property
+    def liminf(self) -> Optional[LexVec]:
+        return min(self.candidates, default=None)
 
 
 def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationReport:
@@ -687,10 +677,7 @@ def windowed_accumulation(seq: Sequence[tuple[int, LexVec]]) -> AccumulationRepo
                 candidates.add(
                     LexVec(Fraction(c - b, (l2 - l1) * s) for b, c, s in zip(n1, n2, dens))
                 )
-    liminf = min(candidates) if candidates else None
-    return AccumulationReport(
-        candidates=frozenset(candidates), liminf=liminf, windowed=True
-    )
+    return AccumulationReport(candidates=frozenset(candidates))
 
 
 def stack(cfg: PointConfig, psi: WeightMatrix) -> WeightMatrix:

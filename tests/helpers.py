@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from lexfan.cones import PolyCone
 from lexfan.config import MarkedCell, MarkedSubdivision, PointConfig, hull_of
-from lexfan.exactlex import WeightMatrix, rat_str
-from lexfan.quasival import Expr
+from lexfan.exactlex import WeightMatrix
+from lexfan.quasival import Expr, NuTable, delta_point, in_cell_cone, semigroup_up_to
 
 
 def random_cone(rng: random.Random, dim: int, max_gens: int = 6) -> PolyCone:
@@ -40,11 +40,24 @@ def trivial_subdivision(cfg: PointConfig) -> MarkedSubdivision:
 
 
 def matrix_to_json(psi: WeightMatrix) -> dict:
-    return {"Psi": [[rat_str(x) for x in row] for row in psi.rows]}
+    return {"Psi": [list(map(str, row)) for row in psi.rows]}
 
 
 def expr_to_json(f: Expr) -> list:
-    return [{"d": u[0], "eta": list(u[1:]), "coeff": rat_str(c)} for u, c in f.terms]
+    return [{"d": u[0], "eta": list(u[1:]), "coeff": str(c)} for u, c in f.terms]
+
+
+def reversed_delta_image(cfg: PointConfig, psi: WeightMatrix, plm, bound: int) -> tuple:
+    """The ``values`` and ``per_cell`` of ``quasival.delta_image``, computed
+    over the semigroup in reverse order, with each point's cells found by
+    ``in_cell_cone``."""
+    table = NuTable(cfg, psi, bound)
+    image = {u: delta_point(table, plm, u) for u in reversed(semigroup_up_to(cfg, bound))}
+    per_cell = tuple(
+        frozenset(v for u, v in image.items() if u[0] > 0 and in_cell_cone(cfg, u, cell))
+        for cell in plm.subdivision.cells
+    )
+    return frozenset(image.values()), per_cell
 
 
 def random_matrix(rng: random.Random, n: int, r: int) -> WeightMatrix:

@@ -32,7 +32,7 @@ from lexfan.quasival import (
 )
 from lexfan.degeneration import gr_nu_reduced, gr_v_present, stanley_reisner
 
-from helpers import criterion3_cones, polar, random_matrix
+from helpers import criterion3_cones, polar, random_matrix, reversed_delta_image
 from oracles import euclidean_closure
 from paper import MuCone, cofaces, cone_intersection, cone_sum, is_full_rank, mu_dim
 
@@ -191,8 +191,7 @@ def test_criterion_6_valuation_comparison(seg_cfg, seg_psi, seg_marked, seg_plm,
         # equality exactly on the union of the marked submonoids
         assert (vv == nn) == any(in_SQ1(q, u) for q in seg_marked)
     img = delta_image(seg_cfg, seg_psi, seg_plm, 12)
-    rev = delta_image(seg_cfg, seg_psi, seg_plm, 12, reverse=True)
-    assert img.values == rev.values and img.per_cell == rev.per_cell
+    assert reversed_delta_image(seg_cfg, seg_psi, seg_plm, 12) == (img.values, img.per_cell)
     assert len(img.values) < 10**6  # finite by construction, cardinality reported
     _report(
         capsys,

@@ -31,7 +31,7 @@ from lexfan.errors import (
     DimensionError,
     SchemaError,
 )
-from lexfan.exactlex import WeightMatrix, rat, rat_str
+from lexfan.exactlex import WeightMatrix, rat
 from lexfan.gkzfan import condition_cone
 from lexfan.quasival import Expr
 
@@ -41,7 +41,7 @@ from paper import MuCone
 
 class TestJson:
     def test_config_roundtrip(self, seg_cfg, seg_sub):
-        obj = io.config_to_json(seg_cfg, seg_sub)
+        obj = {**io.config_to_json(seg_cfg), **io.subdivision_to_json(seg_sub)}
         assert io.config_from_json(obj) == seg_cfg
         cells = [MarkedCell(tuple(c["vertices"]), tuple(c["marking"])) for c in obj["cells"]]
         assert MarkedSubdivision(cells=tuple(cells)) == seg_sub
@@ -67,7 +67,7 @@ class TestJson:
         cone = PolyCone.from_generators(2, rays=[(1, 0), (1, 2)])
         # the co-polar generators, written as rationals, rebuild the cone
         gens = MuCone(n_rank=3, copolar_cone=cone).copolar_generators
-        obj = json.loads(json.dumps([[rat_str(x) for x in v] for v in gens]))
+        obj = json.loads(json.dumps([list(map(str, v)) for v in gens]))
         assert len(obj) == 2
         assert PolyCone.from_generators(2, rays=[[rat(x) for x in v] for v in obj]) == cone
 
@@ -518,6 +518,7 @@ class TestCli:
             ["3/2", "1"],
             ["3/2", "1/2"],
         ]
+        assert payload["windowed"] is True
 
     def test_degenerate(self, files, capsys):
         assert (

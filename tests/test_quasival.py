@@ -48,7 +48,7 @@ from lexfan.quasival import (
     windowed_accumulation,
 )
 
-from helpers import scaled, trivial_subdivision
+from helpers import reversed_delta_image, scaled, trivial_subdivision
 from oracles import (
     bounded_combination,
     cell_maps_by_solve,
@@ -249,9 +249,7 @@ class TestDelta:
             LexVec(["-15/4", "-1"]),
         }
         assert img.values == frozenset(expected)
-        rev = delta_image(seg_cfg, seg_psi, seg_plm, 4, reverse=True)
-        assert rev.values == img.values
-        assert rev.per_cell == img.per_cell
+        assert reversed_delta_image(seg_cfg, seg_psi, seg_plm, 4) == (img.values, img.per_cell)
         # per-cell values are sub-multisets of the global image
         assert all(pc <= img.values for pc in img.per_cell)
 
@@ -412,10 +410,6 @@ class TestPowerSequences:
         ]
         assert seq == expected
 
-    def test_start_parameter(self, seg_cfg, seg_psi, f_running):
-        seq = power_seq(NuTable(seg_cfg, seg_psi, 16), f_running, window=4, start=3)
-        assert [ell for ell, _ in seq] == [3, 4]
-
     def test_degree_overflow(self, seg_cfg, seg_psi, f_running):
         with pytest.raises(DegreeOverflow):
             power_seq(NuTable(seg_cfg, seg_psi, 6), f_running, window=8)
@@ -427,13 +421,14 @@ class TestPowerSequences:
             {LexVec(["3/2", "1"]), LexVec(["3/2", "1/2"])}
         )
         assert acc.liminf == LexVec(["3/2", "1/2"])
-        assert acc.windowed
 
     def test_accumulation_constant_sequence(self):
         seq = [(ell, LexVec([1, 0])) for ell in range(1, 7)]
         acc = windowed_accumulation(seq)
         assert acc.candidates == frozenset({LexVec([1, 0])})
         assert acc.liminf == LexVec([1, 0])
+        # two terms make no progression of three: no candidate, no liminf
+        assert windowed_accumulation(seq[:2]).liminf is None
 
 
 class TestElementarity:
@@ -764,11 +759,11 @@ def _nu_quasi_per_point(table, f):
     return ValuationReport(best, best_u, best_alpha, None)
 
 
-def _power_seq_by_algebra(table, f, window, start):
+def _power_seq_by_algebra(table, f, window):
     """nu(f^l)/l through the expression algebra, f^l as Expr.power."""
     return [
         (ell, nu_quasi(table, f.power(ell)).value * Fraction(1, ell))
-        for ell in range(start, window + 1)
+        for ell in range(1, window + 1)
     ]
 
 
@@ -790,10 +785,7 @@ def _fit_accumulation(seq):
             c = v1 - b * Fraction(1, l1)
             if all(by_index[l] == c + b * Fraction(1, l) for l in sub[-3:]):
                 candidates.add(c)
-    liminf = min(candidates) if candidates else None
-    return AccumulationReport(
-        candidates=frozenset(candidates), liminf=liminf, windowed=True
-    )
+    return AccumulationReport(candidates=frozenset(candidates))
 
 
 def _outcome(fn, *args):
@@ -898,13 +890,12 @@ class TestKeyedValuations:
         table = NuTable(cfg, psi, 16)
         f = data.draw(_power_exprs(cfg, 2))
         window = data.draw(st.integers(1, 8))
-        start = data.draw(st.integers(1, window))
         if f.is_zero():
             with pytest.raises(SchemaError, match="zero expression"):
-                power_seq(table, f, window, start)
+                power_seq(table, f, window)
         else:
-            assert _outcome(power_seq, table, f, window, start) == _outcome(
-                _power_seq_by_algebra, table, f, window, start
+            assert _outcome(power_seq, table, f, window) == _outcome(
+                _power_seq_by_algebra, table, f, window
             )
 
     @settings(max_examples=150, deadline=None)
@@ -918,7 +909,7 @@ class TestKeyedValuations:
         points = st.sampled_from(semigroup_up_to(cfg, 2)[1:])
         f = Expr.from_terms(data.draw(st.lists(st.tuples(points, _COEFFS), min_size=1, max_size=4)))
         if not f.is_zero():
-            assert power_seq(table, f, 8) == _power_seq_by_algebra(table, f, 8, 1)
+            assert power_seq(table, f, 8) == _power_seq_by_algebra(table, f, 8)
 
     def test_power_seq_cancelling_term(self, seg_cfg):
         # u1 + u2 = 2*u3: the 2*u3 term of f^2 is 1 - 2*(1/2) = 0, and it
@@ -928,22 +919,23 @@ class TestKeyedValuations:
         table = NuTable(seg_cfg, WeightMatrix(rows=((2, 9, -9, 0, 30),)), 8)
         assert scaled(u3, 2) not in f.power(2).support
         assert nu_point(table, scaled(u3, 2))[0] == LexVec([2])
-        seq = power_seq(table, f, window=3, start=2)
-        assert seq == _power_seq_by_algebra(table, f, 3, 2)
-        assert seq[0] == (2, LexVec([2]))
+        seq = power_seq(table, f, window=3)
+        assert seq == _power_seq_by_algebra(table, f, 3)
+        assert seq[1] == (2, LexVec([2]))
 
     def test_power_seq_error_messages(self, seg_cfg, seg_psi):
         table = NuTable(seg_cfg, seg_psi, 4)
         off = Expr.from_terms([((1, 3), "1/2"), ((1, 1), 1)])
         with pytest.raises(SchemaError, match=re.escape("point (1, 1) is not in the semigroup")):
             power_seq(table, off, window=2)
-        # f^2 lists 1+10 before 5+5, both off the semigroup; the message
-        # names the least, as nu_quasi(table, f.power(2)) does
+        # f's terms are keyed at l = 1 in sorted order: the message names
+        # the least one off the semigroup, as nu_quasi(table, far) does
         far = Expr.from_terms([((1, 1), 1), ((1, 5), "1/2"), ((1, 10), 1)])
-        with pytest.raises(SchemaError, match=re.escape("point (2, 10) is not in the semigroup")):
-            power_seq(table, far, window=2, start=2)
+        for call in (lambda: power_seq(table, far, window=2), lambda: nu_quasi(table, far)):
+            with pytest.raises(SchemaError, match=re.escape("point (1, 1) is not in the semigroup")):
+                call()
         with pytest.raises(DegreeOverflow, match="power 3 needs degree 6 > bound 4"):
-            power_seq(table, Expr.from_terms([((2, 0), "2/3")]), window=3, start=2)
+            power_seq(table, Expr.from_terms([((2, 0), "2/3")]), window=3)
 
     @pytest.mark.parametrize(
         "config, matrix, expr, window, bound",
@@ -967,7 +959,7 @@ class TestKeyedValuations:
                 (io.expr_from_json, expr),
             )
         )
-        expected = _power_seq_by_algebra(NuTable(cfg, psi, bound), f, window, 1)
+        expected = _power_seq_by_algebra(NuTable(cfg, psi, bound), f, window)
         points = sum(len(f.power(ell).support) for ell in range(1, window + 1))
         keyed, key = [], NuTable.key
         monkeypatch.setattr(NuTable, "key", lambda table, u: keyed.append(u) or key(table, u))
@@ -1043,6 +1035,6 @@ class TestIntegerValues:
         f = data.draw(_exprs(cfg, 2).filter(lambda f: not f.is_zero()))
         window = data.draw(st.integers(3, 5))
         seq = _outcome(power_seq, table, f, window)
-        assert seq == _outcome(_power_seq_by_algebra, table, f, window, 1)
+        assert seq == _outcome(_power_seq_by_algebra, table, f, window)
         if seq[0] != "SchemaError":
             assert windowed_accumulation(seq) == _fit_accumulation(seq)

@@ -33,6 +33,7 @@ from lexfan.gkzfan import (
     SignLedger,
     closed_member,
     condition_cone,
+    condition_generators,
 )
 from lexfan.lp import LpResult, solve_lp
 from lexfan.quasival import (
@@ -77,7 +78,7 @@ def examples(seg_cfg, seg_psi, seg_sub, seg_plm, simplex_cfg, simplex_q2) -> dic
     built = [
         seg_cfg, seg_psi, seg_sub.cells[0], seg_sub, f,
         hull_of(seg_cfg.points), validate_subdivision(seg_cfg, seg_sub),
-        solve_lp([1], [[1]], [2]), cone.generators[0], cone,
+        solve_lp([1], [[1]], [2]), condition_generators(seg_cfg, seg_sub)[0], cone,
         closed_member(seg_cfg, seg_psi, seg_sub), seg_plm, v_quasi(seg_plm, f),
         delta_image(seg_cfg, seg_psi, seg_plm, 3),
         windowed_accumulation(power_seq(NuTable(seg_cfg, seg_psi, 6), f, 6)),
@@ -157,6 +158,8 @@ def test_weight_matrix_normalizes_and_renders_its_rows():
 def test_expr_has_no_tuple_arithmetic(examples):
     f = examples[Expr]
     assert not isinstance(f, tuple)
-    for op in (lambda: f + f, lambda: 2 * f, lambda: len(f), lambda: f[0], lambda: iter(f)):
+    for op in (
+        lambda: f + f, lambda: 2 * f, lambda: f * 2, lambda: len(f), lambda: f[0], lambda: iter(f)
+    ):
         with pytest.raises(TypeError):
             op()
